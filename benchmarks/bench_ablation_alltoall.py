@@ -48,9 +48,8 @@ def test_distributed_layer_with_algorithm(benchmark, labs_terms_cache, algorithm
 
 
 def test_alltoall_traffic_tradeoffs():
-    """Bytes-on-the-wire vs number of rounds for each algorithm (recorded in
-    EXPERIMENTS.md): Bruck trades bandwidth for latency, the others are
-    bandwidth-optimal."""
+    """Bytes-on-the-wire vs number of rounds for each algorithm: Bruck
+    trades bandwidth for latency, the others are bandwidth-optimal."""
     buffers = make_buffers()
     stats = {}
     for algorithm in ALLTOALL_ALGORITHMS:

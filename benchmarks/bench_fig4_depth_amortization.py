@@ -9,7 +9,8 @@ smaller slope than the gate-based curve.
 
 Reproduction: n=12, p ∈ {1, 4, 16, 64, 256}; "GPU precompute" is represented
 by constructing the simulator from an already-precomputed diagonal (its
-modeled device-side precompute time is reported in EXPERIMENTS.md), the CPU
+modeled device-side precompute time is bounded against one layer's by
+``test_fig4_modeled_gpu_precompute_is_negligible``), the CPU
 precompute path re-runs the vectorized precomputation inside the measured
 region, and the gate-based baseline re-simulates every compiled gate at every
 layer (benchmarked only up to p=16 — exactly because it is the slow curve).

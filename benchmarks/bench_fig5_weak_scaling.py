@@ -11,8 +11,8 @@ Reproduction has two parts:
   time; bit-exact against the single-node simulator elsewhere in the suite);
 * *modeled*: the calibrated performance model regenerates the weak-scaling
   series at the paper's scale (K = 8…128); the ordering (index swap < staged
-  Alltoall) and the growth with K are asserted, and the series is printed so
-  EXPERIMENTS.md can record it next to the paper's values.
+  Alltoall) and the growth with K are asserted, and the series is printed
+  for comparison with the paper's values.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark file regenerates one figure or headline claim of the paper
-(see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-results).  Problem sizes are scaled down to what a CPU-only container can run
+(the README's "Tests and benchmarks" section lists how to run them).
+Problem sizes are scaled down to what a CPU-only container can run
 in seconds — the reproduction targets the *shape* of each figure (which
 simulator wins, how the gap scales), not the absolute A100/Polaris numbers.
 """

@@ -3,8 +3,8 @@
 ``pytest benchmarks/ --benchmark-only`` gives statistically careful timings;
 this script is the quick, human-readable companion: it runs each experiment
 once at reproduction scale and prints the rows/series in the same layout as
-the paper's figures, so the tables in EXPERIMENTS.md can be regenerated with a
-single command:
+the paper's figures, so every series can be regenerated with a single
+command:
 
     python benchmarks/run_figures.py            # everything (a few minutes)
     python benchmarks/run_figures.py fig3 fig5  # selected figures only

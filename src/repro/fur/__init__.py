@@ -80,32 +80,22 @@ from .engine import (
     ExpectationOp,
     FusedMixerExpectationOp,
     FusedPhaseMixerOp,
-    InitialPhaseOp,
     KernelProvider,
-    MergedMixerOp,
-    MergedPhaseOp,
     MixerOp,
     PhaseOp,
 )
 from .rewrite import (
-    DEFAULT_PASSES,
     OPTIMIZE_LEVELS,
-    STRUCTURAL_PASSES,
+    PASSES,
     CoalesceExchanges,
-    EliminateNoOps,
-    FoldInitialPhase,
     FuseMixerIntoExpectation,
     FusePhaseIntoMixer,
-    ReorderCommuting,
     RewritePass,
     RewriteReport,
     resolve_optimize,
     run_passes,
 )
-from .costmodel import (
-    PlanCostModel,
-    order_structural_passes,
-)
+from .costmodel import PlanCostModel
 from .cvect import (
     QAOAFURXSimulatorC,
     QAOAFURXYCompleteSimulatorC,
@@ -160,10 +150,7 @@ __all__ = [
     "EngineStats",
     "KernelProvider",
     "PhaseOp",
-    "InitialPhaseOp",
-    "MergedPhaseOp",
     "MixerOp",
-    "MergedMixerOp",
     "FusedPhaseMixerOp",
     "FusedMixerExpectationOp",
     "ExpectationOp",
@@ -173,15 +160,10 @@ __all__ = [
     "RewriteReport",
     "FusePhaseIntoMixer",
     "CoalesceExchanges",
-    "EliminateNoOps",
-    "FoldInitialPhase",
     "FuseMixerIntoExpectation",
-    "ReorderCommuting",
-    "DEFAULT_PASSES",
-    "STRUCTURAL_PASSES",
+    "PASSES",
     "run_passes",
     "PlanCostModel",
-    "order_structural_passes",
     "CAPABILITY_TIERS",
     "CAPABILITY_OPERATIONS",
     "UnsupportedBackendKwargError",
@@ -202,8 +184,6 @@ __all__ = [
 @register_backend("c", aliases=("cpu",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "fuse-mixer-expectation", "reorder-commuting"),
                   priority=100,
                   constructor_kwargs=("block_size", "precision", "optimize"),
                   description="cache-blocked, allocation-free CPU kernels")
@@ -218,8 +198,6 @@ def _load_c_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("python", aliases=("numpy",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "fuse-mixer-expectation", "reorder-commuting"),
                   priority=50,
                   constructor_kwargs=("precision", "optimize"),
                   description="portable NumPy reference implementation")
@@ -260,8 +238,6 @@ def _jit_dynamic_priority() -> int:
 @register_backend("jit", aliases=("numba",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "fuse-mixer-expectation", "reorder-commuting"),
                   priority=60,
                   dynamic_priority=_jit_dynamic_priority,
                   constructor_kwargs=("precision", "optimize"),
@@ -293,8 +269,6 @@ def _sharded_describe_extra() -> str:
                   mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "coalesce-exchanges", "reorder-commuting"),
                   priority=40,
                   constructor_kwargs=("n_shards", "n_workers", "inner",
                                       "block_size", "precision", "optimize"),
@@ -318,7 +292,7 @@ def _load_sharded_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("gpu", aliases=("nbcuda",), mixers=("x", "xyring", "xycomplete"),
                   device="gpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer",), priority=30,
+                  priority=30,
                   constructor_kwargs=("device", "device_spec", "block_size",
                                       "precision", "optimize"),
                   description="simulated-GPU backend (numba-CUDA analogue)")
@@ -338,7 +312,6 @@ def _load_gpu_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 @register_backend("gpumpi", mixers=("x",), device="gpu", distributed=True,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "coalesce-exchanges"),
                   priority=20,
                   constructor_kwargs=("n_ranks", "alltoall_algorithm", "block_size",
                                       "parallel_local", "precision", "optimize"),
@@ -351,7 +324,7 @@ def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 @register_backend("cusvmpi", aliases=("custatevec",), mixers=("x",), device="gpu",
                   distributed=True, precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer",), priority=10,
+                  priority=10,
                   constructor_kwargs=("n_ranks", "block_size", "parallel_local",
                                       "precision", "optimize"),
                   description="distributed index-bit-swap backend (cuStateVec analogue)")
@@ -365,7 +338,7 @@ def _load_cusvmpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
                   mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("reorder-commuting",), priority=5,
+                  priority=5,
                   constructor_kwargs=("mixer", "phase_strategy", "dtype",
                                       "precision", "optimize"),
                   description="gate-by-gate state-vector baseline "
@@ -388,7 +361,7 @@ def _load_gates_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
                   device="cpu", distributed=False,
                   precisions=("double",),
                   capabilities="expectation-only",
-                  plan_rewrites=("reorder-commuting",), priority=1,
+                  priority=1,
                   constructor_kwargs=("precision", "optimize", "width_heuristic"),
                   description="tensor-network contraction baseline "
                               "(expectation-only; cuTensorNet/QTensor analogue)")

@@ -196,9 +196,9 @@ class QAOAFastSimulatorBase(abc.ABC):
         ``"default"`` (the plan-rewrite optimizer passes of
         :mod:`repro.fur.rewrite` transform compiled execution plans — phase
         sweeps fuse into mixer sweeps, distributed exchanges coalesce across
-        the batch, zero-angle ops are dropped) or ``"none"`` (plans keep the
-        unrewritten op stream).  Per-call overridable on the batched entry
-        points; part of the plan-cache key.
+        the batch, the final mixer fuses into the expectation reduction) or
+        ``"none"`` (plans keep the unrewritten op stream).  Per-call
+        overridable on the batched entry points; part of the plan-cache key.
     """
 
     #: human-readable backend name ("python", "c", "gpu", "gpumpi", "cusvmpi")
@@ -223,22 +223,10 @@ class QAOAFastSimulatorBase(abc.ABC):
     #: kinds this simulator family can serve (``"full"``,
     #: ``"expectation-only"`` or ``"amplitude-only"``)
     capability_tier: str = "full"
-    #: whether :meth:`_stage_phase_block` is implemented — gates the
-    #: FoldInitialPhase rewrite (layer-0 phase written during |+> staging)
-    supports_staged_phase: bool = False
     #: whether :meth:`_apply_mixer_expectation_block` is implemented — gates
     #: the FuseMixerIntoExpectation rewrite (final mixer's copy-back skipped,
     #: expectation reduced straight out of the ping-pong buffer)
     supports_fused_mixer_expectation: bool = False
-    #: whether this class's mixer commutes with itself at different angles
-    #: (exact for X: exp(-iβ₁ΣX)·exp(-iβ₂ΣX) = exp(-i(β₁+β₂)ΣX)) — gates the
-    #: mixer-merging half of the ReorderCommuting rewrite
-    mixer_self_commutes: bool = False
-    #: whether the fused kernels execute a whole layer in one cache-blocked
-    #: pass over the block (the ``jit`` tier's X mixer) — the rewrite cost
-    #: model then prices mixer sweeps at ~2 streamed passes instead of one
-    #: per qubit when ordering the structural passes
-    supports_single_pass: bool = False
     #: whether :meth:`_stage_block` accepts a ``(rows, 2^n)`` *per-row*
     #: initial-state block in addition to a shared 1-D ``sv0`` — the batched
     #: evaluation shape of the circuit-cutting fragment pipeline
@@ -546,18 +534,6 @@ class QAOAFastSimulatorBase(abc.ABC):
         raise NotImplementedError(
             f"backend {self.backend_name!r} does not implement the fused "
             "kernel-provider protocol"
-        )
-
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> Any:
-        """Stage ``exp(-i γ_r c[x]) / sqrt(N)`` directly (layer-0 phase fold).
-
-        Only reached for plans rewritten by the FoldInitialPhase pass, which
-        is gated on :attr:`supports_staged_phase` — providers setting the
-        flag must implement this.
-        """
-        raise NotImplementedError(
-            f"backend {self.backend_name!r} advertises phased staging "
-            "but does not implement _stage_phase_block"
         )
 
     def _mixer_scratch(self, block: Any) -> Any:

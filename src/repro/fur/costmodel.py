@@ -1,26 +1,18 @@
-"""Memory-traffic cost model for plan-rewrite pass ordering.
+"""Memory-traffic cost model for plan ops.
 
-The structural rewrite passes do not commute: ``FusePhaseIntoMixer`` eats
-the head ``PhaseOp`` that ``FoldInitialPhase`` wants, and whether that trade
-is worth it depends on what each resulting op stream *costs*.  Rather than
-hard-coding one pass order, the engine scores every permutation of the
-structural passes with this model and applies the cheapest.
-
-The model prices an op stream in bytes of memory traffic, reusing the
+Prices each op of a compiled plan in bytes of memory traffic, reusing the
 calibrated bandwidth-bound op costs of
 :class:`repro.parallel.perfmodel.PerformanceModel` at a single rank — the
 byte counts here are exactly the numerators of ``phase_time`` /
-``mixer_compute_time`` (bandwidth divides out when comparing plans on one
-device, and integer byte counts make the comparison deterministic):
+``mixer_compute_time``.  Dividing an op's measured seconds into its price
+gives the achieved bandwidth the per-op ledgers report.
 
-* staging the ``|+>`` block writes the state once;
 * a phase sweep is one fused read-modify-write of the state plus the
   diagonal read;
 * a mixer sweep streams the state once per qubit rotation (read + write),
   per Trotter step;
 * a fused phase+mixer sweep saves the phase's read-modify-write — only the
   diagonal read remains;
-* a phase folded into staging likewise adds only the diagonal read;
 * the expectation reduction reads the state and the diagonal;
 * fusing the final mixer into the expectation skips the mixer's copy-back
   of the ping-pong buffer — one state write saved.
@@ -28,90 +20,32 @@ device, and integer byte counts make the comparison deterministic):
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Any
-
 from ..parallel.perfmodel import PerformanceModel
 from .rewrite import (
     ExpectationOp,
     FusedMixerExpectationOp,
     FusedPhaseMixerOp,
-    InitialPhaseOp,
-    MergedMixerOp,
-    MergedPhaseOp,
     MixerOp,
-    PhaseOp,
     PlanOp,
-    RewritePass,
 )
 
-__all__ = ["PlanCostModel", "order_structural_passes",
-           "MESSAGE_OVERHEAD_BYTES", "EXCHANGE_ROWS_ESTIMATE"]
-
-#: Fixed per-message cost of a slab exchange, expressed in equivalent bytes
-#: of memory traffic (dispatch, buffer churn, synchronization).  This is what
-#: makes a coalesced exchange (messages independent of the batch size) price
-#: cheaper than the per-row path at equal byte volume.
-MESSAGE_OVERHEAD_BYTES: int = 1 << 12
-
-#: Modelled batch rows for the *non*-coalesced exchange path (its message
-#: count scales with the batch, which is unknown at plan-compile time; this
-#: mirrors the benchmark harness's full-size batch).
-EXCHANGE_ROWS_ESTIMATE: int = 32
+__all__ = ["PlanCostModel"]
 
 
 class PlanCostModel:
-    """Price op streams in bytes of memory traffic at a single rank.
+    """Price plan ops in bytes of memory traffic at a single rank.
 
     ``single_pass_mixer`` models the ``jit`` kernel tier: its fused kernels
     apply every butterfly of a layer per cache-sized tile, so a mixer sweep
     streams the state ~2× (read + write) instead of once per qubit.
-
-    ``n_shards``/``n_workers`` model the in-process sharded backend: compute
-    traffic divides across the parallel workers (ceil division keeps the
-    comparison in deterministic integers), while each mixer application
-    additionally pays the slab-exchange traffic of relabeling the global
-    qubits — two transpositions moving ``(K−1)/K`` of the state each, plus a
-    fixed :data:`MESSAGE_OVERHEAD_BYTES` per message.  With
-    ``coalesced_exchange`` the message count is the batch-independent
-    ``K(K−1)`` per transposition; without it the per-row path is modelled at
-    :data:`EXCHANGE_ROWS_ESTIMATE` rows.
     """
 
     def __init__(self, n_qubits: int, model: PerformanceModel | None = None,
-                 *, single_pass_mixer: bool = False, n_shards: int = 1,
-                 n_workers: int = 1, coalesced_exchange: bool = False) -> None:
+                 *, single_pass_mixer: bool = False) -> None:
         self.model = model if model is not None else PerformanceModel()
         self.n_qubits = n_qubits
         self.states = self.model.local_states(n_qubits, 1)
         self.single_pass_mixer = bool(single_pass_mixer)
-        self.n_shards = max(1, int(n_shards))
-        self.n_workers = max(1, int(n_workers))
-        self.coalesced_exchange = bool(coalesced_exchange)
-
-    def exchange_bytes(self, n_trotters: int = 1) -> int:
-        """Slab-exchange cost of one mixer application across the shards."""
-        k = self.n_shards
-        if k <= 1:
-            return 0
-        sb = self.model.state_bytes
-        # two transpositions (relabel in, relabel out), each swapping the
-        # off-diagonal (K−1)/K fraction of the state between shard pairs
-        slab = 2 * (self.states - self.states // k) * sb
-        messages = 2 * k * (k - 1)
-        if not self.coalesced_exchange:
-            messages *= EXCHANGE_ROWS_ESTIMATE
-        return (slab + messages * MESSAGE_OVERHEAD_BYTES) * max(1, n_trotters)
-
-    # -- per-op prices ---------------------------------------------------------
-    def stage_bytes(self) -> int:
-        """Writing the staged ``|+>`` block (common to every plan)."""
-        return self.states * self.model.state_bytes
-
-    def _split(self, compute_bytes: int) -> int:
-        """Ceil-divide compute traffic across the parallel shard workers."""
-        w = self.n_workers
-        return -(-int(compute_bytes) // w)
 
     def op_bytes(self, op: PlanOp) -> int:
         sb = self.model.state_bytes
@@ -124,69 +58,18 @@ class PlanCostModel:
         mixer_sweeps = 2 if self.single_pass_mixer else self.n_qubits
         mixer = mixer_sweeps * 2 * sb * states
         expectation = states * (sb + db)
-        if isinstance(op, (PhaseOp, MergedPhaseOp)):
-            return self._split(phase)
-        if isinstance(op, InitialPhaseOp):
-            # the staging write (already priced) doubles as the phase write;
-            # only the diagonal read is extra
-            return self._split(states * db)
-        if isinstance(op, (MixerOp, MergedMixerOp)):
-            return (self._split(mixer * op.n_trotters)
-                    + self.exchange_bytes(op.n_trotters))
+        if isinstance(op, MixerOp):
+            return mixer * op.n_trotters
         if isinstance(op, FusedPhaseMixerOp):
             # phase rides the first mixer pass: the read-modify-write
             # disappears, the diagonal read remains
-            return (self._split(mixer * op.n_trotters + states * db)
-                    + self.exchange_bytes(op.n_trotters))
+            return mixer * op.n_trotters + states * db
         if isinstance(op, FusedMixerExpectationOp):
             extra_diag = states * db if op.with_phase else 0
             # expectation reads the ping-pong buffer directly: the mixer's
             # final copy-back (one state write) is saved
-            return (self._split(mixer * op.n_trotters + extra_diag
-                                + expectation - states * sb)
-                    + self.exchange_bytes(op.n_trotters))
+            return (mixer * op.n_trotters + extra_diag + expectation
+                    - states * sb)
         if isinstance(op, ExpectationOp):
-            return self._split(expectation)
-        return self._split(phase)  # unknown future op: assume one streaming sweep
-
-    def plan_bytes(self, ops: tuple[PlanOp, ...]) -> int:
-        """Total traffic of staging plus every op in the stream."""
-        return self.stage_bytes() + sum(self.op_bytes(op) for op in ops)
-
-    def plan_time(self, ops: tuple[PlanOp, ...]) -> float:
-        """Plan traffic over the modelled device bandwidth, in seconds."""
-        return self.plan_bytes(ops) / self.model.topology.gpu_memory_bandwidth
-
-
-def order_structural_passes(
-        passes: tuple[RewritePass, ...], ops: tuple[PlanOp, ...],
-        simulator: Any) -> tuple[RewritePass, ...]:
-    """Pick the cheapest application order for the structural passes.
-
-    Scores the op stream each permutation of ``passes`` produces with
-    :class:`PlanCostModel` and returns the winning permutation.  Ties keep
-    the earliest permutation — i.e. the declared order — which also covers
-    simulators the model cannot price (no ``n_qubits``).
-    """
-    n_qubits = getattr(simulator, "n_qubits", None)
-    if n_qubits is None or len(passes) < 2:
-        return passes
-    model = PlanCostModel(
-        n_qubits,
-        single_pass_mixer=bool(getattr(simulator, "supports_single_pass",
-                                       False)),
-        n_shards=int(getattr(simulator, "n_shards", 1)),
-        n_workers=int(getattr(simulator, "n_shard_workers", 1)),
-        coalesced_exchange=bool(getattr(simulator,
-                                        "supports_coalesced_exchange", False)))
-    best_order = passes
-    best_cost: int | None = None
-    for perm in permutations(passes):
-        rewritten = ops
-        for rewrite in perm:
-            rewritten, _ = rewrite.run(rewritten, simulator)
-        cost = model.plan_bytes(rewritten)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_order = perm
-    return tuple(best_order)
+            return expectation
+        return phase  # PhaseOp: one streaming read-modify-write sweep

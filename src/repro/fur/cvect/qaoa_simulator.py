@@ -35,7 +35,6 @@ from .kernels import (
 )
 from ..python.furx import furx_all_batch, furx_phase_all_batch
 from ..python.furxy import complete_edges, ring_edges
-from ..python.qaoa_simulator import staged_phase_block
 
 __all__ = [
     "QAOAFURXSimulatorC",
@@ -49,7 +48,6 @@ class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
 
     backend_name = "c"
     supports_fused_engine = True
-    supports_staged_phase = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  block_size: int = DEFAULT_BLOCK_SIZE,
@@ -96,12 +94,6 @@ class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         return self._validate_sv0_block(sv0, rows)
 
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> np.ndarray:
-        """FoldInitialPhase staging: write ``exp(-i γ_r c)/√N`` in one pass."""
-        return staged_phase_block(gammas, self._phase_costs(), self._n_states,
-                                  self._precision.complex_dtype,
-                                  phase_table=plan.phase_tables)
-
     def _mixer_scratch(self, block: np.ndarray) -> np.ndarray:
         return np.empty_like(block)
 
@@ -143,7 +135,6 @@ class QAOAFURXSimulatorC(_QAOAFURCSimulatorBase):
     _mixer_needs_scratch = True
     supports_fused_phase_mixer = True
     supports_fused_mixer_expectation = True
-    mixer_self_commutes = True
 
     def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
         furx_all_blocked(sv, beta, self._n_qubits, self._workspace)

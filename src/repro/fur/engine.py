@@ -30,10 +30,11 @@ exposed explicitly via ``mode="looped"`` for benchmarking the fused engines
 against their baseline.
 
 After a plan's base op list is built, the optimizer pass pipeline
-(:mod:`repro.fur.rewrite`) rewrites it: phase sweeps fuse into the following
-mixer sweep (:class:`~repro.fur.rewrite.FusedPhaseMixerOp`), distributed
-exchanges coalesce across the batch, and zero-angle ops are eliminated per
-batch.  The ``optimize="default"|"none"`` knob (simulator constructor,
+(:mod:`repro.fur.rewrite`) rewrites it once, at compile time: phase sweeps
+fuse into the following mixer sweep
+(:class:`~repro.fur.rewrite.FusedPhaseMixerOp`), distributed exchanges
+coalesce across the batch, and the final mixer fuses into the expectation
+reduction.  The ``optimize="default"|"none"`` knob (simulator constructor,
 batched entry points, plan-cache key) switches the pipeline off entirely so
 optimized plans can always be pinned against the unoptimized op stream.
 """
@@ -55,9 +56,6 @@ from .rewrite import (
     ExpectationOp,
     FusedMixerExpectationOp,
     FusedPhaseMixerOp,
-    InitialPhaseOp,
-    MergedMixerOp,
-    MergedPhaseOp,
     MixerOp,
     PhaseOp,
     PlanOp,
@@ -71,10 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PhaseOp",
-    "InitialPhaseOp",
-    "MergedPhaseOp",
     "MixerOp",
-    "MergedMixerOp",
     "FusedPhaseMixerOp",
     "FusedMixerExpectationOp",
     "ExpectationOp",
@@ -127,7 +122,7 @@ class ExecutionPlan:
     #: optimizer level the plan was compiled at ("default" or "none")
     optimize: str
     #: the declarative op sequence executed per sub-batch (already rewritten
-    #: by the structural optimizer passes when ``optimize != "none"``)
+    #: by the optimizer passes when ``optimize != "none"``)
     ops: tuple[PlanOp, ...]
     #: per-pass reports of the compile-time rewrites applied to :attr:`ops`
     rewrites: tuple[RewriteReport, ...]
@@ -166,17 +161,9 @@ class EngineStats:
     fused_ops_executed: int = 0
     #: mixer/fused ops executed with a batch-coalesced global exchange
     coalesced_exchange_ops: int = 0
-    #: zero-angle ops dropped by the per-batch EliminateNoOps pass
-    ops_eliminated: int = 0
-    #: blocks staged with the layer-0 phase folded into the |+> write
-    #: (the FoldInitialPhase rewrite's _stage_phase_block path)
-    staged_phase_ops: int = 0
     #: FusedMixerExpectationOp executions (final mixer reduced without the
     #: ping-pong copy-back — the FuseMixerIntoExpectation rewrite)
     mixer_expectation_fused_ops: int = 0
-    #: MergedPhaseOp/MergedMixerOp executions (adjacent sweeps collapsed to
-    #: one with summed angles — the ReorderCommuting rewrite)
-    merged_ops_executed: int = 0
     #: slab-exchange messages sent by the in-process sharded backend (one
     #: pairwise slab swap counts two messages, mirroring the MPI traces)
     shard_exchanges: int = 0
@@ -188,7 +175,7 @@ class EngineStats:
     #: denominator of the per-shard busy fractions)
     shard_wall_s: float = 0.0
     #: per-pass rewrite totals: pass name -> {"runs", "rewrites",
-    #: "ops_before", "ops_after"} accumulated over every pipeline run
+    #: "ops_before", "ops_after"} accumulated over every plan compile
     rewrites: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def record_rewrites(self, reports: tuple[RewriteReport, ...]) -> None:
@@ -214,10 +201,7 @@ class EngineStats:
             "looped_evaluations": self.looped_evaluations,
             "fused_ops_executed": self.fused_ops_executed,
             "coalesced_exchange_ops": self.coalesced_exchange_ops,
-            "ops_eliminated": self.ops_eliminated,
-            "staged_phase_ops": self.staged_phase_ops,
             "mixer_expectation_fused_ops": self.mixer_expectation_fused_ops,
-            "merged_ops_executed": self.merged_ops_executed,
             "shard_exchanges": self.shard_exchanges,
             "exchange_bytes": self.exchange_bytes,
             "shard_busy_fraction": self.shard_busy_fractions(),
@@ -263,11 +247,6 @@ class KernelProvider(Protocol):
     #: whether :meth:`_apply_mixer_block_coalesced` is implemented (gates the
     #: CoalesceExchanges rewrite; only the distributed Alltoall family)
     supports_coalesced_exchange: bool
-    #: whether the provider's fused kernels execute a whole layer in one
-    #: cache-blocked pass over the block (the ``jit`` tier) — consumed by
-    #: the rewrite cost model, which then prices mixer sweeps at ~2 streamed
-    #: passes instead of one per qubit
-    supports_single_pass: bool
 
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
         """Rows of the next sub-batch (re-derived as device results accumulate)."""
@@ -392,9 +371,9 @@ class ExecutionEngine:
         a ``p``/``n_trotters``/budget change or an optimizer toggle
         recompiles while repeated evaluation at the same shape hits the
         cache.  ``optimize=None`` defaults to the owning simulator's knob;
-        with ``"default"`` the structural rewrite passes
-        (:data:`~repro.fur.rewrite.DEFAULT_PASSES`) transform the op list at
-        compile time and the per-pass reports ride along on the plan.
+        with ``"default"`` the rewrite passes
+        (:data:`~repro.fur.rewrite.PASSES`) transform the op list at compile
+        time and the per-pass reports ride along on the plan.
         """
         if p <= 0:
             raise ValueError("p must be positive")
@@ -419,7 +398,7 @@ class ExecutionEngine:
             ops = tuple(ops)
             reports: tuple[RewriteReport, ...] = ()
             if optimize != "none" and self._sim.supports_fused_engine:
-                ops, reports = run_passes(ops, self._sim, stage="compile")
+                ops, reports = run_passes(ops, self._sim)
                 self.stats.record_rewrites(reports)
             # Resolving the phase tables here (rather than per sub-batch) makes
             # the first compile pay the one-time unique-value factorization; the
@@ -502,50 +481,18 @@ class ExecutionEngine:
         return int(n_trotters)
 
     # -- execution -----------------------------------------------------------
-    def _batch_ops(self, plan: ExecutionPlan, g: np.ndarray,
-                   b: np.ndarray) -> tuple[PlanOp, ...]:
-        """The plan's ops specialized to one batch's angle columns.
-
-        Runs the angle-dependent optimizer passes (zero-angle elimination)
-        when the plan was compiled with optimization on; a column is a no-op
-        exactly when it is zero across the *whole* batch, so every sub-batch
-        shares the specialized sequence.
-        """
-        if plan.optimize == "none" or not self._sim.supports_fused_engine:
-            return plan.ops
-        ops, reports = run_passes(plan.ops, self._sim, gammas=g, betas=b,
-                                  stage="execute")
-        with self._lock:
-            self.stats.record_rewrites(reports)
-            self.stats.ops_eliminated += sum(r.ops_before - r.ops_after
-                                             for r in reports)
-        return ops
-
-    def _run_ops(self, plan: ExecutionPlan, ops: tuple[PlanOp, ...],
-                 g_sub: np.ndarray, b_sub: np.ndarray,
-                 sv0: np.ndarray | None, staged_costs: Any) -> tuple[Any, np.ndarray | None]:
-        """Drive one sub-batch block through an op sequence."""
+    def _run_ops(self, plan: ExecutionPlan, g_sub: np.ndarray,
+                 b_sub: np.ndarray, sv0: np.ndarray | None,
+                 staged_costs: Any) -> tuple[Any, np.ndarray | None]:
+        """Drive one sub-batch block through the plan's op sequence."""
         sim = self._sim
-        staged_phase = 0
-        if ops and isinstance(ops[0], InitialPhaseOp) and sv0 is None:
-            # FoldInitialPhase: the head phase is written during staging.
-            # With a custom sv0 the shortcut does not apply — the op then
-            # degrades to a plain phase sweep in the loop below.
-            block = sim._stage_phase_block(g_sub[:, ops[0].layer], plan)
-            ops = ops[1:]
-            staged_phase = 1
-        else:
-            block = sim._stage_block(sv0, g_sub.shape[0])
+        block = sim._stage_block(sv0, g_sub.shape[0])
         scratch = sim._mixer_scratch(block) if sim._mixer_needs_scratch else None
         values: np.ndarray | None = None
-        fused_ops = coalesced_ops = mixer_expectation_ops = merged_ops = 0
-        for op in ops:
-            if isinstance(op, (PhaseOp, InitialPhaseOp)):
+        fused_ops = coalesced_ops = mixer_expectation_ops = 0
+        for op in plan.ops:
+            if isinstance(op, PhaseOp):
                 sim._apply_phase_block(block, g_sub[:, op.layer], plan)
-            elif isinstance(op, MergedPhaseOp):
-                sim._apply_phase_block(
-                    block, g_sub[:, list(op.layers)].sum(axis=1), plan)
-                merged_ops += 1
             elif isinstance(op, FusedPhaseMixerOp):
                 sim._apply_phase_mixer_block(block, g_sub[:, op.layer],
                                              b_sub[:, op.layer], op, scratch,
@@ -553,12 +500,8 @@ class ExecutionEngine:
                 fused_ops += 1
                 if op.coalesce:
                     coalesced_ops += 1
-            elif isinstance(op, (MixerOp, MergedMixerOp)):
-                if isinstance(op, MergedMixerOp):
-                    betas = b_sub[:, list(op.layers)].sum(axis=1)
-                    merged_ops += 1
-                else:
-                    betas = b_sub[:, op.layer]
+            elif isinstance(op, MixerOp):
+                betas = b_sub[:, op.layer]
                 if op.coalesce:
                     sim._apply_mixer_block_coalesced(block, betas,
                                                      op.n_trotters, scratch)
@@ -579,8 +522,6 @@ class ExecutionEngine:
             self.stats.fused_ops_executed += fused_ops
             self.stats.coalesced_exchange_ops += coalesced_ops
             self.stats.mixer_expectation_fused_ops += mixer_expectation_ops
-            self.stats.merged_ops_executed += merged_ops
-            self.stats.staged_phase_ops += staged_phase
             self.stats.blocks_executed += 1
             self.stats.rows_executed += int(g_sub.shape[0])
         return block, values
@@ -624,10 +565,9 @@ class ExecutionEngine:
         plan = self.plan(g.shape[1], n_trotters=n_trotters,
                          memory_budget=memory_budget, reduce=False,
                          optimize=optimize)
-        ops = self._batch_ops(plan, g, b)
         results: list[Any] = []
         for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-            block, _ = self._run_ops(plan, ops, g[r0:r1], b[r0:r1],
+            block, _ = self._run_ops(plan, g[r0:r1], b[r0:r1],
                                      sv0[r0:r1] if per_row else sv0, None)
             results.extend(self._sim._block_results(block))
         return results
@@ -663,12 +603,11 @@ class ExecutionEngine:
         plan = self.plan(g.shape[1], n_trotters=n_trotters,
                          memory_budget=memory_budget, reduce=True,
                          optimize=optimize)
-        ops = self._batch_ops(plan, g, b)
         out = np.empty(g.shape[0], dtype=np.float64)
         staged = self._sim._stage_batch_costs(resolved_costs)
         try:
             for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-                block, values = self._run_ops(plan, ops, g[r0:r1], b[r0:r1],
+                block, values = self._run_ops(plan, g[r0:r1], b[r0:r1],
                                               sv0[r0:r1] if per_row else sv0,
                                               staged)
                 try:

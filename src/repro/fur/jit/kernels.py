@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
@@ -523,6 +524,8 @@ def compiler_info() -> str | None:
 # --------------------------------------------------------------------------
 
 _active_path: str | None = None
+_path_lock = threading.Lock()
+_log = logging.getLogger("repro.fur.jit")
 
 
 def active_path() -> str:
@@ -532,22 +535,33 @@ def active_path() -> str:
     cached shared object) is available, else ``numpy``.  ``REPRO_JIT_PATH``
     starts the ladder lower (e.g. ``numpy`` forces the fallback; useful for
     tests and for excluding the compile cost in constrained environments).
+    Falling to ``numpy`` from a higher starting rung logs one WARNING on the
+    ``repro.fur.jit`` logger naming the C build error.
     """
     global _active_path
-    if _active_path is None:
+    if _active_path is not None:
+        return _active_path
+    with _path_lock:
+        if _active_path is not None:
+            return _active_path
         forced = os.environ.get("REPRO_JIT_PATH", "auto").strip().lower()
         start = forced if forced in KNOWN_PATHS else "numba"
         ladder = KNOWN_PATHS[KNOWN_PATHS.index(start):]
         for candidate in ladder:
             if candidate == "numba" and NUMBA_AVAILABLE:
-                _active_path = "numba"
+                path = "numba"
                 break
             if candidate == "cc" and _load_clib() is not None:
-                _active_path = "cc"
+                path = "cc"
                 break
         else:
-            _active_path = "numpy"
-    return _active_path
+            path = "numpy"
+            if start != "numpy":
+                _log.warning("jit kernels fell back to the numpy rung "
+                             "(~3x slower than cc): compiled C path "
+                             "unavailable: %s", _clib_error)
+        _active_path = path
+        return path
 
 
 def _reset_path_cache() -> None:

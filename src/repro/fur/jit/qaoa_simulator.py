@@ -5,9 +5,7 @@ adapters over :mod:`repro.fur.jit.kernels`: every engine hook maps to one
 compiled kernel call, so a fused op really is a single pass over the
 ``(rows, 2^n)`` block.  Unlike the gemm-formulated backends the X mixer
 runs fully in place (``_mixer_needs_scratch = False``), which also doubles
-the rows each sub-batch fits into the engine's memory budget, and it sets
-``supports_single_pass`` so the rewrite cost model prices its mixer sweeps
-at ~2 streamed passes instead of one per qubit.
+the rows each sub-batch fits into the engine's memory budget.
 
 Kernel compilation is lazy: the first engine hook on a new ``(dtype, n,
 mixer)`` signature triggers it (numba type specialization, or the one-time
@@ -23,7 +21,6 @@ from typing import Any
 import numpy as np
 
 from ..base import QAOAFastSimulatorBase, validate_angles
-from ..python.qaoa_simulator import staged_phase_block
 from . import kernels
 
 __all__ = [
@@ -38,7 +35,6 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
 
     backend_name = "jit"
     supports_fused_engine = True
-    supports_staged_phase = True
     supports_fused_phase_mixer = True
 
     # -- lazy per-signature kernel compilation -------------------------------
@@ -78,11 +74,6 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         return self._validate_sv0_block(sv0, rows)
 
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> np.ndarray:
-        return staged_phase_block(gammas, self._phase_costs(), self._n_states,
-                                  self._precision.complex_dtype,
-                                  phase_table=plan.phase_tables)
-
     def _apply_phase_block(self, block: np.ndarray, gammas: np.ndarray,
                            plan: Any) -> None:
         self._ensure_kernels()
@@ -118,8 +109,6 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
     mixer_name = "x"
     _mixer_needs_scratch = False  # in-place butterflies: no ping-pong buffer
     supports_fused_mixer_expectation = True
-    mixer_self_commutes = True
-    supports_single_pass = True
 
     def _mixer_rows(self, block: np.ndarray, betas: np.ndarray,
                     n_trotters: int) -> None:

@@ -48,7 +48,6 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
 
     backend_name = "python"
     supports_fused_engine = True
-    supports_staged_phase = True
 
     def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
         raise NotImplementedError
@@ -106,26 +105,14 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         self._phase_buf = None  # (re)allocated lazily on first phase sweep
         return self._validate_sv0_block(sv0, rows)
 
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> np.ndarray:
-        """FoldInitialPhase staging: write ``exp(-i γ_r c)/√N`` directly.
-
-        The |+> block write and the layer-0 phase sweep collapse into a
-        single pass over the block; the products are computed in the same
-        order as the split path, so the staged block matches it bitwise.
-        """
-        self._phase_buf = None
-        return staged_phase_block(gammas, self._phase_costs(), self._n_states,
-                                  self._precision.complex_dtype,
-                                  phase_table=plan.phase_tables)
-
     def _gather_buffer(self) -> np.ndarray:
         """The per-sub-batch phase gather buffer, allocated on first use.
 
         Shared by the split phase sweep and the fused phase+mixer kernel
-        (one allocation per sub-batch, reused across all ``p`` layers), and
-        lazy so plans whose phase ops were all eliminated never pay for a
-        state-vector-sized allocation; dropped with the block by the
-        reduction hooks so it is never retained beyond the batch.
+        (one allocation per sub-batch, reused across all ``p`` layers),
+        allocated only when a sweep first needs it and dropped with the
+        block by the reduction hooks so it is never retained beyond the
+        batch.
         """
         if self._phase_buf is None:
             self._phase_buf = np.empty(self._n_states,
@@ -203,36 +190,6 @@ def _block_expectations(block: np.ndarray, costs: np.ndarray,
     return out
 
 
-def staged_phase_block(gammas: np.ndarray, costs: np.ndarray, n_states: int,
-                       dtype: np.dtype, *, phase_table: Any = None,
-                       chunk: int = _BATCH_PHASE_CHUNK) -> np.ndarray:
-    """Build a ``(rows, 2^n)`` block holding ``exp(-i γ_r c)/√N`` directly.
-
-    The FoldInitialPhase staging kernel, shared by the ``python`` and ``c``
-    backends: instead of writing the uniform superposition and then sweeping
-    the layer-0 phase over it, the phase factors (scaled by the |+> norm)
-    are written in one pass.  The factor·norm products are formed exactly as
-    the split path forms norm·factor, so results match it bitwise.
-    """
-    gammas = np.asarray(gammas, dtype=np.float64)
-    rows = gammas.shape[0]
-    norm = np.finfo(dtype).dtype.type(1.0 / np.sqrt(n_states))
-    block = np.empty((rows, n_states), dtype=dtype)
-    if phase_table is not None:
-        factors = phase_table.factors_batch(gammas, dtype=dtype)
-        factors *= norm
-        for r in range(rows):
-            np.take(factors[r], phase_table.inverse, out=block[r])
-        return block
-    coeff = (-1j * gammas).astype(dtype)
-    cols = max(1, chunk // max(rows, 1))
-    for s in range(0, n_states, cols):
-        e = min(s + cols, n_states)
-        factors = np.exp(coeff[:, None] * costs[s:e][None, :])
-        np.multiply(factors, norm, out=block[:, s:e], casting="same_kind")
-    return block
-
-
 class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
     """QAOA with the transverse-field mixer ``exp(-i β Σ_i X_i)`` (NumPy)."""
 
@@ -240,7 +197,6 @@ class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
     _mixer_needs_scratch = True
     supports_fused_phase_mixer = True
     supports_fused_mixer_expectation = True
-    mixer_self_commutes = True
 
     def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
         # The X-mixer factors commute, so Trotterization is exact and unused.

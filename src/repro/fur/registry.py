@@ -150,13 +150,6 @@ class BackendSpec:
         (statevector + expectation + amplitude), ``"expectation-only"``
         or ``"amplitude-only"``.  Resolution validates requests against it
         and ``auto`` only ever picks full-tier backends.
-    plan_rewrites:
-        Names of the plan-rewrite optimizer passes (:mod:`repro.fur.rewrite`)
-        at least one of the family's simulator classes has kernels for
-        (e.g. ``"fuse-phase-mixer"``, ``"coalesce-exchanges"``).  Capability
-        *metadata* for introspection — the authoritative per-class gate is
-        the provider attribute the pass checks at compile time (kernels may
-        be mixer-specific).
     priority:
         Resolution order for ``backend="auto"`` — highest available priority
         wins.
@@ -191,7 +184,6 @@ class BackendSpec:
     distributed: bool = False
     precisions: tuple[str, ...] = ("double",)
     capabilities: str = "full"
-    plan_rewrites: tuple[str, ...] = ()
     priority: int = 0
     dynamic_priority: Callable[[], int] | None = None
     description: str = ""
@@ -212,10 +204,6 @@ class BackendSpec:
         """Whether the family's tier serves one operation
         (``"statevector"``, ``"expectation"`` or ``"amplitude"``)."""
         return tier_supports(self.capabilities, operation)
-
-    def supports_rewrite(self, name: str) -> bool:
-        """Whether the family advertises kernels for one plan rewrite."""
-        return name in self.plan_rewrites
 
     def effective_priority(self) -> int:
         """The priority ``auto`` resolution ranks this family at right now.
@@ -312,7 +300,6 @@ class BackendRegistry:
                          distributed: bool = False,
                          precisions: Iterable[str] = ("double",),
                          capabilities: str = "full",
-                         plan_rewrites: Iterable[str] = (),
                          priority: int = 0,
                          dynamic_priority: Callable[[], int] | None = None,
                          description: str = "",
@@ -336,7 +323,6 @@ class BackendRegistry:
                     distributed=distributed,
                     precisions=tuple(resolve_precision(p).name for p in precisions),
                     capabilities=resolve_capability_tier(capabilities),
-                    plan_rewrites=tuple(plan_rewrites),
                     priority=priority,
                     dynamic_priority=dynamic_priority,
                     description=description or (loader.__doc__ or "").strip().split("\n")[0],
@@ -373,11 +359,9 @@ class BackendRegistry:
             if spec.distributed:
                 tags.append("distributed")
             alias_note = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
-            rewrite_note = (f" rewrites={','.join(spec.plan_rewrites)}"
-                            if spec.plan_rewrites else "")
             lines.append(
                 f"{name:>10}  [{'/'.join(tags)}] mixers={','.join(spec.mixers)} "
-                f"precisions={','.join(spec.precisions)}{rewrite_note} "
+                f"precisions={','.join(spec.precisions)} "
                 f"priority={spec.priority}{alias_note}  {spec.description}"
             )
             if spec.describe_extra is not None:

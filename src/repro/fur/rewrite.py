@@ -3,50 +3,32 @@
 The declarative :class:`ExecutionPlan` of :mod:`repro.fur.engine` makes the
 op stream itself a datum, so the memory-traffic optimizations the paper's
 profile points at can be expressed as *rewrites* over the op list instead of
-special cases inside each backend's kernels:
+special cases inside each backend's kernels.  :func:`run_passes` applies
+three of them, once per compiled plan, in this fixed order:
 
-* :class:`FusePhaseIntoMixer` merges each layer's :class:`PhaseOp` into the
-  following :class:`MixerOp`, emitting a :class:`FusedPhaseMixerOp` — the
-  phase multiply then rides the first mixer sweep of the layer (one fewer
-  full read-modify-write of the state block per layer) through the
-  provider's optional ``_apply_phase_mixer_block`` kernel;
-* :class:`CoalesceExchanges` marks mixer ops so the distributed Alltoall
-  strategy exchanges the whole ``(rows, local_states)`` block at once — one
-  collective per exchange instead of one per schedule row, making the
-  message count batch-size independent (what the index-bit-swap family
-  already does natively);
-* :class:`FoldInitialPhase` constant-folds layer 0's phase into the ``|+>``
-  block staging: instead of writing the uniform superposition and then
-  re-reading it for the first phase sweep, the provider writes
-  ``exp(-i γ_0 c[x]) / sqrt(N)`` directly (``_stage_phase_block``) — the
-  first phase op costs nothing beyond the staging write it replaces;
-* :class:`FuseMixerIntoExpectation` folds the final mixer sweep into the
-  expectation reduction (:class:`FusedMixerExpectationOp`): the provider's
-  ``_apply_mixer_expectation_block`` kernel skips the last copy-back of the
-  mixer's ping-pong buffer and reduces ``Σ c|ψ|²`` straight out of it;
-* :class:`EliminateNoOps` drops zero-angle phase/mixer ops (``exp(0) = I``
-  exactly): an angle-dependent pass that runs per batch, after the
-  structural passes, and may demote a fused op back to its surviving half;
-* :class:`ReorderCommuting` exploits commutation identities the elimination
-  pass exposes: diagonal ops immediately before the expectation reduction
-  are dropped (they cannot change ``|ψ|²``), adjacent phase sweeps merge
-  into one with summed angles, and — for self-commuting mixers like X —
-  adjacent mixer sweeps merge likewise.
-
-The *order* of the structural passes is not hard-coded: at plan-compile time
-the engine scores every permutation with the memory-traffic cost model in
-:mod:`repro.fur.costmodel` (backed by :class:`repro.parallel.perfmodel.
-PerformanceModel`) and applies the cheapest one, with the declared order
-winning ties.
+1. :class:`FusePhaseIntoMixer` merges each layer's :class:`PhaseOp` into the
+   following :class:`MixerOp`, emitting a :class:`FusedPhaseMixerOp` — the
+   phase multiply then rides the first mixer sweep of the layer (one fewer
+   full read-modify-write of the state block per layer) through the
+   provider's optional ``_apply_phase_mixer_block`` kernel;
+2. :class:`CoalesceExchanges` marks mixer ops so the distributed Alltoall
+   strategy exchanges the whole ``(rows, local_states)`` block at once — one
+   collective per exchange instead of one per schedule row, making the
+   message count batch-size independent (what the index-bit-swap family
+   already does natively);
+3. :class:`FuseMixerIntoExpectation` folds the final mixer sweep into the
+   expectation reduction (:class:`FusedMixerExpectationOp`): the provider's
+   ``_apply_mixer_expectation_block`` kernel skips the last copy-back of the
+   mixer's ping-pong buffer and reduces ``Σ c|ψ|²`` straight out of it.
 
 Every pass is *capability-gated* on the concrete simulator: a backend that
 does not implement the fused kernel (``supports_fused_phase_mixer``), the
-coalesced exchange (``supports_coalesced_exchange``), phased staging
-(``supports_staged_phase``) or the mixer/expectation fusion
-(``supports_fused_mixer_expectation``) keeps the split ops and stays
-numerically pinned by the same parity harness as everyone else.  Whether the
-pipeline runs at all is the ``optimize="default"|"none"`` knob carried by
-simulators, plans and the plan-cache key.
+coalesced exchange (``supports_coalesced_exchange``) or the
+mixer/expectation fusion (``supports_fused_mixer_expectation``) keeps the
+split ops and stays numerically pinned by the same parity harness as
+everyone else.  Whether the pipeline runs at all is the
+``optimize="default"|"none"`` knob carried by simulators, plans and the
+plan-cache key.
 """
 
 from __future__ import annotations
@@ -55,14 +37,9 @@ import abc
 from dataclasses import dataclass, replace
 from typing import Any
 
-import numpy as np
-
 __all__ = [
     "PhaseOp",
-    "InitialPhaseOp",
-    "MergedPhaseOp",
     "MixerOp",
-    "MergedMixerOp",
     "FusedPhaseMixerOp",
     "FusedMixerExpectationOp",
     "ExpectationOp",
@@ -73,12 +50,8 @@ __all__ = [
     "RewritePass",
     "FusePhaseIntoMixer",
     "CoalesceExchanges",
-    "FoldInitialPhase",
     "FuseMixerIntoExpectation",
-    "EliminateNoOps",
-    "ReorderCommuting",
-    "STRUCTURAL_PASSES",
-    "DEFAULT_PASSES",
+    "PASSES",
     "run_passes",
 ]
 
@@ -108,34 +81,6 @@ class PhaseOp:
 
 
 @dataclass(frozen=True)
-class InitialPhaseOp:
-    """Layer-``layer``'s phase constant-folded into the ``|+>`` staging write.
-
-    Emitted by :class:`FoldInitialPhase` for the head op of a plan; executed
-    through the provider's ``_stage_phase_block`` kernel, which writes
-    ``exp(-i γ c[x]) / sqrt(N)`` directly instead of staging the uniform
-    superposition and re-reading it for a separate phase sweep.  When a
-    custom ``sv0`` is supplied at execution time the staging shortcut does
-    not apply and the op degrades to a plain phase sweep.
-    """
-
-    layer: int
-
-
-@dataclass(frozen=True)
-class MergedPhaseOp:
-    """Several adjacent phase sweeps merged into one with summed angles.
-
-    Valid unconditionally — diagonal operators commute, and
-    ``exp(-i γ_a C) · exp(-i γ_b C) = exp(-i (γ_a + γ_b) C)`` exactly.
-    Emitted by :class:`ReorderCommuting` after zero-angle elimination leaves
-    phase sweeps adjacent.
-    """
-
-    layers: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MixerOp:
     """Apply ``exp(-i β_l M)`` — one mixer sweep of layer ``layer``.
 
@@ -146,20 +91,6 @@ class MixerOp:
     """
 
     layer: int
-    n_trotters: int = 1
-    coalesce: bool = False
-
-
-@dataclass(frozen=True)
-class MergedMixerOp:
-    """Several adjacent mixer sweeps merged into one with summed angles.
-
-    Only valid when the mixer commutes with itself at different angles
-    (``mixer_self_commutes`` — true for the X mixer, where the merge is
-    exact; the Trotterized XY mixers keep split sweeps).
-    """
-
-    layers: tuple[int, ...]
     n_trotters: int = 1
     coalesce: bool = False
 
@@ -202,12 +133,8 @@ class ExpectationOp:
 
 
 #: Union of the op types a plan may contain.
-PlanOp = (PhaseOp | InitialPhaseOp | MergedPhaseOp | MixerOp | MergedMixerOp
-          | FusedPhaseMixerOp | FusedMixerExpectationOp | ExpectationOp)
-
-#: Diagonal (phase-like) ops: they commute with each other and with the
-#: expectation reduction.
-_DIAGONAL_OPS = (PhaseOp, InitialPhaseOp, MergedPhaseOp)
+PlanOp = (PhaseOp | MixerOp | FusedPhaseMixerOp | FusedMixerExpectationOp
+          | ExpectationOp)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +152,14 @@ class RewriteReport:
 
 
 class RewritePass(abc.ABC):
-    """One rewrite over an op tuple.
+    """One rewrite over an op tuple."""
 
-    ``needs_angles`` splits the pipeline into the *structural* passes (run
-    once at plan-compile time, results cached inside the plan) and the
-    *angle-dependent* passes (run per batch, because the angles only arrive
-    at execution time).
-    """
-
-    #: stable name used in reports, stats and ``BackendSpec.plan_rewrites``
+    #: stable name used in reports and stats
     name: str = "rewrite"
-    #: whether the pass needs the batch's angle columns to decide anything
-    needs_angles: bool = False
 
     @abc.abstractmethod
-    def run(self, ops: tuple[PlanOp, ...], simulator: Any, *,
-            gammas: np.ndarray | None = None,
-            betas: np.ndarray | None = None) -> tuple[tuple[PlanOp, ...], int]:
+    def run(self, ops: tuple[PlanOp, ...],
+            simulator: Any) -> tuple[tuple[PlanOp, ...], int]:
         """Rewrite ``ops``; returns the new tuple and the rewrite count."""
 
 
@@ -257,7 +175,7 @@ class FusePhaseIntoMixer(RewritePass):
 
     name = "fuse-phase-mixer"
 
-    def run(self, ops, simulator, *, gammas=None, betas=None):
+    def run(self, ops, simulator):
         if not getattr(simulator, "supports_fused_phase_mixer", False):
             return ops, 0
         out: list[PlanOp] = []
@@ -292,7 +210,7 @@ class CoalesceExchanges(RewritePass):
 
     name = "coalesce-exchanges"
 
-    def run(self, ops, simulator, *, gammas=None, betas=None):
+    def run(self, ops, simulator):
         if not getattr(simulator, "supports_coalesced_exchange", False):
             return ops, 0
         out: list[PlanOp] = []
@@ -304,27 +222,6 @@ class CoalesceExchanges(RewritePass):
             else:
                 out.append(op)
         return tuple(out), rewrites
-
-
-class FoldInitialPhase(RewritePass):
-    """Constant-fold the head phase sweep into the ``|+>`` staging write.
-
-    A plan whose first op is ``PhaseOp(0)`` stages
-    ``exp(-i γ_0 c[x]) / sqrt(N)`` directly instead of writing the uniform
-    superposition and immediately re-reading the whole block for the phase
-    multiply.  Gated on ``supports_staged_phase``
-    (``_stage_phase_block``); only the head op qualifies because only the
-    head op acts on a known state.
-    """
-
-    name = "fold-initial-phase"
-
-    def run(self, ops, simulator, *, gammas=None, betas=None):
-        if not getattr(simulator, "supports_staged_phase", False):
-            return ops, 0
-        if ops and isinstance(ops[0], PhaseOp) and ops[0].layer == 0:
-            return (InitialPhaseOp(layer=0),) + ops[1:], 1
-        return ops, 0
 
 
 class FuseMixerIntoExpectation(RewritePass):
@@ -341,7 +238,7 @@ class FuseMixerIntoExpectation(RewritePass):
 
     name = "fuse-mixer-expectation"
 
-    def run(self, ops, simulator, *, gammas=None, betas=None):
+    def run(self, ops, simulator):
         if not getattr(simulator, "supports_fused_mixer_expectation", False):
             return ops, 0
         if len(ops) < 2 or not isinstance(ops[-1], ExpectationOp):
@@ -356,167 +253,27 @@ class FuseMixerIntoExpectation(RewritePass):
         return ops, 0
 
 
-class EliminateNoOps(RewritePass):
-    """Drop phase/mixer ops whose angle column is exactly zero.
-
-    ``exp(-i·0·C)`` and ``exp(-i·0·M)`` are the identity *exactly* (for all
-    mixer families — no Trotter error at zero angle), so a layer whose γ or
-    β column is all-zero across the batch can skip the corresponding sweep.
-    A fused op with one zero half is demoted back to its surviving half.
-    Runs per batch (``needs_angles``), after the structural passes.
-    """
-
-    name = "eliminate-noops"
-    needs_angles = True
-
-    def run(self, ops, simulator, *, gammas=None, betas=None):
-        if gammas is None or betas is None:
-            raise ValueError("EliminateNoOps needs the batch angle columns")
-        zero_g = ~np.any(gammas != 0.0, axis=0)
-        zero_b = ~np.any(betas != 0.0, axis=0)
-        out: list[PlanOp] = []
-        rewrites = 0
-        for op in ops:
-            if isinstance(op, (PhaseOp, InitialPhaseOp)) and zero_g[op.layer]:
-                rewrites += 1
-            elif isinstance(op, MixerOp) and zero_b[op.layer]:
-                rewrites += 1
-            elif isinstance(op, FusedPhaseMixerOp) and (zero_g[op.layer]
-                                                        or zero_b[op.layer]):
-                rewrites += 1
-                if not zero_b[op.layer]:
-                    out.append(MixerOp(layer=op.layer, n_trotters=op.n_trotters,
-                                       coalesce=op.coalesce))
-                elif not zero_g[op.layer]:
-                    out.append(PhaseOp(layer=op.layer))
-                # both halves zero: the whole layer is the identity
-            elif isinstance(op, FusedMixerExpectationOp) and (
-                    zero_b[op.layer] or (op.with_phase and zero_g[op.layer])):
-                rewrites += 1
-                if zero_b[op.layer]:
-                    # mixer half is the identity; a surviving phase half is
-                    # diagonal and cannot change |ψ|², handled by the
-                    # reorder pass — emit it for faithfulness anyway.
-                    if op.with_phase and not zero_g[op.layer]:
-                        out.append(PhaseOp(layer=op.layer))
-                    out.append(ExpectationOp())
-                else:  # with_phase and zero γ: keep the mixer/expectation half
-                    out.append(replace(op, with_phase=False))
-            else:
-                out.append(op)
-        return tuple(out), rewrites
-
-
-class ReorderCommuting(RewritePass):
-    """Exploit commutation identities exposed by zero-angle elimination.
-
-    Three rewrites, all exact:
-
-    * a run of diagonal ops (phase sweeps) immediately before the final
-      :class:`ExpectationOp` is dropped — diagonal unitaries cannot change
-      ``|ψ|²``, so the reduction commutes past them;
-    * adjacent phase sweeps merge into one :class:`MergedPhaseOp` with
-      summed angles (diagonals commute);
-    * adjacent mixer sweeps with matching ``n_trotters``/``coalesce`` merge
-      into one :class:`MergedMixerOp` — gated on ``mixer_self_commutes``
-      (exact for the X mixer; the Trotterized XY families keep split
-      sweeps).
-
-    Runs per batch, after :class:`EliminateNoOps` (elimination is what
-    creates the adjacencies).
-    """
-
-    name = "reorder-commuting"
-    needs_angles = True
-
-    def run(self, ops, simulator, *, gammas=None, betas=None):
-        rewrites = 0
-        ops = list(ops)
-        # 1. drop diagonal ops trailing into a plain expectation reduction
-        if ops and isinstance(ops[-1], ExpectationOp):
-            while len(ops) >= 2 and isinstance(ops[-2], _DIAGONAL_OPS):
-                del ops[-2]
-                rewrites += 1
-        # 2. merge adjacent phase sweeps / adjacent self-commuting mixers
-        merge_mixers = getattr(simulator, "mixer_self_commutes", False)
-        out: list[PlanOp] = []
-        i = 0
-        while i < len(ops):
-            op = ops[i]
-            if isinstance(op, PhaseOp):
-                j = i + 1
-                while j < len(ops) and isinstance(ops[j], PhaseOp):
-                    j += 1
-                if j - i >= 2:
-                    out.append(MergedPhaseOp(
-                        layers=tuple(ops[k].layer for k in range(i, j))))
-                    rewrites += j - i - 1
-                    i = j
-                    continue
-            elif merge_mixers and isinstance(op, MixerOp):
-                j = i + 1
-                while (j < len(ops) and isinstance(ops[j], MixerOp)
-                       and ops[j].n_trotters == op.n_trotters
-                       and ops[j].coalesce == op.coalesce):
-                    j += 1
-                if j - i >= 2:
-                    out.append(MergedMixerOp(
-                        layers=tuple(ops[k].layer for k in range(i, j)),
-                        n_trotters=op.n_trotters, coalesce=op.coalesce))
-                    rewrites += j - i - 1
-                    i = j
-                    continue
-            out.append(op)
-            i += 1
-        return tuple(out), rewrites
-
-
-#: The structural (angle-independent) passes in their *declared* order — the
-#: order the cost model falls back to on ties and for providers it cannot
-#: model.
-STRUCTURAL_PASSES: tuple[RewritePass, ...] = (
+#: The pipeline, in application order.  The order matters: coalescing sees
+#: the fused ops, and the mixer/expectation fusion leaves coalesced tails
+#: alone.
+PASSES: tuple[RewritePass, ...] = (
     FusePhaseIntoMixer(),
     CoalesceExchanges(),
-    FoldInitialPhase(),
     FuseMixerIntoExpectation(),
 )
 
-#: The default pipeline.  Structural passes first (cached inside compiled
-#: plans, applied in cost-model order), then the angle-dependent
-#: specialization (re-run per batch, in this order).
-DEFAULT_PASSES: tuple[RewritePass, ...] = STRUCTURAL_PASSES + (
-    EliminateNoOps(),
-    ReorderCommuting(),
-)
 
+def run_passes(ops: tuple[PlanOp, ...], simulator: Any
+               ) -> tuple[tuple[PlanOp, ...], tuple[RewriteReport, ...]]:
+    """Run :data:`PASSES` over an op tuple, once, in order.
 
-def run_passes(ops: tuple[PlanOp, ...], simulator: Any, *,
-               gammas: np.ndarray | None = None,
-               betas: np.ndarray | None = None,
-               passes: tuple[RewritePass, ...] = DEFAULT_PASSES,
-               stage: str = "compile") -> tuple[tuple[PlanOp, ...],
-                                                tuple[RewriteReport, ...]]:
-    """Run one stage of the pipeline over an op tuple.
-
-    ``stage="compile"`` runs the structural (angle-independent) passes in
-    the order chosen by the :mod:`repro.fur.costmodel` traffic model for
-    this simulator (declared order on ties or when the simulator cannot be
-    modelled); ``stage="execute"`` runs the angle-dependent ones, in their
-    declared order, against the batch's ``(B, p)`` angle arrays.  Returns
-    the rewritten tuple plus one :class:`RewriteReport` per pass that ran.
+    Called by the engine at plan-compile time.  Returns the rewritten tuple
+    plus one :class:`RewriteReport` per pass.
     """
-    if stage not in ("compile", "execute"):
-        raise ValueError(f"unknown rewrite stage {stage!r}")
-    stage_passes = tuple(p for p in passes
-                         if p.needs_angles == (stage == "execute"))
-    if stage == "compile" and len(stage_passes) > 1:
-        from .costmodel import order_structural_passes
-
-        stage_passes = order_structural_passes(stage_passes, ops, simulator)
     reports: list[RewriteReport] = []
-    for rewrite in stage_passes:
+    for rewrite in PASSES:
         before = len(ops)
-        ops, rewrites = rewrite.run(ops, simulator, gammas=gammas, betas=betas)
+        ops, rewrites = rewrite.run(ops, simulator)
         reports.append(RewriteReport(pass_name=rewrite.name, ops_before=before,
                                      ops_after=len(ops), rewrites=rewrites))
     return ops, tuple(reports)

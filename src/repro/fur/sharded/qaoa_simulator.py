@@ -102,7 +102,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     backend_name = "sharded"
     supports_fused_engine = True
-    supports_staged_phase = True
     supports_coalesced_exchange = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
@@ -116,10 +115,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         self._g_global = self._n_shards.bit_length() - 1
         self._n_workers = resolve_n_workers(self._n_shards, n_workers)
         self._inner: InnerProvider = resolve_inner(inner)
-        if self._inner.name == "jit":
-            # instance-level: the rewrite cost model prices jit's fused
-            # kernels at ~2 streamed passes per mixer instead of one per qubit
-            self.supports_single_pass = True
         self._block_size = int(block_size)
         self._pool: ThreadPoolExecutor | None = None
         self._swap_buf: np.ndarray | None = None
@@ -371,45 +366,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         return [np.repeat(full[r * s:(r + 1) * s][None, :], rows, axis=0)
                 for r in range(self._n_shards)]
 
-    def _stage_phase_block(self, gammas: np.ndarray,
-                           plan: Any) -> list[np.ndarray]:
-        """FoldInitialPhase staging: write ``exp(-i γ_r c)/√N`` per slab.
-
-        The norm is the *full-state* ``1/√2^n`` (a slab is a slice of the
-        global uniform superposition, not a state of its own); the
-        factor·norm products are formed exactly as the split path forms
-        them, so the staged slabs match it bitwise.
-        """
-        tables = plan.phase_tables
-        gammas = np.asarray(gammas, dtype=np.float64)
-        rows = gammas.shape[0]
-        dtype = self._precision.complex_dtype
-        norm = np.finfo(dtype).dtype.type(1.0 / np.sqrt(self._n_states))
-        width = self.local_states
-        block = [np.empty((rows, width), dtype=dtype)
-                 for _ in range(self._n_shards)]
-
-        def work(s: int) -> None:
-            table = None if tables is None else tables[s]
-            slab = block[s]
-            if table is not None:
-                factors = table.factors_batch(gammas, dtype=dtype)
-                factors *= norm
-                for r in range(rows):
-                    np.take(factors[r], table.inverse, out=slab[r])
-                return
-            costs = self._phase_cost_slices[s]
-            coeff = (-1j * gammas).astype(dtype)
-            cols = max(1, _EXPECTATION_CHUNK)
-            for c0 in range(0, width, cols):
-                c1 = min(c0 + cols, width)
-                factors = np.exp(coeff[:, None] * costs[c0:c1][None, :])
-                np.multiply(factors, norm, out=slab[:, c0:c1],
-                            casting="same_kind")
-
-        self._map_shards(work)
-        return block
-
     def _apply_phase_block(self, block: list[np.ndarray], gammas: np.ndarray,
                            plan: Any) -> None:
         """Batched shard-local phase sweep (diagonal — no exchanges)."""
@@ -534,7 +490,6 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
 
     mixer_name = "x"
     supports_fused_phase_mixer = True
-    mixer_self_commutes = True
 
     @staticmethod
     def _max_global_qubits(n_qubits: int) -> int:

@@ -2,7 +2,7 @@
 
 The paper's ``nbcuda`` backend runs numba-CUDA kernels on an NVIDIA A100; no
 GPU exists in this environment, so this module provides the substitute
-substrate (see DESIGN.md §2).  It reproduces the two properties of the GPU
+substrate (see the README's "Backends" section).  It reproduces the two properties of the GPU
 code path that matter for the reproduction:
 
 * **explicit memory spaces** — arrays live on the device

@@ -229,8 +229,6 @@ class QAOAGateBasedXSimulator(QAOAGateBasedSimulator):
     """Gate-based QAOA with the transverse-field mixer (registry class)."""
 
     mixer_name = "x"
-    #: RX factors commute exactly — adjacent X mixers merge by angle addition
-    mixer_self_commutes = True
 
 
 class QAOAGateBasedXYRingSimulator(QAOAGateBasedSimulator):

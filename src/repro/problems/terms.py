@@ -9,7 +9,7 @@ and is represented as a list of *terms* ``(w_k, t_k)`` where ``w_k`` is a real
 weight and ``t_k`` is a tuple of distinct qubit indices.  A constant offset is
 encoded as a term with an empty index tuple ``(w_offset, ())``.
 
-Bit / spin convention (see DESIGN.md §5): basis-state index ``x`` has bit ``q``
+Bit / spin convention: basis-state index ``x`` has bit ``q``
 equal to ``b_q``, and the corresponding spin is ``s_q = 1 - 2 b_q``; i.e. bit 0
 (state ``|0>``) maps to spin ``+1``.  Consequently a term ``(w, t)`` evaluated
 on basis state ``x`` equals ``w * (-1)**popcount(x & mask(t))``.

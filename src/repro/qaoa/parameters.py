@@ -1,7 +1,7 @@
 """QAOA parameter initialization and transfer strategies.
 
 QOKit ships pre-optimized parameters for its benchmark problems; this module
-provides the substitute (DESIGN.md §2): the standard parameter-setting
+provides the substitute: the standard parameter-setting
 strategies from the QAOA literature that the simulator's optimization workflow
 starts from —
 

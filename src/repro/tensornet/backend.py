@@ -17,11 +17,9 @@ paper's Fig. 3 scaling story, not for large problems).
 
 Engine integration records the op stream *symbolically*: the kernel-provider
 block is a per-row log of phase/mixer angle columns, and the whole
-contraction cost is paid in the final ``_block_expectations`` reduction.  The
-plan-rewrite passes still apply (zero-angle elimination, commuting merges —
-the X mixer is exact under angle addition), shrinking the circuit that gets
-contracted.  One greedy contraction order is computed per row and reused for
-all ``2^n`` output bitstrings, whose networks share the same index structure.
+contraction cost is paid in the final ``_block_expectations`` reduction.  One
+greedy contraction order is computed per row and reused for all ``2^n``
+output bitstrings, whose networks share the same index structure.
 """
 
 from __future__ import annotations
@@ -77,9 +75,6 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
     capability_tier = "expectation-only"
     supports_fused_engine = True
     mixer_name = "x"
-    #: the X mixer is exact under angle addition, so the ReorderCommuting
-    #: merge shrinks the contracted circuit without changing the amplitude
-    mixer_self_commutes = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  precision: str = "double", optimize: str = "default",

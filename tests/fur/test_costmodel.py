@@ -1,26 +1,16 @@
-"""The memory-traffic cost model that orders the structural rewrite passes."""
+"""The memory-traffic cost model that prices plan ops in bytes."""
 
 import pytest
 
-from repro.fur.costmodel import PlanCostModel, order_structural_passes
+from repro.fur.costmodel import PlanCostModel
 from repro.fur.rewrite import (
-    STRUCTURAL_PASSES,
     ExpectationOp,
-    FoldInitialPhase,
     FusedMixerExpectationOp,
     FusedPhaseMixerOp,
-    FusePhaseIntoMixer,
-    InitialPhaseOp,
-    MergedMixerOp,
-    MergedPhaseOp,
     MixerOp,
     PhaseOp,
 )
-
-
-class _Flags:
-    def __init__(self, **attrs):
-        self.__dict__.update(attrs)
+from repro.parallel.perfmodel import PerformanceModel
 
 
 @pytest.fixture
@@ -30,97 +20,37 @@ def model():
 
 class TestOpPrices:
     def test_prices_are_positive_integers(self, model):
-        ops = [PhaseOp(0), InitialPhaseOp(0), MergedPhaseOp((0, 1)),
-               MixerOp(0), MergedMixerOp((0, 1)), FusedPhaseMixerOp(0),
+        ops = [PhaseOp(0), MixerOp(0), FusedPhaseMixerOp(0),
                FusedMixerExpectationOp(0), ExpectationOp()]
         for op in ops:
             price = model.op_bytes(op)
             assert isinstance(price, int) and price > 0
-        assert isinstance(model.stage_bytes(), int)
 
     def test_fused_ops_are_cheaper_than_their_parts(self, model):
         split = model.op_bytes(PhaseOp(0)) + model.op_bytes(MixerOp(0))
         assert model.op_bytes(FusedPhaseMixerOp(0)) < split
         tail = model.op_bytes(MixerOp(0)) + model.op_bytes(ExpectationOp())
         assert model.op_bytes(FusedMixerExpectationOp(0)) < tail
-        # folding the head phase into staging beats a standalone phase sweep
-        assert model.op_bytes(InitialPhaseOp(0)) < model.op_bytes(PhaseOp(0))
-
-    def test_merged_ops_cost_one_sweep(self, model):
-        assert model.op_bytes(MergedPhaseOp((0, 1, 2))) == model.op_bytes(PhaseOp(0))
-        assert model.op_bytes(MergedMixerOp((0, 1))) == model.op_bytes(MixerOp(0))
 
     def test_trotterization_scales_mixer_cost(self, model):
         assert model.op_bytes(MixerOp(0, n_trotters=3)) == 3 * model.op_bytes(MixerOp(0))
 
-    def test_plan_bytes_includes_staging(self, model):
-        ops = (PhaseOp(0), MixerOp(0), ExpectationOp())
-        assert model.plan_bytes(ops) == (model.stage_bytes()
-                                         + sum(model.op_bytes(op) for op in ops))
-        assert model.plan_time(ops) > 0.0
+    @pytest.mark.parametrize("single_pass,expected", [
+        (False, [8704, 65536, 66048, 66048, 66560, 4608]),
+        (True, [8704, 16384, 16896, 16896, 17408, 4608]),
+    ])
+    def test_single_rank_prices_are_pinned(self, single_pass, expected):
+        # 2^8 states, complex128 state, uint16 diagonal (the defaults); the
+        # per-op ledgers divide measured seconds into exactly these numbers
+        model = PlanCostModel(8, single_pass_mixer=single_pass)
+        ops = [PhaseOp(0), MixerOp(0), FusedPhaseMixerOp(0),
+               FusedMixerExpectationOp(0),
+               FusedMixerExpectationOp(0, with_phase=True), ExpectationOp()]
+        assert [model.op_bytes(op) for op in ops] == expected
 
-
-class TestPassOrdering:
-    OPS = (PhaseOp(0), MixerOp(0), PhaseOp(1), MixerOp(1), ExpectationOp())
-
-    def test_unmodellable_simulator_keeps_declared_order(self):
-        # no n_qubits attribute -> identity, no scoring
-        assert order_structural_passes(STRUCTURAL_PASSES, self.OPS,
-                                       object()) == STRUCTURAL_PASSES
-
-    def test_single_pass_needs_no_ordering(self):
-        passes = (FusePhaseIntoMixer(),)
-        assert order_structural_passes(passes, self.OPS,
-                                       _Flags(n_qubits=8)) == passes
-
-    def test_ties_keep_declared_order(self):
-        # a provider with no fused kernels: every permutation produces the
-        # same (unchanged) op stream, so the declared order must win
-        sim = _Flags(n_qubits=8)
-        assert order_structural_passes(STRUCTURAL_PASSES, self.OPS,
-                                       sim) == STRUCTURAL_PASSES
-
-    def test_fold_and_fuse_tie_resolves_to_declared_order(self):
-        # FusePhaseIntoMixer and FoldInitialPhase compete for PhaseOp(0),
-        # and both save exactly one read-modify-write of the state on the
-        # head layer — a genuine cost tie.  The declared order must decide,
-        # deterministically, in whichever direction it is declared.
-        sim = _Flags(n_qubits=8, supports_fused_phase_mixer=True,
-                     supports_staged_phase=True,
-                     supports_fused_mixer_expectation=True)
-
-        def apply(order):
-            rewritten = self.OPS
-            for rewrite in order:
-                rewritten, _ = rewrite.run(rewritten, sim)
-            return rewritten
-
-        fuse_first = (FusePhaseIntoMixer(), FoldInitialPhase())
-        fold_first = (FoldInitialPhase(), FusePhaseIntoMixer())
-        model = PlanCostModel(8)
-        assert (model.plan_bytes(apply(fuse_first))
-                == model.plan_bytes(apply(fold_first)))
-        assert order_structural_passes(fuse_first, self.OPS, sim) == fuse_first
-        assert order_structural_passes(fold_first, self.OPS, sim) == fold_first
-        # STRUCTURAL_PASSES declares fusion first, so the engine's canonical
-        # X-mixer plan is the fully-fused one
-        assert apply(order_structural_passes(STRUCTURAL_PASSES, self.OPS, sim))[0] \
-            == FusedPhaseMixerOp(0)
-
-    def test_chosen_order_minimizes_plan_bytes(self):
-        from itertools import permutations
-
-        sim = _Flags(n_qubits=8, supports_fused_phase_mixer=True,
-                     supports_staged_phase=True,
-                     supports_fused_mixer_expectation=True)
-        model = PlanCostModel(8)
-
-        def cost(order):
-            rewritten = self.OPS
-            for rewrite in order:
-                rewritten, _ = rewrite.run(rewritten, sim)
-            return model.plan_bytes(rewritten)
-
-        chosen = order_structural_passes(STRUCTURAL_PASSES, self.OPS, sim)
-        assert cost(chosen) == min(cost(p)
-                                   for p in permutations(STRUCTURAL_PASSES))
+    def test_precision_enters_through_the_performance_model(self):
+        perf = PerformanceModel(state_bytes=8, diag_bytes=4)
+        model = PlanCostModel(10, perf, single_pass_mixer=True)
+        states = 1 << 10
+        assert model.op_bytes(PhaseOp(0)) == states * (2 * 8 + 4)
+        assert model.op_bytes(ExpectationOp()) == states * (8 + 4)

@@ -9,7 +9,8 @@ Covers
 * the fallback ladder: the numpy path is exercised unconditionally (via
   ``REPRO_JIT_PATH``) so the suite pins the delegation contract even on
   machines where numba or a C compiler is available; numba-specific checks
-  are skipped without numba,
+  are skipped without numba; a failed C build falls to numpy with exactly
+  one WARNING on the ``repro.fur.jit`` logger,
 * ``ensure_kernels`` compile-time accounting (new seconds once per
   signature, 0.0 when warm) and its flow into
   ``EngineStats.kernel_compile_time_s``,
@@ -20,6 +21,10 @@ Covers
   without table or costs) and XY edge-order equivalence with the ordered
   ``python`` kernels.
 """
+
+import logging
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +246,73 @@ class TestPathLadderAndCompileAccounting:
         finally:
             kernels._reset_path_cache()
 
+    def test_failed_c_build_warns_once(self, monkeypatch, caplog):
+        def broken_build():
+            raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
+
+        monkeypatch.delenv("REPRO_JIT_PATH", raising=False)
+        monkeypatch.setattr(kernels, "NUMBA_AVAILABLE", False)
+        monkeypatch.setattr(kernels, "_clib", None)
+        monkeypatch.setattr(kernels, "_clib_error", None)
+        monkeypatch.setattr(kernels, "_build_clib", broken_build)
+        kernels._reset_path_cache()
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.fur.jit"):
+                assert kernels.active_path() == "numpy"
+                assert kernels.active_path() == "numpy"
+                assert kernels.active_path() == "numpy"
+        finally:
+            kernels._reset_path_cache()
+        records = [r for r in caplog.records if r.name == "repro.fur.jit"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        assert "numpy" in message and "no C compiler found" in message
+
+    def test_racing_first_calls_warn_once(self, monkeypatch, caplog):
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+
+        def slow_broken_build():
+            time.sleep(0.05)  # keep the other callers queued behind the build
+            raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
+
+        def first_call(results, i):
+            barrier.wait()
+            results[i] = kernels.active_path()
+
+        monkeypatch.delenv("REPRO_JIT_PATH", raising=False)
+        monkeypatch.setattr(kernels, "NUMBA_AVAILABLE", False)
+        monkeypatch.setattr(kernels, "_clib", None)
+        monkeypatch.setattr(kernels, "_clib_error", None)
+        monkeypatch.setattr(kernels, "_build_clib", slow_broken_build)
+        kernels._reset_path_cache()
+        results = [None] * n_threads
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.fur.jit"):
+                threads = [threading.Thread(target=first_call,
+                                            args=(results, i))
+                           for i in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        finally:
+            kernels._reset_path_cache()
+        assert results == ["numpy"] * n_threads
+        records = [r for r in caplog.records if r.name == "repro.fur.jit"]
+        assert len(records) == 1
+
+    def test_forced_numpy_path_logs_nothing(self, monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_JIT_PATH", "numpy")
+        kernels._reset_path_cache()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="repro.fur.jit"):
+                assert kernels.active_path() == "numpy"
+        finally:
+            kernels._reset_path_cache()
+        assert [r for r in caplog.records if r.name == "repro.fur.jit"] == []
+
     def test_ensure_kernels_reports_new_seconds_once(self, jit_path):
         first = kernels.ensure_kernels(np.complex128, 7, "x")
         again = kernels.ensure_kernels(np.complex128, 7, "x")
@@ -327,13 +399,3 @@ class TestRegistryIntegration:
         assert "kernel_compile_time_s" in stats
         assert stats["kernel_compile_time_s"] >= 0.0
 
-    def test_single_pass_flag_only_on_x_mixer(self):
-        from repro.fur.jit import (
-            QAOAFURXSimulatorJIT,
-            QAOAFURXYCompleteSimulatorJIT,
-            QAOAFURXYRingSimulatorJIT,
-        )
-
-        assert QAOAFURXSimulatorJIT.supports_single_pass
-        assert not QAOAFURXYRingSimulatorJIT.supports_single_pass
-        assert not QAOAFURXYCompleteSimulatorJIT.supports_single_pass

@@ -295,24 +295,3 @@ class TestServeShardTelemetry:
         assert "sharded" in text
         assert "shards=" in text and "inner=" in text
 
-
-class TestCostModelShardPricing:
-    def test_exchange_priced_only_with_shards(self):
-        from repro.fur.costmodel import PlanCostModel
-
-        mono = PlanCostModel(10)
-        assert mono.exchange_bytes() == 0
-        sharded = PlanCostModel(10, n_shards=4, coalesced_exchange=True)
-        assert sharded.exchange_bytes() > 0
-        # the per-row path pays more message overhead at equal byte volume
-        per_row = PlanCostModel(10, n_shards=4, coalesced_exchange=False)
-        assert per_row.exchange_bytes() > sharded.exchange_bytes()
-
-    def test_worker_split_reduces_compute_price(self):
-        from repro.fur.costmodel import PlanCostModel
-        from repro.fur.rewrite import MixerOp
-
-        op = MixerOp(layer=0, n_trotters=1)
-        solo = PlanCostModel(10)
-        pooled = PlanCostModel(10, n_workers=4)
-        assert pooled.op_bytes(op) < solo.op_bytes(op)
