@@ -15,7 +15,7 @@ The contract:
   Listings 1–3 of the paper.
 
 Backends differ in where the state vector lives (host NumPy array, simulated
-GPU device array, per-rank slices on the virtual cluster) and in how the mixer
+GPU device array, per-shard slabs of the sharded family) and in how the mixer
 kernels are executed; they share the phase-operator and objective-evaluation
 logic, which is where the precomputed diagonal is reused.
 
@@ -217,7 +217,7 @@ class QAOAFastSimulatorBase(abc.ABC):
     #: FusePhaseIntoMixer rewrite (set per mixer class, e.g. X-mixer only)
     supports_fused_phase_mixer: bool = False
     #: whether :meth:`_apply_mixer_block_coalesced` is implemented — gates
-    #: the CoalesceExchanges rewrite (the distributed Alltoall family)
+    #: the CoalesceExchanges rewrite (the sharded family's slab exchanges)
     supports_coalesced_exchange: bool = False
     #: capability tier (see :mod:`repro.fur.capabilities`): what request
     #: kinds this simulator family can serve (``"full"``,
@@ -525,8 +525,8 @@ class QAOAFastSimulatorBase(abc.ABC):
 
         The default is the simulator-level unique-value
         :class:`~repro.fur.diagonal.DiagonalPhaseTable` (or ``None`` when the
-        diagonal is not repetitive enough); the distributed families override
-        this with a tuple of per-rank-slice tables.
+        diagonal is not repetitive enough); the sharded family overrides
+        this with a tuple of per-shard-slice tables.
         """
         return self._diagonal_phase_table()
 

@@ -128,7 +128,7 @@ class ExecutionPlan:
     rewrites: tuple[RewriteReport, ...]
     #: provider-specific phase-table object(s) resolved at compile time
     #: (a :class:`~repro.fur.diagonal.DiagonalPhaseTable` for single-address-
-    #: space backends, a per-rank tuple for the distributed families, or
+    #: space backends, a per-shard tuple for the sharded family, or
     #: ``None`` when the diagonal is not repetitive enough)
     phase_tables: Any
     #: wall-clock seconds spent compiling this plan (includes the first
@@ -164,8 +164,9 @@ class EngineStats:
     #: FusedMixerExpectationOp executions (final mixer reduced without the
     #: ping-pong copy-back — the FuseMixerIntoExpectation rewrite)
     mixer_expectation_fused_ops: int = 0
-    #: slab-exchange messages sent by the in-process sharded backend (one
-    #: pairwise slab swap counts two messages, mirroring the MPI traces)
+    #: slab-exchange messages of the sharded family (``sharded``,
+    #: ``gpumpi``, ``cusvmpi``): the ``num_messages`` of every exchange's
+    #: :class:`~repro.parallel.collectives.TrafficTrace`
     shard_exchanges: int = 0
     #: bytes moved between shards by those exchanges
     exchange_bytes: int = 0
@@ -233,8 +234,9 @@ class KernelProvider(Protocol):
     A backend opts into the fused engine by setting
     ``supports_fused_engine = True`` on its simulator class and implementing
     these hooks.  ``block`` is an opaque backend object — a host ``(rows,
-    2^n)`` ndarray, a device-resident block, or a list of per-rank slice
-    blocks for the distributed families; the engine never looks inside it.
+    2^n)`` ndarray, a device-resident block, or a list of shard slabs for
+    the sharded family (``sharded``, ``gpumpi``, ``cusvmpi``); the engine
+    never looks inside it.
     """
 
     #: providers set this to ``True``; the base class default is ``False``
@@ -245,7 +247,7 @@ class KernelProvider(Protocol):
     #: FusePhaseIntoMixer rewrite; mixer-specific — e.g. X-mixer only)
     supports_fused_phase_mixer: bool
     #: whether :meth:`_apply_mixer_block_coalesced` is implemented (gates the
-    #: CoalesceExchanges rewrite; only the distributed Alltoall family)
+    #: CoalesceExchanges rewrite; the sharded family with a direct Alltoall)
     supports_coalesced_exchange: bool
 
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:

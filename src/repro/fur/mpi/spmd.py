@@ -1,7 +1,8 @@
 """SPMD formulation of Algorithm 4 for execution on a real communicator.
 
-:mod:`repro.fur.mpi.qaoa_simulator` drives the distributed slices from a
-single controller, which is ideal for deterministic testing.  This module
+:mod:`repro.fur.mpi.qaoa_simulator` drives every rank's slice from a single
+controller (the in-process sharded simulator with one shard per rank), which
+is ideal for deterministic testing.  This module
 provides the genuinely SPMD variant — the code each rank would run under
 mpi4py — written against the :class:`repro.parallel.communicator.Communicator`
 interface and executed in-process with

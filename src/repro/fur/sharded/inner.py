@@ -12,7 +12,8 @@ cache-blocked traversal all come free:
   :mod:`repro.fur.cvect.kernels`: one blocked SU(2) sweep per qubit.  Its
   pair update is position-independent, which is what makes results
   bitwise-invariant under the shard count — the reference inner for the
-  invariance tests.
+  invariance tests, and the fixed inner of the distributed ``gpumpi``/
+  ``cusvmpi`` backends (:mod:`repro.fur.mpi`).
 * ``"python"`` — the gemm-grouped NumPy kernels of
   :mod:`repro.fur.python.furx` (allocating; the portable fallback).
 * ``"auto"`` (default) — ``jit`` when its compiled path is live, else ``c``.

@@ -1,8 +1,9 @@
 """Global/local qubit bookkeeping for the in-process sharded backend.
 
 The ``(B, 2^n)`` state block is split into ``K = 2^g`` shard slabs along the
-top ``g`` index bits — the *global* qubits, exactly the slicing of the MPI
-families (:mod:`repro.fur.mpi`), but with every slab living in the same
+top ``g`` index bits — the *global* qubits of the paper's per-rank slicing
+(the ``gpumpi``/``cusvmpi`` backends of :mod:`repro.fur.mpi` are the sharded
+X simulator with one shard per rank) — with every slab living in the same
 address space so "communication" is a pairwise slab swap between NumPy
 arrays.  Mixer sweeps that touch a global qubit relabel it local first:
 instead of physically permuting the full state, a transposition exchanges
@@ -54,7 +55,7 @@ class ShardLayout:
                 f"n_local must be in (0, {n_qubits}], got {n_local}")
         self.n_qubits = int(n_qubits)
         self.n_local = int(n_local)
-        self._perm = np.arange(self.n_qubits, dtype=np.int64)
+        self.reset()
 
     @property
     def perm(self) -> np.ndarray:
@@ -82,6 +83,10 @@ class ShardLayout:
                 f"positions ({pos_a}, {pos_b}) out of range for n={self.n_qubits}")
         self._perm[pos_a], self._perm[pos_b] = (self._perm[pos_b],
                                                 self._perm[pos_a])
+
+    def reset(self) -> None:
+        """Return to the identity (a freshly staged block is canonical)."""
+        self._perm = np.arange(self.n_qubits, dtype=np.int64)
 
     def is_identity(self) -> bool:
         """Whether every logical qubit sits at its canonical position."""

@@ -1,10 +1,9 @@
 """In-process sharded QAOA simulators: global/local qubit slabs, one process.
 
 The ``(B, 2^n)`` state block is split into ``K = 2^g`` contiguous shard
-slabs along the top ``g`` index bits (the *global* qubits), mirroring the
-per-rank slicing of :mod:`repro.fur.mpi` — but every slab lives in this
-process, owned by a worker of a persistent thread pool.  The division of
-labor:
+slabs along the top ``g`` index bits (the *global* qubits, the paper's
+per-rank slicing of Sec. III-C), every slab living in this process and
+owned by a worker of a persistent thread pool.  The division of labor:
 
 * **local ops** (phase sweeps, rotations of qubits ``< n − g``) dispatch an
   existing kernel family per shard — the configurable *inner provider* of
@@ -16,16 +15,19 @@ labor:
   pairwise *slab swaps* (NumPy copies instead of messages), the rotation
   runs on the now-local bit, and the inverse transposition restores the
   canonical order.  :class:`~repro.fur.sharded.layout.ShardLayout` tracks
-  the permutation; each exchange is coalesced across the whole batch (one
-  swap per shard pair per transposition, batch-size-independent — exactly
-  the shape the ``CoalesceExchanges`` rewrite models), with message counts
-  and byte volume recorded into the engine's shard telemetry.
+  the permutation; every exchange builds a
+  :class:`~repro.parallel.collectives.TrafficTrace` that
+  :meth:`~_ShardedFURSimulatorBase._record_exchange` feeds into the engine's
+  shard telemetry.
 
 The X mixer uses the Alltoall-style full transpose of Algorithm 4 (all
 ``g`` global qubits relabeled in one exchange, rotated, restored); the XY
 mixers swap one global *bit* at a time to a free local position per edge
 that needs it (the cuStateVec-style index-bit swap), preserving the exact
-reference edge order — XY edge rotations do not commute.
+reference edge order — XY edge rotations do not commute.  The distributed
+``gpumpi``/``cusvmpi`` backends of :mod:`repro.fur.mpi` are this X
+simulator with one shard per rank and the ``c`` inner; they differ only in
+the global step (:meth:`QAOAFURXSimulatorSharded._apply_global_mixer`).
 
 Because a shard slab is just a smaller state block, results are
 bitwise-invariant under the shard count whenever the inner kernels'
@@ -38,12 +40,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from ...parallel.collectives import TrafficTrace, alltoall
 from ..base import QAOAFastSimulatorBase, batch_block_rows, validate_angles
 from ..cvect.kernels import (
     DEFAULT_BLOCK_SIZE,
@@ -85,6 +88,9 @@ class ShardedStateVector:
         """Number of shards holding slabs."""
         return len(self.slices)
 
+    #: the distributed backends' name for the same count (one shard per rank)
+    n_ranks = n_shards
+
     def gather(self) -> np.ndarray:
         """Concatenate all slabs into the full state vector."""
         return np.concatenate(self.slices)
@@ -95,14 +101,15 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     Implements the engine's :class:`~repro.fur.engine.KernelProvider`
     protocol over *lists of shard slabs* (``K`` arrays of shape
-    ``(rows, 2^(n−g))``), like the MPI families — so fused batching,
-    plan rewrites, serve micro-batching and the parity harness apply
-    unchanged.
+    ``(rows, 2^(n−g))``) — so fused batching, plan rewrites, serve
+    micro-batching and the parity harness apply unchanged.
     """
 
     backend_name = "sharded"
     supports_fused_engine = True
     supports_coalesced_exchange = True
+    #: Alltoall algorithm of the per-row (uncoalesced) X transpose
+    alltoall_algorithm: str = "direct"
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  n_shards: int | None = None, n_workers: int | None = None,
@@ -209,7 +216,13 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     # -- worker pool ---------------------------------------------------------
     def _map_shards(self, fn: Callable[[int], None]) -> None:
-        """Run a per-shard callable on the pool; record busy/wall telemetry."""
+        """Run a per-shard callable on the pool; record busy/wall telemetry.
+
+        Every shard runs to completion before this returns, even when one
+        fails: the dispatch telemetry is recorded, then the first failure
+        in shard order is re-raised — no shard is left writing its slab
+        behind the caller's back.
+        """
         k = self._n_shards
         busy = [0.0] * k
         wall0 = time.perf_counter()
@@ -222,12 +235,18 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                 busy[s] = time.perf_counter() - t0
 
         pool = self._ensure_pool()
-        if pool is None:
-            for s in range(k):
-                timed(s)
-        else:
-            list(pool.map(timed, range(k)))
-        self.engine.record_shard_dispatch(busy, time.perf_counter() - wall0)
+        try:
+            if pool is None:
+                for s in range(k):
+                    timed(s)
+            else:
+                futures = [pool.submit(timed, s) for s in range(k)]
+                wait(futures)
+                for future in futures:
+                    future.result()
+        finally:
+            self.engine.record_shard_dispatch(busy,
+                                              time.perf_counter() - wall0)
 
     def _ensure_pool(self) -> ThreadPoolExecutor | None:
         if self._n_workers <= 1 or self._n_shards <= 1:
@@ -239,21 +258,21 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         return self._pool
 
     # -- slab exchanges ------------------------------------------------------
-    def _ensure_swap_buf(self, rows: int, width: int,
-                         dtype: np.dtype) -> np.ndarray:
-        buf = self._swap_buf
-        if buf is None or buf.shape[0] < rows * width or buf.dtype != dtype:
-            buf = np.empty(rows * width, dtype=dtype)
-            self._swap_buf = buf
-        return buf
-
     def _swap_views(self, a: np.ndarray, b: np.ndarray) -> int:
         """Swap two equal-shaped (possibly strided) slab views via staging."""
-        buf = self._ensure_swap_buf(1, a.size, a.dtype)[: a.size].reshape(a.shape)
+        buf = self._swap_buf
+        if buf is None or buf.size < a.size or buf.dtype != a.dtype:
+            buf = self._swap_buf = np.empty(a.size, dtype=a.dtype)
+        buf = buf[:a.size].reshape(a.shape)
         np.copyto(buf, a)
         a[...] = b
         b[...] = buf
         return a.nbytes
+
+    def _record_exchange(self, trace: TrafficTrace) -> None:
+        """Account one exchange's traffic in the engine's shard telemetry."""
+        self.engine.record_shard_exchange(trace.num_messages,
+                                          trace.total_bytes)
 
     def _transpose_global_local(self, block: list[np.ndarray],
                                 coalesce: bool) -> None:
@@ -261,56 +280,56 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
         Exchanges the shard-index bits with the top ``g`` local positions:
         ``new[d][:, s·chunk + low] = old[s][:, d·chunk + low]`` with
-        ``chunk = local_states / K`` — a pairwise slab *swap* for every
-        unordered shard pair (diagonal slabs never move).  ``coalesce``
-        swaps whole ``(rows, chunk)`` slabs (``K(K−1)`` messages regardless
-        of the batch size); the per-row path models the uncoalesced
-        exchange (``rows · K(K−1)`` messages, identical bytes and results).
+        ``chunk = local_states / K``.  ``coalesce`` swaps whole
+        ``(rows, chunk)`` slabs pairwise in place for every unordered shard
+        pair (diagonal slabs never move): ``K(K−1)`` messages in one trace
+        regardless of the batch size.  The per-row path runs one
+        :func:`~repro.parallel.collectives.alltoall` per schedule row with
+        :attr:`alltoall_algorithm` (one trace per row, identical results).
         """
         k = self._n_shards
         if k <= 1:
             return
-        rows = block[0].shape[0]
-        chunk = self.local_states // k
-        messages = 0
-        moved = 0
         if coalesce:
+            chunk = self.local_states // k
+            trace = TrafficTrace()
             for r in range(k):
                 for partner in range(r + 1, k):
                     a = block[r][:, partner * chunk:(partner + 1) * chunk]
                     b = block[partner][:, r * chunk:(r + 1) * chunk]
-                    moved += 2 * self._swap_views(a, b)
-                    messages += 2
+                    nbytes = self._swap_views(a, b)
+                    trace.add(r, partner, nbytes, 0)
+                    trace.add(partner, r, nbytes, 0)
+            self._record_exchange(trace)
         else:
-            for i in range(rows):
-                for r in range(k):
-                    for partner in range(r + 1, k):
-                        a = block[r][i, partner * chunk:(partner + 1) * chunk]
-                        b = block[partner][i, r * chunk:(r + 1) * chunk]
-                        moved += 2 * self._swap_views(a, b)
-                        messages += 2
+            for i in range(block[0].shape[0]):
+                received, trace = alltoall([slab[i] for slab in block],
+                                           self.alltoall_algorithm)
+                for slab, row in zip(block, received):
+                    slab[i] = row
+                self._record_exchange(trace)
         n_local = self.n_local_qubits
         for j in range(self._g_global):
             self._layout.swap_positions(n_local - self._g_global + j,
                                         n_local + j)
-        self.engine.record_shard_exchange(messages, moved)
 
     def _exchange_global_bit(self, block: list[np.ndarray], global_bit: int,
-                             local_pos: int, coalesce: bool) -> None:
+                             local_pos: int, coalesce: bool,
+                             trace: TrafficTrace) -> None:
         """Swap one shard-index bit with one local bit position.
 
         The index-bit swap of the cuStateVec strategy, generalized to an
         arbitrary target position: shard ``r`` (bit value ``gv``) trades its
         ``local_pos``-bit ``1 − gv`` sub-block with the partner shard
         differing in ``global_bit`` — amplitudes whose global and local bits
-        disagree are exactly the ones stored on the wrong shard.
+        disagree are exactly the ones stored on the wrong shard.  The
+        messages (round ``global_bit``) are added to ``trace``, which the
+        caller records once its exchanges are done.
         """
         k = self._n_shards
         rows = block[0].shape[0]
         inner_w = 1 << local_pos
         outer = self.local_states // (2 * inner_w)
-        messages = 0
-        moved = 0
         for r in range(k):
             partner = r ^ (1 << global_bit)
             if partner < r:
@@ -318,16 +337,12 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             gv = (r >> global_bit) & 1
             va = block[r].reshape(rows, outer, 2, inner_w)[:, :, 1 - gv, :]
             vb = block[partner].reshape(rows, outer, 2, inner_w)[:, :, gv, :]
-            if coalesce:
-                moved += 2 * self._swap_views(va, vb)
-                messages += 2
-            else:
-                for i in range(rows):
-                    moved += 2 * self._swap_views(va[i], vb[i])
-                    messages += 2
+            for a, b in ([(va, vb)] if coalesce else zip(va, vb)):
+                nbytes = self._swap_views(a, b)
+                trace.add(r, partner, nbytes, global_bit)
+                trace.add(partner, r, nbytes, global_bit)
         self._layout.swap_positions(local_pos,
                                     self.n_local_qubits + global_bit)
-        self.engine.record_shard_exchange(messages, moved)
 
     # -- kernel-provider hooks (driven by repro.fur.engine) ------------------
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
@@ -351,7 +366,12 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     def _stage_block(self, sv0: np.ndarray | None,
                      rows: int) -> list[np.ndarray]:
-        """Materialize one ``(rows, local_states)`` slab per shard."""
+        """Materialize one ``(rows, local_states)`` slab per shard.
+
+        Also resets the layout: a relabeling cut short by a failed shard
+        kernel must not leak into the next block.
+        """
+        self._layout.reset()
         s = self.local_states
         if sv0 is None:
             amp = 1.0 / np.sqrt(self._n_states)
@@ -526,11 +546,21 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         self._map_shards(work)
         if self._g_global == 0:
             return
-        # relabel all g global qubits local, rotate them, relabel back
-        g = self._g_global
-        layout = self._layout
+        self._apply_global_mixer(block, a_rows, b_rows, coalesce)
+        self._layout.assert_identity()
+
+    def _apply_global_mixer(self, block: list[np.ndarray], a_rows: np.ndarray,
+                            b_rows: np.ndarray, coalesce: bool) -> None:
+        """Rotate the ``g`` global qubits (Algorithm 4, lines 5–7).
+
+        Relabels all global qubits local in one transpose, rotates them
+        there, and transposes back.  Subclasses override this step alone to
+        exchange the global qubits another way.
+        """
+        n_local = self.n_local_qubits
         self._transpose_global_local(block, coalesce)
-        positions = [layout.position_of(n_local + j) for j in range(g)]
+        positions = [self._layout.position_of(n_local + j)
+                     for j in range(self._g_global)]
 
         def rotate(s: int) -> None:
             for pos in positions:
@@ -539,7 +569,6 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
 
         self._map_shards(rotate)
         self._transpose_global_local(block, coalesce)
-        layout.assert_identity()
 
     def _apply_phase_mixer_block(self, block: list[np.ndarray],
                                  gammas: np.ndarray, betas: np.ndarray,
@@ -614,6 +643,7 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
         # trig, complex128 coefficients, cast to state dtype at application
         a = np.cos(betas_t).astype(np.complex128)
         b = (-1j * np.sin(betas_t)).astype(np.complex128)
+        trace = TrafficTrace()
         for _ in range(n_trotters):
             for step in self._edge_steps:
                 if step[0] == "local":
@@ -629,7 +659,7 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
                 _, swaps, (pi, pj) = step
                 for global_bit, target in swaps:
                     self._exchange_global_bit(block, global_bit, target,
-                                              coalesce)
+                                              coalesce, trace)
 
                 def rotate(s: int) -> None:
                     apply_xy_su2_batch(block[s], a, b, pi, pj)
@@ -637,8 +667,9 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
                 self._map_shards(rotate)
                 for global_bit, target in reversed(swaps):
                     self._exchange_global_bit(block, global_bit, target,
-                                              coalesce)
+                                              coalesce, trace)
             self._layout.assert_identity()
+        self._record_exchange(trace)
 
 
 class QAOAFURXYRingSimulatorSharded(_ShardedXYBase):

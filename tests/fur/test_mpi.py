@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.fur import get_simulator_class
 from repro.fur.mpi import (
     QAOAFURXSimulatorCUSVMPI,
@@ -159,6 +160,81 @@ class TestCommunicationPatterns:
         sim = QAOAFURXSimulatorGPUMPI(n, terms=terms, n_ranks=1)
         sim.simulate_qaoa(gammas, betas)
         assert sim.traffic_log == []
+
+
+#: (backend, alltoall algorithm, K, optimize, len(traffic_log),
+#: (num_messages, num_rounds, total_bytes) of every trace) for one fused
+#: LABS n=8, p=2, B=3 batch in double precision.
+PINNED_TRAFFIC = [
+    ("gpumpi", "direct", 2, "default", 4, (2, 1, 6144)),
+    ("gpumpi", "direct", 2, "none", 12, (2, 1, 2048)),
+    ("gpumpi", "direct", 4, "default", 4, (12, 1, 9216)),
+    ("gpumpi", "direct", 4, "none", 12, (12, 1, 3072)),
+    ("gpumpi", "direct", 8, "default", 4, (56, 1, 10752)),
+    ("gpumpi", "direct", 8, "none", 12, (56, 1, 3584)),
+    ("gpumpi", "pairwise", 2, "default", 12, (2, 1, 2048)),
+    ("gpumpi", "pairwise", 2, "none", 12, (2, 1, 2048)),
+    ("gpumpi", "pairwise", 4, "default", 12, (12, 3, 3072)),
+    ("gpumpi", "pairwise", 4, "none", 12, (12, 3, 3072)),
+    ("gpumpi", "pairwise", 8, "default", 12, (56, 7, 3584)),
+    ("gpumpi", "pairwise", 8, "none", 12, (56, 7, 3584)),
+    ("gpumpi", "ring", 2, "default", 12, (2, 1, 2048)),
+    ("gpumpi", "ring", 2, "none", 12, (2, 1, 2048)),
+    ("gpumpi", "ring", 4, "default", 12, (12, 3, 3072)),
+    ("gpumpi", "ring", 4, "none", 12, (12, 3, 3072)),
+    ("gpumpi", "ring", 8, "default", 12, (56, 7, 3584)),
+    ("gpumpi", "ring", 8, "none", 12, (56, 7, 3584)),
+    ("gpumpi", "bruck", 2, "default", 12, (2, 1, 2048)),
+    ("gpumpi", "bruck", 2, "none", 12, (2, 1, 2048)),
+    ("gpumpi", "bruck", 4, "default", 12, (8, 2, 4096)),
+    ("gpumpi", "bruck", 4, "none", 12, (8, 2, 4096)),
+    ("gpumpi", "bruck", 8, "default", 12, (24, 3, 6144)),
+    ("gpumpi", "bruck", 8, "none", 12, (24, 3, 6144)),
+    ("cusvmpi", None, 2, "default", 2, (4, 1, 12288)),
+    ("cusvmpi", None, 2, "none", 2, (4, 1, 12288)),
+    ("cusvmpi", None, 4, "default", 2, (16, 2, 24576)),
+    ("cusvmpi", None, 4, "none", 2, (16, 2, 24576)),
+    ("cusvmpi", None, 8, "default", 2, (48, 3, 36864)),
+    ("cusvmpi", None, 8, "none", 2, (48, 3, 36864)),
+]
+
+
+class TestPinnedTraffic:
+    @staticmethod
+    def _angles():
+        rng = np.random.default_rng(2024)
+        return rng.uniform(0, 1, (3, 2)), rng.uniform(0, 1, (3, 2))
+
+    @pytest.mark.parametrize(
+        "backend,algorithm,n_ranks,optimize,n_traces,shape", PINNED_TRAFFIC)
+    def test_traffic_traces(self, backend, algorithm, n_ranks, optimize,
+                            n_traces, shape):
+        kwargs = {"alltoall_algorithm": algorithm} if algorithm else {}
+        sim = repro.simulator(8, terms=labs.get_terms(8), backend=backend,
+                              n_ranks=n_ranks, optimize=optimize, **kwargs)
+        sim.get_expectation_batch(*self._angles())
+        assert len(sim.traffic_log) == n_traces
+        for trace in sim.traffic_log:
+            assert (trace.num_messages, trace.num_rounds,
+                    trace.total_bytes) == shape
+
+    @pytest.mark.parametrize("backend", ["gpumpi", "cusvmpi"])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_fused_states_equal_sharded_c_inner(self, backend, n_ranks,
+                                                precision):
+        # gpumpi/cusvmpi are the sharded X simulator with one shard per rank
+        # and the c inner: only the exchange differs, never the arithmetic.
+        terms = labs.get_terms(8)
+        gammas, betas = self._angles()
+        sim = repro.simulator(8, terms=terms, backend=backend,
+                              n_ranks=n_ranks, precision=precision)
+        sharded = repro.simulator(8, terms=terms, backend="sharded",
+                                  n_shards=n_ranks, n_workers=1, inner="c",
+                                  precision=precision)
+        for a, b in zip(sim.simulate_qaoa_batch(gammas, betas),
+                        sharded.simulate_qaoa_batch(gammas, betas)):
+            assert np.array_equal(a.gather(), b.gather())
 
 
 class TestValidation:

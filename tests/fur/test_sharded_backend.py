@@ -2,6 +2,8 @@
 shard-count invariance, exchange accounting, per-shard admission and the
 shard telemetry surface."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,62 @@ class TestShardedSimulation:
         as_dict = stats.as_dict()
         assert as_dict["shard_exchanges"] == stats.shard_exchanges
         assert as_dict["exchange_bytes"] == stats.exchange_bytes
+
+    def test_failing_shard_waits_for_the_others(self, rng, monkeypatch):
+        # Shard 0's kernel raises while shard 1 is still working: the error
+        # must reach the caller only after shard 1 has finished, with the
+        # dispatch telemetry recorded, and the simulator must stay usable.
+        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2,
+                              n_workers=2, inner="c")
+        inner = sim._inner
+        real_phase = type(inner).phase_block
+        finished = []
+
+        def faulty_phase(block_s, gammas, *, costs, table, workspace):
+            if workspace is sim._workspaces[0]:
+                raise RuntimeError("shard 0 failed")
+            time.sleep(0.3)
+            real_phase(inner, block_s, gammas, costs=costs, table=table,
+                       workspace=workspace)
+            finished.append(1)
+
+        monkeypatch.setattr(inner, "phase_block", faulty_phase)
+        gammas, betas = rng.normal(size=(2, 3, 2))
+        wall_before = sim.engine.stats.shard_wall_s
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            sim.get_expectation_batch(gammas, betas)
+        assert finished == [1]
+        assert sim.engine.stats.shard_wall_s > wall_before
+        monkeypatch.undo()
+        reference = repro.simulator(6, terms=TERMS, backend="sharded",
+                                    n_shards=2, n_workers=1, inner="c")
+        np.testing.assert_array_equal(
+            sim.get_expectation_batch(gammas, betas),
+            reference.get_expectation_batch(gammas, betas))
+
+    def test_failure_inside_global_step_does_not_poison_the_layout(
+            self, rng, monkeypatch):
+        # A kernel failing between the two transposes leaves the relabeling
+        # half done; the next block must still start from the identity.
+        import repro.fur.sharded.qaoa_simulator as sharded_module
+
+        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2,
+                              n_workers=1, inner="c")
+
+        def failing_rotation(*args, **kwargs):
+            raise RuntimeError("rotation failed")
+
+        monkeypatch.setattr(sharded_module, "apply_su2_batch_blocked",
+                            failing_rotation)
+        gammas, betas = rng.normal(size=(2, 3, 2))
+        with pytest.raises(RuntimeError, match="rotation failed"):
+            sim.get_expectation_batch(gammas, betas)
+        monkeypatch.undo()
+        reference = repro.simulator(6, terms=TERMS, backend="sharded",
+                                    n_shards=2, n_workers=1, inner="c")
+        np.testing.assert_array_equal(
+            sim.get_expectation_batch(gammas, betas),
+            reference.get_expectation_batch(gammas, betas))
 
     def test_result_gather_and_shard_views(self, rng):
         sim = repro.simulator(5, terms=TERMS, backend="sharded", n_shards=2)
