@@ -133,6 +133,20 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
                          block_size=block_size, parallel_local=parallel_local,
                          precision=precision, optimize=optimize)
 
+    def _guarded_state_bytes(self) -> int:
+        """Per-rank slab plus the staging of the configured Alltoall.
+
+        ``direct`` swaps in place, which the sharded staging term covers.
+        The other algorithms run :func:`~repro.parallel.collectives.alltoall`
+        per schedule row, which allocates a fresh receive row per rank;
+        Bruck also keeps its rotated work row alive beside each round's copy.
+        """
+        if self.alltoall_algorithm == "direct":
+            return super()._guarded_state_bytes()
+        slab = (self._n_states * self._precision.complex_itemsize
+                // self._n_shards)
+        return slab * (3 if self.alltoall_algorithm == "bruck" else 2)
+
 
 class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
     """Distributed FUR simulator using cuStateVec-style index-bit swaps."""

@@ -176,7 +176,9 @@ def sharded_state_bytes(n_qubits: int, itemsize: int, n_shards: int) -> int:
     ``MAX_STATE_BYTES`` instead of the monolithic ``2^n · itemsize`` — the
     whole point of sharding the state.  The staging term covers the largest
     exchange buffer any strategy allocates: the single-bit swap moves half a
-    slab at once (the full transpose stages only ``slab / K``).
+    slab at once (the full transpose swaps in place, staging only
+    ``slab / K``).  ``gpumpi``'s non-direct Alltoall algorithms allocate
+    receive rows and account that staging themselves.
     """
     slab = ((1 << n_qubits) * int(itemsize)) // max(1, int(n_shards))
     return slab + slab // 2

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from ...parallel.collectives import TrafficTrace, alltoall
+from ...parallel.collectives import Message, TrafficTrace, alltoall
 from ..base import QAOAFastSimulatorBase, batch_block_rows, validate_angles
 from ..cvect.kernels import (
     DEFAULT_BLOCK_SIZE,
@@ -74,6 +75,22 @@ _EXPECTATION_CHUNK: int = 1 << 16
 #: the float64 reduction tree — and therefore the result bits — do not
 #: change between 1, 2, 4 and 8 shards.
 _EXPECTATION_SEGMENT_QUBITS: int = 8
+
+
+@lru_cache(maxsize=None)
+def _transpose_messages(k: int, nbytes: int,
+                        coalesce: bool) -> tuple[Message, ...]:
+    """Messages of one in-place transpose exchange, each moving ``nbytes``.
+
+    Coalesced: both directions of every shard pair, in swap order.  Per
+    row: the order of :func:`~repro.parallel.collectives.alltoall_direct`.
+    """
+    if coalesce:
+        sends = [m for r in range(k) for p in range(r + 1, k)
+                 for m in ((r, p), (p, r))]
+    else:
+        sends = [(s, d) for s in range(k) for d in range(k) if s != d]
+    return tuple(Message(s, d, nbytes, 0) for s, d in sends)
 
 
 @dataclass
@@ -241,9 +258,11 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                     timed(s)
             else:
                 futures = [pool.submit(timed, s) for s in range(k)]
-                wait(futures)
-                for future in futures:
-                    future.result()
+                # collect every outcome first: no shard may outlive the call
+                errors = [f.exception() for f in futures]
+                first = next((e for e in errors if e is not None), None)
+                if first is not None:
+                    raise first
         finally:
             self.engine.record_shard_dispatch(busy,
                                               time.perf_counter() - wall0)
@@ -280,29 +299,34 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
         Exchanges the shard-index bits with the top ``g`` local positions:
         ``new[d][:, s·chunk + low] = old[s][:, d·chunk + low]`` with
-        ``chunk = local_states / K``.  ``coalesce`` swaps whole
-        ``(rows, chunk)`` slabs pairwise in place for every unordered shard
-        pair (diagonal slabs never move): ``K(K−1)`` messages in one trace
-        regardless of the batch size.  The per-row path runs one
-        :func:`~repro.parallel.collectives.alltoall` per schedule row with
-        :attr:`alltoall_algorithm` (one trace per row, identical results).
+        ``chunk = local_states / K`` — a pairwise slab *swap* in place for
+        every unordered shard pair (diagonal slabs never move), staging one
+        ``chunk`` at a time.  ``coalesce`` swaps whole ``(rows, chunk)``
+        slabs: ``K(K−1)`` messages in one trace regardless of the batch
+        size.  The per-row path records one trace per schedule row, with the
+        messages of :func:`~repro.parallel.collectives.alltoall_direct`; a
+        non-direct :attr:`alltoall_algorithm` instead runs
+        :func:`~repro.parallel.collectives.alltoall` per row (identical
+        results, that algorithm's traffic and receive buffers).
         """
         k = self._n_shards
         if k <= 1:
             return
-        if coalesce:
+        rows = block[0].shape[0]
+        if coalesce or self.alltoall_algorithm == "direct":
             chunk = self.local_states // k
-            trace = TrafficTrace()
-            for r in range(k):
-                for partner in range(r + 1, k):
-                    a = block[r][:, partner * chunk:(partner + 1) * chunk]
-                    b = block[partner][:, r * chunk:(r + 1) * chunk]
-                    nbytes = self._swap_views(a, b)
-                    trace.add(r, partner, nbytes, 0)
-                    trace.add(partner, r, nbytes, 0)
-            self._record_exchange(trace)
+            row_keys = [slice(None)] if coalesce else range(rows)
+            messages = _transpose_messages(
+                k, block[0][row_keys[0], :chunk].nbytes, coalesce)
+            for i in row_keys:
+                for r in range(k):
+                    for p in range(r + 1, k):
+                        self._swap_views(
+                            block[r][i, p * chunk:(p + 1) * chunk],
+                            block[p][i, r * chunk:(r + 1) * chunk])
+                self._record_exchange(TrafficTrace(list(messages)))
         else:
-            for i in range(block[0].shape[0]):
+            for i in range(rows):
                 received, trace = alltoall([slab[i] for slab in block],
                                            self.alltoall_algorithm)
                 for slab, row in zip(block, received):
@@ -339,8 +363,9 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             vb = block[partner].reshape(rows, outer, 2, inner_w)[:, :, gv, :]
             for a, b in ([(va, vb)] if coalesce else zip(va, vb)):
                 nbytes = self._swap_views(a, b)
-                trace.add(r, partner, nbytes, global_bit)
-                trace.add(partner, r, nbytes, global_bit)
+            trace.messages += [Message(r, partner, nbytes, global_bit),
+                               Message(partner, r, nbytes, global_bit)
+                               ] * (1 if coalesce else rows)
         self._layout.swap_positions(local_pos,
                                     self.n_local_qubits + global_bit)
 

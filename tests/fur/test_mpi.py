@@ -250,6 +250,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             QAOAFURXSimulatorGPUMPI(8, terms=[(1.0, (0,))], n_ranks=4, alltoall_algorithm="magic")
 
+    @pytest.mark.parametrize("algorithm, slabs", [
+        ("direct", 1.5), ("pairwise", 2), ("ring", 2), ("bruck", 3)])
+    def test_byte_guard_counts_alltoall_staging(self, algorithm, slabs):
+        n, k = 8, 4
+        sim = QAOAFURXSimulatorGPUMPI(n, terms=[(1.0, (0,))], n_ranks=k,
+                                      alltoall_algorithm=algorithm)
+        slab = (1 << n) * 16 // k
+        assert sim._guarded_state_bytes() == int(slabs * slab)
+
 
 class TestSPMDPath:
     def test_spmd_matches_reference(self):
