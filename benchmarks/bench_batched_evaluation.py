@@ -25,7 +25,7 @@ run unless the ``python`` backend's fused path is at least 3x faster than the
 looped default (the acceptance bar for the fused engine), the
 single-precision expectations stay within the 1e-5 relative error envelope,
 the plan-rewrite optimizer (``optimize="default"``) beats the unoptimized op
-stream (``optimize="none"``) on the ``python`` and ``c`` backends, and (with
+stream (``optimize="none"``) on the ``python`` and ``jit`` backends, and (with
 ``--engine-report``) every distributed backend's fused path beats its looped
 default.  ``--engine-report`` additionally records the engine's plan-compile
 time, blocks executed, per-backend fused throughput — including the
@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"exit non-zero unless the python backend speedup is "
                              f">= {REQUIRED_PYTHON_SPEEDUP}x")
     parser.add_argument("--backends", nargs="+",
-                        default=["python", "c", "jit", "gpu"],
+                        default=["python", "jit", "gpu"],
                         help="backends to benchmark")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write a machine-readable BENCH_precision.json record")
@@ -584,14 +584,14 @@ def main(argv: list[str] | None = None) -> int:
         required_passes = ("fuse-phase-mixer", "coalesce-exchanges",
                            "fuse-mixer-expectation")
         missing = [(r["backend"], name) for r in results
-                   if r["backend"] in ("python", "c")
+                   if r["backend"] in ("python", "jit")
                    for name in required_passes
                    if name not in r["engine"]["rewrites"]]
         if missing:
             print(f"FAIL: optimizer passes missing from the engine report: "
                   f"{missing}", file=sys.stderr)
             return 1
-        print("OK: all optimizer passes ran on the python and c backends")
+        print("OK: all optimizer passes ran on the python and jit backends")
     if args.check and cutting_rec is not None:
         # The cutting pipeline's acceptance bars (ROADMAP item 2): the cut
         # expectation must match the uncut reference on both fragment
@@ -663,9 +663,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"OK: python fused speedup >= {REQUIRED_PYTHON_SPEEDUP}x")
         # The plan-rewrite acceptance bar (full-size only, like the other
         # perf gates): the optimized plan must beat the unoptimized op
-        # stream on the python and c backends.
+        # stream on the python and jit backends.
         slow_rewrite = [r for r in results
-                        if r["backend"] in ("python", "c")
+                        if r["backend"] in ("python", "jit")
                         and r["rewrite_speedup"] <= 1.0]
         if slow_rewrite:
             print(f"FAIL: optimize='default' does not beat optimize='none': "
@@ -673,21 +673,21 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
         print("OK: optimize='default' beats optimize='none' on the python "
-              "and c backends")
+              "and jit backends")
         # The jit kernel tier's acceptance bar (ROADMAP item 3): its
-        # single-pass fused kernels must beat the c backend's fused
+        # single-pass fused kernels must beat the python backend's fused
         # throughput at full size, whichever implementation path is live.
         by_name = {r["backend"]: r for r in results}
-        if "jit" in by_name and "c" in by_name:
+        if "jit" in by_name and "python" in by_name:
             jit_rate = by_name["jit"]["fused_schedules_per_s"]
-            c_rate = by_name["c"]["fused_schedules_per_s"]
-            if jit_rate <= c_rate:
+            py_rate = by_name["python"]["fused_schedules_per_s"]
+            if jit_rate <= py_rate:
                 print(f"FAIL: jit fused throughput {jit_rate:.1f} "
-                      f"schedules/s does not beat c ({c_rate:.1f})",
+                      f"schedules/s does not beat python ({py_rate:.1f})",
                       file=sys.stderr)
                 return 1
-            print(f"OK: jit fused throughput beats c "
-                  f"({jit_rate:.1f} vs {c_rate:.1f} schedules/s)")
+            print(f"OK: jit fused throughput beats python "
+                  f"({jit_rate:.1f} vs {py_rate:.1f} schedules/s)")
     return 0
 
 

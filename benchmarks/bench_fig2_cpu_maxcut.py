@@ -2,9 +2,10 @@
 
 Paper setup: QOKit's custom-C CPU simulator vs Qiskit Aer vs OpenQAOA, n=6…24,
 reporting the full time to evaluate one QAOA expectation value.
-Reproduction: our ``c`` (blocked NumPy) and ``python`` FUR backends vs the
-gate-based baseline (ladder-compiled, Qiskit-style) vs the same baseline with
-native diagonal gates (OpenQAOA-style vectorized evaluation), n=6…14.
+Reproduction: our ``c`` (the jit tier's compiled-C rung) and ``python`` FUR
+backends vs the gate-based baseline (ladder-compiled, Qiskit-style) vs the
+same baseline with native diagonal gates (OpenQAOA-style vectorized
+evaluation), n=6…14.
 
 Expected shape: the FUR backends are several times faster than the gate-based
 paths at every n, and the gap widens with n (the paper reports ≈5–10×).

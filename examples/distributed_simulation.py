@@ -5,8 +5,8 @@ Shows the three distributed execution paths of the reproduction:
 1. the driver-style ``gpumpi`` simulator (custom Alltoall, Algorithm 4) and
    ``cusvmpi`` simulator (cuStateVec-style index swaps) — the sharded X
    simulator with one shard per rank, the ``c`` inner kernels and their own
-   global-qubit exchange — verified bit-exactly against the single-node
-   simulator;
+   global-qubit exchange — verified to machine precision against the
+   single-node simulator;
 2. the genuinely SPMD program executed on the thread-based virtual cluster;
 3. the calibrated performance model that regenerates the paper's Fig. 5
    weak-scaling curves at the original scale (K = 8 … 128 A100 GPUs).

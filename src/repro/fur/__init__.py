@@ -6,9 +6,9 @@ This package is the reproduction of the paper's core contribution (QOKit's
 * :class:`~repro.fur.base.QAOAFastSimulatorBase` — the low-level simulation
   API shared by all backends (including batched evaluation,
   ``simulate_qaoa_batch``);
-* the backend simulator families (``python``, ``c``, ``gpu``, ``gpumpi``,
-  ``cusvmpi``, ``gates``, ``tensornet``), one class per mixer type per
-  backend;
+* the backend simulator families (``python``, ``jit`` — alias ``c`` —,
+  ``sharded``, ``gpu``, ``gpumpi``, ``cusvmpi``, ``gates``, ``tensornet``),
+  one class per mixer type per backend;
 * the backend registry (:mod:`repro.fur.registry`): every family registers
   itself with capability metadata (supported mixers, device class,
   distributed-ness, capability tier, ``auto`` priority), and
@@ -96,11 +96,6 @@ from .rewrite import (
     run_passes,
 )
 from .costmodel import PlanCostModel
-from .cvect import (
-    QAOAFURXSimulatorC,
-    QAOAFURXYCompleteSimulatorC,
-    QAOAFURXYRingSimulatorC,
-)
 from .python import (
     QAOAFURXSimulator,
     QAOAFURXYCompleteSimulator,
@@ -132,9 +127,6 @@ __all__ = [
     "QAOAFURXSimulator",
     "QAOAFURXYRingSimulator",
     "QAOAFURXYCompleteSimulator",
-    "QAOAFURXSimulatorC",
-    "QAOAFURXYRingSimulatorC",
-    "QAOAFURXYCompleteSimulatorC",
     "BackendRegistry",
     "BackendSpec",
     "registry",
@@ -181,20 +173,6 @@ __all__ = [
 # dependency never breaks `import repro`.
 # ---------------------------------------------------------------------------
 
-@register_backend("c", aliases=("cpu",), mixers=("x", "xyring", "xycomplete"),
-                  device="cpu", distributed=False,
-                  precisions=("double", "single"),
-                  priority=100,
-                  constructor_kwargs=("block_size", "precision", "optimize"),
-                  description="cache-blocked, allocation-free CPU kernels")
-def _load_c_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
-    return {
-        "x": QAOAFURXSimulatorC,
-        "xyring": QAOAFURXYRingSimulatorC,
-        "xycomplete": QAOAFURXYCompleteSimulatorC,
-    }
-
-
 @register_backend("python", aliases=("numpy",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
@@ -221,25 +199,12 @@ def _jit_describe_extra() -> str:
             f"(REPRO_NUM_THREADS/REPRO_JIT_PATH honored)")
 
 
-def _jit_dynamic_priority() -> int:
-    """``auto`` rank of the jit tier: above ``c`` only when compiled.
-
-    ``active_path()`` is a cheap cached probe of the numba → compiled-C →
-    numpy fallback ladder.  With a compiled path live the fused single-pass
-    kernels beat every other CPU family, so jit outranks ``c`` (100); on the
-    numpy delegation rung it keeps its static rank below ``c`` — numpy
-    delegation is just the python kernels with extra indirection.
-    """
-    from .jit import kernels
-
-    return 150 if kernels.active_path() != "numpy" else 60
-
-
-@register_backend("jit", aliases=("numba",), mixers=("x", "xyring", "xycomplete"),
+# ``c``/``cpu`` name the paper's compiled-C backend: the jit tier's ``cc`` rung.
+@register_backend("jit", aliases=("numba", "c", "cpu"),
+                  mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  priority=60,
-                  dynamic_priority=_jit_dynamic_priority,
+                  priority=100,
                   constructor_kwargs=("precision", "optimize"),
                   description="single-pass cache-blocked fused kernels "
                               "(numba; compiled-C/numpy fallback ladder)",

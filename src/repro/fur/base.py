@@ -19,14 +19,14 @@ GPU device array, per-shard slabs of the sharded family) and in how the mixer
 kernels are executed; they share the phase-operator and objective-evaluation
 logic, which is where the precomputed diagonal is reused.
 
-Batched evaluation (``simulate_qaoa_batch`` / ``get_expectation_batch``) is
-orchestrated entirely by the shared execution engine
-(:mod:`repro.fur.engine`): backends that implement the
-:class:`~repro.fur.engine.KernelProvider` protocol get the fused
-block-evolution path, everyone else the looped fallback.  The provider hooks
-(``_stage_block``, ``_apply_phase_block``, ``_apply_mixer_block``,
-``_block_expectations``, ...) declared here are the entire per-backend
-surface of that engine.
+Evaluation — one schedule (``simulate_qaoa``) or a batch
+(``simulate_qaoa_batch`` / ``get_expectation_batch``) — is orchestrated
+entirely by the shared execution engine (:mod:`repro.fur.engine`): every
+backend implements the :class:`~repro.fur.engine.KernelProvider` protocol,
+and a single schedule is just the engine's compiled one-row plan.  The
+provider hooks (``_stage_block``, ``_apply_phase_block``,
+``_apply_mixer_block``, ``_block_expectations``, ...) declared here are the
+entire per-backend surface of that engine.
 """
 
 from __future__ import annotations
@@ -201,15 +201,10 @@ class QAOAFastSimulatorBase(abc.ABC):
         overridable on the batched entry points; part of the plan-cache key.
     """
 
-    #: human-readable backend name ("python", "c", "gpu", "gpumpi", "cusvmpi")
+    #: human-readable backend name ("python", "jit", "gpu", "gpumpi", "cusvmpi")
     backend_name: str = "base"
     #: mixer implemented by this simulator class ("x", "xyring", "xycomplete")
     mixer_name: str = "x"
-    #: whether this class implements the execution engine's
-    #: :class:`~repro.fur.engine.KernelProvider` protocol — providers get the
-    #: fused batched evaluation path; everyone else falls back to the looped
-    #: default (still orchestrated by the engine)
-    supports_fused_engine: bool = False
     #: whether the mixer consumes a ping-pong scratch block (set by the
     #: gemm-grouped X mixers; XY mixers run in place through the workspace)
     _mixer_needs_scratch: bool = False
@@ -227,13 +222,6 @@ class QAOAFastSimulatorBase(abc.ABC):
     #: the FuseMixerIntoExpectation rewrite (final mixer's copy-back skipped,
     #: expectation reduced straight out of the ping-pong buffer)
     supports_fused_mixer_expectation: bool = False
-    #: whether :meth:`_stage_block` accepts a ``(rows, 2^n)`` *per-row*
-    #: initial-state block in addition to a shared 1-D ``sv0`` — the batched
-    #: evaluation shape of the circuit-cutting fragment pipeline
-    #: (:mod:`repro.cutting`), where every schedule row starts from its own
-    #: basis-initialization variant.  Backends without the flag still serve
-    #: per-row ``sv0`` batches through the engine's looped fallback.
-    supports_batched_sv0: bool = False
 
     def __init__(self, n_qubits: int,
                  terms: Iterable[tuple[float, Iterable[int]]] | None = None,
@@ -445,13 +433,19 @@ class QAOAFastSimulatorBase(abc.ABC):
         return self._execution_engine
 
     # -- simulation ----------------------------------------------------------
-    @abc.abstractmethod
     def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
                       sv0: np.ndarray | None = None, **kwargs: Any) -> Any:
         """Simulate ``p`` QAOA layers and return a backend-specific result object.
 
-        ``sv0`` optionally overrides the initial state (default ``|+>^n``).
+        ``sv0`` optionally overrides the initial state (default ``|+>^n``);
+        ``n_trotters`` is the only keyword (Trotter slices per XY mixer).
+        The schedule runs as the engine's compiled one-row plan at the
+        simulator's own ``optimize`` level, so it takes exactly the kernels
+        a row of :meth:`simulate_qaoa_batch` does.
         """
+        g, b = validate_angles(gammas, betas)
+        return self.engine.simulate_batch(g[None], b[None], sv0=sv0,
+                                          mode="fused", **kwargs)[0]
 
     def simulate_qaoa_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                             betas_batch: Sequence[Sequence[float]] | np.ndarray,
@@ -465,19 +459,14 @@ class QAOAFastSimulatorBase(abc.ABC):
         The batches are ``(B, p)`` shaped; entry ``i`` of the returned list is
         the backend result object for schedule ``i``.  ``sv0`` may be a shared
         1-D initial state or a ``(B, 2^n)`` block supplying one initial state
-        per schedule row (the circuit-cutting fragment-variant shape);
-        backends without :attr:`supports_batched_sv0` serve per-row blocks
-        through the looped fallback.  All orchestration is
-        delegated to the shared execution engine: backends implementing the
-        :class:`~repro.fur.engine.KernelProvider` protocol evolve ``(B, 2^n)``
-        state blocks through all layers at once (``memory_budget`` bounds the
-        block scratch by splitting large batches into sub-batches); everyone
-        else gets the looped fallback, which shares the precomputed diagonal,
-        workspaces and device buffers across the batch but holds one state at
-        a time.  ``mode`` forces ``"fused"`` or ``"looped"`` explicitly
-        (``"auto"`` picks fused whenever the backend provides kernels);
-        ``optimize`` overrides the simulator's plan-optimizer level for this
-        call (``"none"`` pins the unrewritten op stream).
+        per schedule row (the circuit-cutting fragment-variant shape).  All
+        orchestration is delegated to the shared execution engine, which
+        evolves ``(B, 2^n)`` state blocks through all layers at once
+        (``memory_budget`` bounds the block scratch by splitting large
+        batches into sub-batches).  ``mode="looped"`` instead runs one
+        :meth:`simulate_qaoa` per row (``"auto"`` and ``"fused"`` take the
+        block path); ``optimize`` overrides the simulator's plan-optimizer
+        level for this call (``"none"`` pins the unrewritten op stream).
         """
         return self.engine.simulate_batch(gammas_batch, betas_batch, sv0=sv0,
                                           memory_budget=memory_budget,
@@ -718,9 +707,9 @@ class QAOAFastSimulatorBase(abc.ABC):
     def _validate_sv0_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         """A ``(rows, 2^n)`` block of initial states at the simulation precision.
 
-        The staging helper behind :attr:`supports_batched_sv0`: ``sv0=None``
-        tiles ``|+>^n``, a 1-D state is validated and tiled across all rows,
-        and a 2-D ``(rows, 2^n)`` array supplies one initial state *per row*
+        The staging helper of the block providers: ``sv0=None`` tiles
+        ``|+>^n``, a 1-D state is validated and tiled across all rows, and a
+        2-D ``(rows, 2^n)`` array supplies one initial state *per row*
         (copied at the simulator's complex dtype, never upcast).  The 1-D and
         ``None`` paths write the block with a single broadcast pass.
         """

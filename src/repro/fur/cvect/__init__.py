@@ -1,4 +1,10 @@
-"""Optimized blocked CPU backend (the paper's custom-C simulator analogue)."""
+"""Cache-blocked, allocation-free NumPy kernels.
+
+The shard-count-invariant ``inner="c"`` kernels of the sharded family
+(``sharded``, ``gpumpi``, ``cusvmpi``) and part of the simulated-GPU
+backend's numerics.  The ``c`` backend name itself resolves to the ``jit``
+tier, whose ``cc`` rung is the paper's compiled-C backend.
+"""
 
 from .kernels import (
     DEFAULT_BLOCK_SIZE,
@@ -8,12 +14,6 @@ from .kernels import (
     expectation_inplace,
     furx_all_blocked,
     furxy_blocked,
-    probabilities_inplace,
-)
-from .qaoa_simulator import (
-    QAOAFURXSimulatorC,
-    QAOAFURXYCompleteSimulatorC,
-    QAOAFURXYRingSimulatorC,
 )
 
 __all__ = [
@@ -24,8 +24,4 @@ __all__ = [
     "expectation_inplace",
     "furx_all_blocked",
     "furxy_blocked",
-    "probabilities_inplace",
-    "QAOAFURXSimulatorC",
-    "QAOAFURXYRingSimulatorC",
-    "QAOAFURXYCompleteSimulatorC",
 ]

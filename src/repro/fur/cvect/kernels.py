@@ -1,9 +1,12 @@
-"""Cache-blocked, allocation-free FUR kernels (the paper's ``c`` backend analogue).
+"""Cache-blocked, allocation-free FUR kernels in NumPy.
 
 QOKit's fastest CPU backend is a custom C implementation whose advantages over
 the plain NumPy path are (a) no per-layer temporary allocations and (b)
-cache-friendly blocked traversal of the state vector.  This module reproduces
-those properties in NumPy:
+cache-friendly blocked traversal of the state vector.  That backend is the
+``cc`` rung of :mod:`repro.fur.jit` (the ``c`` backend name resolves to it).
+This module keeps the two properties in NumPy for the shard-count-invariant
+``inner="c"`` of the sharded family (``sharded``, ``gpumpi``, ``cusvmpi``)
+and for the simulated-GPU kernels:
 
 * every kernel works through a small preallocated scratch buffer
   (:class:`KernelWorkspace`) whose size is bounded by ``block_size`` —
@@ -25,14 +28,12 @@ __all__ = [
     "apply_su2_blocked",
     "apply_su2_batch_blocked",
     "furx_all_blocked",
-    "furx_all_batch_blocked",
     "furxy_blocked",
     "furxy_batch_blocked",
     "apply_phase_inplace",
     "apply_phase_batch_inplace",
     "expectation_inplace",
     "expectation_batch_inplace",
-    "probabilities_inplace",
     "DEFAULT_BLOCK_SIZE",
 ]
 
@@ -44,9 +45,10 @@ DEFAULT_BLOCK_SIZE: int = 1 << 16
 class KernelWorkspace:
     """Preallocated scratch buffers shared by the blocked kernels.
 
-    One workspace is owned by each ``c``-backend simulator instance and reused
-    across layers and across repeated objective evaluations during parameter
-    optimization, which is exactly the reuse pattern the paper optimizes for.
+    One workspace is owned by each shard slab (sharded family) or simulated
+    GPU simulator and reused across layers and across repeated objective
+    evaluations during parameter optimization, which is exactly the reuse
+    pattern the paper optimizes for.
     """
 
     def __init__(self, n_states: int, block_size: int = DEFAULT_BLOCK_SIZE,
@@ -276,22 +278,6 @@ def apply_su2_batch_blocked(svb: np.ndarray, a_rows: np.ndarray, b_rows: np.ndar
     return svb
 
 
-def furx_all_batch_blocked(svb: np.ndarray, betas: np.ndarray, n_qubits: int,
-                           workspace: KernelWorkspace) -> np.ndarray:
-    """Blocked batched Algorithm 2: per-row ``exp(-i β_b Σ_i X_i)``, in place."""
-    rows, n_states = _validate_block(svb)
-    if n_states != (1 << n_qubits):
-        raise ValueError(
-            f"state vectors of length {n_states} do not match n={n_qubits}"
-        )
-    betas_arr = np.broadcast_to(np.asarray(betas, dtype=np.float64), (rows,))
-    a_rows = np.cos(betas_arr).astype(svb.dtype)
-    b_rows = (-1j * np.sin(betas_arr)).astype(svb.dtype)
-    for q in range(n_qubits):
-        apply_su2_batch_blocked(svb, a_rows, b_rows, q, workspace)
-    return svb
-
-
 def furxy_batch_blocked(svb: np.ndarray, betas: np.ndarray, qubit_i: int, qubit_j: int,
                         workspace: KernelWorkspace) -> np.ndarray:
     """Blocked batched XY rotation: per-row angles, rows share the workspace."""
@@ -347,19 +333,6 @@ def expectation_batch_inplace(svb: np.ndarray, costs: np.ndarray,
     out = np.empty(rows, dtype=np.float64)
     for r in range(rows):
         out[r] = expectation_inplace(svb[r], costs, workspace)
-    return out
-
-
-def probabilities_inplace(statevector: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared magnitudes of the state vector.
-
-    If ``out`` is provided it is filled and returned; otherwise a new array is
-    allocated (unavoidable: the output has a different dtype than the input).
-    """
-    if out is None:
-        out = np.empty(statevector.shape[0], dtype=np.float64)
-    np.multiply(statevector.real, statevector.real, out=out)
-    out += statevector.imag * statevector.imag
     return out
 
 

@@ -24,10 +24,11 @@ place:
   release it) — a new backend, mixer or device is a ~100-line kernel
   provider, never a fourth copy of the orchestration loop.
 
-The engine also owns the *looped* path (one :meth:`simulate_qaoa` call per
-schedule) used by backends that do not implement the provider protocol, and
-exposed explicitly via ``mode="looped"`` for benchmarking the fused engines
-against their baseline.
+Every backend is a kernel provider, and a single schedule
+(:meth:`~repro.fur.base.QAOAFastSimulatorBase.simulate_qaoa`) is a one-row
+plan.  The engine also offers a *looped* path, ``mode="looped"``: one
+:meth:`simulate_qaoa` call per schedule, for benchmarking the fused blocks
+against their per-schedule baseline.
 
 After a plan's base op list is built, the optimizer pass pipeline
 (:mod:`repro.fur.rewrite`) rewrites it once, at compile time: phase sweeps
@@ -231,16 +232,12 @@ class EngineStats:
 class KernelProvider(Protocol):
     """The per-backend surface the execution engine drives.
 
-    A backend opts into the fused engine by setting
-    ``supports_fused_engine = True`` on its simulator class and implementing
-    these hooks.  ``block`` is an opaque backend object — a host ``(rows,
-    2^n)`` ndarray, a device-resident block, or a list of shard slabs for
-    the sharded family (``sharded``, ``gpumpi``, ``cusvmpi``); the engine
-    never looks inside it.
+    Every simulator class implements these hooks.  ``block`` is an opaque
+    backend object — a host ``(rows, 2^n)`` ndarray, a device-resident
+    block, or a list of shard slabs for the sharded family (``sharded``,
+    ``gpumpi``, ``cusvmpi``); the engine never looks inside it.
     """
 
-    #: providers set this to ``True``; the base class default is ``False``
-    supports_fused_engine: bool
     #: whether the mixer consumes a ping-pong scratch block
     _mixer_needs_scratch: bool
     #: whether :meth:`_apply_phase_mixer_block` is implemented (gates the
@@ -399,14 +396,13 @@ class ExecutionEngine:
                 ops.append(ExpectationOp())
             ops = tuple(ops)
             reports: tuple[RewriteReport, ...] = ()
-            if optimize != "none" and self._sim.supports_fused_engine:
+            if optimize != "none":
                 ops, reports = run_passes(ops, self._sim)
                 self.stats.record_rewrites(reports)
             # Resolving the phase tables here (rather than per sub-batch) makes
             # the first compile pay the one-time unique-value factorization; the
             # simulator-level cache makes subsequent compiles near-free.
-            tables = (self._sim._engine_phase_tables()
-                      if self._sim.supports_fused_engine else None)
+            tables = self._sim._engine_phase_tables()
             plan = ExecutionPlan(
                 p=int(p),
                 mixer=self._sim.mixer_name,
@@ -426,51 +422,34 @@ class ExecutionEngine:
             return plan
 
     # -- mode resolution -----------------------------------------------------
-    def _resolve_mode(self, mode: str) -> str:
+    @staticmethod
+    def _is_looped(mode: str) -> bool:
+        """Validate ``mode``; ``"auto"`` and ``"fused"`` both run blocks."""
         if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
             )
-        if mode == "auto":
-            return "fused" if self._sim.supports_fused_engine else "looped"
-        if mode == "fused" and not self._sim.supports_fused_engine:
-            raise ValueError(
-                f"backend {self._sim.backend_name!r} does not implement the "
-                "fused kernel-provider protocol; use mode='looped' or 'auto'"
-            )
-        return mode
+        return mode == "looped"
 
-    def _resolve_sv0(self, sv0: np.ndarray | None, batch: int,
-                     mode: str) -> tuple[np.ndarray | None, bool, str]:
-        """Normalize ``sv0`` and pick the execution path it can ride.
+    @staticmethod
+    def _resolve_sv0(sv0: np.ndarray | None,
+                     batch: int) -> tuple[np.ndarray | None, bool]:
+        """Normalize ``sv0``; returns ``(sv0, per_row)``.
 
-        Returns ``(sv0, per_row, resolved_mode)``: ``per_row`` is true when
-        ``sv0`` is a ``(B, 2^n)`` block carrying one initial state per
-        schedule row.  Providers that do not advertise
-        ``supports_batched_sv0`` serve per-row blocks through the looped
-        fallback under ``mode="auto"``; an explicit ``mode="fused"`` request
-        they cannot honour raises instead of silently degrading.
+        ``per_row`` is true when ``sv0`` is a ``(B, 2^n)`` block carrying one
+        initial state per schedule row.
         """
-        resolved = self._resolve_mode(mode)
         if sv0 is None:
-            return None, False, resolved
+            return None, False
         arr = np.asarray(sv0)
         if arr.ndim != 2:
-            return arr, False, resolved
+            return arr, False
         if arr.shape[0] != batch:
             raise ValueError(
                 f"per-row initial-state block has {arr.shape[0]} rows for a "
                 f"batch of {batch} schedules"
             )
-        if resolved == "fused" and not self._sim.supports_batched_sv0:
-            if mode == "fused":
-                raise ValueError(
-                    f"backend {self._sim.backend_name!r} does not support "
-                    "per-row initial-state blocks on the fused path; use "
-                    "mode='looped' or 'auto'"
-                )
-            resolved = "looped"
-        return arr, True, resolved
+        return arr, True
 
     @staticmethod
     def _fused_kwargs(kwargs: dict) -> int:
@@ -556,8 +535,9 @@ class ExecutionEngine:
         """
         require_capability(self._sim, "statevector")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
-        sv0, per_row, resolved = self._resolve_sv0(sv0, g.shape[0], mode)
-        if resolved == "looped":
+        looped = self._is_looped(mode)
+        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
+        if looped:
             with self._lock:
                 self.stats.looped_evaluations += g.shape[0]
             return [self._sim.simulate_qaoa(
@@ -590,8 +570,9 @@ class ExecutionEngine:
         require_capability(self._sim, "expectation")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         resolved_costs = self._sim._resolve_costs(costs)
-        sv0, per_row, resolved = self._resolve_sv0(sv0, g.shape[0], mode)
-        if resolved == "looped":
+        looped = self._is_looped(mode)
+        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
+        if looped:
             with self._lock:
                 self.stats.looped_evaluations += g.shape[0]
             out = np.empty(g.shape[0], dtype=np.float64)

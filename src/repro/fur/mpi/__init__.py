@@ -5,12 +5,11 @@ from .qaoa_simulator import (
     QAOAFURXSimulatorCUSVMPI,
     QAOAFURXSimulatorGPUMPI,
 )
-from .spmd import qaoa_rank_program, run_distributed_qaoa
+from .spmd import run_distributed_qaoa
 
 __all__ = [
     "DistributedStateVector",
     "QAOAFURXSimulatorGPUMPI",
     "QAOAFURXSimulatorCUSVMPI",
-    "qaoa_rank_program",
     "run_distributed_qaoa",
 ]

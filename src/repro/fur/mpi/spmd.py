@@ -2,9 +2,10 @@
 
 :mod:`repro.fur.mpi.qaoa_simulator` drives every rank's slice from a single
 controller (the in-process sharded simulator with one shard per rank), which
-is ideal for deterministic testing.  This module
-provides the genuinely SPMD variant — the code each rank would run under
-mpi4py — written against the :class:`repro.parallel.communicator.Communicator`
+is ideal for deterministic testing.  This module provides the genuinely
+SPMD variant — the batched per-rank program each rank would run under mpi4py
+(:func:`qaoa_rank_program_batch`; a single schedule is a one-row batch) —
+written against the :class:`repro.parallel.communicator.Communicator`
 interface and executed in-process with
 :class:`repro.parallel.communicator.ThreadCluster`.  It is used by the
 ``distributed_simulation`` example and by the integration tests that exercise
@@ -22,77 +23,18 @@ from ..base import validate_angle_batches, validate_angles
 from ..cvect.kernels import (
     KernelWorkspace,
     apply_phase_batch_inplace,
-    apply_phase_inplace,
     apply_su2_batch_blocked,
-    apply_su2_blocked,
     expectation_batch_inplace,
 )
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
 from ..precision import resolve_precision
-from ..python.furx import su2_x_rotation, su2_x_rotation_batch
+from ..python.furx import su2_x_rotation_batch
 
 __all__ = [
-    "qaoa_rank_program",
     "qaoa_rank_program_batch",
     "run_distributed_qaoa",
     "run_distributed_qaoa_batch",
 ]
-
-
-def qaoa_rank_program(comm: Communicator, n_qubits: int,
-                      terms: list[tuple[float, tuple[int, ...]]],
-                      gammas: Sequence[float], betas: Sequence[float],
-                      precision: str = "double") -> dict:
-    """The per-rank program: evolve the local slice and reduce the objective.
-
-    ``precision`` selects the amplitude width (``"single"`` halves both the
-    local-slice memory and the alltoall traffic).  Returns a dict with the
-    rank's slice (``statevector_slice``), the global expectation value
-    (identical on every rank after the allreduce, always accumulated in
-    float64) and the number of alltoall calls performed.
-    """
-    rank, size = comm.rank, comm.size
-    if size & (size - 1):
-        raise ValueError("the rank count must be a power of two")
-    k = size.bit_length() - 1
-    if 2 * k > n_qubits:
-        raise ValueError(f"Algorithm 4 requires 2*log2(K) <= n; got K={size}, n={n_qubits}")
-    n_local = n_qubits - k
-    local_states = 1 << n_local
-    g, b_angles = validate_angles(gammas, betas)
-    spec = resolve_precision(precision)
-
-    # Slice-local precomputation (Sec. III-A: no communication needed).
-    costs = precompute_cost_diagonal_slice(terms, n_qubits,
-                                           rank * local_states, (rank + 1) * local_states,
-                                           dtype=spec.real_dtype)
-    sv = np.full(local_states, 1.0 / np.sqrt(1 << n_qubits), dtype=spec.complex_dtype)
-    workspace = KernelWorkspace(local_states, dtype=spec.complex_dtype)
-    n_alltoall = 0
-
-    for gamma, beta in zip(g, b_angles):
-        apply_phase_inplace(sv, costs, float(gamma), workspace)
-        a, b = su2_x_rotation(float(beta))
-        for q in range(n_local):
-            apply_su2_blocked(sv, a, b, q, workspace)
-        if k > 0:
-            sv = comm.alltoall(sv)
-            n_alltoall += 1
-            for q in range(n_qubits - k, n_qubits):
-                apply_su2_blocked(sv, a, b, q - k, workspace)
-            sv = comm.alltoall(sv)
-            n_alltoall += 1
-
-    # Float64 accumulation regardless of the state precision.
-    probs = (np.abs(sv) ** 2).astype(np.float64, copy=False)
-    local_expectation = float(np.dot(probs, np.asarray(costs, dtype=np.float64)))
-    expectation = float(comm.allreduce_sum(local_expectation))
-    return {
-        "rank": rank,
-        "statevector_slice": sv,
-        "expectation": expectation,
-        "n_alltoall": n_alltoall,
-    }
 
 
 def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
@@ -184,21 +126,18 @@ def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
 def run_distributed_qaoa(n_qubits: int, terms: Iterable[tuple[float, Iterable[int]]],
                          gammas: Sequence[float], betas: Sequence[float],
                          n_ranks: int = 4, precision: str = "double") -> dict:
-    """Run the SPMD program on a :class:`ThreadCluster` and assemble the results.
+    """Run one schedule: :func:`qaoa_rank_program_batch` on a single row.
 
     Returns a dict with the gathered ``statevector``, the ``expectation`` and
-    the per-rank result dicts (``ranks``).
+    the per-rank result dicts (``ranks``, each carrying its ``n_alltoall``).
     """
-    term_list = [(float(w), tuple(idx)) for w, idx in terms]
-    cluster = ThreadCluster(n_ranks)
-    results = cluster.run(qaoa_rank_program,
-                          [(n_qubits, term_list, gammas, betas, precision)] * n_ranks)
-    results.sort(key=lambda r: r["rank"])
-    full = np.concatenate([r["statevector_slice"] for r in results])
+    g, b = validate_angles(gammas, betas)
+    out = run_distributed_qaoa_batch(n_qubits, terms, g[None], b[None],
+                                     n_ranks=n_ranks, precision=precision)
     return {
-        "statevector": full,
-        "expectation": results[0]["expectation"],
-        "ranks": results,
+        "statevector": out["statevectors"][0],
+        "expectation": float(out["expectations"][0]),
+        "ranks": out["ranks"],
     }
 
 

@@ -47,7 +47,6 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
     """Shared host-NumPy simulation loop; subclasses supply the mixer."""
 
     backend_name = "python"
-    supports_fused_engine = True
 
     def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
         raise NotImplementedError
@@ -96,8 +95,6 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         return sv
 
     # -- kernel-provider hooks (driven by repro.fur.engine) -------------------
-    supports_batched_sv0 = True
-
     #: lazily-allocated phase gather buffer (see :meth:`_gather_buffer`)
     _phase_buf: np.ndarray | None = None
 

@@ -126,7 +126,7 @@ class BackendSpec:
     Parameters
     ----------
     name:
-        Canonical backend name (``"c"``, ``"python"``, ``"gpu"``, ...).
+        Canonical backend name (``"jit"``, ``"python"``, ``"gpu"``, ...).
     loader:
         Zero-argument callable returning ``{mixer_name: simulator_class}``.
         Called at most once on success; import errors are remembered so the
@@ -153,14 +153,6 @@ class BackendSpec:
     priority:
         Resolution order for ``backend="auto"`` — highest available priority
         wins.
-    dynamic_priority:
-        Optional zero-argument callable returning the priority ``auto``
-        resolution should use *right now* (e.g. the ``jit`` family outranks
-        ``c`` only while its compiled path is live and keeps its static rank
-        on the numpy delegation rung).  Must be cheap — it runs on every
-        ``auto`` resolution — and exceptions fall back to the static
-        ``priority``.  ``names()``/``describe()`` keep the static order so
-        introspection never triggers runtime probes.
     description:
         One-line human-readable summary (shown by ``describe()``).
     describe_extra:
@@ -185,7 +177,6 @@ class BackendSpec:
     precisions: tuple[str, ...] = ("double",)
     capabilities: str = "full"
     priority: int = 0
-    dynamic_priority: Callable[[], int] | None = None
     description: str = ""
     describe_extra: Callable[[], str] | None = None
     constructor_kwargs: tuple[str, ...] = ()
@@ -204,20 +195,6 @@ class BackendSpec:
         """Whether the family's tier serves one operation
         (``"statevector"``, ``"expectation"`` or ``"amplitude"``)."""
         return tier_supports(self.capabilities, operation)
-
-    def effective_priority(self) -> int:
-        """The priority ``auto`` resolution ranks this family at right now.
-
-        Evaluates ``dynamic_priority`` when present; a probe that raises
-        falls back to the static :attr:`priority` (resolution must never
-        fail because a runtime probe did).
-        """
-        if self.dynamic_priority is not None:
-            try:
-                return int(self.dynamic_priority())
-            except Exception:
-                return self.priority
-        return self.priority
 
     @property
     def available(self) -> bool:
@@ -301,7 +278,6 @@ class BackendRegistry:
                          precisions: Iterable[str] = ("double",),
                          capabilities: str = "full",
                          priority: int = 0,
-                         dynamic_priority: Callable[[], int] | None = None,
                          description: str = "",
                          describe_extra: Callable[[], str] | None = None,
                          constructor_kwargs: Iterable[str] = (),
@@ -324,7 +300,6 @@ class BackendRegistry:
                     precisions=tuple(resolve_precision(p).name for p in precisions),
                     capabilities=resolve_capability_tier(capabilities),
                     priority=priority,
-                    dynamic_priority=dynamic_priority,
                     description=description or (loader.__doc__ or "").strip().split("\n")[0],
                     describe_extra=describe_extra,
                     constructor_kwargs=tuple(constructor_kwargs),
@@ -455,10 +430,7 @@ class BackendRegistry:
                     f"{', '.join(known)}"
                 )
             candidates = [
-                s for s in sorted(
-                    map(self._specs.__getitem__, self.names()),
-                    key=lambda s: -s.effective_priority(),
-                )
+                s for s in map(self._specs.__getitem__, self.names())
                 if not s.distributed
                 and (s.supports_capability(capability) if capability is not None
                      else s.capabilities == "full")
@@ -671,8 +643,8 @@ def simulator(n_qubits: int,
         unrewritten op stream; the pinned baseline of the parity harness).
         Per-call overridable on the batched entry points.
     simulator_kwargs:
-        Forwarded to the backend constructor (e.g. ``block_size`` for the
-        ``c`` family, ``n_ranks`` for the distributed families).
+        Forwarded to the backend constructor (e.g. ``n_shards`` for the
+        ``sharded`` family, ``n_ranks`` for the distributed families).
     """
     from .base import QAOAFastSimulatorBase  # deferred: base imports first
     from .rewrite import resolve_optimize

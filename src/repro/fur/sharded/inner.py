@@ -8,12 +8,13 @@ cache-blocked traversal all come free:
 * ``"jit"`` — the single-pass tier of :mod:`repro.fur.jit.kernels` (numba or
   runtime-compiled C when live, numpy delegation otherwise): phase + every
   X butterfly of a layer per cache-sized tile.
-* ``"c"`` — the allocation-free blocked kernels of
-  :mod:`repro.fur.cvect.kernels`: one blocked SU(2) sweep per qubit.  Its
-  pair update is position-independent, which is what makes results
-  bitwise-invariant under the shard count — the reference inner for the
-  invariance tests, and the fixed inner of the distributed ``gpumpi``/
-  ``cusvmpi`` backends (:mod:`repro.fur.mpi`).
+* ``"c"`` — the allocation-free blocked NumPy kernels of
+  :mod:`repro.fur.cvect.kernels` (not the ``c`` backend, which is the jit
+  tier): one blocked SU(2) sweep per qubit.  Its pair update is
+  position-independent, which is what makes results bitwise-invariant under
+  the shard count — the inner of the shard-count invariance tests, and the
+  fixed inner of the distributed ``gpumpi``/``cusvmpi`` backends
+  (:mod:`repro.fur.mpi`).
 * ``"python"`` — the gemm-grouped NumPy kernels of
   :mod:`repro.fur.python.furx` (allocating; the portable fallback).
 * ``"auto"`` (default) — ``jit`` when its compiled path is live, else ``c``.

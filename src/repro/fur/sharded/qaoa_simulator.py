@@ -39,7 +39,6 @@ depend on ``K`` either.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,7 +47,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ...parallel.collectives import Message, TrafficTrace, alltoall
-from ..base import QAOAFastSimulatorBase, batch_block_rows, validate_angles
+from ..base import QAOAFastSimulatorBase, batch_block_rows
 from ..cvect.kernels import (
     DEFAULT_BLOCK_SIZE,
     KernelWorkspace,
@@ -123,7 +122,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     """
 
     backend_name = "sharded"
-    supports_fused_engine = True
     supports_coalesced_exchange = True
     #: Alltoall algorithm of the per-row (uncoalesced) X transpose
     alltoall_algorithm: str = "direct"
@@ -387,8 +385,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             self._phase_table_slices = tables
         return tables
 
-    supports_batched_sv0 = True
-
     def _stage_block(self, sv0: np.ndarray | None,
                      rows: int) -> list[np.ndarray]:
         """Materialize one ``(rows, local_states)`` slab per shard.
@@ -474,28 +470,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                            n_trotters: int, coalesce: bool) -> None:
         """One batched mixer application over the shard slabs."""
         raise NotImplementedError
-
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> ShardedStateVector:
-        """Evolve the sharded state through ``p`` QAOA layers (looped path)."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        block = self._stage_block(sv0, 1)
-        tables = self._engine_phase_tables()
-
-        class _Plan:
-            phase_tables = tables
-
-        for gamma, beta in zip(g, b):
-            self._apply_phase_block(block, np.array([float(gamma)]), _Plan)
-            self._apply_mixer_slabs(block, np.array([float(beta)]),
-                                    int(n_trotters), coalesce=False)
-        return ShardedStateVector(slices=[slab[0] for slab in block],
-                                  n_qubits=self._n_qubits)
 
     def _apply_mixer_block(self, block: list[np.ndarray], betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:

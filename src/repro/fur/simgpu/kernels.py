@@ -1,8 +1,9 @@
 """Device kernels for the simulated-GPU backend.
 
 Each function mirrors one CUDA kernel of the paper's ``nbcuda`` backend:
-numerically it delegates to the blocked CPU kernels (results are bit-identical
-to the ``c`` backend), and it charges the owning
+numerically it delegates to the blocked CPU kernels of
+:mod:`repro.fur.cvect` and the gemm-grouped :mod:`repro.fur.python` mixers,
+and it charges the owning
 :class:`~repro.fur.simgpu.device.SimulatedDevice` clock with the bytes the
 real kernel would stream through HBM plus one launch overhead, so that modeled
 GPU timings can be reported alongside measured host timings.

@@ -59,7 +59,6 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
     """Shared device-resident simulation loop; subclasses supply the mixer."""
 
     backend_name = "gpu"
-    supports_fused_engine = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  device: SimulatedDevice | None = None,
@@ -163,9 +162,8 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         return max(1, min(rows, device_rows))
 
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> DeviceArray:
-        """Upload a ``(rows, 2^n)`` block to the device."""
-        sv = self._validate_sv0(sv0)
-        return self._device.to_device(np.repeat(sv[None, :], rows, axis=0))
+        """Upload a ``(rows, 2^n)`` block (shared or per-row ``sv0``)."""
+        return self._device.to_device(self._validate_sv0_block(sv0, rows))
 
     def _mixer_scratch(self, block: DeviceArray) -> np.ndarray:
         # The gemm-grouped batch mixer ping-pongs through host scratch; the

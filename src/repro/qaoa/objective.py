@@ -35,7 +35,7 @@ def make_simulator(n_qubits: int,
 
     A thin wrapper over the :func:`repro.simulator` facade, kept for
     compatibility: ``backend`` may be a registry name or alias (``auto``,
-    ``python``, ``c``, ``gpu``, ``gpumpi``, ``cusvmpi``), a simulator
+    ``python``, ``jit``/``c``, ``gpu``, ``gpumpi``, ``cusvmpi``), a simulator
     *class*, or an already-constructed simulator instance (returned
     unchanged).
     """

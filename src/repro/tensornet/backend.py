@@ -73,7 +73,6 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
 
     backend_name = "tensornet"
     capability_tier = "expectation-only"
-    supports_fused_engine = True
     mixer_name = "x"
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,

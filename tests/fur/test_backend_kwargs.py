@@ -21,7 +21,7 @@ class TestTypedKwargError:
         with pytest.raises(UnsupportedBackendKwargError) as exc:
             repro.simulator(6, terms=TERMS, backend="c", n_shards=4)
         msg = str(exc.value)
-        assert "'c'" in msg
+        assert "'jit'" in msg  # ``c`` is an alias of the jit tier
         assert "'n_shards'" in msg
         assert "sharded" in msg  # names the backends that accept it
 
@@ -38,7 +38,7 @@ class TestTypedKwargError:
 
     def test_error_lists_accepted_kwargs(self):
         with pytest.raises(UnsupportedBackendKwargError,
-                           match="it accepts: .*block_size"):
+                           match="it accepts: optimize, precision"):
             repro.simulator(6, terms=TERMS, backend="c", bogus=1)
 
     def test_unknown_everywhere_kwarg(self):
@@ -49,7 +49,7 @@ class TestTypedKwargError:
         assert "backends accepting" not in str(exc.value)
 
     def test_alias_resolves_to_canonical_name(self):
-        with pytest.raises(UnsupportedBackendKwargError, match="'c'"):
+        with pytest.raises(UnsupportedBackendKwargError, match="'jit'"):
             repro.simulator(6, terms=TERMS, backend="cpu", n_shards=4)
 
     def test_multiple_bad_kwargs_all_reported(self):
@@ -63,7 +63,7 @@ class TestValidKwargsStillBind:
     def test_backend_specific_kwargs(self):
         assert repro.simulator(6, terms=TERMS, backend="sharded",
                                n_shards=4).backend_name == "sharded"
-        repro.simulator(6, terms=TERMS, backend="c", block_size=64)
+        repro.simulator(6, terms=TERMS, backend="gpu", block_size=64)
         repro.simulator(6, terms=TERMS, backend="gates",
                         phase_strategy="ladder")
 
@@ -79,7 +79,7 @@ class TestRegistryMetadata:
         assert registry.backends_accepting_kwarg("n_shards") == ["sharded"]
         assert "sharded" in registry.backends_accepting_kwarg("inner")
         accepting_bs = registry.backends_accepting_kwarg("block_size")
-        assert "c" in accepting_bs and "sharded" in accepting_bs
+        assert "gpu" in accepting_bs and "sharded" in accepting_bs
         assert registry.backends_accepting_kwarg("no_such_kwarg") == []
 
     def test_metadata_matches_constructor_signatures(self):

@@ -2,10 +2,8 @@
 
 The circuit-cutting pipeline feeds every fragment variant a *different*
 initial state via a ``(B, 2^n)`` ``sv0`` block.  These tests pin the
-engine contract: per-row blocks ride the fused path on providers that
-declare ``supports_batched_sv0``, silently fall back to the looped path
-elsewhere under ``mode="auto"``, and fail loudly under an explicit
-``mode="fused"``.
+engine contract: per-row blocks ride the fused path on every provider and
+agree with one-schedule evolution from the same initial state.
 """
 
 import numpy as np
@@ -14,7 +12,7 @@ import pytest
 import repro
 from repro.fur import available_backends
 
-BATCHED_SV0_BACKENDS = ["python", "c", "jit", "gates", "sharded"]
+BATCHED_SV0_BACKENDS = ["python", "jit", "gates", "sharded"]
 
 
 def _random_problem(rng, n=5, batch=4, p=2):
@@ -31,7 +29,6 @@ def test_per_row_sv0_matches_individual_evolution(backend, seeded_rng):
     n = 5
     terms, g, b, sv0 = _random_problem(seeded_rng, n=n)
     sim = repro.simulator(n, terms=terms, backend=backend)
-    assert sim.supports_batched_sv0
     want = np.array([
         sim.get_expectation(sim.simulate_qaoa(g[i], b[i], sv0=sv0[i]))
         for i in range(g.shape[0])
@@ -88,19 +85,24 @@ def test_wrong_block_shape_raises(seeded_rng):
 
 @pytest.mark.skipif("gpu" not in available_backends(importable_only=True),
                     reason="simulated-GPU backend unavailable")
-def test_unsupported_provider_falls_back_to_looped(seeded_rng):
-    """Providers without the flag serve per-row blocks via the looped path."""
+def test_gpu_per_row_sv0_rides_fused_path(seeded_rng):
+    """The device upload stages one initial state per row: no looped detour."""
     n = 5
     terms, g, b, sv0 = _random_problem(seeded_rng, n=n, batch=3)
     sim = repro.simulator(n, terms=terms, backend="gpu")
-    assert not sim.supports_batched_sv0
-    before = sim.engine.stats.looped_evaluations
-    got = sim.engine.expectation_batch(g, b, sv0=sv0, mode="auto")
-    assert sim.engine.stats.looped_evaluations == before + g.shape[0]
     want = np.array([
         sim.get_expectation(sim.simulate_qaoa(g[i], b[i], sv0=sv0[i]))
         for i in range(3)
     ])
-    np.testing.assert_allclose(got, want, atol=1e-12)
-    with pytest.raises(ValueError, match="per-row initial-state blocks"):
-        sim.engine.expectation_batch(g, b, sv0=sv0, mode="fused")
+    stats = sim.engine.stats
+    for mode in ("auto", "fused"):
+        rows_before = stats.rows_executed
+        got = sim.engine.expectation_batch(g, b, sv0=sv0, mode=mode)
+        np.testing.assert_allclose(got, want, atol=1e-12, err_msg=mode)
+        assert stats.rows_executed == rows_before + g.shape[0]
+    assert stats.looped_evaluations == 0
+    results = sim.engine.simulate_batch(g, b, sv0=sv0, mode="fused")
+    np.testing.assert_allclose(
+        sim.get_statevector(results[2]),
+        sim.get_statevector(sim.simulate_qaoa(g[2], b[2], sv0=sv0[2])),
+        atol=1e-12)

@@ -150,6 +150,35 @@ class TestEngineParity:
                                    atol=1e-12)
 
 
+#: (backend, mixer, constructor kwargs) of every simulator whose single
+#: schedule is the engine's one-row plan
+ONE_ROW_CONFIGS = [
+    *[("jit", m, {}) for m in ("x", "xyring")],
+    *[("gates", m, {}) for m in ("x", "xyring")],
+    *[("sharded", m, {"n_shards": k, "n_workers": 1, "inner": inner})
+      for m in ("x", "xyring") for k in (1, 2, 4) for inner in ("c", "jit")],
+    *[("gpumpi", "x", {"n_ranks": k}) for k in (1, 2, 4)],
+    *[("cusvmpi", "x", {"n_ranks": k}) for k in (1, 2, 4)],
+]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize(
+    "backend,mixer,kwargs", ONE_ROW_CONFIGS,
+    ids=["-".join([b, m, *map(str, kw.values())])
+         for b, m, kw in ONE_ROW_CONFIGS])
+def test_simulate_qaoa_is_the_one_row_batch(backend, mixer, kwargs, precision,
+                                             rng):
+    """``simulate_qaoa(g, b)`` is bitwise ``simulate_qaoa_batch([g], [b])[0]``."""
+    sim = repro.simulator(N, terms=labs.get_terms(N), backend=backend,
+                          mixer=mixer, precision=precision, **kwargs)
+    g, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    one = sim.get_statevector(sim.simulate_qaoa(g, b))
+    row = sim.get_statevector(sim.simulate_qaoa_batch([g], [b])[0])
+    assert one.dtype == row.dtype == sim.complex_dtype
+    np.testing.assert_array_equal(one, row)
+
+
 class TestDistributedFused:
     @pytest.mark.parametrize("backend", ["gpumpi", "cusvmpi"])
     @pytest.mark.parametrize("n_ranks", [2, 4])
@@ -271,26 +300,6 @@ class TestEngineStatsAndModes:
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
         with pytest.raises(ValueError, match="unknown execution mode"):
             sim.get_expectation_batch([[0.1]], [[0.2]], mode="warp")
-
-    def test_fused_mode_requires_a_kernel_provider(self):
-        from repro.gates.qaoa import QAOAGateBasedSimulator
-
-        # every registered family is a kernel provider now, so degrade one
-        class NoEngine(QAOAGateBasedSimulator):
-            supports_fused_engine = False
-
-        sim = NoEngine(4, terms=[(1.0, (0, 1))])
-        with pytest.raises(ValueError, match="kernel-provider"):
-            sim.get_expectation_batch([[0.1]], [[0.2]], mode="fused")
-        # auto falls back to the looped path instead
-        values = sim.get_expectation_batch([[0.1]], [[0.2]])
-        assert values.shape == (1,)
-        # the real gates simulator runs the fused engine path
-        fused = QAOAGateBasedSimulator(4, terms=[(1.0, (0, 1))])
-        assert fused.supports_fused_engine
-        np.testing.assert_allclose(
-            fused.get_expectation_batch([[0.1]], [[0.2]], mode="fused"),
-            values, rtol=1e-12)
 
     def test_fused_rejects_unknown_kwargs(self, rng):
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")

@@ -269,9 +269,6 @@ _PINNED_SHAPES = {
 
 #: backend x mixer -> op-list shape of its default-optimized plans.
 _PINNED_PLANS = {
-    ("c", "x"): "fused-tail",
-    ("c", "xyring"): "split",
-    ("c", "xycomplete"): "split",
     ("python", "x"): "fused-tail",
     ("python", "xyring"): "split",
     ("python", "xycomplete"): "split",

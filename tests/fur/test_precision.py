@@ -125,7 +125,7 @@ class TestRegistryPrecisionCapability:
 
     def test_available_backends_precision_filter(self):
         names = repro.fur.available_backends(precision="single")
-        assert {"python", "c", "gpu"} <= set(names)
+        assert {"python", "jit", "gpu"} <= set(names)
 
     def test_facade_rejects_instance_precision_mismatch(self):
         sim = repro.simulator(4, terms=[(1.0, (0, 1))], backend="python")

@@ -8,10 +8,10 @@ import repro
 from repro import fur
 from repro.fur import diagonal_cache
 from repro.fur.cache import DiagonalCache, problem_fingerprint
-from repro.fur.cvect import (
-    QAOAFURXSimulatorC,
-    QAOAFURXYCompleteSimulatorC,
-    QAOAFURXYRingSimulatorC,
+from repro.fur.jit import (
+    QAOAFURXSimulatorJIT,
+    QAOAFURXYCompleteSimulatorJIT,
+    QAOAFURXYRingSimulatorJIT,
 )
 from repro.fur.python import (
     QAOAFURXSimulator,
@@ -24,26 +24,10 @@ from repro.testing import random_terms
 TERMS = [(0.5, (0, 1)), (-0.25, (1, 2)), (1.0, (0,))]
 
 
-@pytest.fixture
-def numpy_rung(monkeypatch):
-    """Pin the jit tier to its numpy delegation rung for one test.
-
-    The jit family's *dynamic* priority outranks ``c`` whenever a compiled
-    path (numba or the runtime-built C library) is live, so tests asserting
-    the static ``auto`` order pin the ladder to ``numpy`` via
-    ``REPRO_JIT_PATH`` and reset the cached resolution around the test.
-    """
-    from repro.fur.jit import kernels
-
-    monkeypatch.setenv("REPRO_JIT_PATH", "numpy")
-    kernels._reset_path_cache()
-    yield
-    kernels._reset_path_cache()
-
 CPU_CLASSES = {
-    ("c", "x"): QAOAFURXSimulatorC,
-    ("c", "xyring"): QAOAFURXYRingSimulatorC,
-    ("c", "xycomplete"): QAOAFURXYCompleteSimulatorC,
+    ("jit", "x"): QAOAFURXSimulatorJIT,
+    ("jit", "xyring"): QAOAFURXYRingSimulatorJIT,
+    ("jit", "xycomplete"): QAOAFURXYCompleteSimulatorJIT,
     ("python", "x"): QAOAFURXSimulator,
     ("python", "xyring"): QAOAFURXYRingSimulator,
     ("python", "xycomplete"): QAOAFURXYCompleteSimulator,
@@ -53,21 +37,22 @@ CPU_CLASSES = {
 class TestRegistryResolution:
     def test_canonical_names(self):
         assert set(fur.available_backends()) == {
-            "python", "c", "jit", "sharded", "gpu", "gpumpi", "cusvmpi",
+            "python", "jit", "sharded", "gpu", "gpumpi", "cusvmpi",
             "gates", "tensornet",
         }
 
     def test_alias_resolution(self):
         assert fur.get_backend("numpy").name == "python"
-        assert fur.get_backend("cpu").name == "c"
+        assert fur.get_backend("c").name == "jit"
+        assert fur.get_backend("cpu").name == "jit"
         assert fur.get_backend("nbcuda").name == "gpu"
         assert fur.get_backend("custatevec").name == "cusvmpi"
         assert fur.get_backend("numba").name == "jit"
         assert fur.get_backend("multidevice").name == "sharded"
 
-    def test_auto_resolves_to_highest_priority(self, numpy_rung):
-        assert fur.get_backend("auto").name == "c"
-        assert fur.get_simulator_class("auto") is QAOAFURXSimulatorC
+    def test_auto_resolves_to_highest_priority(self):
+        assert fur.get_backend("auto").name == "jit"
+        assert fur.get_simulator_class("auto") is QAOAFURXSimulatorJIT
 
     def test_capability_metadata(self):
         spec = fur.get_backend("gpumpi")
@@ -95,7 +80,7 @@ class TestRegistryResolution:
     def test_available_backends_filters_by_mixer(self):
         xy = fur.available_backends(mixer="xyring")
         assert "gpumpi" not in xy and "cusvmpi" not in xy
-        assert {"c", "python", "gpu"} <= set(xy)
+        assert {"jit", "python", "gpu"} <= set(xy)
 
     def test_describe_mentions_every_backend(self):
         text = registry.describe()
@@ -120,18 +105,18 @@ class TestCapabilityTiers:
         assert fur.get_backend("gates").capabilities == "full"
         assert fur.get_backend("c").capabilities == "full"
 
-    def test_auto_never_picks_a_non_full_tier(self, numpy_rung):
+    def test_auto_never_picks_a_non_full_tier(self):
         # tensornet is registered and importable but expectation-only, so a
         # capability-less auto request must not resolve to it.
         assert fur.get_backend("auto").capabilities == "full"
-        assert fur.get_backend("auto", capability="expectation").name == "c"
+        assert fur.get_backend("auto", capability="expectation").name == "jit"
 
     def test_available_backends_capability_filter(self):
         sv = fur.available_backends(capability="statevector")
         exp = fur.available_backends(capability="expectation")
         assert "tensornet" not in sv
         assert "tensornet" in exp
-        assert {"c", "python", "gates"} <= set(sv)
+        assert {"jit", "python", "gates"} <= set(sv)
 
     def test_explicit_name_with_unsupported_capability_raises(self):
         from repro.fur import UnsupportedCapabilityError
@@ -193,16 +178,16 @@ class TestCapabilityTiers:
 
 
 class TestAutoFallback:
-    def test_auto_skips_backend_whose_import_fails(self, numpy_rung):
+    def test_auto_skips_backend_whose_import_fails(self):
         def broken_loader():
             raise ImportError("optional dependency missing")
 
         registry.register(BackendSpec(name="brokenfast", loader=broken_loader,
                                       mixers=("x",), priority=10_000))
         try:
-            # brokenfast outranks everything, but auto must fall back to c.
-            assert fur.get_backend("auto").name == "c"
-            assert fur.get_simulator_class("auto") is QAOAFURXSimulatorC
+            # brokenfast outranks everything, but auto must fall back to jit.
+            assert fur.get_backend("auto").name == "jit"
+            assert fur.get_simulator_class("auto") is QAOAFURXSimulatorJIT
             # explicit selection still surfaces the import error
             with pytest.raises(ImportError, match="optional dependency"):
                 fur.get_simulator_class("brokenfast")
@@ -236,7 +221,7 @@ class TestAutoFallback:
             registry.unregister("tmpbk2")
         assert "tmpbk2" not in fur.SIMULATORS
 
-    def test_register_backend_decorator_roundtrip(self, numpy_rung):
+    def test_register_backend_decorator_roundtrip(self):
         @fur.register_backend("toy", aliases=("plaything",), mixers=("x",),
                               priority=-5, description="test-only")
         def _load_toy():
@@ -246,64 +231,33 @@ class TestAutoFallback:
             assert fur.get_backend("plaything").name == "toy"
             assert fur.get_simulator_class("toy") is QAOAFURXSimulator
             # negative priority: auto still prefers the real backends
-            assert fur.get_backend("auto").name == "c"
+            assert fur.get_backend("auto").name == "jit"
         finally:
             registry.unregister("toy")
 
 
-class TestDynamicPriority:
-    """Satellite: jit outranks c in ``auto`` iff its compiled path is live."""
+class TestCAlias:
+    """``c``/``cpu`` name the paper's compiled-C backend: the jit tier."""
 
-    def test_effective_priority_defaults_to_static(self):
-        spec = BackendSpec(name="static", loader=dict, priority=17)
-        assert spec.effective_priority() == 17
+    @pytest.mark.parametrize("name", ["c", "cpu"])
+    def test_c_constructs_jit(self, name):
+        sim = repro.simulator(4, terms=TERMS, backend=name, mixer="xyring")
+        assert type(sim) is QAOAFURXYRingSimulatorJIT
 
-    def test_effective_priority_uses_callable(self):
-        spec = BackendSpec(name="dyn", loader=dict, priority=17,
-                           dynamic_priority=lambda: 170)
-        assert spec.effective_priority() == 170
-
-    def test_effective_priority_falls_back_on_probe_failure(self):
-        def exploding() -> int:
-            raise OSError("probe failed")
-
-        spec = BackendSpec(name="dyn", loader=dict, priority=17,
-                           dynamic_priority=exploding)
-        assert spec.effective_priority() == 17
-
-    def test_auto_orders_by_dynamic_priority(self, numpy_rung):
-        # Static priority below everything, dynamic priority above: auto
-        # must pick it, while names() keeps the static (probe-free) order.
-        registry.register(BackendSpec(
-            name="hotshot", loader=lambda: {"x": QAOAFURXSimulator},
-            mixers=("x",), priority=-50, dynamic_priority=lambda: 10_000))
-        try:
-            assert fur.get_backend("auto").name == "hotshot"
-            assert registry.names()[-1] == "hotshot"
-        finally:
-            registry.unregister("hotshot")
-
-    def test_jit_outranks_c_when_compiled_path_live(self, monkeypatch):
+    def test_auto_is_jit_on_the_numpy_rung(self, monkeypatch):
         from repro.fur.jit import kernels
 
-        monkeypatch.setenv("REPRO_JIT_PATH", "cc")
+        monkeypatch.setenv("REPRO_JIT_PATH", "numpy")
         kernels._reset_path_cache()
         try:
-            if kernels.active_path() == "numpy":
-                pytest.skip("no compiled jit path on this machine")
+            assert kernels.active_path() == "numpy"
             assert fur.get_backend("auto").name == "jit"
         finally:
             kernels._reset_path_cache()
 
-    def test_numpy_rung_restores_static_order(self, numpy_rung):
-        from repro.fur.jit import kernels
-
-        assert kernels.active_path() == "numpy"
-        assert fur.get_backend("auto").name == "c"
-
 
 class TestSimulatorFacade:
-    @pytest.mark.parametrize("backend", ["c", "python"])
+    @pytest.mark.parametrize("backend", ["jit", "python"])
     @pytest.mark.parametrize("mixer", ["x", "xyring", "xycomplete"])
     def test_constructs_every_cpu_backend_mixer_combination(self, backend, mixer):
         sim = repro.simulator(4, terms=TERMS, backend=backend, mixer=mixer)
@@ -321,8 +275,8 @@ class TestSimulatorFacade:
             repro.simulator(4, terms=TERMS, backend=42)
 
     def test_forwards_constructor_kwargs(self):
-        sim = repro.simulator(4, terms=TERMS, backend="c", block_size=8)
-        assert sim.workspace.block_size == 8
+        sim = repro.simulator(4, terms=TERMS, backend="sharded", n_shards=2)
+        assert sim.n_shards == 2
 
     def test_matches_resolved_class(self):
         cls = fur.get_simulator_class("c")
@@ -351,7 +305,7 @@ class TestSimulatorFacade:
 class TestLegacyViews:
     def test_legacy_simulators_view_matches_registry(self):
         assert set(fur.SIMULATORS) == set(fur.available_backends())
-        assert fur.SIMULATORS["c"]()["x"] is QAOAFURXSimulatorC
+        assert fur.SIMULATORS["jit"]()["x"] is QAOAFURXSimulatorJIT
 
 
 class TestDiagonalCache:
@@ -553,13 +507,13 @@ class TestEntryPointDiscovery:
 
         def make_spec():
             return BackendSpec(name="factoryplugin",
-                               loader=lambda: {"x": QAOAFURXSimulatorC})
+                               loader=lambda: {"x": QAOAFURXSimulatorJIT})
 
         self._patched_group(monkeypatch,
                             [self._stub_entry_point("factoryplugin", make_spec)])
         target = BackendRegistry()
         assert load_entry_point_backends(target) == ["factoryplugin"]
-        assert target.simulator_class("factoryplugin", "x") is QAOAFURXSimulatorC
+        assert target.simulator_class("factoryplugin", "x") is QAOAFURXSimulatorJIT
 
     def test_broken_entry_point_is_skipped_with_warning(self, monkeypatch):
         from repro.fur.registry import BackendRegistry, load_entry_point_backends
@@ -592,7 +546,7 @@ class TestEntryPointDiscovery:
             registry as process_registry,
         )
 
-        hijack = BackendSpec(name="python", loader=lambda: {"x": QAOAFURXSimulatorC})
+        hijack = BackendSpec(name="python", loader=lambda: {"x": QAOAFURXSimulatorJIT})
         self._patched_group(monkeypatch, [self._stub_entry_point("python", hijack)])
         before = process_registry.spec("python").loader
         with pytest.warns(RuntimeWarning, match="already registered"):

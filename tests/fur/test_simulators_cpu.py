@@ -182,7 +182,7 @@ class TestSimulateKwargs:
 
 
 class TestBlockedKernels:
-    """The c backend's blocked kernels must agree with the plain kernels for any block size."""
+    """The cvect blocked kernels must agree with the plain kernels for any block size."""
 
     @pytest.mark.parametrize("block_size", [1, 3, 8, 64, 100000])
     def test_su2_blocked_matches_reference(self, rng, block_size):
@@ -209,11 +209,12 @@ class TestBlockedKernels:
             out = furxy_blocked(sv.copy(), 0.41, i, j, ws)
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
-    def test_c_backend_small_blocks_full_run(self, small_labs_terms, qaoa_angles):
+    def test_c_inner_small_blocks_full_run(self, small_labs_terms, qaoa_angles):
         gammas, betas = qaoa_angles
         ref_sim = get_simulator_class("python")(6, terms=small_labs_terms)
         ref = np.asarray(ref_sim.get_statevector(ref_sim.simulate_qaoa(gammas, betas)))
-        sim = get_simulator_class("c")(6, terms=small_labs_terms, block_size=16)
+        sim = get_simulator_class("sharded")(6, terms=small_labs_terms, n_shards=2,
+                                             inner="c", block_size=16)
         out = np.asarray(sim.get_statevector(sim.simulate_qaoa(gammas, betas)))
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
