@@ -2,10 +2,11 @@
 
 Paper setup: QOKit's custom-C CPU simulator vs Qiskit Aer vs OpenQAOA, n=6…24,
 reporting the full time to evaluate one QAOA expectation value.
-Reproduction: our ``c`` (the jit tier's compiled-C rung) and ``python`` FUR
-backends vs the gate-based baseline (ladder-compiled, Qiskit-style) vs the
-same baseline with native diagonal gates (OpenQAOA-style vectorized
-evaluation), n=6…14.
+Reproduction: our ``c`` (the jit tier's live rung — compiled C or numba when
+available, the numpy kernels otherwise; recorded as ``c_rung`` in each
+timing's ``extra_info``) and ``python`` FUR backends vs the gate-based
+baseline (ladder-compiled, Qiskit-style) vs the same baseline with native
+diagonal gates (OpenQAOA-style vectorized evaluation), n=6…14.
 
 Expected shape: the FUR backends are several times faster than the gate-based
 paths at every n, and the gap widens with n (the paper reports ≈5–10×).
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.gates import QAOAGateBasedSimulator
 
-from .conftest import ramp
+from .conftest import ramp, record_c_rung
 
 P_LAYERS = 6
 QUBITS = (6, 8, 10, 12, 14)
@@ -34,6 +35,7 @@ def end_to_end_expectation(sim, p=P_LAYERS):
 def test_fig2_qokit_c_backend(benchmark, maxcut_terms_cache, n):
     """QOKit-analogue optimized CPU backend ("QOKit CPU" curve)."""
     sim = repro.simulator(n, terms=maxcut_terms_cache[n], backend="c")
+    record_c_rung(benchmark)
     result = benchmark(end_to_end_expectation, sim)
     assert result == pytest.approx(result)
 

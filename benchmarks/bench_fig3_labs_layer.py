@@ -2,7 +2,8 @@
 
 Paper setup: n=6…30, comparing QOKit (with and without cuStateVec mixer),
 Qiskit CPU/GPU, cuStateVec (gates), cuTensorNet and QTensor.
-Reproduction: the FUR backends (``c``, ``python``, simulated ``gpu``) vs the
+Reproduction: the FUR backends (``c``, ``python``, simulated ``gpu``; ``c``
+is the jit tier's live rung, recorded as ``c_rung``) vs the
 gate-based baseline vs the tensor-network contraction simulator (per-layer
 amortized single-amplitude cost, exactly as the paper measures tensor
 networks), n=6…12 (…10 for the tensor network, whose cost explodes first —
@@ -23,7 +24,7 @@ import repro
 from repro.gates import QAOAGateBasedSimulator, build_qaoa_circuit, StatevectorSimulator
 from repro.tensornet import TensorNetworkSimulator
 
-from .conftest import ramp
+from .conftest import ramp, record_c_rung
 
 QUBITS = (6, 8, 10, 12)
 TN_QUBITS = (6, 8, 10)
@@ -37,8 +38,9 @@ def single_layer(sim):
 @pytest.mark.parametrize("n", QUBITS)
 @pytest.mark.benchmark(group="fig3-labs-layer")
 def test_fig3_fur_c(benchmark, labs_terms_cache, n):
-    """"QOKit" curve: blocked CPU FUR backend, one layer."""
+    """"QOKit" curve: the ``c`` (jit tier) FUR backend, one layer."""
     sim = repro.simulator(n, terms=labs_terms_cache[n], backend="c")
+    record_c_rung(benchmark)
     benchmark(single_layer, sim)
 
 

@@ -24,7 +24,7 @@ import repro
 from repro.fur import diagonal_cache, precompute_cost_diagonal
 from repro.gates import QAOAGateBasedSimulator
 
-from .conftest import ramp
+from .conftest import ramp, record_c_rung
 
 N_QUBITS = 12
 DEPTHS = (1, 4, 16, 64, 256)
@@ -43,6 +43,7 @@ def test_fig4_fur_with_cpu_precompute(benchmark, labs_terms_cache, p):
             sim = repro.simulator(N_QUBITS, terms=terms, backend="c")
         return sim.get_expectation(sim.simulate_qaoa(gammas, betas))
 
+    record_c_rung(benchmark)
     benchmark.pedantic(precompute_and_simulate, rounds=2, iterations=1)
 
 
@@ -58,6 +59,7 @@ def test_fig4_fur_precomputed_diagonal(benchmark, labs_terms_cache, p):
     def simulate():
         return sim.get_expectation(sim.simulate_qaoa(gammas, betas))
 
+    record_c_rung(benchmark)
     benchmark.pedantic(simulate, rounds=2, iterations=1)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.fur.jit.kernels import active_path
 from repro.problems import labs, maxcut
 from repro.qaoa import linear_ramp_parameters
 
@@ -30,6 +31,16 @@ def maxcut_terms_cache():
         graph = maxcut.random_regular_graph(3, n, seed=n)
         out[n] = maxcut.maxcut_terms_from_graph(graph)
     return out
+
+
+def record_c_rung(benchmark) -> None:
+    """Tag a ``c``-backend timing with the jit rung that produced it.
+
+    ``c`` resolves to the jit tier, which runs compiled C (or numba) when
+    available and its numpy kernels otherwise, so a "c" curve is only
+    the paper's compiled-C analogue when the recorded rung says so.
+    """
+    benchmark.extra_info["c_rung"] = active_path()
 
 
 def ramp(p: int):

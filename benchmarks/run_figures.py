@@ -19,6 +19,7 @@ import numpy as np
 
 import repro
 from repro.fur import diagonal_cache, precompute_cost_diagonal
+from repro.fur.jit.kernels import active_path
 from repro.fur.mpi import QAOAFURXSimulatorCUSVMPI, QAOAFURXSimulatorGPUMPI
 from repro.gates import QAOAGateBasedSimulator, build_qaoa_circuit, fuse_circuit, StatevectorSimulator
 from repro.parallel import POLARIS_LIKE, PerformanceModel
@@ -52,9 +53,16 @@ def _print_cache_delta(label: str, before: tuple[int, int, int]) -> None:
           f"{diagonal_cache.currsize_bytes() / 2**20:.1f} MiB resident")
 
 
+def _print_c_rung() -> None:
+    """Name the jit rung behind the "FUR c" columns (compiled C, numba, or
+    the numpy kernels when neither is available)."""
+    print(f"  [FUR c] jit tier, {active_path()} rung")
+
+
 def fig2(max_n: int = 14) -> None:
     """Figure 2: end-to-end CPU QAOA expectation, p=6, MaxCut 3-regular."""
     print("\n=== Figure 2: end-to-end QAOA expectation, p=6, MaxCut 3-regular ===")
+    _print_c_rung()
     print(f"{'n':>4} {'FUR c [s]':>12} {'gates diag [s]':>15} {'gates ladder [s]':>17}")
     gammas, betas = linear_ramp_parameters(6, delta_t=0.4)
     for n in range(6, max_n + 1, 2):
@@ -73,6 +81,7 @@ def fig2(max_n: int = 14) -> None:
 def fig3(max_n: int = 12, tn_max_n: int = 10) -> None:
     """Figure 3: time per single LABS QAOA layer across simulator types."""
     print("\n=== Figure 3: single LABS QAOA layer ===")
+    _print_c_rung()
     print(f"{'n':>4} {'FUR c [s]':>12} {'FUR python [s]':>15} {'gates [s]':>12} {'tensor net [s]':>15}")
     gammas, betas = linear_ramp_parameters(1, delta_t=0.4)
     for n in range(6, max_n + 1, 2):
@@ -95,6 +104,7 @@ def fig3(max_n: int = 12, tn_max_n: int = 10) -> None:
 def fig4(n: int = 12) -> None:
     """Figure 4: total simulation time vs number of layers, LABS."""
     print(f"\n=== Figure 4: total time vs depth p (LABS n={n}) ===")
+    _print_c_rung()
     print(f"{'p':>6} {'FUR ready diag [s]':>20} {'FUR + precompute [s]':>22} {'gates [s]':>12}")
     terms = labs.get_terms(n)
     costs = precompute_cost_diagonal(terms, n)
@@ -144,6 +154,7 @@ def fig5(n_executed: int = 12) -> None:
 def optimization(n: int = 12, p: int = 4, maxiter: int = 30) -> None:
     """Headline claim: end-to-end parameter-optimization speedup."""
     print(f"\n=== Parameter-optimization speedup (LABS n={n}, p={p}, COBYLA {maxiter} iters) ===")
+    _print_c_rung()
     terms = labs.get_terms(n)
     results = {}
     for label, backend in (("FUR c", "c"), ("gate-based", QAOAGateBasedSimulator)):

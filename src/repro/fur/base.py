@@ -434,18 +434,19 @@ class QAOAFastSimulatorBase(abc.ABC):
 
     # -- simulation ----------------------------------------------------------
     def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, **kwargs: Any) -> Any:
+                      sv0: np.ndarray | None = None, *,
+                      n_trotters: int = 1) -> Any:
         """Simulate ``p`` QAOA layers and return a backend-specific result object.
 
         ``sv0`` optionally overrides the initial state (default ``|+>^n``);
-        ``n_trotters`` is the only keyword (Trotter slices per XY mixer).
-        The schedule runs as the engine's compiled one-row plan at the
-        simulator's own ``optimize`` level, so it takes exactly the kernels
-        a row of :meth:`simulate_qaoa_batch` does.
+        ``n_trotters`` sets the Trotter slices per XY mixer.  The schedule
+        runs as the engine's compiled one-row plan at the simulator's own
+        ``optimize`` level, so it takes exactly the kernels a row of
+        :meth:`simulate_qaoa_batch` does.
         """
         g, b = validate_angles(gammas, betas)
         return self.engine.simulate_batch(g[None], b[None], sv0=sv0,
-                                          mode="fused", **kwargs)[0]
+                                          n_trotters=n_trotters)[0]
 
     def simulate_qaoa_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                             betas_batch: Sequence[Sequence[float]] | np.ndarray,
@@ -464,8 +465,8 @@ class QAOAFastSimulatorBase(abc.ABC):
         evolves ``(B, 2^n)`` state blocks through all layers at once
         (``memory_budget`` bounds the block scratch by splitting large
         batches into sub-batches).  ``mode="looped"`` instead runs one
-        :meth:`simulate_qaoa` per row (``"auto"`` and ``"fused"`` take the
-        block path); ``optimize`` overrides the simulator's plan-optimizer
+        :meth:`simulate_qaoa` per row (``"auto"`` and its synonym ``"fused"``
+        take the block path); ``optimize`` overrides the simulator's plan-optimizer
         level for this call (``"none"`` pins the unrewritten op stream).
         """
         return self.engine.simulate_batch(gammas_batch, betas_batch, sv0=sv0,

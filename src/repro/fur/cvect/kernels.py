@@ -295,12 +295,15 @@ def apply_phase_batch_inplace(svb: np.ndarray, costs: np.ndarray, gammas: np.nda
 
     With a :class:`~repro.fur.diagonal.DiagonalPhaseTable` the per-chunk phase
     factors are gathered from one ``exp`` over the ``(B, U)`` distinct values;
-    otherwise the exponential is evaluated into the workspace scratch.  Chunks
+    otherwise the exponential is evaluated into the workspace scratch (then
+    ``costs`` is required; with a table it may be ``None``).  Chunks
     iterate basis states in the outer loop so each cost/index chunk stays
     cache-hot across all rows.
     """
     rows, n = _validate_block(svb)
-    if costs.shape[0] != n:
+    if phase_table is None and costs is None:
+        raise ValueError("phase application needs a phase_table or costs")
+    if costs is not None and costs.shape[0] != n:
         raise ValueError(f"cost vector length {costs.shape[0]} does not match state length {n}")
     gammas_arr = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (rows,))
     chunk = workspace.block_size

@@ -83,6 +83,8 @@ __all__ = [
 ]
 
 #: Accepted values of the ``mode`` argument of the batched entry points.
+#: ``"fused"`` is a synonym of ``"auto"`` (every backend runs blocks);
+#: ``"looped"`` runs one ``simulate_qaoa`` per row.
 EXECUTION_MODES = ("auto", "fused", "looped")
 
 
@@ -424,7 +426,7 @@ class ExecutionEngine:
     # -- mode resolution -----------------------------------------------------
     @staticmethod
     def _is_looped(mode: str) -> bool:
-        """Validate ``mode``; ``"auto"`` and ``"fused"`` both run blocks."""
+        """Validate ``mode``; ``"auto"`` and its synonym ``"fused"`` run blocks."""
         if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"

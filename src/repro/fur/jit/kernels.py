@@ -18,8 +18,10 @@ of SNIPPETS.md Snippet 1, ``delande/and-python``):
   with the system compiler and driven through :mod:`ctypes` (the shared
   object is cached on disk keyed by a source hash, so the compile cost is
   paid once per machine);
-* ``numpy`` — delegates to the ``python`` backend's multi-pass kernels, so
-  the backend stays importable and correct with no compiler and no numba.
+* ``numpy`` — multi-pass NumPy kernels (the ``python`` backend's gemm X
+  passes and expectation reduction, :mod:`repro.fur.cvect`'s blocked phase
+  and XY sweeps), so the backend stays importable and correct with no
+  compiler and no numba.
 
 :func:`active_path` reports which path is live; ``REPRO_JIT_PATH`` forces
 one (``numba``/``cc``/``numpy``/``auto``), falling down the ladder when the
@@ -708,17 +710,22 @@ def mixer_edges(kind: str, n_qubits: int) -> np.ndarray:
 def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
                      betas: np.ndarray, *, phase_table: Any = None,
                      costs: np.ndarray | None = None,
-                     tile_q: int = DEFAULT_TILE_QUBITS) -> None:
+                     tile_q: int = DEFAULT_TILE_QUBITS,
+                     scratch: np.ndarray | None = None) -> None:
     """Fused phase + full X mixer on every row of a block, in place.
 
     ``gammas=None`` skips the phase (plain ``exp(-i β_r Σ X)``); otherwise
     each row is multiplied by ``exp(-i γ_r c)`` as its first tile touch.
     Semantics match :func:`repro.fur.python.furx.furx_phase_all_batch`.
+    The compiled paths run in place; only the ``numpy`` path's gemm passes
+    ping-pong through ``scratch`` (a block-shaped buffer, allocated per
+    call when ``None``).
     """
     rows, n_states, n_qubits = _check_block(block)
     path = active_path()
     if path == "numpy":
-        _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs)
+        _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
+                       scratch)
         return
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
@@ -741,26 +748,30 @@ def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
 
 
 def furx_block(block: np.ndarray, betas: np.ndarray, *,
-               tile_q: int = DEFAULT_TILE_QUBITS) -> None:
+               tile_q: int = DEFAULT_TILE_QUBITS,
+               scratch: np.ndarray | None = None) -> None:
     """Full X mixer ``exp(-i β_r Σ_i X_i)`` on every row, in place."""
-    furx_phase_block(block, None, betas, tile_q=tile_q)
+    furx_phase_block(block, None, betas, tile_q=tile_q, scratch=scratch)
 
 
 def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
                            betas: np.ndarray, ecosts: np.ndarray, *,
                            phase_table: Any = None,
                            costs: np.ndarray | None = None,
-                           tile_q: int = DEFAULT_TILE_QUBITS) -> np.ndarray:
+                           tile_q: int = DEFAULT_TILE_QUBITS,
+                           scratch: np.ndarray | None = None) -> np.ndarray:
     """Fused (phase +) X mixer + expectation: per-row ``Σ c|ψ|²`` (float64).
 
     The reduction rides the mixer's final sweep instead of re-reading the
-    block; the block still holds the evolved state afterwards.
+    block; the block still holds the evolved state afterwards.  ``scratch``
+    is as for :func:`furx_phase_block`.
     """
     rows, n_states, n_qubits = _check_block(block)
     ecosts = np.ascontiguousarray(ecosts, dtype=np.float64)
     path = active_path()
     if path == "numpy":
-        _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs)
+        _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
+                       scratch)
         return _np_expectations(block, ecosts)
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
@@ -877,54 +888,65 @@ def expectation_block(block: np.ndarray, ecosts: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# numpy fallback path: delegate to the python backend's multi-pass kernels.
+# numpy fallback path: the python backend's gemm-grouped X passes (which
+# ping-pong through the caller's scratch block) and chunked expectation
+# reduction, and cvect's allocation-free blocked phase and XY sweeps.
 # --------------------------------------------------------------------------
 
-_NP_PHASE_CHUNK = 1 << 20
+_np_local = threading.local()
 
 
-def _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs):
+def _np_workspace(block):
+    """This thread's cvect workspace for the block's width and dtype.
+
+    Kept across calls (one per thread, re-made when the signature changes)
+    so warmed-up numpy-path layers allocate no phase/pair scratch.
+    """
+    from ..cvect.kernels import KernelWorkspace
+
+    ws = getattr(_np_local, "workspace", None)
+    if ws is None or ws.n_states != block.shape[1] or ws.dtype != block.dtype:
+        ws = _np_local.workspace = KernelWorkspace(block.shape[1],
+                                                   dtype=block.dtype)
+    return ws
+
+
+def _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
+                   scratch):
     from ..python.furx import furx_all_batch, furx_phase_all_batch
 
     betas = np.asarray(betas, dtype=np.float64)
-    scratch = np.empty_like(block)
+    if scratch is None:
+        scratch = np.empty_like(block)
     if gammas is None:
         furx_all_batch(block, betas, n_qubits, scratch=scratch)
     else:
         furx_phase_all_batch(block, np.asarray(gammas, dtype=np.float64),
                              betas, n_qubits, phase_table=phase_table,
-                             costs=costs, scratch=scratch)
+                             costs=costs, scratch=scratch,
+                             phase_buf=_np_workspace(block).phase_scratch)
 
 
 def _np_furxy(block, gammas, betas, n_qubits, kind, n_trotters,
               phase_table, costs):
-    from ..python.furxy import furxy_complete_batch, furxy_ring_batch
+    from ..cvect.kernels import furxy_batch_blocked
+    from ..python.furxy import complete_edges, ring_edges
 
     if gammas is not None:
         _np_phase(block, gammas, phase_table, costs)
     betas = np.asarray(betas, dtype=np.float64) / n_trotters
-    apply = furxy_ring_batch if kind == "ring" else furxy_complete_batch
+    edges = ring_edges(n_qubits) if kind == "ring" else complete_edges(n_qubits)
+    ws = _np_workspace(block)
     for _ in range(n_trotters):
-        apply(block, betas, n_qubits)
+        for i, j in edges:
+            furxy_batch_blocked(block, betas, i, j, ws)
 
 
 def _np_phase(block, gammas, phase_table, costs):
-    rows, n = block.shape
-    g = np.asarray(gammas, dtype=np.float64)
-    if phase_table is not None:
-        factors = phase_table.factors_batch(g, dtype=block.dtype)
-        buf = np.empty(n, dtype=block.dtype)
-        for r in range(rows):
-            np.take(factors[r], phase_table.inverse, out=buf)
-            block[r] *= buf
-        return
-    if costs is None:
-        raise ValueError("phase application needs a phase_table or costs")
-    coeff = (-1j * g).astype(block.dtype)
-    cols = max(1, _NP_PHASE_CHUNK // rows)
-    for s in range(0, n, cols):
-        e = min(s + cols, n)
-        block[:, s:e] *= np.exp(coeff[:, None] * costs[s:e][None, :])
+    from ..cvect.kernels import apply_phase_batch_inplace
+
+    apply_phase_batch_inplace(block, costs, gammas, _np_workspace(block),
+                              phase_table=phase_table)
 
 
 def _np_expectations(block, ecosts):

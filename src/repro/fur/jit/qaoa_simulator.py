@@ -4,8 +4,9 @@ The classes here are thin :class:`~repro.fur.engine.KernelProvider`
 adapters over :mod:`repro.fur.jit.kernels`: every engine hook maps to one
 compiled kernel call, so a fused op really is a single pass over the
 ``(rows, 2^n)`` block.  Unlike the gemm-formulated backends the X mixer
-runs fully in place (``_mixer_needs_scratch = False``), which also doubles
-the rows each sub-batch fits into the engine's memory budget.
+runs fully in place on the compiled paths, which also doubles the rows each
+sub-batch fits into the engine's memory budget; the ``numpy`` path's gemm
+passes take the engine's per-sub-batch scratch instead.
 
 Kernel compilation is lazy: the first engine hook on a new ``(dtype, n,
 mixer)`` signature triggers it (numba type specialization, or the one-time
@@ -80,14 +81,22 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
     """Transverse-field X mixer, one cache-blocked pass per fused layer."""
 
     mixer_name = "x"
-    _mixer_needs_scratch = False  # in-place butterflies: no ping-pong buffer
     supports_fused_mixer_expectation = True
+
+    @property
+    def _mixer_needs_scratch(self) -> bool:
+        # Compiled butterflies run in place; the numpy path's gemm passes
+        # ping-pong, so the memory budget must count a second block.
+        return kernels.active_path() == "numpy"
+
+    def _mixer_scratch(self, block: np.ndarray) -> np.ndarray:
+        return np.empty_like(block)
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
         # X-mixer factors commute: Trotterization is exact and unused.
         self._ensure_kernels()
-        kernels.furx_block(block, betas)
+        kernels.furx_block(block, betas, scratch=scratch)
 
     def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any, scratch: Any,
@@ -96,7 +105,7 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
         self._ensure_kernels()
         kernels.furx_phase_block(block, gammas, betas,
                                  phase_table=plan.phase_tables,
-                                 costs=self._phase_costs())
+                                 costs=self._phase_costs(), scratch=scratch)
 
     def _apply_mixer_expectation_block(self, block: np.ndarray,
                                        gammas: np.ndarray | None,
@@ -107,7 +116,8 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
         self._ensure_kernels()
         return kernels.furx_expectation_block(block, gammas, betas, costs,
                                               phase_table=plan.phase_tables,
-                                              costs=self._phase_costs())
+                                              costs=self._phase_costs(),
+                                              scratch=scratch)
 
 
 class _QAOAFURXYJITSimulatorBase(_QAOAFURJITSimulatorBase):

@@ -6,7 +6,7 @@ kernel family so the compiled single-pass tier, the precision paths and the
 cache-blocked traversal all come free:
 
 * ``"jit"`` — the single-pass tier of :mod:`repro.fur.jit.kernels` (numba or
-  runtime-compiled C when live, numpy delegation otherwise): phase + every
+  runtime-compiled C when live, its numpy kernels otherwise): phase + every
   X butterfly of a layer per cache-sized tile.
 * ``"c"`` — the allocation-free blocked NumPy kernels of
   :mod:`repro.fur.cvect.kernels` (not the ``c`` backend, which is the jit
@@ -149,8 +149,8 @@ def resolve_inner(name: str = "auto") -> InnerProvider:
 
     ``"auto"`` probes the jit tier's fallback ladder: a live compiled path
     (numba or the runtime-compiled C library) wins, the numpy rung falls
-    back to the blocked ``c`` kernels — delegating slab arithmetic to jit's
-    *numpy* rung would just be the python kernels with extra indirection.
+    back to the blocked ``c`` kernels, which update each slab in place (jit's
+    *numpy* rung would allocate a gemm scratch slab per call).
     """
     key = str(name).lower()
     if key not in INNER_NAMES:

@@ -399,3 +399,47 @@ class TestRegistryIntegration:
         assert "kernel_compile_time_s" in stats
         assert stats["kernel_compile_time_s"] >= 0.0
 
+
+
+class TestMixerScratchBudget:
+    """The numpy path's gemm mixer ping-pongs, so it counts two blocks."""
+
+    N = 6
+
+    def test_sub_batch_rows_count_the_numpy_scratch(self, jit_path,
+                                                    small_labs_terms):
+        sim = repro.simulator(self.N, terms=small_labs_terms, backend="jit")
+        row_bytes = 16 << self.N
+        rows = sim._batch_rows(32, 8 * row_bytes)
+        assert sim._mixer_needs_scratch == (jit_path == "numpy")
+        assert rows == (4 if jit_path == "numpy" else 8)
+
+    def test_numpy_path_reuses_the_engine_scratch(self, monkeypatch, rng,
+                                                  small_labs_terms):
+        monkeypatch.setenv("REPRO_JIT_PATH", "numpy")
+        kernels._reset_path_cache()
+        try:
+            sim = repro.simulator(self.N, terms=small_labs_terms,
+                                  backend="jit")
+            handed, used = [], []
+
+            def make_scratch(block):
+                handed.append(np.empty_like(block))
+                return handed[-1]
+
+            monkeypatch.setattr(sim, "_mixer_scratch", make_scratch)
+            real = kernels._np_furx_phase
+
+            def spy(*args):
+                used.append(args[-1])
+                return real(*args)
+
+            monkeypatch.setattr(kernels, "_np_furx_phase", spy)
+            gb = rng.uniform(-1.0, 1.0, (4, 3))
+            bb = rng.uniform(-1.0, 1.0, (4, 3))
+            sim.get_expectation_batch(gb, bb, memory_budget=4 * (16 << self.N))
+            assert len(handed) == 2  # two sub-batches of two rows each
+            assert len(used) == 6 and all(
+                any(s is h for h in handed) for s in used)
+        finally:
+            kernels._reset_path_cache()

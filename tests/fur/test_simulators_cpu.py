@@ -131,11 +131,16 @@ class TestExpectationAndOverlap:
 
 
 class TestSimulateKwargs:
-    def test_unexpected_kwargs_rejected(self, small_labs_terms):
-        for backend in BACKENDS:
-            sim = get_simulator_class(backend)(6, terms=small_labs_terms)
-            with pytest.raises(TypeError):
-                sim.simulate_qaoa([0.1], [0.1], bogus=3)
+    @pytest.mark.parametrize("backend", BACKENDS + ["gates", "sharded"])
+    @pytest.mark.parametrize("kwarg", ["bogus", "optimize", "memory_budget",
+                                       "mode"])
+    def test_unexpected_kwargs_rejected(self, small_labs_terms, backend,
+                                        kwarg):
+        """``n_trotters`` is the only keyword; batch-only engine options
+        are rejected too, also where the schedule is a one-row plan."""
+        sim = get_simulator_class(backend)(6, terms=small_labs_terms)
+        with pytest.raises(TypeError):
+            sim.simulate_qaoa([0.1], [0.1], **{kwarg: None})
 
     def test_invalid_trotter_count(self, small_labs_terms):
         sim = get_simulator_class("c", mixer="xyring")(6, terms=small_labs_terms)
