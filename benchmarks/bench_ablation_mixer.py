@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fur.cvect import KernelWorkspace, furx_all_blocked
+from repro.fur.jit.kernels import furx_block
 from repro.fur.python.furx import fwht_inplace
 
 N_QUBITS = 16
@@ -44,10 +44,15 @@ def random_state(n: int) -> np.ndarray:
     return sv / np.linalg.norm(sv)
 
 
+def fur_inplace_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
+    """Algorithm 1–2 through the jit tier's in-place X mixer."""
+    furx_block(sv[None], np.array([beta]))
+    return sv
+
+
 def test_ablation_both_strategies_agree():
     sv = random_state(10)
-    ws = KernelWorkspace(1 << 10)
-    direct = furx_all_blocked(sv.copy(), BETA, 10, ws)
+    direct = fur_inplace_mixer(sv.copy(), BETA)
     sandwich = fwht_sandwich_mixer(sv, BETA, 10)
     np.testing.assert_allclose(direct, sandwich, atol=1e-10)
 
@@ -56,8 +61,7 @@ def test_ablation_both_strategies_agree():
 def test_mixer_fur_inplace(benchmark):
     """Algorithm 1–2: one in-place pass, no extra state-vector copy."""
     sv = random_state(N_QUBITS)
-    ws = KernelWorkspace(1 << N_QUBITS)
-    benchmark(lambda: furx_all_blocked(sv, BETA, N_QUBITS, ws))
+    benchmark(lambda: fur_inplace_mixer(sv, BETA))
 
 
 @pytest.mark.benchmark(group="ablation-mixer")

@@ -4,10 +4,11 @@ Shows the three distributed execution paths of the reproduction:
 
 1. the driver-style ``gpumpi`` simulator (custom Alltoall, Algorithm 4) and
    ``cusvmpi`` simulator (cuStateVec-style index swaps) — the sharded X
-   simulator with one shard per rank, the ``c`` inner kernels and their own
-   global-qubit exchange — verified to machine precision against the
-   single-node simulator;
-2. the genuinely SPMD program executed on the thread-based virtual cluster;
+   simulator with one shard per rank, running the jit kernel tier, with
+   their own global-qubit exchange — verified to machine precision against
+   the single-node simulator;
+2. the genuinely SPMD program (the same jit kernels per rank) executed on
+   the thread-based virtual cluster;
 3. the calibrated performance model that regenerates the paper's Fig. 5
    weak-scaling curves at the original scale (K = 8 … 128 A100 GPUs).
 

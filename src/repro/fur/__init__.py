@@ -224,7 +224,7 @@ def _load_jit_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 
 def _sharded_describe_extra() -> str:
-    """Runtime-state line for ``describe()``: shard/worker/inner resolution."""
+    """Runtime-state line for ``describe()``: shard/worker resolution."""
     from .sharded import shard_report
 
     return shard_report()
@@ -235,8 +235,8 @@ def _sharded_describe_extra() -> str:
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
                   priority=40,
-                  constructor_kwargs=("n_shards", "n_workers", "inner",
-                                      "block_size", "precision", "optimize"),
+                  constructor_kwargs=("n_shards", "n_workers", "precision",
+                                      "optimize"),
                   description="in-process sharded backend: global/local qubit "
                               "slabs, worker pool, coalesced slab swaps",
                   describe_extra=_sharded_describe_extra)
@@ -258,8 +258,8 @@ def _load_sharded_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
                   device="gpu", distributed=False,
                   precisions=("double", "single"),
                   priority=30,
-                  constructor_kwargs=("device", "device_spec", "block_size",
-                                      "precision", "optimize"),
+                  constructor_kwargs=("device", "device_spec", "precision",
+                                      "optimize"),
                   description="simulated-GPU backend (numba-CUDA analogue)")
 def _load_gpu_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .simgpu import (
@@ -278,7 +278,7 @@ def _load_gpu_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("gpumpi", mixers=("x",), device="gpu", distributed=True,
                   precisions=("double", "single"),
                   priority=20,
-                  constructor_kwargs=("n_ranks", "alltoall_algorithm", "block_size",
+                  constructor_kwargs=("n_ranks", "alltoall_algorithm",
                                       "parallel_local", "precision", "optimize"),
                   description="distributed GPU backend (custom Alltoall, Algorithm 4)")
 def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
@@ -290,7 +290,7 @@ def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("cusvmpi", aliases=("custatevec",), mixers=("x",), device="gpu",
                   distributed=True, precisions=("double", "single"),
                   priority=10,
-                  constructor_kwargs=("n_ranks", "block_size", "parallel_local",
+                  constructor_kwargs=("n_ranks", "parallel_local",
                                       "precision", "optimize"),
                   description="distributed index-bit-swap backend (cuStateVec analogue)")
 def _load_cusvmpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:

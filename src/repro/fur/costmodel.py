@@ -21,6 +21,7 @@ gives the achieved bandwidth the per-op ledgers report.
 from __future__ import annotations
 
 from ..parallel.perfmodel import PerformanceModel
+from .jit.kernels import DEFAULT_TILE_QUBITS
 from .rewrite import (
     ExpectationOp,
     FusedMixerExpectationOp,
@@ -36,8 +37,10 @@ class PlanCostModel:
     """Price plan ops in bytes of memory traffic at a single rank.
 
     ``single_pass_mixer`` models the ``jit`` kernel tier: its fused kernels
-    apply every butterfly of a layer per cache-sized tile, so a mixer sweep
-    streams the state ~2× (read + write) instead of once per qubit.
+    apply every butterfly whose stride fits a cache-sized tile in one
+    read-modify-write sweep, then stream one more sweep per qubit at or
+    above :data:`~repro.fur.jit.kernels.DEFAULT_TILE_QUBITS` — ``1 +
+    max(0, n − tile)`` sweeps instead of one per qubit.
     """
 
     def __init__(self, n_qubits: int, model: PerformanceModel | None = None,
@@ -52,10 +55,11 @@ class PlanCostModel:
         db = self.model.diag_bytes
         states = self.states
         phase = states * (2 * sb + db)  # numerator of phase_time
-        # streamed state sweeps per mixer: the tiled single-pass kernels
-        # touch the block ~twice (read + write); multi-pass kernels once per
-        # qubit rotation (numerator of mixer_compute_time)
-        mixer_sweeps = 2 if self.single_pass_mixer else self.n_qubits
+        # read-modify-write sweeps per mixer: one tiled sweep plus one per
+        # qubit beyond the tile for the single-pass kernels; one per qubit
+        # rotation for multi-pass kernels (numerator of mixer_compute_time)
+        mixer_sweeps = (1 + max(0, self.n_qubits - DEFAULT_TILE_QUBITS)
+                        if self.single_pass_mixer else self.n_qubits)
         mixer = mixer_sweeps * 2 * sb * states
         expectation = states * (sb + db)
         if isinstance(op, MixerOp):

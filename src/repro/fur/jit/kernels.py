@@ -18,10 +18,15 @@ of SNIPPETS.md Snippet 1, ``delande/and-python``):
   with the system compiler and driven through :mod:`ctypes` (the shared
   object is cached on disk keyed by a source hash, so the compile cost is
   paid once per machine);
-* ``numpy`` — multi-pass NumPy kernels (the ``python`` backend's gemm X
-  passes and expectation reduction, :mod:`repro.fur.cvect`'s blocked phase
-  and XY sweeps), so the backend stays importable and correct with no
-  compiler and no numba.
+* ``numpy`` — multi-pass NumPy kernels (the ``python`` backend's gemm
+  fused X passes and expectation reduction, plus allocation-free blocked
+  sweeps for the phase, single-position X rotations and XY edges), so the
+  backend stays importable and correct with no compiler and no numba.
+
+Every rung's butterfly is position-independent: the same pair of
+amplitudes gets the same bits whichever stride (bit position) it sits at,
+so the sharded backends' relabelled global rotations reproduce the
+unsharded result bitwise.
 
 :func:`active_path` reports which path is live; ``REPRO_JIT_PATH`` forces
 one (``numba``/``cc``/``numpy``/``auto``), falling down the ladder when the
@@ -59,6 +64,7 @@ __all__ = [
     "compiler_info",
     "phase_block",
     "furx_block",
+    "rotate_x_block",
     "furx_phase_block",
     "furx_expectation_block",
     "furxy_block",
@@ -183,17 +189,38 @@ def _parallel_rows(rows: int, run_slice) -> None:
 _C_TEMPLATE = r"""
 /* ---- @SUF@ (@REAL@) kernels ------------------------------------------- */
 
-static void butterfly_span_@SUF@(@REAL@ *lo, @REAL@ *hi, ptrdiff_t count,
-                                 @REAL@ c, @REAL@ s)
+/* The X butterfly on one amplitude pair.  Each product's sign is folded
+ * into its coefficient (c*ai + ns*br with ns = -s, not c*ai - s*br), so
+ * every statement adds two rounded products: the vectorizer finds no
+ * alternating add/subtract to fuse into vfmaddsub/vfmsubadd, and the
+ * vector body, the scalar epilogue and every stride round alike.  The
+ * result bits do not depend on the bit position a qubit sits at. */
+static void pair_@SUF@(@REAL@ *lo, @REAL@ *hi, @REAL@ c, @REAL@ s,
+                       @REAL@ ns)
 {
-    for (ptrdiff_t k = 0; k < count; ++k) {
-        @REAL@ ar = lo[2 * k], ai = lo[2 * k + 1];
-        @REAL@ br = hi[2 * k], bi = hi[2 * k + 1];
-        lo[2 * k]     = c * ar + s * bi;
-        lo[2 * k + 1] = c * ai - s * br;
-        hi[2 * k]     = c * br + s * ai;
-        hi[2 * k + 1] = c * bi - s * ar;
+    @REAL@ ar = lo[0], ai = lo[1], br = hi[0], bi = hi[1];
+    lo[0] = c * ar + s * bi;
+    lo[1] = c * ai + ns * br;
+    hi[0] = c * br + s * ai;
+    hi[1] = c * bi + ns * ar;
+}
+
+/* every butterfly of bit position q over a span of len amplitudes; at
+ * q = 0 one loop walks the adjacent pairs, because a one-pair run is too
+ * short for the vectorizer (the fold made each butterfly dearer, and this
+ * loop pays for it) */
+static void sweep_@SUF@(@REAL@ *x, ptrdiff_t len, int q, @REAL@ c, @REAL@ s)
+{
+    const @REAL@ ns = -s;
+    const ptrdiff_t stride = (ptrdiff_t)1 << q;
+    if (q == 0) {
+        for (ptrdiff_t k = 0; k < len; k += 2)
+            pair_@SUF@(x + 2 * k, x + 2 * k + 2, c, s, ns);
+        return;
     }
+    for (ptrdiff_t base = 0; base < len; base += 2 * stride)
+        for (ptrdiff_t k = base; k < base + stride; ++k)
+            pair_@SUF@(x + 2 * k, x + 2 * (k + stride), c, s, ns);
 }
 
 /* last-stride butterfly fused with the cost-weighted norm reduction */
@@ -201,12 +228,13 @@ static double butterfly_span_expec_@SUF@(@REAL@ *lo, @REAL@ *hi,
                                          ptrdiff_t count, @REAL@ c, @REAL@ s,
                                          const double *clo, const double *chi)
 {
+    const @REAL@ ns = -s;
     double total = 0.0, part = 0.0;
     for (ptrdiff_t k = 0; k < count; ++k) {
         @REAL@ ar = lo[2 * k], ai = lo[2 * k + 1];
         @REAL@ br = hi[2 * k], bi = hi[2 * k + 1];
-        @REAL@ lr = c * ar + s * bi, li = c * ai - s * br;
-        @REAL@ hr = c * br + s * ai, hi_ = c * bi - s * ar;
+        @REAL@ lr = c * ar + s * bi, li = c * ai + ns * br;
+        @REAL@ hr = c * br + s * ai, hi_ = c * bi + ns * ar;
         lo[2 * k] = lr;  lo[2 * k + 1] = li;
         hi[2 * k] = hr;  hi[2 * k + 1] = hi_;
         part += clo[k] * ((double)lr * lr + (double)li * li)
@@ -217,7 +245,8 @@ static double butterfly_span_expec_@SUF@(@REAL@ *lo, @REAL@ *hi,
 }
 
 /* phase multiply over a span: mode 1 = unique-value table gather,
- * mode 2 = direct cos/sin of -gamma*cost */
+ * mode 2 = direct cos/sin of -gamma*cost; the sign folds into the factor
+ * as in the butterfly */
 static void phase_span_@SUF@(@REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
                              int mode, const @REAL@ *factors_row,
                              const int64_t *inverse, double gamma,
@@ -227,18 +256,18 @@ static void phase_span_@SUF@(@REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
         const int64_t *idx = inverse + s0;
         for (ptrdiff_t i = 0; i < len; ++i) {
             @REAL@ fr = factors_row[2 * idx[i]];
-            @REAL@ fi = factors_row[2 * idx[i] + 1];
+            @REAL@ fi = factors_row[2 * idx[i] + 1], nfi = -fi;
             @REAL@ ar = tx[2 * i], ai = tx[2 * i + 1];
-            tx[2 * i]     = ar * fr - ai * fi;
+            tx[2 * i]     = ar * fr + ai * nfi;
             tx[2 * i + 1] = ar * fi + ai * fr;
         }
     } else if (mode == 2) {
         const @REAL@ *cost = pcosts + s0;
         for (ptrdiff_t i = 0; i < len; ++i) {
             double th = -gamma * (double)cost[i];
-            @REAL@ fr = (@REAL@)cos(th), fi = (@REAL@)sin(th);
+            @REAL@ fr = (@REAL@)cos(th), fi = (@REAL@)sin(th), nfi = -fi;
             @REAL@ ar = tx[2 * i], ai = tx[2 * i + 1];
-            tx[2 * i]     = ar * fr - ai * fi;
+            tx[2 * i]     = ar * fr + ai * nfi;
             tx[2 * i + 1] = ar * fi + ai * fr;
         }
     }
@@ -257,15 +286,15 @@ static double reduce_span_@SUF@(const @REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
     return total + part;
 }
 
-/* fused phase + full X mixer on one row, single cache-blocked pass:
- * per tile apply the phase multiply and every butterfly whose stride fits
- * the tile, then finish the high strides with streaming sweeps */
-static void furx_row_@SUF@(@REAL@ *x, int n_qubits, double c_, double s_,
-                           int mode, const @REAL@ *factors_row,
+/* fused phase + X rotations of bit positions 0..q_end-1 on one row, in a
+ * single cache-blocked pass: per tile apply the phase multiply and every
+ * butterfly whose stride fits the tile, then finish the high strides with
+ * streaming sweeps */
+static void furx_row_@SUF@(@REAL@ *x, int n_qubits, int q_end, @REAL@ c,
+                           @REAL@ s, int mode, const @REAL@ *factors_row,
                            const int64_t *inverse, double gamma,
                            const @REAL@ *pcosts, int tile_q)
 {
-    const @REAL@ c = (@REAL@)c_, s = (@REAL@)s_;
     const ptrdiff_t n = (ptrdiff_t)1 << n_qubits;
     const int t = tile_q < n_qubits ? tile_q : n_qubits;
     const ptrdiff_t T = (ptrdiff_t)1 << t;
@@ -274,32 +303,43 @@ static void furx_row_@SUF@(@REAL@ *x, int n_qubits, double c_, double s_,
         if (mode)
             phase_span_@SUF@(tx, s0, T, mode, factors_row, inverse, gamma,
                              pcosts);
-        for (int q = 0; q < t; ++q) {
-            const ptrdiff_t stride = (ptrdiff_t)1 << q;
-            for (ptrdiff_t base = 0; base < T; base += 2 * stride)
-                butterfly_span_@SUF@(tx + 2 * base,
-                                     tx + 2 * (base + stride), stride, c, s);
-        }
+        for (int q = 0; q < t; ++q)
+            sweep_@SUF@(tx, T, q, c, s);
     }
-    for (int q = t; q < n_qubits; ++q) {
-        const ptrdiff_t stride = (ptrdiff_t)1 << q;
-        for (ptrdiff_t base = 0; base < n; base += 2 * stride)
-            butterfly_span_@SUF@(x + 2 * base, x + 2 * (base + stride),
-                                 stride, c, s);
-    }
+    for (int q = t; q < q_end; ++q)
+        sweep_@SUF@(x, n, q, c, s);
 }
 
-void jit_furx_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
-                    const double *cs, const double *ss, int mode,
+/* optional phase, then X rotations at the given bit positions, in order:
+ * the tiled single pass when positions are 0..n-1, one strided sweep per
+ * position otherwise (the butterfly rounds the same either way) */
+void jit_rotx_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
+                    const double *cs, const double *ss,
+                    const int64_t *positions, int n_positions, int mode,
                     const @REAL@ *factors, ptrdiff_t n_unique,
                     const int64_t *inverse, const double *gammas,
                     const @REAL@ *pcosts, int tile_q)
 {
     const ptrdiff_t n = (ptrdiff_t)1 << n_qubits;
-    for (ptrdiff_t r = 0; r < rows; ++r)
-        furx_row_@SUF@(block + 2 * r * n, n_qubits, cs[r], ss[r], mode,
-                       factors ? factors + 2 * r * n_unique : 0, inverse,
-                       gammas ? gammas[r] : 0.0, pcosts, tile_q);
+    int full = n_positions == n_qubits;
+    for (int i = 0; full && i < n_positions; ++i)
+        full = positions[i] == i;
+    for (ptrdiff_t r = 0; r < rows; ++r) {
+        @REAL@ *x = block + 2 * r * n;
+        const @REAL@ c = (@REAL@)cs[r], s = (@REAL@)ss[r];
+        const @REAL@ *factors_row = factors ? factors + 2 * r * n_unique : 0;
+        const double gamma = gammas ? gammas[r] : 0.0;
+        if (full) {
+            furx_row_@SUF@(x, n_qubits, n_qubits, c, s, mode, factors_row,
+                           inverse, gamma, pcosts, tile_q);
+            continue;
+        }
+        if (mode)
+            phase_span_@SUF@(x, 0, n, mode, factors_row, inverse, gamma,
+                             pcosts);
+        for (int i = 0; i < n_positions; ++i)
+            sweep_@SUF@(x, n, (int)positions[i], c, s);
+    }
 }
 
 /* fused phase + X mixer + expectation: the trailing reduction rides the
@@ -312,42 +352,17 @@ void jit_furx_expec_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
                           const @REAL@ *pcosts, int tile_q,
                           const double *ecosts, double *out)
 {
-    const ptrdiff_t n = (ptrdiff_t)1 << n_qubits;
-    const int t = tile_q < n_qubits ? tile_q : n_qubits;
-    const ptrdiff_t T = (ptrdiff_t)1 << t;
+    const ptrdiff_t n = (ptrdiff_t)1 << n_qubits, half = n >> 1;
+    const int tiled = tile_q >= n_qubits;
     for (ptrdiff_t r = 0; r < rows; ++r) {
         @REAL@ *x = block + 2 * r * n;
         const @REAL@ c = (@REAL@)cs[r], s = (@REAL@)ss[r];
-        const @REAL@ *factors_row = factors ? factors + 2 * r * n_unique : 0;
-        const double gamma = gammas ? gammas[r] : 0.0;
-        double acc = 0.0;
-        for (ptrdiff_t s0 = 0; s0 < n; s0 += T) {
-            @REAL@ *tx = x + 2 * s0;
-            if (mode)
-                phase_span_@SUF@(tx, s0, T, mode, factors_row, inverse,
-                                 gamma, pcosts);
-            for (int q = 0; q < t; ++q) {
-                const ptrdiff_t stride = (ptrdiff_t)1 << q;
-                for (ptrdiff_t base = 0; base < T; base += 2 * stride)
-                    butterfly_span_@SUF@(tx + 2 * base,
-                                         tx + 2 * (base + stride),
-                                         stride, c, s);
-            }
-            if (t == n_qubits)
-                acc += reduce_span_@SUF@(tx, s0, T, ecosts);
-        }
-        for (int q = t; q < n_qubits - 1; ++q) {
-            const ptrdiff_t stride = (ptrdiff_t)1 << q;
-            for (ptrdiff_t base = 0; base < n; base += 2 * stride)
-                butterfly_span_@SUF@(x + 2 * base, x + 2 * (base + stride),
-                                     stride, c, s);
-        }
-        if (t < n_qubits) {
-            const ptrdiff_t stride = n >> 1;
-            acc = butterfly_span_expec_@SUF@(x, x + 2 * stride, stride, c, s,
-                                             ecosts, ecosts + stride);
-        }
-        out[r] = acc;
+        furx_row_@SUF@(x, n_qubits, tiled ? n_qubits : n_qubits - 1, c, s,
+                       mode, factors ? factors + 2 * r * n_unique : 0,
+                       inverse, gammas ? gammas[r] : 0.0, pcosts, tile_q);
+        out[r] = tiled ? reduce_span_@SUF@(x, 0, n, ecosts)
+                       : butterfly_span_expec_@SUF@(x, x + 2 * half, half, c,
+                                                    s, ecosts, ecosts + half);
     }
 }
 
@@ -370,9 +385,9 @@ void jit_expec_@SUF@(const @REAL@ *block, ptrdiff_t rows, ptrdiff_t n_states,
                                    ecosts);
 }
 
-/* ordered-edge XY mixer (ring or complete, edges normalized a < b), with
- * optional leading phase multiply; the {|01>,|10>} subspace rotation is the
- * same (c, s) butterfly applied to the (x|1<<a, x|1<<b) pairs */
+/* ordered-edge XY mixer (edges normalized a < b), with optional leading
+ * phase multiply; the {|01>,|10>} subspace rotation is the same (c, s)
+ * butterfly applied to the (x|1<<a, x|1<<b) pairs */
 void jit_furxy_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
                      const double *cs, const double *ss, int n_trotters,
                      const int64_t *edges, ptrdiff_t n_edges, int mode,
@@ -395,8 +410,8 @@ void jit_furxy_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
                 for (ptrdiff_t h = 0; h < n; h += 2 * sb)
                     for (ptrdiff_t m = h; m < h + sb; m += 2 * sa)
                         for (ptrdiff_t l = m; l < m + sa; ++l)
-                            butterfly_span_@SUF@(x + 2 * (l + sa),
-                                                 x + 2 * (l + sb), 1, c, s);
+                            pair_@SUF@(x + 2 * (l + sa), x + 2 * (l + sb), c,
+                                       s, -s);
             }
     }
 }
@@ -483,9 +498,9 @@ def _declare_argtypes(lib: ctypes.CDLL) -> None:
     ssz = ctypes.c_ssize_t
     i = ctypes.c_int
     for suf in ("f64", "f32"):
-        fn = getattr(lib, f"jit_furx_{suf}")
+        fn = getattr(lib, f"jit_rotx_{suf}")
         fn.restype = None
-        fn.argtypes = [p, ssz, i, p, p, i, p, ssz, p, p, p, i]
+        fn.argtypes = [p, ssz, i, p, p, p, i, i, p, ssz, p, p, p, i]
         fn = getattr(lib, f"jit_furx_expec_{suf}")
         fn.restype = None
         fn.argtypes = [p, ssz, i, p, p, i, p, ssz, p, p, p, i, p, p]
@@ -620,8 +635,9 @@ def _warm_numba(dtype: np.dtype, mixer: str) -> None:  # pragma: no cover
     out = np.zeros(1)
     factors = np.empty((0, 0), dtype=dtype)
     if mixer == "x":
-        _nb_furx(block.copy(), angles, angles, 2, factors, _EMPTY_I64,
-                 angles, real, DEFAULT_TILE_QUBITS)
+        _nb_rotx(block.copy(), angles, angles, np.arange(2, dtype=np.int64),
+                 True, 2, factors, _EMPTY_I64, angles, real,
+                 DEFAULT_TILE_QUBITS)
         _nb_furx_expec(block.copy(), angles, angles, 2, factors, _EMPTY_I64,
                        angles, real, DEFAULT_TILE_QUBITS,
                        np.zeros(4), out)
@@ -685,27 +701,92 @@ def _suffix(block: np.ndarray) -> str:
     return "f32" if block.dtype == np.complex64 else "f64"
 
 
+def _edge_array(edges: Any, n_qubits: int) -> np.ndarray:
+    """Ordered XY edges as a C-contiguous ``(E, 2)`` int64 array, each row
+    normalized to (low, high) — value-preserving, because the subspace
+    butterfly is symmetric under swapping its two amplitudes."""
+    e = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    if e.size and (e.min() < 0 or e.max() >= n_qubits
+                   or bool((e[:, 0] == e[:, 1]).any())):
+        raise ValueError(f"edges must pair distinct qubits in [0, {n_qubits})")
+    return np.ascontiguousarray(e)
+
+
 def mixer_edges(kind: str, n_qubits: int) -> np.ndarray:
     """The ordered, (low, high)-normalized edge list of one XY mixer.
 
     Matches the application order of the ``python`` backend's
     :func:`~repro.fur.python.furxy.furxy_ring`/``furxy_complete`` exactly —
     the XY mixer is an *ordered* product, so edge order is part of the
-    contract.  (The subspace butterfly is symmetric under swapping the two
-    amplitudes, so normalizing each edge to (min, max) is value-preserving.)
+    contract.
     """
     from ..python.furxy import complete_edges, ring_edges
 
+    if kind not in ("ring", "complete"):
+        raise ValueError(f"kind must be 'ring' or 'complete', got {kind!r}")
     pairs = (ring_edges(n_qubits) if kind == "ring"
              else complete_edges(n_qubits))
-    edges = np.array([(min(i, j), max(i, j)) for i, j in pairs],
-                     dtype=np.int64)
-    return np.ascontiguousarray(edges)
+    return _edge_array(pairs, n_qubits)
 
 
 # --------------------------------------------------------------------------
 # Public kernels: X mixer family.
 # --------------------------------------------------------------------------
+
+def rotate_x_block(block: np.ndarray, betas: np.ndarray, positions: Any, *,
+                   gammas: np.ndarray | None = None, phase_table: Any = None,
+                   costs: np.ndarray | None = None,
+                   tile_q: int = DEFAULT_TILE_QUBITS) -> None:
+    """Optional phase, then ``exp(-i β_r X)`` at each bit position, in place.
+
+    With ``gammas`` (and a ``phase_table`` or ``costs``) row ``r`` is first
+    multiplied by ``exp(-i γ_r c)``; the rotations then run in the order
+    of ``positions``.  On every rung the arithmetic does not depend on the
+    position a rotation acts on, so a qubit rotated at a relabelled
+    position (the sharded backends' global step) gets the same bits as at
+    its home position.  The compiled rungs run the tiled single pass of
+    :func:`furx_phase_block` when ``positions`` is ``0..n-1`` and one
+    strided sweep per position otherwise; the numpy rung runs the blocked
+    pair update per position.
+    """
+    _, _, n_qubits = _check_block(block)
+    pos = np.ascontiguousarray(positions, dtype=np.int64)
+    if pos.ndim != 1 or (pos.size and (pos.min() < 0
+                                       or pos.max() >= n_qubits)):
+        raise ValueError(f"positions must be bit positions in [0, {n_qubits})")
+    path = active_path()
+    if path == "numpy":
+        if gammas is not None:
+            _np_phase(block, gammas, phase_table, costs)
+        _np_rotate_x(block, betas, pos)
+        return
+    _compiled_rotate_x(path, block, betas, pos, gammas, phase_table, costs,
+                       tile_q)
+
+
+def _compiled_rotate_x(path, block, betas, positions, gammas, phase_table,
+                       costs, tile_q):
+    rows, _, n_qubits = _check_block(block)
+    mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
+                                                    phase_table, costs)
+    b = np.ascontiguousarray(betas, dtype=np.float64)
+    cs, ss = np.cos(b), np.sin(b)
+    if path == "numba":  # pragma: no cover - requires numba
+        full = np.array_equal(positions, np.arange(n_qubits))
+        _nb_rotx(block, cs, ss, positions, full, mode, factors, inverse, g,
+                 pcosts, tile_q)
+        return
+    fn = getattr(_load_clib(), f"jit_rotx_{_suffix(block)}")
+    n_unique = factors.shape[1]
+
+    def run_slice(r0: int, r1: int) -> None:
+        fn(_ptr(block[r0:r1]), r1 - r0, n_qubits, _ptr(cs[r0:r1]),
+           _ptr(ss[r0:r1]), _ptr(positions), len(positions), mode,
+           _ptr(factors[r0:r1]), n_unique, _ptr(inverse),
+           _ptr(g[r0:r1]) if mode else None, _ptr(pcosts), tile_q)
+
+    _parallel_rows(rows, run_slice)
+
 
 def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
                      betas: np.ndarray, *, phase_table: Any = None,
@@ -721,37 +802,21 @@ def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
     ping-pong through ``scratch`` (a block-shaped buffer, allocated per
     call when ``None``).
     """
-    rows, n_states, n_qubits = _check_block(block)
+    _, _, n_qubits = _check_block(block)
     path = active_path()
     if path == "numpy":
         _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
                        scratch)
         return
-    mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
-                                                    phase_table, costs)
-    b = np.ascontiguousarray(betas, dtype=np.float64)
-    cs, ss = np.cos(b), np.sin(b)
-    if path == "numba":  # pragma: no cover - requires numba
-        _nb_furx(block, cs, ss, mode, factors, inverse, g, pcosts, tile_q)
-        return
-    lib = _load_clib()
-    fn = getattr(lib, f"jit_furx_{_suffix(block)}")
-    n_unique = factors.shape[1]
-
-    def run_slice(r0: int, r1: int) -> None:
-        fn(_ptr(block[r0:r1]), r1 - r0, n_qubits, _ptr(cs[r0:r1]),
-           _ptr(ss[r0:r1]), mode, _ptr(factors[r0:r1]), n_unique,
-           _ptr(inverse), _ptr(g[r0:r1]) if mode else None, _ptr(pcosts),
-           tile_q)
-
-    _parallel_rows(rows, run_slice)
+    _compiled_rotate_x(path, block, betas, np.arange(n_qubits, dtype=np.int64),
+                       gammas, phase_table, costs, tile_q)
 
 
 def furx_block(block: np.ndarray, betas: np.ndarray, *,
-               tile_q: int = DEFAULT_TILE_QUBITS,
-               scratch: np.ndarray | None = None) -> None:
+               tile_q: int = DEFAULT_TILE_QUBITS) -> None:
     """Full X mixer ``exp(-i β_r Σ_i X_i)`` on every row, in place."""
-    furx_phase_block(block, None, betas, tile_q=tile_q, scratch=scratch)
+    _, _, n_qubits = _check_block(block)
+    rotate_x_block(block, betas, range(n_qubits), tile_q=tile_q)
 
 
 def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
@@ -801,27 +866,28 @@ def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
 # --------------------------------------------------------------------------
 
 def furxy_block(block: np.ndarray, gammas: np.ndarray | None,
-                betas: np.ndarray, *, kind: str, n_trotters: int = 1,
+                betas: np.ndarray, *, edges: Any, n_trotters: int = 1,
                 phase_table: Any = None,
                 costs: np.ndarray | None = None) -> None:
-    """(Phase +) ordered XY mixer (``kind`` = "ring"/"complete"), in place.
+    """(Phase +) ordered XY mixer over an explicit edge list, in place.
 
-    Applies ``n_trotters`` repetitions at angle ``β_r / n_trotters`` in the
-    exact edge order of the ``python`` backend's kernels.
+    Applies ``n_trotters`` repetitions at angle ``β_r / n_trotters``, one
+    ``{|01>,|10>}`` rotation per ``(i, j)`` pair of ``edges`` in the given
+    order (:func:`mixer_edges` gives the ring and complete mixers' order).
     """
-    if kind not in ("ring", "complete"):
-        raise ValueError(f"kind must be 'ring' or 'complete', got {kind!r}")
     rows, n_states, n_qubits = _check_block(block)
+    edges = _edge_array(edges, n_qubits)
+    b = np.ascontiguousarray(betas, dtype=np.float64) / n_trotters
     path = active_path()
     if path == "numpy":
-        _np_furxy(block, gammas, betas, n_qubits, kind, n_trotters,
-                  phase_table, costs)
+        if gammas is not None:
+            _np_phase(block, gammas, phase_table, costs)
+        for _ in range(n_trotters):
+            _np_furxy(block, b, edges)
         return
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
-    b = np.ascontiguousarray(betas, dtype=np.float64) / n_trotters
     cs, ss = np.cos(b), np.sin(b)
-    edges = mixer_edges(kind, n_qubits)
     if path == "numba":  # pragma: no cover - requires numba
         _nb_furxy(block, cs, ss, n_trotters, edges, mode, factors, inverse,
                   g, pcosts)
@@ -888,27 +954,117 @@ def expectation_block(block: np.ndarray, ecosts: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# numpy fallback path: the python backend's gemm-grouped X passes (which
-# ping-pong through the caller's scratch block) and chunked expectation
-# reduction, and cvect's allocation-free blocked phase and XY sweeps.
+# numpy fallback path: the python backend's gemm-grouped fused X passes
+# (which ping-pong through the caller's scratch block) and chunked
+# expectation reduction, and allocation-free blocked sweeps for the phase,
+# single-position X rotations and XY edges.
 # --------------------------------------------------------------------------
+
+#: Amplitudes per chunk of the numpy rung's blocked sweeps (2^16 complex128
+#: = 1 MiB, L2-resident on typical server cores) — the length of its two
+#: per-thread scratch buffers.
+_NP_CHUNK = 1 << 16
 
 _np_local = threading.local()
 
 
-def _np_workspace(block):
-    """This thread's cvect workspace for the block's width and dtype.
+def _np_scratch(block: np.ndarray) -> np.ndarray:
+    """This thread's ``(2, chunk)`` scratch: pair temporaries, phase factors.
 
-    Kept across calls (one per thread, re-made when the signature changes)
-    so warmed-up numpy-path layers allocate no phase/pair scratch.
+    Kept across calls (one per thread, re-made when the chunk or dtype
+    changes) so warmed-up numpy-rung layers allocate no scratch.
     """
-    from ..cvect.kernels import KernelWorkspace
+    size = min(_NP_CHUNK, block.shape[1])
+    buf = getattr(_np_local, "scratch", None)
+    if buf is None or buf.shape[1] != size or buf.dtype != block.dtype:
+        buf = _np_local.scratch = np.empty((2, size), dtype=block.dtype)
+    return buf
 
-    ws = getattr(_np_local, "workspace", None)
-    if ws is None or ws.n_states != block.shape[1] or ws.dtype != block.dtype:
-        ws = _np_local.workspace = KernelWorkspace(block.shape[1],
-                                                   dtype=block.dtype)
-    return ws
+
+def _np_phase(block, gammas, phase_table, costs):
+    """Blocked ``row_r *= exp(-i γ_r c)``: basis chunks in the outer loop so
+    each cost/index chunk stays cache-hot across all rows."""
+    rows, n = block.shape
+    g = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (rows,))
+    buf = _np_scratch(block)[1]
+    chunk = buf.size
+    if phase_table is not None:
+        factors = phase_table.factors_batch(g, dtype=block.dtype)
+        for s in range(0, n, chunk):
+            idx = phase_table.inverse[s:s + chunk]
+            out = buf[:idx.size]
+            for r in range(rows):
+                np.take(factors[r], idx, out=out)
+                block[r, s:s + chunk] *= out
+        return
+    if costs is None:
+        raise ValueError("phase application needs a phase_table or costs")
+    for s in range(0, n, chunk):
+        c = costs[s:s + chunk]
+        out = buf[:c.size]
+        # angle and exp in float64, rounded to the block's precision once —
+        # the factors a phase table (or a compiled rung) gives the same cost
+        wide = (out if out.dtype == np.complex128
+                else np.empty(c.size, dtype=np.complex128))
+        for r in range(rows):
+            np.multiply(c, -1j * g[r], out=wide, dtype=np.complex128)
+            np.exp(wide, out=out)
+            block[r, s:s + chunk] *= out
+
+
+def _np_pair_update(amp_a, amp_b, a, b, pair):
+    """``A ← a·A − b*·B``, ``B ← b·A + a*·B`` on two equal-shaped 3-D views.
+
+    With ``a = cos β`` and ``b = −i sin β`` every complex product has one
+    zero component, so each output is the two-rounding formula of the
+    compiled butterfly whatever numpy's multiply loop fuses.  Chunks adapt
+    to the view shape so each temporary fits the ``pair`` scratch and the
+    Python-level iteration count stays near ``size / chunk``.
+    """
+    n_top, n_mid, n_low = amp_a.shape
+    a, b = amp_a.dtype.type(a), amp_a.dtype.type(b)
+    chunk = pair.size
+    if n_low >= chunk:
+        keys = [(t, m, slice(c0, c0 + chunk)) for t in range(n_top)
+                for m in range(n_mid) for c0 in range(0, n_low, chunk)]
+    elif n_mid * n_low >= chunk:
+        per = chunk // n_low
+        keys = [(t, slice(m0, m0 + per)) for t in range(n_top)
+                for m0 in range(0, n_mid, per)]
+    else:
+        per = chunk // (n_mid * n_low)
+        keys = [slice(t0, t0 + per) for t0 in range(0, n_top, per)]
+    for key in keys:
+        lo, hi = amp_a[key], amp_b[key]
+        tmp = pair[:lo.size].reshape(lo.shape)
+        np.copyto(tmp, lo)
+        lo *= a
+        lo -= np.conj(b) * hi
+        hi *= np.conj(a)
+        hi += b * tmp
+
+
+def _np_rotate_x(block, betas, positions):
+    from ..python.furx import su2_x_rotation_batch
+
+    pair = _np_scratch(block)[0]
+    a, b = su2_x_rotation_batch(betas)
+    for r, row in enumerate(block):
+        for q in positions:
+            view = row.reshape(-1, 1, 2, 1 << int(q))
+            _np_pair_update(view[:, :, 0], view[:, :, 1], a[r], b[r], pair)
+
+
+def _np_furxy(block, betas, edges):
+    from ..python.furx import su2_x_rotation_batch
+
+    pair = _np_scratch(block)[0]
+    a, b = su2_x_rotation_batch(betas)
+    for i, j in edges.tolist():
+        for r, row in enumerate(block):
+            view = row.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            _np_pair_update(view[:, 0, :, 1, :], view[:, 1, :, 0, :],
+                            a[r], b[r], pair)
 
 
 def _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
@@ -924,29 +1080,7 @@ def _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
         furx_phase_all_batch(block, np.asarray(gammas, dtype=np.float64),
                              betas, n_qubits, phase_table=phase_table,
                              costs=costs, scratch=scratch,
-                             phase_buf=_np_workspace(block).phase_scratch)
-
-
-def _np_furxy(block, gammas, betas, n_qubits, kind, n_trotters,
-              phase_table, costs):
-    from ..cvect.kernels import furxy_batch_blocked
-    from ..python.furxy import complete_edges, ring_edges
-
-    if gammas is not None:
-        _np_phase(block, gammas, phase_table, costs)
-    betas = np.asarray(betas, dtype=np.float64) / n_trotters
-    edges = ring_edges(n_qubits) if kind == "ring" else complete_edges(n_qubits)
-    ws = _np_workspace(block)
-    for _ in range(n_trotters):
-        for i, j in edges:
-            furxy_batch_blocked(block, betas, i, j, ws)
-
-
-def _np_phase(block, gammas, phase_table, costs):
-    from ..cvect.kernels import apply_phase_batch_inplace
-
-    apply_phase_batch_inplace(block, costs, gammas, _np_workspace(block),
-                              phase_table=phase_table)
+                             phase_buf=_np_scratch(block)[1])
 
 
 def _np_expectations(block, ecosts):
@@ -956,53 +1090,74 @@ def _np_expectations(block, ecosts):
 
 
 # --------------------------------------------------------------------------
-# numba path: the same tiled loop structure, JIT-compiled per dtype.
+# numba path: the same tiled loop structure and sign-folded arithmetic,
+# JIT-compiled per dtype.
 # --------------------------------------------------------------------------
 
 if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
 
+    @njit(cache=True)
+    def _nb_phase_range(x, r, i0, i1, mode, factors, inverse, gammas,
+                        pcosts):
+        for i in range(i0, i1):
+            v = x[i]
+            if mode == 1:
+                f = factors[r, inverse[i]]
+                x[i] = complex(v.real * f.real + v.imag * -f.imag,
+                               v.real * f.imag + v.imag * f.real)
+            else:
+                th = -gammas[r] * pcosts[i]
+                fr = np.cos(th)
+                fi = np.sin(th)
+                x[i] = complex(v.real * fr + v.imag * -fi,
+                               v.real * fi + v.imag * fr)
+
+    @njit(cache=True)
+    def _nb_sweep(x, i0, i1, q, c, s):
+        stride = 1 << q
+        ns = -s
+        for base in range(i0, i1, 2 * stride):
+            for k in range(base, base + stride):
+                a = x[k]
+                b = x[k + stride]
+                x[k] = complex(c * a.real + s * b.imag,
+                               c * a.imag + ns * b.real)
+                x[k + stride] = complex(c * b.real + s * a.imag,
+                                        c * b.imag + ns * a.real)
+
+    @njit(cache=True)
+    def _nb_row(x, r, nq, q_end, c, s, mode, factors, inverse, gammas,
+                pcosts, tile_q):
+        n = 1 << nq
+        t = min(tile_q, nq)
+        tile = 1 << t
+        for s0 in range(0, n, tile):
+            if mode != 0:
+                _nb_phase_range(x, r, s0, s0 + tile, mode, factors, inverse,
+                                gammas, pcosts)
+            for q in range(t):
+                _nb_sweep(x, s0, s0 + tile, q, c, s)
+        for q in range(t, q_end):
+            _nb_sweep(x, 0, n, q, c, s)
+
     @njit(parallel=True, cache=True)
-    def _nb_furx(block, cs, ss, mode, factors, inverse, gammas, pcosts,
-                 tile_q):
+    def _nb_rotx(block, cs, ss, positions, full, mode, factors, inverse,
+                 gammas, pcosts, tile_q):
         rows, n = block.shape
         nq = 0
         while (1 << nq) < n:
             nq += 1
-        t = min(tile_q, nq)
-        tile = 1 << t
         for r in prange(rows):
             x = block[r]
-            c = cs[r]
-            s = ss[r]
-            for s0 in range(0, n, tile):
-                if mode == 1:
-                    for i in range(s0, s0 + tile):
-                        x[i] = x[i] * factors[r, inverse[i]]
-                elif mode == 2:
-                    g = gammas[r]
-                    for i in range(s0, s0 + tile):
-                        th = -g * pcosts[i]
-                        x[i] = x[i] * complex(np.cos(th), np.sin(th))
-                for q in range(t):
-                    stride = 1 << q
-                    for base in range(s0, s0 + tile, 2 * stride):
-                        for k in range(base, base + stride):
-                            a = x[k]
-                            b = x[k + stride]
-                            x[k] = complex(c * a.real + s * b.imag,
-                                           c * a.imag - s * b.real)
-                            x[k + stride] = complex(c * b.real + s * a.imag,
-                                                    c * b.imag - s * a.real)
-            for q in range(t, nq):
-                stride = 1 << q
-                for base in range(0, n, 2 * stride):
-                    for k in range(base, base + stride):
-                        a = x[k]
-                        b = x[k + stride]
-                        x[k] = complex(c * a.real + s * b.imag,
-                                       c * a.imag - s * b.real)
-                        x[k + stride] = complex(c * b.real + s * a.imag,
-                                                c * b.imag - s * a.real)
+            if full:
+                _nb_row(x, r, nq, nq, cs[r], ss[r], mode, factors, inverse,
+                        gammas, pcosts, tile_q)
+                continue
+            if mode != 0:
+                _nb_phase_range(x, r, 0, n, mode, factors, inverse, gammas,
+                                pcosts)
+            for q in positions:
+                _nb_sweep(x, 0, n, q, cs[r], ss[r])
 
     @njit(parallel=True, cache=True)
     def _nb_furx_expec(block, cs, ss, mode, factors, inverse, gammas,
@@ -1011,63 +1166,34 @@ if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
         nq = 0
         while (1 << nq) < n:
             nq += 1
-        t = min(tile_q, nq)
-        tile = 1 << t
+        tiled = tile_q >= nq
+        half = n >> 1
         for r in prange(rows):
             x = block[r]
             c = cs[r]
             s = ss[r]
+            ns = -s
+            _nb_row(x, r, nq, nq if tiled else nq - 1, c, s, mode, factors,
+                    inverse, gammas, pcosts, tile_q)
             acc = 0.0
-            for s0 in range(0, n, tile):
-                if mode == 1:
-                    for i in range(s0, s0 + tile):
-                        x[i] = x[i] * factors[r, inverse[i]]
-                elif mode == 2:
-                    g = gammas[r]
-                    for i in range(s0, s0 + tile):
-                        th = -g * pcosts[i]
-                        x[i] = x[i] * complex(np.cos(th), np.sin(th))
-                for q in range(t):
-                    stride = 1 << q
-                    for base in range(s0, s0 + tile, 2 * stride):
-                        for k in range(base, base + stride):
-                            a = x[k]
-                            b = x[k + stride]
-                            x[k] = complex(c * a.real + s * b.imag,
-                                           c * a.imag - s * b.real)
-                            x[k + stride] = complex(c * b.real + s * a.imag,
-                                                    c * b.imag - s * a.real)
-                if t == nq:
-                    for i in range(s0, s0 + tile):
-                        v = x[i]
-                        acc += ecosts[i] * (v.real * v.real
-                                            + v.imag * v.imag)
-            for q in range(t, nq - 1):
-                stride = 1 << q
-                for base in range(0, n, 2 * stride):
-                    for k in range(base, base + stride):
-                        a = x[k]
-                        b = x[k + stride]
-                        x[k] = complex(c * a.real + s * b.imag,
-                                       c * a.imag - s * b.real)
-                        x[k + stride] = complex(c * b.real + s * a.imag,
-                                                c * b.imag - s * a.real)
-            if t < nq:
-                stride = n >> 1
-                acc = 0.0
-                for k in range(stride):
+            if tiled:
+                for i in range(n):
+                    v = x[i]
+                    acc += ecosts[i] * (v.real * v.real + v.imag * v.imag)
+            else:
+                for k in range(half):
                     a = x[k]
-                    b = x[k + stride]
+                    b = x[k + half]
                     lo = complex(c * a.real + s * b.imag,
-                                 c * a.imag - s * b.real)
+                                 c * a.imag + ns * b.real)
                     hi = complex(c * b.real + s * a.imag,
-                                 c * b.imag - s * a.real)
+                                 c * b.imag + ns * a.real)
                     x[k] = lo
-                    x[k + stride] = hi
+                    x[k + half] = hi
                     acc += ecosts[k] * (lo.real * lo.real
                                         + lo.imag * lo.imag)
-                    acc += ecosts[k + stride] * (hi.real * hi.real
-                                                 + hi.imag * hi.imag)
+                    acc += ecosts[k + half] * (hi.real * hi.real
+                                               + hi.imag * hi.imag)
             out[r] = acc
 
     @njit(parallel=True, cache=True)
@@ -1079,14 +1205,10 @@ if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
             x = block[r]
             c = cs[r]
             s = ss[r]
-            if mode == 1:
-                for i in range(n):
-                    x[i] = x[i] * factors[r, inverse[i]]
-            elif mode == 2:
-                g = gammas[r]
-                for i in range(n):
-                    th = -g * pcosts[i]
-                    x[i] = x[i] * complex(np.cos(th), np.sin(th))
+            ns = -s
+            if mode != 0:
+                _nb_phase_range(x, r, 0, n, mode, factors, inverse, gammas,
+                                pcosts)
             for _ in range(n_trotters):
                 for e in range(n_edges):
                     sa = 1 << edges[e, 0]
@@ -1097,23 +1219,17 @@ if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
                                 a = x[l + sa]
                                 b = x[l + sb]
                                 x[l + sa] = complex(c * a.real + s * b.imag,
-                                                    c * a.imag - s * b.real)
+                                                    c * a.imag + ns * b.real)
                                 x[l + sb] = complex(c * b.real + s * a.imag,
-                                                    c * b.imag - s * a.real)
+                                                    c * b.imag + ns * a.real)
 
     @njit(parallel=True, cache=True)
     def _nb_phase(block, mode, factors, inverse, gammas, pcosts):
         rows, n = block.shape
         for r in prange(rows):
-            x = block[r]
-            if mode == 1:
-                for i in range(n):
-                    x[i] = x[i] * factors[r, inverse[i]]
-            elif mode == 2:
-                g = gammas[r]
-                for i in range(n):
-                    th = -g * pcosts[i]
-                    x[i] = x[i] * complex(np.cos(th), np.sin(th))
+            if mode != 0:
+                _nb_phase_range(block[r], r, 0, n, mode, factors, inverse,
+                                gammas, pcosts)
 
     @njit(parallel=True, cache=True)
     def _nb_expec(block, ecosts, out):

@@ -96,7 +96,7 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
                            n_trotters: int, scratch: Any) -> None:
         # X-mixer factors commute: Trotterization is exact and unused.
         self._ensure_kernels()
-        kernels.furx_block(block, betas, scratch=scratch)
+        kernels.furx_block(block, betas)
 
     def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any, scratch: Any,
@@ -125,17 +125,20 @@ class _QAOAFURXYJITSimulatorBase(_QAOAFURJITSimulatorBase):
 
     _xy_kind = "ring"
 
+    def _post_init(self) -> None:
+        self._edges = kernels.mixer_edges(self._xy_kind, self._n_qubits)
+
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
         self._ensure_kernels()
-        kernels.furxy_block(block, None, betas, kind=self._xy_kind,
+        kernels.furxy_block(block, None, betas, edges=self._edges,
                             n_trotters=n_trotters)
 
     def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any, scratch: Any,
                                  plan: Any) -> None:
         self._ensure_kernels()
-        kernels.furxy_block(block, gammas, betas, kind=self._xy_kind,
+        kernels.furxy_block(block, gammas, betas, edges=self._edges,
                             n_trotters=getattr(op, "n_trotters", 1),
                             phase_table=plan.phase_tables,
                             costs=self._phase_costs())

@@ -9,8 +9,9 @@ data.
 
 Both backends are the sharded X simulator
 (:class:`~repro.fur.sharded.QAOAFURXSimulatorSharded`) with one shard per
-rank and the blocked ``c`` inner kernels; they differ only in how they
-exchange the global qubits, mirroring the paper's two distributed backends:
+rank, running the :mod:`repro.fur.jit.kernels` tier per rank; they differ
+only in how they exchange the global qubits, mirroring the paper's two
+distributed backends:
 
 * :class:`QAOAFURXSimulatorGPUMPI` — the custom ``MPI_Alltoall`` strategy of
   Algorithm 4: two all-to-all exchanges per mixer application (with the
@@ -38,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from ...parallel.collectives import ALLTOALL_ALGORITHMS, TrafficTrace
-from ..cvect.kernels import DEFAULT_BLOCK_SIZE, apply_su2_batch_blocked
+from ..jit import kernels
 from ..sharded.qaoa_simulator import QAOAFURXSimulatorSharded, ShardedStateVector
 
 __all__ = [
@@ -59,15 +60,13 @@ class _DistributedFURXBase(QAOAFURXSimulatorSharded):
     n_ranks = QAOAFURXSimulatorSharded.n_shards
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
-                 n_ranks: int = 4, block_size: int = DEFAULT_BLOCK_SIZE,
-                 parallel_local: bool = False,
+                 n_ranks: int = 4, parallel_local: bool = False,
                  precision: str = "double",
                  optimize: str = "default") -> None:
         self.traffic_log: list[TrafficTrace] = []
         super().__init__(n_qubits, terms=terms, costs=costs, n_shards=n_ranks,
-                         n_workers=None if parallel_local else 1, inner="c",
-                         block_size=block_size, precision=precision,
-                         optimize=optimize)
+                         n_workers=None if parallel_local else 1,
+                         precision=precision, optimize=optimize)
 
     def _record_exchange(self, trace: TrafficTrace) -> None:
         self.traffic_log.append(trace)
@@ -119,7 +118,6 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *, n_ranks: int = 4,
                  alltoall_algorithm: str = "direct",
-                 block_size: int = DEFAULT_BLOCK_SIZE,
                  parallel_local: bool = False,
                  precision: str = "double",
                  optimize: str = "default") -> None:
@@ -130,7 +128,7 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
             )
         self._alltoall_algorithm = alltoall_algorithm
         super().__init__(n_qubits, terms=terms, costs=costs, n_ranks=n_ranks,
-                         block_size=block_size, parallel_local=parallel_local,
+                         parallel_local=parallel_local,
                          precision=precision, optimize=optimize)
 
     def _guarded_state_bytes(self) -> int:
@@ -153,8 +151,8 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
 
     backend_name = "cusvmpi"
 
-    def _apply_global_mixer(self, block: list[np.ndarray], a_rows: np.ndarray,
-                            b_rows: np.ndarray, coalesce: bool) -> None:
+    def _apply_global_mixer(self, block: list[np.ndarray], betas: np.ndarray,
+                            coalesce: bool) -> None:
         """Swap each global qubit with the top local one, rotate, swap back.
 
         The half-slice exchange acts on the whole ``(rows, local_states)``
@@ -164,13 +162,9 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
         del coalesce
         top = self.n_local_qubits - 1
         trace = TrafficTrace()
-
-        def rotate(s: int) -> None:
-            apply_su2_batch_blocked(block[s], a_rows, b_rows, top,
-                                    self._workspaces[s])
-
         for j in range(self._g_global):
             self._exchange_global_bit(block, j, top, True, trace)
-            self._map_shards(rotate)
+            self._map_shards(
+                lambda s: kernels.rotate_x_block(block[s], betas, [top]))
             self._exchange_global_bit(block, j, top, True, trace)
         self._record_exchange(trace)

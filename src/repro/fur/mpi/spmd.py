@@ -20,15 +20,9 @@ import numpy as np
 
 from ...parallel.communicator import Communicator, ThreadCluster
 from ..base import validate_angle_batches, validate_angles
-from ..cvect.kernels import (
-    KernelWorkspace,
-    apply_phase_batch_inplace,
-    apply_su2_batch_blocked,
-    expectation_batch_inplace,
-)
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
+from ..jit import kernels
 from ..precision import resolve_precision
-from ..python.furx import su2_x_rotation_batch
 
 __all__ = [
     "qaoa_rank_program_batch",
@@ -46,10 +40,11 @@ def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
 
     The SPMD mirror of the execution engine's fused distributed path
     (:mod:`repro.fur.engine`): each rank evolves a ``(B, local_states)``
-    block through all layers — batched slice-local phase sweeps (unique-value
-    phase table when the slice is repetitive), batched local SU(2) rotations,
-    and the alltoall exchanges for the global qubits — then reduces every
-    schedule to its objective value with one allreduce.
+    block through all layers with the :mod:`repro.fur.jit.kernels` tier — a
+    slice-local phase (unique-value phase table when the slice is
+    repetitive) fused with the local X rotations, and the alltoall exchanges
+    around the rotation of the global qubits — then reduces every schedule
+    to its objective value with one allreduce.
 
     With ``coalesce=True`` (the default, mirroring the engine's
     CoalesceExchanges plan rewrite) each exchange packs the whole block
@@ -80,7 +75,6 @@ def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
     table = build_phase_table(costs64)
     block = np.full((batch, local_states), 1.0 / np.sqrt(1 << n_qubits),
                     dtype=spec.complex_dtype)
-    workspace = KernelWorkspace(local_states, dtype=spec.complex_dtype)
     n_alltoall = 0
 
     def exchange(blk: np.ndarray) -> int:
@@ -101,19 +95,18 @@ def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
         return batch
 
     for layer in range(g.shape[1]):
-        apply_phase_batch_inplace(block, costs, g[:, layer], workspace,
-                                  phase_table=table)
-        a_rows, b_rows = su2_x_rotation_batch(b_angles[:, layer])
-        for q in range(n_local):
-            apply_su2_batch_blocked(block, a_rows, b_rows, q, workspace)
+        kernels.rotate_x_block(block, b_angles[:, layer], range(n_local),
+                               gammas=g[:, layer], phase_table=table,
+                               costs=costs)
         if k > 0:
+            # the global qubits now sit at the top k local positions
             n_alltoall += exchange(block)
-            for q in range(n_qubits - k, n_qubits):
-                apply_su2_batch_blocked(block, a_rows, b_rows, q - k, workspace)
+            kernels.rotate_x_block(block, b_angles[:, layer],
+                                   range(n_local - k, n_local))
             n_alltoall += exchange(block)
 
     # Float64 accumulation regardless of the state precision.
-    local = expectation_batch_inplace(block, costs64, workspace)
+    local = kernels.expectation_block(block, costs64)
     expectations = np.asarray(comm.allreduce_sum(local), dtype=np.float64)
     return {
         "rank": rank,

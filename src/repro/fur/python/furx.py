@@ -12,8 +12,9 @@ The NumPy implementation reshapes the state vector so the target qubit becomes
 an explicit axis and updates the two half-slices with vectorized arithmetic.
 The update uses a single temporary of half the state-vector size (the paper's
 CUDA kernel updates amplitude pairs truly in place; in NumPy a half-slice
-temporary is the idiomatic equivalent — see ``repro.fur.cvect`` for the
-cache-blocked variant that bounds the temporary size).
+temporary is the idiomatic equivalent — the numpy rung of
+:mod:`repro.fur.jit.kernels` has the cache-blocked variant that bounds the
+temporary size).
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ class UnsupportedBackendKwargError(TypeError):
 
     Raised by the :func:`simulator` facade at resolution time — before the
     backend constructor runs — so a mis-targeted kwarg (``n_shards`` on a
-    non-sharded backend, ``inner`` outside the sharded family, ...) surfaces
+    non-sharded backend, ``n_ranks`` outside the distributed pair, ...) surfaces
     as a typed error naming the backend and the backends that *do* accept
     the kwarg, instead of leaking the constructor's raw ``TypeError``.
     Subclasses ``TypeError`` so existing ``except TypeError`` call sites

@@ -1,9 +1,8 @@
 """In-process sharded ("multidevice") QAOA backend.
 
 Splits the state into ``2^g`` global-qubit slabs inside one process — a
-persistent thread pool runs the per-slab kernels of a configurable inner
-provider, and mixer sweeps touching a global qubit become coalesced
-pairwise slab swaps.  See :mod:`repro.fur.sharded.qaoa_simulator`.
+persistent thread pool runs the jit-tier kernels on each slab, and mixer
+sweeps touching a global qubit become coalesced pairwise slab swaps.  See :mod:`repro.fur.sharded.qaoa_simulator`.
 """
 
 from __future__ import annotations
@@ -40,11 +39,8 @@ def shard_report() -> str:
     """One-line runtime summary for ``registry.describe()``.
 
     Reports the shard count and worker budget the backend would pick on
-    this machine with no per-simulator overrides, and which inner kernel
-    family ``inner="auto"`` resolves to.
+    this machine with no per-simulator overrides.
     """
     shards = resolve_n_shards()
     workers = resolve_n_workers(shards)
-    from .inner import resolve_inner
-
-    return f"shards={shards} workers={workers} inner={resolve_inner().name}"
+    return f"shards={shards} workers={workers}"

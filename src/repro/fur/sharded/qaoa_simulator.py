@@ -5,11 +5,10 @@ slabs along the top ``g`` index bits (the *global* qubits, the paper's
 per-rank slicing of Sec. III-C), every slab living in this process and
 owned by a worker of a persistent thread pool.  The division of labor:
 
-* **local ops** (phase sweeps, rotations of qubits ``< n − g``) dispatch an
-  existing kernel family per shard — the configurable *inner provider* of
-  :mod:`repro.fur.sharded.inner` (``jit`` when its compiled path is live,
-  else the blocked ``c`` kernels) — with all shards running concurrently on
-  the pool;
+* **local ops** (phase sweeps, rotations of qubits ``< n − g``, XY edges
+  between local qubits) run the :mod:`repro.fur.jit.kernels` tier per
+  shard — its compiled rung when one is live, its numpy rung otherwise —
+  with all shards running concurrently on the pool;
 * **global ops** relabel the global qubit local first: a transposition
   exchanges index bits between the shard axis and local positions via
   pairwise *slab swaps* (NumPy copies instead of messages), the rotation
@@ -26,14 +25,15 @@ mixers swap one global *bit* at a time to a free local position per edge
 that needs it (the cuStateVec-style index-bit swap), preserving the exact
 reference edge order — XY edge rotations do not commute.  The distributed
 ``gpumpi``/``cusvmpi`` backends of :mod:`repro.fur.mpi` are this X
-simulator with one shard per rank and the ``c`` inner; they differ only in
-the global step (:meth:`QAOAFURXSimulatorSharded._apply_global_mixer`).
+simulator with one shard per rank; they differ only in the global step
+(:meth:`QAOAFURXSimulatorSharded._apply_global_mixer`).
 
-Because a shard slab is just a smaller state block, results are
-bitwise-invariant under the shard count whenever the inner kernels'
-arithmetic is position-independent (the ``c`` inner); expectations reduce
-over a *fixed* segment grid in float64 so the reduction tree does not
-depend on ``K`` either.
+Because a shard slab is just a smaller state block and every jit rung's
+arithmetic is position-independent (a qubit rotated at a relabelled bit
+position gets the same bits as at its home position), results are
+bitwise-invariant under the shard count; expectations reduce over a
+*fixed* segment grid in float64 so the reduction tree does not depend on
+``K`` either.
 """
 
 from __future__ import annotations
@@ -47,16 +47,10 @@ from typing import Any, Callable
 import numpy as np
 
 from ...parallel.collectives import Message, TrafficTrace, alltoall
-from ..base import QAOAFastSimulatorBase, batch_block_rows
-from ..cvect.kernels import (
-    DEFAULT_BLOCK_SIZE,
-    KernelWorkspace,
-    apply_su2_batch_blocked,
-)
+from ..base import QAOAFastSimulatorBase
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
-from ..python.furx import su2_x_rotation_batch
-from ..python.furxy import apply_xy_su2_batch, complete_edges, ring_edges
-from .inner import InnerProvider, resolve_inner
+from ..jit import kernels
+from ..python.furxy import complete_edges, ring_edges
 from .layout import ShardLayout, resolve_n_shards, resolve_n_workers, sharded_state_bytes
 
 __all__ = [
@@ -128,7 +122,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  n_shards: int | None = None, n_workers: int | None = None,
-                 inner: str = "auto", block_size: int = DEFAULT_BLOCK_SIZE,
                  precision: str = "double", optimize: str = "default") -> None:
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
@@ -136,8 +129,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             n_qubits, n_shards, max_global=self._max_global_qubits(n_qubits))
         self._g_global = self._n_shards.bit_length() - 1
         self._n_workers = resolve_n_workers(self._n_shards, n_workers)
-        self._inner: InnerProvider = resolve_inner(inner)
-        self._block_size = int(block_size)
         self._pool: ThreadPoolExecutor | None = None
         self._swap_buf: np.ndarray | None = None
         super().__init__(n_qubits, terms=terms, costs=costs,
@@ -174,11 +165,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         """Amplitudes per shard slab."""
         return 1 << self.n_local_qubits
 
-    @property
-    def inner_name(self) -> str:
-        """Resolved inner kernel provider (``jit``/``c``/``python``)."""
-        return self._inner.name
-
     def _guarded_state_bytes(self) -> int:
         """Per-shard accounting: largest slab plus exchange staging.
 
@@ -210,12 +196,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         return host
 
     def _post_init(self) -> None:
-        s = self.local_states
-        self._workspaces = [
-            KernelWorkspace(s, self._block_size,
-                            dtype=self._precision.complex_dtype)
-            for _ in range(self._n_shards)
-        ]
         if self._precision.is_double:
             self._phase_cost_slices = self._cost_slices
         else:
@@ -224,8 +204,8 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                 for c in self._cost_slices
             ]
         self._layout = ShardLayout(self._n_qubits, self.n_local_qubits)
-        spent = self._inner.warm(self._precision.complex_dtype,
-                                 self.n_local_qubits)
+        spent = kernels.ensure_kernels(self._precision.complex_dtype,
+                                       self.n_local_qubits, self.mixer_name)
         if spent:
             self.engine.stats.kernel_compile_time_s += spent
 
@@ -368,13 +348,11 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                                     self.n_local_qubits + global_bit)
 
     # -- kernel-provider hooks (driven by repro.fur.engine) ------------------
-    def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
-        # the python inner allocates a per-slab ping-pong scratch; the jit/c
-        # inners run in place through the workspaces
-        blocks = 2 if self._inner.name == "python" else 1
-        return batch_block_rows(remaining, self._n_states, memory_budget,
-                                blocks=blocks,
-                                itemsize=self._precision.complex_itemsize)
+    def _shard_phase(self, s: int, tables: tuple | None) -> dict:
+        """Phase inputs of shard ``s``: its table (when the plan has them)
+        and its cost slice at the state's real dtype."""
+        return {"phase_table": None if tables is None else tables[s],
+                "costs": self._phase_cost_slices[s]}
 
     def _engine_phase_tables(self) -> tuple:
         """Per-shard unique-value phase tables over the local diagonal slices."""
@@ -410,15 +388,8 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     def _apply_phase_block(self, block: list[np.ndarray], gammas: np.ndarray,
                            plan: Any) -> None:
         """Batched shard-local phase sweep (diagonal — no exchanges)."""
-        tables = plan.phase_tables
-
-        def work(s: int) -> None:
-            self._inner.phase_block(
-                block[s], gammas, costs=self._phase_cost_slices[s],
-                table=None if tables is None else tables[s],
-                workspace=self._workspaces[s])
-
-        self._map_shards(work)
+        self._map_shards(lambda s: kernels.phase_block(
+            block[s], gammas, **self._shard_phase(s, plan.phase_tables)))
 
     def _block_expectations(self, block: list[np.ndarray],
                             costs: np.ndarray) -> np.ndarray:
@@ -518,7 +489,7 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
                            n_trotters: int, coalesce: bool,
                            phase: tuple[np.ndarray, Any] | None = None) -> None:
-        """One batched X sweep: local inner sweep, then the global step.
+        """One batched X sweep: local sweep, then the global step.
 
         ``n_trotters`` is ignored (X-mixer factors commute exactly);
         ``phase=(gammas, tables)`` rides the per-shard dispatch of the local
@@ -526,30 +497,18 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         two, each slab staying cache-hot between phase and first rotation).
         """
         del n_trotters
-        a_rows, b_rows = su2_x_rotation_batch(betas)
-        n_local = self.n_local_qubits
-
-        def work(s: int) -> None:
-            if phase is not None:
-                gammas, tables = phase
-                self._inner.furx_phase_sweep(
-                    block[s], gammas, betas, a_rows, b_rows, n_local=n_local,
-                    costs=self._phase_cost_slices[s],
-                    table=None if tables is None else tables[s],
-                    workspace=self._workspaces[s])
-            else:
-                self._inner.furx_sweep(block[s], betas, a_rows, b_rows,
-                                       n_local=n_local,
-                                       workspace=self._workspaces[s])
-
-        self._map_shards(work)
+        gammas, tables = phase if phase is not None else (None, None)
+        local = range(self.n_local_qubits)
+        self._map_shards(lambda s: kernels.rotate_x_block(
+            block[s], betas, local, gammas=gammas,
+            **self._shard_phase(s, tables)))
         if self._g_global == 0:
             return
-        self._apply_global_mixer(block, a_rows, b_rows, coalesce)
+        self._apply_global_mixer(block, betas, coalesce)
         self._layout.assert_identity()
 
-    def _apply_global_mixer(self, block: list[np.ndarray], a_rows: np.ndarray,
-                            b_rows: np.ndarray, coalesce: bool) -> None:
+    def _apply_global_mixer(self, block: list[np.ndarray], betas: np.ndarray,
+                            coalesce: bool) -> None:
         """Rotate the ``g`` global qubits (Algorithm 4, lines 5–7).
 
         Relabels all global qubits local in one transpose, rotates them
@@ -560,13 +519,8 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         self._transpose_global_local(block, coalesce)
         positions = [self._layout.position_of(n_local + j)
                      for j in range(self._g_global)]
-
-        def rotate(s: int) -> None:
-            for pos in positions:
-                apply_su2_batch_blocked(block[s], a_rows, b_rows, pos,
-                                        self._workspaces[s])
-
-        self._map_shards(rotate)
+        self._map_shards(
+            lambda s: kernels.rotate_x_block(block[s], betas, positions))
         self._transpose_global_local(block, coalesce)
 
     def _apply_phase_mixer_block(self, block: list[np.ndarray],
@@ -600,37 +554,35 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
         super()._post_init()
         self._edge_steps = self._plan_edge_steps()
 
-    def _plan_edge_steps(self) -> list[tuple]:
-        """Compile the edge list into local runs and relabeled single edges.
+    def _plan_edge_steps(self) -> list[tuple[list, list]]:
+        """Compile the edge list into ``(swaps, edges)`` steps.
 
-        Returns steps of two shapes: ``("local", [(pi, pj), …])`` — a run of
-        consecutive edges whose endpoints are all local, applied in one
-        per-shard dispatch — and ``("swap", [(global_bit, target_pos), …],
-        (pi, pj))`` — the index-bit swaps that localize the edge, the
-        rotation positions, and (implicitly, reversed) the restoring swaps.
+        ``edges`` are local bit-position pairs rotated in one per-shard
+        dispatch; ``swaps`` are the ``(global_bit, target_pos)`` index-bit
+        swaps that localize them first (undone in reverse afterwards).  A
+        run of consecutive all-local edges is one step without swaps; an
+        edge with a global endpoint is a step of its own.
         """
         n_local = self.n_local_qubits
-        steps: list[tuple] = []
+        steps: list[tuple[list, list]] = []
         run: list[tuple[int, int]] = []
         for (qi, qj) in self._mixer_edges():
             if qi < n_local and qj < n_local:
                 run.append((qi, qj))
                 continue
             if run:
-                steps.append(("local", run))
+                steps.append(([], run))
                 run = []
             if qi < n_local or qj < n_local:
                 loc, glob = (qi, qj) if qi < n_local else (qj, qi)
                 target = n_local - 1 if loc != n_local - 1 else n_local - 2
-                swaps = [(glob - n_local, target)]
-                pos = ((loc, target) if qi < n_local else (target, loc))
+                steps.append(([(glob - n_local, target)], [(loc, target)]))
             else:
-                swaps = [(qi - n_local, n_local - 2),
-                         (qj - n_local, n_local - 1)]
-                pos = (n_local - 2, n_local - 1)
-            steps.append(("swap", swaps, pos))
+                steps.append(([(qi - n_local, n_local - 2),
+                               (qj - n_local, n_local - 1)],
+                              [(n_local - 2, n_local - 1)]))
         if run:
-            steps.append(("local", run))
+            steps.append(([], run))
         return steps
 
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
@@ -638,32 +590,14 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
         rows = block[0].shape[0]
         betas_t = np.broadcast_to(
             np.asarray(betas, dtype=np.float64) / n_trotters, (rows,))
-        # the reference coefficient recipe of _validate_furxy_batch: float64
-        # trig, complex128 coefficients, cast to state dtype at application
-        a = np.cos(betas_t).astype(np.complex128)
-        b = (-1j * np.sin(betas_t)).astype(np.complex128)
         trace = TrafficTrace()
         for _ in range(n_trotters):
-            for step in self._edge_steps:
-                if step[0] == "local":
-                    pairs = step[1]
-
-                    def work(s: int, pairs=pairs) -> None:
-                        slab = block[s]
-                        for (pi, pj) in pairs:
-                            apply_xy_su2_batch(slab, a, b, pi, pj)
-
-                    self._map_shards(work)
-                    continue
-                _, swaps, (pi, pj) = step
+            for swaps, edges in self._edge_steps:
                 for global_bit, target in swaps:
                     self._exchange_global_bit(block, global_bit, target,
                                               coalesce, trace)
-
-                def rotate(s: int) -> None:
-                    apply_xy_su2_batch(block[s], a, b, pi, pj)
-
-                self._map_shards(rotate)
+                self._map_shards(lambda s: kernels.furxy_block(
+                    block[s], None, betas_t, edges=edges))
                 for global_bit, target in reversed(swaps):
                     self._exchange_global_bit(block, global_bit, target,
                                               coalesce, trace)

@@ -1,9 +1,8 @@
 """Device kernels for the simulated-GPU backend.
 
 Each function mirrors one CUDA kernel of the paper's ``nbcuda`` backend:
-numerically it delegates to the blocked CPU kernels of
-:mod:`repro.fur.cvect` and the gemm-grouped :mod:`repro.fur.python` mixers,
-and it charges the owning
+numerically it runs the :mod:`repro.fur.jit.kernels` tier on the device
+array's host buffer, and it charges the owning
 :class:`~repro.fur.simgpu.device.SimulatedDevice` clock with the bytes the
 real kernel would stream through HBM plus one launch overhead, so that modeled
 GPU timings can be reported alongside measured host timings.
@@ -13,26 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cvect.kernels import (
-    KernelWorkspace,
-    apply_phase_batch_inplace,
-    apply_phase_inplace,
-    apply_su2_blocked,
-    expectation_batch_inplace,
-    furxy_batch_blocked,
-    furxy_blocked,
-)
 from ..diagonal import apply_terms_to_slice
+from ..jit import kernels
 from .device import DeviceArray
 
 __all__ = [
     "device_furx_all",
     "device_furx_all_batch",
     "device_furx_phase_all_batch",
-    "device_furxy_ring",
-    "device_furxy_ring_batch",
-    "device_furxy_complete",
-    "device_furxy_complete_batch",
+    "device_furxy",
+    "device_furxy_batch",
     "device_apply_phase",
     "device_apply_phase_batch",
     "device_precompute_diagonal",
@@ -49,44 +38,27 @@ def _check_device_pair(a: DeviceArray, b: DeviceArray) -> None:
         raise ValueError("operands live on different simulated devices")
 
 
-def device_furx_all(sv: DeviceArray, beta: float, n_qubits: int,
-                    workspace: KernelWorkspace) -> DeviceArray:
+def device_furx_all(sv: DeviceArray, beta: float, n_qubits: int) -> DeviceArray:
     """Transverse-field mixer on the device: n kernels, each streaming the slice."""
-    a = complex(np.cos(beta))
-    b = -1j * complex(np.sin(beta))
-    for q in range(n_qubits):
-        apply_su2_blocked(sv.data, a, b, q, workspace)
+    kernels.furx_block(sv.data[None], np.array([beta]))
+    for _ in range(n_qubits):
         sv.device.charge_kernel(2 * sv.nbytes)
     return sv
 
 
-def device_furxy_ring(sv: DeviceArray, beta: float, n_qubits: int,
-                      workspace: KernelWorkspace) -> DeviceArray:
-    """Ring XY mixer on the device (one kernel per edge, half the slice touched)."""
-    from ..python.furxy import ring_edges
-
-    for i, j in ring_edges(n_qubits):
-        furxy_blocked(sv.data, beta, i, j, workspace)
+def device_furxy(sv: DeviceArray, beta: float, edges: np.ndarray) -> DeviceArray:
+    """XY mixer on the device (one kernel per edge, half the slice touched)."""
+    kernels.furxy_block(sv.data[None], None, np.array([beta]), edges=edges)
+    for _ in range(len(edges)):
         sv.device.charge_kernel(sv.nbytes)
     return sv
 
 
-def device_furxy_complete(sv: DeviceArray, beta: float, n_qubits: int,
-                          workspace: KernelWorkspace) -> DeviceArray:
-    """Complete-graph XY mixer on the device."""
-    from ..python.furxy import complete_edges
-
-    for i, j in complete_edges(n_qubits):
-        furxy_blocked(sv.data, beta, i, j, workspace)
-        sv.device.charge_kernel(sv.nbytes)
-    return sv
-
-
-def device_apply_phase(sv: DeviceArray, costs: DeviceArray, gamma: float,
-                       workspace: KernelWorkspace) -> DeviceArray:
+def device_apply_phase(sv: DeviceArray, costs: DeviceArray,
+                       gamma: float) -> DeviceArray:
     """Phase operator kernel: one fused read of the diagonal + RMW of the state."""
     _check_device_pair(sv, costs)
-    apply_phase_inplace(sv.data, costs.data, gamma, workspace)
+    kernels.phase_block(sv.data[None], np.array([gamma]), costs=costs.data)
     sv.device.charge_kernel(2 * sv.nbytes + costs.nbytes)
     return sv
 
@@ -130,15 +102,12 @@ def device_probabilities(sv: DeviceArray, preserve_state: bool = True) -> Device
     return DeviceArray(device, probs)
 
 
-def device_expectation(sv: DeviceArray, costs: DeviceArray,
-                       workspace: KernelWorkspace) -> float:
+def device_expectation(sv: DeviceArray, costs: DeviceArray) -> float:
     """Expectation kernel ``Σ c[x] |ψ_x|²`` (single reduction pass)."""
     _check_device_pair(sv, costs)
-    from ..cvect.kernels import expectation_inplace
-
-    # The blocked reduction accumulates in the workspace's float64 scratch
-    # regardless of the diagonal's (possibly float32) device dtype.
-    value = expectation_inplace(sv.data, costs.data, workspace)
+    # accumulates in float64 regardless of the diagonal's (possibly
+    # float32) device dtype
+    value = float(kernels.expectation_block(sv.data[None], costs.data)[0])
     sv.device.charge_kernel(sv.nbytes + costs.nbytes)
     return value
 
@@ -148,85 +117,61 @@ def device_expectation(sv: DeviceArray, costs: DeviceArray,
 # ---------------------------------------------------------------------------
 
 def device_apply_phase_batch(svb: DeviceArray, costs: DeviceArray, gammas: np.ndarray,
-                             workspace: KernelWorkspace, phase_table=None) -> DeviceArray:
+                             phase_table=None) -> DeviceArray:
     """Batched phase kernel: one diagonal read shared by every block row."""
     _check_device_pair(svb, costs)
-    apply_phase_batch_inplace(svb.data, costs.data, gammas, workspace,
-                              phase_table=phase_table)
+    kernels.phase_block(svb.data, gammas, phase_table=phase_table,
+                        costs=costs.data)
     svb.device.charge_kernel(2 * svb.nbytes + costs.nbytes)
     return svb
 
 
-def device_furx_all_batch(svb: DeviceArray, betas: np.ndarray, n_qubits: int,
-                          workspace: KernelWorkspace,
-                          scratch: np.ndarray | None = None) -> DeviceArray:
+def device_furx_all_batch(svb: DeviceArray, betas: np.ndarray,
+                          n_qubits: int) -> DeviceArray:
     """Batched transverse-field mixer: n kernels, each streaming the block.
 
-    Numerics run through the gemm-grouped host kernel (identical results,
-    much faster host wall-clock); callers evolving many layers should pass a
-    preallocated ``scratch`` block for its ping-pong buffer.  The modeled
-    device time still charges the real CUDA kernel's traffic — one
+    The host numerics run in place in one tiled pass; the modeled device
+    time still charges the real CUDA kernel's traffic — one
     read-modify-write of the block per qubit.
     """
-    from ..python.furx import furx_all_batch
-
-    furx_all_batch(svb.data, betas, n_qubits, scratch=scratch)
+    kernels.furx_block(svb.data, betas)
     svb.device.charge_kernel(2 * svb.nbytes * n_qubits, launches=n_qubits)
     return svb
 
 
 def device_furx_phase_all_batch(svb: DeviceArray, costs: DeviceArray,
                                 gammas: np.ndarray, betas: np.ndarray,
-                                n_qubits: int, workspace: KernelWorkspace,
-                                phase_table=None,
+                                n_qubits: int, phase_table=None,
                                 scratch: np.ndarray | None = None) -> DeviceArray:
     """Fused phase + transverse-field mixer over a device block.
 
     The phase multiply rides the first mixer sweep (the FusePhaseIntoMixer
     plan rewrite), so the modeled traffic is ``n`` read-modify-writes of the
     block plus one diagonal read — one full block RMW and one kernel launch
-    fewer than the split phase + mixer kernels.
+    fewer than the split phase + mixer kernels.  ``scratch`` is the jit
+    numpy rung's ping-pong block (unused on the compiled rungs).
     """
-    from ..python.furx import furx_phase_all_batch
-
     _check_device_pair(svb, costs)
-    furx_phase_all_batch(svb.data, gammas, betas, n_qubits,
-                         phase_table=phase_table, costs=costs.data,
-                         scratch=scratch, phase_buf=workspace.phase_scratch)
+    kernels.furx_phase_block(svb.data, gammas, betas,
+                             phase_table=phase_table, costs=costs.data,
+                             scratch=scratch)
     svb.device.charge_kernel(2 * svb.nbytes * n_qubits + costs.nbytes,
                              launches=n_qubits)
     return svb
 
 
-def device_furxy_ring_batch(svb: DeviceArray, betas: np.ndarray, n_qubits: int,
-                            workspace: KernelWorkspace) -> DeviceArray:
-    """Batched ring XY mixer (one kernel per edge over the block)."""
-    from ..python.furxy import ring_edges
-
-    edges = ring_edges(n_qubits)
-    for i, j in edges:
-        furxy_batch_blocked(svb.data, betas, i, j, workspace)
+def device_furxy_batch(svb: DeviceArray, betas: np.ndarray,
+                       edges: np.ndarray) -> DeviceArray:
+    """Batched XY mixer (one kernel per edge over the block)."""
+    kernels.furxy_block(svb.data, None, betas, edges=edges)
     svb.device.charge_kernel(svb.nbytes * len(edges), launches=len(edges))
     return svb
 
 
-def device_furxy_complete_batch(svb: DeviceArray, betas: np.ndarray, n_qubits: int,
-                                workspace: KernelWorkspace) -> DeviceArray:
-    """Batched complete-graph XY mixer over the block."""
-    from ..python.furxy import complete_edges
-
-    edges = complete_edges(n_qubits)
-    for i, j in edges:
-        furxy_batch_blocked(svb.data, betas, i, j, workspace)
-    svb.device.charge_kernel(svb.nbytes * len(edges), launches=len(edges))
-    return svb
-
-
-def device_expectation_batch(svb: DeviceArray, costs: DeviceArray,
-                             workspace: KernelWorkspace) -> np.ndarray:
+def device_expectation_batch(svb: DeviceArray, costs: DeviceArray) -> np.ndarray:
     """Per-row expectation reduction over a device block (host scalars out)."""
     _check_device_pair(svb, costs)
-    values = expectation_batch_inplace(svb.data, costs.data, workspace)
+    values = kernels.expectation_block(svb.data, costs.data)
     svb.device.charge_kernel(svb.nbytes + costs.nbytes)
     return values
 

@@ -27,8 +27,8 @@ from ..base import (
     batch_block_rows,
     validate_angles,
 )
-from ..cvect.kernels import DEFAULT_BLOCK_SIZE, KernelWorkspace
 from ..diagonal import term_masks_and_weights
+from ..jit import kernels
 from .device import A100_80GB, DeviceArray, DeviceSpec, SimulatedDevice
 from .kernels import (
     device_apply_phase,
@@ -38,10 +38,8 @@ from .kernels import (
     device_furx_all,
     device_furx_all_batch,
     device_furx_phase_all_batch,
-    device_furxy_complete,
-    device_furxy_complete_batch,
-    device_furxy_ring,
-    device_furxy_ring_batch,
+    device_furxy,
+    device_furxy_batch,
     device_overlap,
     device_precompute_diagonal,
     device_probabilities,
@@ -63,11 +61,9 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  device: SimulatedDevice | None = None,
                  device_spec: DeviceSpec = A100_80GB,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
                  precision: str = "double",
                  optimize: str = "default") -> None:
         self._device = device if device is not None else SimulatedDevice(device_spec)
-        self._block_size = int(block_size)
         super().__init__(n_qubits, terms=terms, costs=costs,
                          precision=precision, optimize=optimize)
 
@@ -101,10 +97,6 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
             np.ascontiguousarray(host_arr, dtype=self._precision.real_dtype))
         return host
 
-    def _post_init(self) -> None:
-        self._workspace = KernelWorkspace(self._n_states, self._block_size,
-                                          dtype=self._precision.complex_dtype)
-
     # -- properties --------------------------------------------------------------
     @property
     def device(self) -> SimulatedDevice:
@@ -135,7 +127,7 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         sv_host = self._validate_sv0(sv0)
         sv = self._device.to_device(sv_host)
         for gamma, beta in zip(g, b):
-            device_apply_phase(sv, self._costs_device, float(gamma), self._workspace)
+            device_apply_phase(sv, self._costs_device, float(gamma))
             self._apply_mixer(sv, float(beta), n_trotters)
         return sv
 
@@ -165,18 +157,13 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         """Upload a ``(rows, 2^n)`` block (shared or per-row ``sv0``)."""
         return self._device.to_device(self._validate_sv0_block(sv0, rows))
 
-    def _mixer_scratch(self, block: DeviceArray) -> np.ndarray:
-        # The gemm-grouped batch mixer ping-pongs through host scratch; the
-        # modeled device clock charges the real kernel's traffic regardless.
-        return np.empty_like(block.data)
-
     def _apply_phase_block(self, block: DeviceArray, gammas: np.ndarray,
                            plan: Any) -> None:
         device_apply_phase_batch(block, self._costs_device, gammas,
-                                 self._workspace, phase_table=plan.phase_tables)
+                                 phase_table=plan.phase_tables)
 
     def _block_expectations(self, block: DeviceArray, costs: DeviceArray) -> np.ndarray:
-        return device_expectation_batch(block, costs, self._workspace)
+        return device_expectation_batch(block, costs)
 
     def _block_results(self, block: DeviceArray) -> list[DeviceArray]:
         return device_split_rows(block)
@@ -214,11 +201,11 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
                         preserve_state: bool = True, **kwargs: Any) -> float:
         """Objective value via a device-side reduction (no 2^n host transfer)."""
         if costs is None:
-            return device_expectation(result, self._costs_device, self._workspace)
+            return device_expectation(result, self._costs_device)
         host_costs = self._resolve_costs(costs)
         costs_dev = self._device.to_device(np.ascontiguousarray(host_costs))
         try:
-            return device_expectation(result, costs_dev, self._workspace)
+            return device_expectation(result, costs_dev)
         finally:
             costs_dev.free()
 
@@ -240,54 +227,62 @@ class QAOAFURXSimulatorGPU(_QAOAFURGPUSimulatorBase):
     """QAOA with the transverse-field mixer on the simulated GPU."""
 
     mixer_name = "x"
-    _mixer_needs_scratch = True
     supports_fused_phase_mixer = True
 
+    @property
+    def _mixer_needs_scratch(self) -> bool:
+        # only the jit numpy rung's fused gemm mixer ping-pongs through host
+        # scratch; the modeled device clock charges the real kernel's
+        # traffic regardless
+        return kernels.active_path() == "numpy"
+
+    def _mixer_scratch(self, block: DeviceArray) -> np.ndarray:
+        return np.empty_like(block.data)
+
     def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        device_furx_all(sv, beta, self._n_qubits, self._workspace)
+        device_furx_all(sv, beta, self._n_qubits)
 
     def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
-        device_furx_all_batch(svb, betas, self._n_qubits, self._workspace,
-                              scratch=scratch)
+        device_furx_all_batch(svb, betas, self._n_qubits)
 
     def _apply_phase_mixer_block(self, svb: DeviceArray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any,
                                  scratch: np.ndarray | None, plan: Any) -> None:
         """FusedPhaseMixerOp kernel: one fewer block RMW on the device clock."""
         device_furx_phase_all_batch(svb, self._costs_device, gammas, betas,
-                                    self._n_qubits, self._workspace,
+                                    self._n_qubits,
                                     phase_table=plan.phase_tables,
                                     scratch=scratch)
 
 
-class QAOAFURXYRingSimulatorGPU(_QAOAFURGPUSimulatorBase):
+class _QAOAFURXYGPUSimulatorBase(_QAOAFURGPUSimulatorBase):
+    """Shared XY plumbing: one device kernel per ordered edge, Trotterized."""
+
+    _xy_kind = "ring"
+
+    def _post_init(self) -> None:
+        self._edges = kernels.mixer_edges(self._xy_kind, self._n_qubits)
+
+    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
+        for _ in range(n_trotters):
+            device_furxy(sv, beta / n_trotters, self._edges)
+
+    def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
+                           n_trotters: int, scratch: np.ndarray | None) -> None:
+        for _ in range(n_trotters):
+            device_furxy_batch(svb, betas / n_trotters, self._edges)
+
+
+class QAOAFURXYRingSimulatorGPU(_QAOAFURXYGPUSimulatorBase):
     """QAOA with the ring XY mixer on the simulated GPU."""
 
     mixer_name = "xyring"
-
-    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            device_furxy_ring(sv, beta / n_trotters, self._n_qubits, self._workspace)
-
-    def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
-                           n_trotters: int, scratch: np.ndarray | None) -> None:
-        for _ in range(n_trotters):
-            device_furxy_ring_batch(svb, betas / n_trotters, self._n_qubits,
-                                    self._workspace)
+    _xy_kind = "ring"
 
 
-class QAOAFURXYCompleteSimulatorGPU(_QAOAFURGPUSimulatorBase):
+class QAOAFURXYCompleteSimulatorGPU(_QAOAFURXYGPUSimulatorBase):
     """QAOA with the complete-graph XY mixer on the simulated GPU."""
 
     mixer_name = "xycomplete"
-
-    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            device_furxy_complete(sv, beta / n_trotters, self._n_qubits, self._workspace)
-
-    def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
-                           n_trotters: int, scratch: np.ndarray | None) -> None:
-        for _ in range(n_trotters):
-            device_furxy_complete_batch(svb, betas / n_trotters, self._n_qubits,
-                                        self._workspace)
+    _xy_kind = "complete"

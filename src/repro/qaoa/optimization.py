@@ -213,7 +213,12 @@ def progressive_depth_optimization(objective_factory, max_p: int, *,
     ``objective_factory(p)`` must return a fresh :class:`QAOAObjective` of
     depth ``p``.  The depth-``start_p`` schedule starts from the linear ramp;
     each subsequent depth starts from the INTERP extension of the previous
-    optimum.  Returns one :class:`OptimizationResult` per depth.
+    optimum.  When that run ends worse than the previous depth, the depth's
+    result is the previous optimum padded with a ``γ = β = 0`` layer — the
+    same state, so the same value — so depth ``p + 1`` never ends worse
+    than depth ``p``.  (The padded point is not used as a start: it is a
+    stationary point of the deeper objective, where a local optimizer
+    stalls.)  Returns one :class:`OptimizationResult` per depth.
     """
     if start_p <= 0 or max_p < start_p:
         raise ValueError("need 1 <= start_p <= max_p")
@@ -225,7 +230,13 @@ def progressive_depth_optimization(objective_factory, max_p: int, *,
         objective = objective_factory(p)
         if objective.p != p:
             raise ValueError(f"objective_factory({p}) returned an objective of depth {objective.p}")
-        results.append(
-            minimize_qaoa(objective, gammas, betas, method=method, maxiter=maxiter_per_depth)
-        )
+        result = minimize_qaoa(objective, gammas, betas, method=method,
+                               maxiter=maxiter_per_depth)
+        if results and result.value > results[-1].value:
+            prev = results[-1]
+            result.gammas = np.append(prev.gammas, 0.0)
+            result.betas = np.append(prev.betas, 0.0)
+            result.value = float(objective(stack_parameters(result.gammas,
+                                                            result.betas)))
+        results.append(result)
     return results

@@ -29,6 +29,18 @@ def pytest_report_header(config) -> str:
             "(set REPRO_TEST_SEED to override)")
 
 
+@pytest.fixture
+def numpy_rung(monkeypatch):
+    """Force the jit tier's compiler-less numpy rung for one test; yields
+    the kernels module (restored to the ladder's own choice afterwards)."""
+    from repro.fur.jit import kernels
+
+    monkeypatch.setenv("REPRO_JIT_PATH", "numpy")
+    kernels._reset_path_cache()
+    yield kernels
+    kernels._reset_path_cache()
+
+
 @pytest.fixture(scope="session")
 def test_seed() -> int:
     """The session-wide seed every randomized harness derives from.

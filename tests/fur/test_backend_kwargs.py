@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.fur import UnsupportedBackendKwargError, registry
+from repro.fur.simgpu.device import A100_80GB
 
 TERMS = [(1.0, (0, 1))]
 
@@ -25,10 +26,21 @@ class TestTypedKwargError:
         assert "'n_shards'" in msg
         assert "sharded" in msg  # names the backends that accept it
 
-    def test_inner_on_non_sharded_backend(self):
+    def test_n_workers_on_non_sharded_backend(self):
         with pytest.raises(UnsupportedBackendKwargError) as exc:
-            repro.simulator(6, terms=TERMS, backend="python", inner="c")
+            repro.simulator(6, terms=TERMS, backend="python", n_workers=2)
         assert "sharded" in str(exc.value)
+
+    @pytest.mark.parametrize("backend", ["sharded", "gpu", "gpumpi",
+                                         "cusvmpi"])
+    @pytest.mark.parametrize("kwarg", ["inner", "block_size"])
+    def test_retired_kernel_kwargs_rejected(self, backend, kwarg):
+        # one kernel family: no backend chooses an inner kernel or sizes a
+        # kernel workspace any more
+        with pytest.raises(UnsupportedBackendKwargError,
+                           match=f"'{kwarg}'"):
+            repro.simulator(6, terms=TERMS, backend=backend,
+                            **{kwarg: 16})
 
     def test_is_a_typeerror_subclass(self):
         """Existing ``except TypeError`` call sites keep working."""
@@ -54,16 +66,16 @@ class TestTypedKwargError:
 
     def test_multiple_bad_kwargs_all_reported(self):
         with pytest.raises(UnsupportedBackendKwargError,
-                           match="'inner', 'n_shards'"):
+                           match="'n_shards', 'n_workers'"):
             repro.simulator(6, terms=TERMS, backend="c",
-                            n_shards=4, inner="python")
+                            n_shards=4, n_workers=2)
 
 
 class TestValidKwargsStillBind:
     def test_backend_specific_kwargs(self):
         assert repro.simulator(6, terms=TERMS, backend="sharded",
                                n_shards=4).backend_name == "sharded"
-        repro.simulator(6, terms=TERMS, backend="gpu", block_size=64)
+        repro.simulator(6, terms=TERMS, backend="gpu", device_spec=A100_80GB)
         repro.simulator(6, terms=TERMS, backend="gates",
                         phase_strategy="ladder")
 
@@ -77,9 +89,9 @@ class TestValidKwargsStillBind:
 class TestRegistryMetadata:
     def test_backends_accepting_kwarg(self):
         assert registry.backends_accepting_kwarg("n_shards") == ["sharded"]
-        assert "sharded" in registry.backends_accepting_kwarg("inner")
-        accepting_bs = registry.backends_accepting_kwarg("block_size")
-        assert "gpu" in accepting_bs and "sharded" in accepting_bs
+        assert registry.backends_accepting_kwarg("n_workers") == ["sharded"]
+        assert registry.backends_accepting_kwarg("inner") == []
+        assert registry.backends_accepting_kwarg("block_size") == []
         assert registry.backends_accepting_kwarg("no_such_kwarg") == []
 
     def test_metadata_matches_constructor_signatures(self):

@@ -19,16 +19,6 @@ import pytest
 import repro
 from repro.fur import CompressedDiagonal, batch_block_rows, build_phase_table, compress_diagonal
 from repro.fur.base import QAOAFastSimulatorBase
-from repro.fur.cvect.kernels import (
-    KernelWorkspace,
-    apply_phase_batch_inplace,
-    apply_phase_inplace,
-    apply_su2_batch_blocked,
-    apply_su2_blocked,
-    expectation_batch_inplace,
-    furxy_batch_blocked,
-    furxy_blocked,
-)
 from repro.fur.python.furx import apply_su2, apply_su2_batch, furx_all, furx_all_batch
 from repro.fur.python.furxy import (
     apply_xy_su2,
@@ -244,52 +234,51 @@ class TestBatchedKernels:
             batch_fn(blk, betas, n)
             np.testing.assert_allclose(blk, exp, atol=1e-13)
 
-    def test_blocked_batch_kernels_match_per_row(self):
+    def test_blocked_batch_kernels_match_per_row(self, numpy_rung,
+                                                 monkeypatch):
         rng = np.random.default_rng(3)
         n = 6
         n_states = 1 << n
-        # a tiny block size forces chunking in every kernel
-        ws = KernelWorkspace(n_states, block_size=16)
+        # a tiny chunk forces chunking in every numpy-rung sweep
+        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", 16)
         block = _random_block(rng, 3, n_states)
         betas = rng.uniform(-1, 1, 3)
-        a = np.cos(betas).astype(complex)
-        b = (-1j * np.sin(betas)).astype(complex)
 
         expected = block.copy()
         for r in range(3):
-            apply_su2_blocked(expected[r], complex(a[r]), complex(b[r]), 4, ws)
-        apply_su2_batch_blocked(block, a, b, 4, ws)
-        np.testing.assert_allclose(block, expected, atol=1e-14)
+            numpy_rung.rotate_x_block(expected[r:r + 1], betas[r:r + 1], [4])
+        numpy_rung.rotate_x_block(block, betas, [4])
+        np.testing.assert_array_equal(block, expected)
 
         expected = block.copy()
         for r in range(3):
-            furxy_blocked(expected[r], float(betas[r]), 0, 5, ws)
-        furxy_batch_blocked(block, betas, 0, 5, ws)
-        np.testing.assert_allclose(block, expected, atol=1e-14)
+            numpy_rung.furxy_block(expected[r:r + 1], None, betas[r:r + 1],
+                                   edges=[(0, 5)])
+        numpy_rung.furxy_block(block, None, betas, edges=[(0, 5)])
+        np.testing.assert_array_equal(block, expected)
 
         costs = rng.uniform(-3, 3, n_states)
         gammas = rng.uniform(-1, 1, 3)
-        expected = block.copy()
-        for r in range(3):
-            apply_phase_inplace(expected[r], costs, float(gammas[r]), ws)
-        apply_phase_batch_inplace(block, costs, gammas, ws)
+        expected = block * np.exp(np.multiply.outer(-1j * gammas, costs))
+        numpy_rung.phase_block(block, gammas, costs=costs)
         np.testing.assert_allclose(block, expected, atol=1e-14)
 
-        values = expectation_batch_inplace(block, costs, ws)
+        values = numpy_rung.expectation_block(block, costs)
         probs = np.abs(block) ** 2
         np.testing.assert_allclose(values, probs @ costs, atol=1e-12)
 
-    def test_phase_batch_with_table_matches_direct(self):
+    def test_phase_batch_with_table_matches_direct(self, numpy_rung,
+                                                   monkeypatch):
         rng = np.random.default_rng(4)
         n_states = 64
         costs = rng.integers(0, 5, n_states).astype(np.float64)
         table = build_phase_table(costs)
         assert table is not None and table.n_unique <= 5
-        ws = KernelWorkspace(n_states, block_size=16)
+        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", 16)
         block = _random_block(rng, 3, n_states)
         gammas = rng.uniform(-1, 1, 3)
         expected = block * np.exp(np.multiply.outer(-1j * gammas, costs))
-        apply_phase_batch_inplace(block, costs, gammas, ws, phase_table=table)
+        numpy_rung.phase_block(block, gammas, phase_table=table)
         np.testing.assert_allclose(block, expected, atol=1e-13)
 
 

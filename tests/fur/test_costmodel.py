@@ -37,7 +37,7 @@ class TestOpPrices:
 
     @pytest.mark.parametrize("single_pass,expected", [
         (False, [8704, 65536, 66048, 66048, 66560, 4608]),
-        (True, [8704, 16384, 16896, 16896, 17408, 4608]),
+        (True, [8704, 8192, 8704, 8704, 9216, 4608]),
     ])
     def test_single_rank_prices_are_pinned(self, single_pass, expected):
         # 2^8 states, complex128 state, uint16 diagonal (the defaults); the
@@ -47,6 +47,16 @@ class TestOpPrices:
                FusedMixerExpectationOp(0),
                FusedMixerExpectationOp(0, with_phase=True), ExpectationOp()]
         assert [model.op_bytes(op) for op in ops] == expected
+
+    @pytest.mark.parametrize("n,sweeps", [(8, 1), (11, 1), (12, 2),
+                                          (16, 6), (18, 8)])
+    def test_single_pass_mixer_prices_the_sweeps_the_kernel_makes(self, n,
+                                                                 sweeps):
+        # one tiled read-modify-write sweep covers the 11 tile qubits; each
+        # higher qubit streams the block once more
+        model = PlanCostModel(n, single_pass_mixer=True)
+        sweep = 2 * model.model.state_bytes * (1 << n)
+        assert model.op_bytes(MixerOp(0)) == sweeps * sweep
 
     def test_precision_enters_through_the_performance_model(self):
         perf = PerformanceModel(state_bytes=8, diag_bytes=4)

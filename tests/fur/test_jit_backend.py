@@ -17,8 +17,11 @@ Covers
 * the ``REPRO_NUM_THREADS`` knob and ``effective_num_threads`` resolution,
 * registry integration: the ``numba`` alias, capability tiers, and the
   ``describe()`` extra line reporting the active path,
-* edge/argument validation (bad XY kind, non-contiguous blocks, phase
-  without table or costs) and XY edge-order equivalence with the ordered
+* bitwise pins of the shared arithmetic: the X butterfly is the
+  two-rounding formula on every rung and bit position, the phase a plain
+  complex multiply,
+* edge/argument validation (bad XY kind or edges, non-contiguous blocks,
+  phase without table or costs) and XY edge-order equivalence with the ordered
   ``python`` kernels.
 """
 
@@ -152,6 +155,93 @@ class TestFurxKernels:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
+def two_rounding_rotation(block, betas, positions):
+    """The X butterfly ``c·a ± s·b`` in plain numpy real arithmetic: every
+    product and every sum rounded once, in the block's precision."""
+    real = block.real.dtype
+    out = block.copy()
+    cs, ss = np.cos(betas).astype(real), np.sin(betas).astype(real)
+    for row, c, s in zip(out, cs, ss):
+        for q in positions:
+            view = row.reshape(-1, 2, 1 << q)
+            a, b = view[:, 0].copy(), view[:, 1].copy()
+            view[:, 0].real = c * a.real + s * b.imag
+            view[:, 0].imag = c * a.imag - s * b.real
+            view[:, 1].real = c * b.real + s * a.imag
+            view[:, 1].imag = c * b.imag - s * a.real
+    return out
+
+
+class TestKernelArithmetic:
+    """Bitwise pins of the arithmetic every provider shares.
+
+    The X butterfly equals the two-rounding formula on every rung and at
+    every bit position — what makes the sharded backends' relabelled
+    global rotations reproduce the unsharded bits.  The compiled phase is
+    the two-rounding complex multiply; the numpy rung's phase is numpy's
+    own complex multiply (which may fuse one product per component).
+    """
+
+    N = 9
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_furx_block_is_the_two_rounding_formula(self, rng, jit_path,
+                                                    precision):
+        block = random_block(rng, 3, self.N, DTYPES[precision])
+        betas = rng.uniform(-1.5, 1.5, 3)
+        expected = two_rounding_rotation(block, betas, range(self.N))
+        kernels.furx_block(block, betas)
+        assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("positions", [[8], [0, 5, 2], [7, 8, 0, 1],
+                                           list(range(9))])
+    def test_rotate_x_block_is_the_two_rounding_formula(
+            self, rng, jit_path, precision, positions):
+        block = random_block(rng, 3, self.N, DTYPES[precision])
+        betas = rng.uniform(-1.5, 1.5, 3)
+        expected = two_rounding_rotation(block, betas, positions)
+        kernels.rotate_x_block(block, betas, positions)
+        assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_phase_block_is_a_plain_complex_multiply(self, rng, jit_path,
+                                                     precision):
+        dtype = DTYPES[precision]
+        costs = labs_costs(self.N)
+        table = build_phase_table(costs)
+        block = random_block(rng, 3, self.N, dtype)
+        gammas = rng.uniform(-1.0, 1.0, 3)
+        f = table.factors_batch(gammas, dtype=dtype)[:, table.inverse]
+        if jit_path == "numpy":
+            expected = block * f
+        else:
+            expected = np.empty_like(block)
+            expected.real = block.real * f.real - block.imag * f.imag
+            expected.imag = block.real * f.imag + block.imag * f.real
+        kernels.phase_block(block, gammas, phase_table=table)
+        assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_fused_phase_rotation_is_phase_then_rotation(self, rng, jit_path,
+                                                         precision):
+        costs = labs_costs(self.N)
+        table = build_phase_table(costs)
+        block = random_block(rng, 2, self.N, DTYPES[precision])
+        gammas, betas = rng.uniform(-1.0, 1.0, (2, 2))
+        expected = block.copy()
+        kernels.phase_block(expected, gammas, phase_table=table)
+        kernels.rotate_x_block(expected, betas, [3, 8])
+        kernels.rotate_x_block(block, betas, [3, 8], gammas=gammas,
+                               phase_table=table)
+        assert np.array_equal(block, expected)
+
+    def test_positions_validated(self, rng, jit_path):
+        block = random_block(rng, 1, 3, np.complex128)
+        with pytest.raises(ValueError, match="bit positions"):
+            kernels.rotate_x_block(block, np.array([0.1]), [3])
+
+
 class TestFurxyKernels:
     N = 5
     ROWS = 4
@@ -168,7 +258,8 @@ class TestFurxyKernels:
         gammas = np.linspace(0.15, 0.75, self.ROWS)
         betas = np.linspace(-0.5, 0.9, self.ROWS)
         table = build_phase_table(costs)
-        kernels.furxy_block(block, gammas, betas, kind=kind,
+        kernels.furxy_block(block, gammas, betas,
+                            edges=kernels.mixer_edges(kind, self.N),
                             n_trotters=n_trotters, phase_table=table)
         factors = table.factors_batch(gammas, dtype=dtype)
         for r in range(self.ROWS):
@@ -187,10 +278,15 @@ class TestFurxyKernels:
             assert [tuple(e) for e in edges.tolist()] == expected
             assert edges.dtype == np.int64
 
-    def test_bad_kind_rejected(self, rng, jit_path):
-        block = random_block(rng, 1, 3, np.complex128)
+    def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="ring"):
-            kernels.furxy_block(block, None, np.array([0.1]), kind="star")
+            kernels.mixer_edges("star", self.N)
+
+    @pytest.mark.parametrize("edges", [[(0, 0)], [(1, 3)], [(-1, 2)]])
+    def test_bad_edges_rejected(self, rng, jit_path, edges):
+        block = random_block(rng, 1, 3, np.complex128)
+        with pytest.raises(ValueError, match="distinct qubits"):
+            kernels.furxy_block(block, None, np.array([0.1]), edges=edges)
 
 
 class TestPhaseAndValidation:

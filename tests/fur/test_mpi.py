@@ -221,16 +221,15 @@ class TestPinnedTraffic:
     @pytest.mark.parametrize("backend", ["gpumpi", "cusvmpi"])
     @pytest.mark.parametrize("n_ranks", [1, 2, 4, 8])
     @pytest.mark.parametrize("precision", ["double", "single"])
-    def test_fused_states_equal_sharded_c_inner(self, backend, n_ranks,
-                                                precision):
-        # gpumpi/cusvmpi are the sharded X simulator with one shard per rank
-        # and the c inner: only the exchange differs, never the arithmetic.
+    def test_fused_states_equal_sharded(self, backend, n_ranks, precision):
+        # gpumpi/cusvmpi are the sharded X simulator with one shard per
+        # rank: only the exchange differs, never the arithmetic.
         terms = labs.get_terms(8)
         gammas, betas = self._angles()
         sim = repro.simulator(8, terms=terms, backend=backend,
                               n_ranks=n_ranks, precision=precision)
         sharded = repro.simulator(8, terms=terms, backend="sharded",
-                                  n_shards=n_ranks, n_workers=1, inner="c",
+                                  n_shards=n_ranks, n_workers=1,
                                   precision=precision)
         for a, b in zip(sim.simulate_qaoa_batch(gammas, betas),
                         sharded.simulate_qaoa_batch(gammas, betas)):

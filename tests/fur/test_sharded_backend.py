@@ -18,7 +18,6 @@ from repro.fur.sharded import (
     shard_report,
     sharded_state_bytes,
 )
-from repro.fur.sharded.inner import INNER_NAMES, resolve_inner
 
 TERMS = [(0.5, (0, 1)), (-0.25, (1, 2)), (1.0, (0,))]
 
@@ -99,16 +98,9 @@ class TestShardResolution:
         # one shard degenerates to the monolithic state (plus staging)
         assert sharded_state_bytes(10, 16, 1) == (1 << 10) * 16 * 3 // 2
 
-    def test_resolve_inner_names(self):
-        for name in INNER_NAMES:
-            assert resolve_inner(name).name in ("jit", "c", "python")
-        with pytest.raises(ValueError, match="unknown inner provider"):
-            resolve_inner("fortran")
-
     def test_shard_report_shape(self):
         report = shard_report()
         assert "shards=" in report and "workers=" in report
-        assert "inner=" in report
 
 
 class TestShardedSimulation:
@@ -136,9 +128,10 @@ class TestShardedSimulation:
         sv = sim.get_statevector(sim.simulate_qaoa(gammas, betas, n_trotters=3))
         np.testing.assert_allclose(sv, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("mixer", ["x", "xyring"])
     @pytest.mark.parametrize("precision", ["double", "single"])
-    def test_bitwise_invariant_under_shard_count(self, precision, rng):
-        # The blocked c inner's pair update is position-independent and the
+    def test_bitwise_invariant_under_shard_count(self, precision, mixer, rng):
+        # Every jit rung's butterfly is position-independent and the
         # expectation reduction uses a fixed segment grid, so results must be
         # *bitwise* identical at 1, 2, 4 and 8 shards.
         n = 8
@@ -147,8 +140,8 @@ class TestShardedSimulation:
         reference = None
         for n_shards in (1, 2, 4, 8):
             sim = repro.simulator(n, costs=costs, backend="sharded",
-                                  precision=precision, n_shards=n_shards,
-                                  inner="c")
+                                  mixer=mixer, precision=precision,
+                                  n_shards=n_shards)
             results = sim.simulate_qaoa_batch(gammas, betas)
             states = np.stack([sim.get_statevector(r) for r in results])
             energies = np.asarray(sim.get_expectation_batch(gammas, betas))
@@ -158,12 +151,39 @@ class TestShardedSimulation:
                 assert np.array_equal(reference[0], states)
                 assert np.array_equal(reference[1], energies)
 
+    @pytest.mark.parametrize("rung", ["active", "numpy"])
+    def test_bitwise_invariant_when_only_some_shards_get_a_table(
+            self, rung, request, rng):
+        # LABS n=10 at 8 shards: some 128-state slices are repetitive enough
+        # for a phase table, the others take the direct exp path.  Both must
+        # give the table's factors, or single precision drifts with K.
+        if rung == "numpy":
+            request.getfixturevalue("numpy_rung")
+        from repro.problems import labs
+
+        n = 10
+        gammas, betas = rng.normal(size=(2, 3, 2))
+        results = []
+        for n_shards in (1, 8):
+            sim = repro.simulator(n, terms=labs.get_terms(n),
+                                  backend="sharded", precision="single",
+                                  n_shards=n_shards)
+            tables = sim._engine_phase_tables()
+            results.append((
+                np.stack([sim.get_statevector(r)
+                          for r in sim.simulate_qaoa_batch(gammas, betas)]),
+                np.asarray(sim.get_expectation_batch(gammas, betas))))
+        assert any(t is None for t in tables)
+        assert any(t is not None for t in tables)
+        assert np.array_equal(results[0][0], results[1][0])
+        assert np.array_equal(results[0][1], results[1][1])
+
     def test_exchange_count_independent_of_batch_size(self, rng):
         n = 7
         counts = []
         for rows in (2, 8):
             sim = repro.simulator(n, terms=TERMS, backend="sharded",
-                                  n_shards=4, inner="c")
+                                  n_shards=4)
             sim.get_expectation_batch(rng.normal(size=(rows, 2)),
                                       rng.normal(size=(rows, 2)))
             counts.append(sim.engine.stats.shard_exchanges)
@@ -173,8 +193,7 @@ class TestShardedSimulation:
         assert counts[0] == counts[1]
 
     def test_engine_telemetry_recorded(self, rng):
-        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=4,
-                              inner="c")
+        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=4)
         sim.get_expectation_batch(rng.normal(size=(3, 2)),
                                   rng.normal(size=(3, 2)))
         stats = sim.engine.stats
@@ -191,21 +210,21 @@ class TestShardedSimulation:
         # Shard 0's kernel raises while shard 1 is still working: the error
         # must reach the caller only after shard 1 has finished, with the
         # dispatch telemetry recorded, and the simulator must stay usable.
+        from repro.fur.jit import kernels
+
         sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2,
-                              n_workers=2, inner="c")
-        inner = sim._inner
-        real_phase = type(inner).phase_block
+                              n_workers=2)
+        real_rotate = kernels.rotate_x_block
         finished = []
 
-        def faulty_phase(block_s, gammas, *, costs, table, workspace):
-            if workspace is sim._workspaces[0]:
+        def faulty_rotate(block_s, betas, positions, **phase):
+            if phase.get("costs") is sim._phase_cost_slices[0]:
                 raise RuntimeError("shard 0 failed")
             time.sleep(0.3)
-            real_phase(inner, block_s, gammas, costs=costs, table=table,
-                       workspace=workspace)
+            real_rotate(block_s, betas, positions, **phase)
             finished.append(1)
 
-        monkeypatch.setattr(inner, "phase_block", faulty_phase)
+        monkeypatch.setattr(kernels, "rotate_x_block", faulty_rotate)
         gammas, betas = rng.normal(size=(2, 3, 2))
         wall_before = sim.engine.stats.shard_wall_s
         with pytest.raises(RuntimeError, match="shard 0 failed"):
@@ -214,7 +233,7 @@ class TestShardedSimulation:
         assert sim.engine.stats.shard_wall_s > wall_before
         monkeypatch.undo()
         reference = repro.simulator(6, terms=TERMS, backend="sharded",
-                                    n_shards=2, n_workers=1, inner="c")
+                                    n_shards=2, n_workers=1)
         np.testing.assert_array_equal(
             sim.get_expectation_batch(gammas, betas),
             reference.get_expectation_batch(gammas, betas))
@@ -223,22 +242,25 @@ class TestShardedSimulation:
             self, rng, monkeypatch):
         # A kernel failing between the two transposes leaves the relabeling
         # half done; the next block must still start from the identity.
-        import repro.fur.sharded.qaoa_simulator as sharded_module
+        from repro.fur.jit import kernels
 
         sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2,
-                              n_workers=1, inner="c")
+                              n_workers=1)
+        real_rotate = kernels.rotate_x_block
 
-        def failing_rotation(*args, **kwargs):
-            raise RuntimeError("rotation failed")
+        def failing_global_rotation(block_s, betas, positions, **phase):
+            if list(positions) != list(range(sim.n_local_qubits)):
+                raise RuntimeError("rotation failed")
+            real_rotate(block_s, betas, positions, **phase)
 
-        monkeypatch.setattr(sharded_module, "apply_su2_batch_blocked",
-                            failing_rotation)
+        monkeypatch.setattr(kernels, "rotate_x_block",
+                            failing_global_rotation)
         gammas, betas = rng.normal(size=(2, 3, 2))
         with pytest.raises(RuntimeError, match="rotation failed"):
             sim.get_expectation_batch(gammas, betas)
         monkeypatch.undo()
         reference = repro.simulator(6, terms=TERMS, backend="sharded",
-                                    n_shards=2, n_workers=1, inner="c")
+                                    n_shards=2, n_workers=1)
         np.testing.assert_array_equal(
             sim.get_expectation_batch(gammas, betas),
             reference.get_expectation_batch(gammas, betas))
@@ -266,13 +288,12 @@ class TestShardedSimulation:
 
     def test_constructor_metadata(self):
         sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=4,
-                              n_workers=2, inner="c")
+                              n_workers=2)
         assert sim.backend_name == "sharded"
         assert sim.n_shards == 4
         assert sim.n_global_qubits == 2
         assert sim.n_local_qubits == 4
         assert sim.n_shard_workers == 2
-        assert sim.inner_name == "c"
         assert sim.supports_coalesced_exchange
 
 
@@ -351,5 +372,5 @@ class TestServeShardTelemetry:
 
         text = registry.describe()
         assert "sharded" in text
-        assert "shards=" in text and "inner=" in text
+        assert "shards=" in text and "workers=" in text
 

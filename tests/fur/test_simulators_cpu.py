@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from functools import partial
 
 from repro.fur import get_simulator_class
-from repro.fur.cvect import KernelWorkspace, apply_su2_blocked, furxy_blocked
 from repro.problems import labs, maxcut
 
 from repro.testing import random_terms
@@ -187,42 +186,46 @@ class TestSimulateKwargs:
 
 
 class TestBlockedKernels:
-    """The cvect blocked kernels must agree with the plain kernels for any block size."""
+    """The jit numpy rung's blocked sweeps agree with the plain kernels for
+    any chunk size (the chunk constant is patched down to force chunking)."""
 
-    @pytest.mark.parametrize("block_size", [1, 3, 8, 64, 100000])
-    def test_su2_blocked_matches_reference(self, rng, block_size):
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 64, 100000])
+    def test_rotation_matches_reference(self, rng, numpy_rung, monkeypatch,
+                                        chunk):
         import repro.fur.python.furx as furx
 
+        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", chunk)
         n = 6
         sv = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         a, b = furx.su2_x_rotation(0.3)
         for q in (0, 3, 5):
             ref = furx.apply_su2(sv.copy(), a, b, q)
-            ws = KernelWorkspace(1 << n, block_size)
-            out = apply_su2_blocked(sv.copy(), a, b, q, ws)
+            out = sv.copy()
+            numpy_rung.rotate_x_block(out[None], np.array([0.3]), [q])
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
-    @pytest.mark.parametrize("block_size", [1, 5, 32, 100000])
-    def test_furxy_blocked_matches_reference(self, rng, block_size):
+    @pytest.mark.parametrize("chunk", [1, 5, 32, 100000])
+    def test_furxy_matches_reference(self, rng, numpy_rung, monkeypatch,
+                                     chunk):
         import repro.fur.python.furxy as furxy
 
+        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", chunk)
         n = 6
         sv = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         for (i, j) in [(0, 1), (2, 5), (5, 2), (4, 0)]:
             ref = furxy.furxy(sv.copy(), 0.41, i, j)
-            ws = KernelWorkspace(1 << n, block_size)
-            out = furxy_blocked(sv.copy(), 0.41, i, j, ws)
+            out = sv.copy()
+            numpy_rung.furxy_block(out[None], None, np.array([0.41]),
+                                   edges=[(i, j)])
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
-    def test_c_inner_small_blocks_full_run(self, small_labs_terms, qaoa_angles):
+    def test_small_chunks_full_sharded_run(self, small_labs_terms,
+                                           qaoa_angles, numpy_rung,
+                                           monkeypatch):
+        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", 16)
         gammas, betas = qaoa_angles
         ref_sim = get_simulator_class("python")(6, terms=small_labs_terms)
         ref = np.asarray(ref_sim.get_statevector(ref_sim.simulate_qaoa(gammas, betas)))
-        sim = get_simulator_class("sharded")(6, terms=small_labs_terms, n_shards=2,
-                                             inner="c", block_size=16)
+        sim = get_simulator_class("sharded")(6, terms=small_labs_terms, n_shards=2)
         out = np.asarray(sim.get_statevector(sim.simulate_qaoa(gammas, betas)))
         np.testing.assert_allclose(out, ref, atol=1e-12)
-
-    def test_workspace_validation(self):
-        with pytest.raises(ValueError):
-            KernelWorkspace(64, 0)

@@ -143,6 +143,21 @@ class TestMinimize:
         # deeper QAOA should not be (meaningfully) worse than p=1
         assert results[-1].value <= results[0].value + 1e-6
 
+    def test_progressive_depth_never_gets_worse_with_short_budgets(self):
+        # A few COBYLA steps per depth cannot repair a bad INTERP start; the
+        # zero-padded previous optimum keeps every depth at least as good as
+        # the one before it.
+        n = 6
+        terms = labs.get_terms(n)
+
+        def factory(p):
+            return get_qaoa_objective(n, p, terms=terms, backend="c")
+
+        results = progressive_depth_optimization(factory, max_p=3,
+                                                 maxiter_per_depth=10)
+        values = [r.value for r in results]
+        assert all(b <= a for a, b in zip(values, values[1:])), values
+
     def test_progressive_depth_validation(self):
         with pytest.raises(ValueError):
             progressive_depth_optimization(lambda p: None, max_p=0)
