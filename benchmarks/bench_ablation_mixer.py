@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fur.jit.kernels import furx_block
+from repro.fur.jit.kernels import rotate_x_block
 from repro.fur.python.furx import fwht_inplace
 
 N_QUBITS = 16
@@ -45,8 +45,9 @@ def random_state(n: int) -> np.ndarray:
 
 
 def fur_inplace_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
-    """Algorithm 1–2 through the jit tier's in-place X mixer."""
-    furx_block(sv[None], np.array([beta]))
+    """Algorithm 1–2 through the jit tier's in-place X rotations."""
+    n_qubits = sv.size.bit_length() - 1
+    rotate_x_block(sv[None], np.array([beta]), range(n_qubits))
     return sv
 
 

@@ -813,10 +813,24 @@ def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
 
 
 def furx_block(block: np.ndarray, betas: np.ndarray, *,
-               tile_q: int = DEFAULT_TILE_QUBITS) -> None:
-    """Full X mixer ``exp(-i β_r Σ_i X_i)`` on every row, in place."""
-    _, _, n_qubits = _check_block(block)
-    rotate_x_block(block, betas, range(n_qubits), tile_q=tile_q)
+               tile_q: int = DEFAULT_TILE_QUBITS,
+               scratch: np.ndarray | None = None) -> None:
+    """Full X mixer ``exp(-i β_r Σ_i X_i)`` on every row, in place.
+
+    ``scratch`` is as for :func:`furx_phase_block`: the numpy rung runs the
+    gemm passes here, and :func:`rotate_x_block` stays the
+    position-independent rotation on every rung.
+    """
+    furx_phase_block(block, None, betas, tile_q=tile_q, scratch=scratch)
+
+
+def mixer_needs_scratch() -> bool:
+    """Whether the X mixer kernels want a block-shaped ``scratch=`` buffer.
+
+    Only the numpy rung's gemm passes ping-pong through a second block, so
+    memory budgets count one exactly when this is true.
+    """
+    return active_path() == "numpy"
 
 
 def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
@@ -956,14 +970,16 @@ def expectation_block(block: np.ndarray, ecosts: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # numpy fallback path: the python backend's gemm-grouped fused X passes
 # (which ping-pong through the caller's scratch block) and chunked
-# expectation reduction, and allocation-free blocked sweeps for the phase,
-# single-position X rotations and XY edges.
+# expectation reduction, and blocked in-place sweeps for the phase, X
+# rotations at given positions and XY edges.
 # --------------------------------------------------------------------------
 
-#: Amplitudes per chunk of the numpy rung's blocked sweeps (2^16 complex128
-#: = 1 MiB, L2-resident on typical server cores) — the length of its two
-#: per-thread scratch buffers.
-_NP_CHUNK = 1 << 16
+#: Amplitudes per chunk of the numpy rung's blocked sweeps — the length of
+#: its two per-thread scratch buffers.  A pair update streams four arrays
+#: of this length (both halves, the copy and the product temporary): 1 MiB
+#: at 2^14 complex128.  On a 2-vCPU Xeon (2 MiB L2 per core) 2^16 made
+#: 32-row X sweeps at n = 14/16 20-25% slower.
+_NP_CHUNK = 1 << 14
 
 _np_local = threading.local()
 
@@ -971,14 +987,15 @@ _np_local = threading.local()
 def _np_scratch(block: np.ndarray) -> np.ndarray:
     """This thread's ``(2, chunk)`` scratch: pair temporaries, phase factors.
 
-    Kept across calls (one per thread, re-made when the chunk or dtype
-    changes) so warmed-up numpy-rung layers allocate no scratch.
+    ``chunk`` is ``_NP_CHUNK`` or the whole block when that is smaller.
+    Kept across calls (one per thread, re-made when it is too short or the
+    dtype changes) so warmed-up numpy-rung layers allocate no scratch.
     """
-    size = min(_NP_CHUNK, block.shape[1])
+    size = min(_NP_CHUNK, block.size)
     buf = getattr(_np_local, "scratch", None)
-    if buf is None or buf.shape[1] != size or buf.dtype != block.dtype:
+    if buf is None or buf.shape[1] < size or buf.dtype != block.dtype:
         buf = _np_local.scratch = np.empty((2, size), dtype=block.dtype)
-    return buf
+    return buf[:, :size]
 
 
 def _np_phase(block, gammas, phase_table, costs):
@@ -1012,17 +1029,29 @@ def _np_phase(block, gammas, phase_table, costs):
             block[r, s:s + chunk] *= out
 
 
-def _np_pair_update(amp_a, amp_b, a, b, pair):
-    """``A ← a·A − b*·B``, ``B ← b·A + a*·B`` on two equal-shaped 3-D views.
+def _np_pair(lo, hi, a, b, pair):
+    """``A ← a·A − b*·B``, ``B ← b·A + a*·B`` on two equal-shaped views.
 
     With ``a = cos β`` and ``b = −i sin β`` every complex product has one
     zero component, so each output is the two-rounding formula of the
-    compiled butterfly whatever numpy's multiply loop fuses.  Chunks adapt
-    to the view shape so each temporary fits the ``pair`` scratch and the
-    Python-level iteration count stays near ``size / chunk``.
+    compiled butterfly whatever numpy's multiply loop fuses, and whether
+    ``a``/``b`` are scalars or per-row arrays broadcast along the state.
+    """
+    tmp = pair[:lo.size].reshape(lo.shape)
+    np.copyto(tmp, lo)
+    lo *= a
+    lo -= np.conj(b) * hi
+    hi *= np.conj(a)
+    hi += b * tmp
+
+
+def _np_pair_update(amp_a, amp_b, a, b, pair):
+    """:func:`_np_pair` over two 3-D views, chunked to fit ``pair``.
+
+    Chunks adapt to the view shape so the Python-level iteration count
+    stays near ``size / chunk``.
     """
     n_top, n_mid, n_low = amp_a.shape
-    a, b = amp_a.dtype.type(a), amp_a.dtype.type(b)
     chunk = pair.size
     if n_low >= chunk:
         keys = [(t, m, slice(c0, c0 + chunk)) for t in range(n_top)
@@ -1035,36 +1064,48 @@ def _np_pair_update(amp_a, amp_b, a, b, pair):
         per = chunk // (n_mid * n_low)
         keys = [slice(t0, t0 + per) for t0 in range(0, n_top, per)]
     for key in keys:
-        lo, hi = amp_a[key], amp_b[key]
-        tmp = pair[:lo.size].reshape(lo.shape)
-        np.copyto(tmp, lo)
-        lo *= a
-        lo -= np.conj(b) * hi
-        hi *= np.conj(a)
-        hi += b * tmp
+        _np_pair(amp_a[key], amp_b[key], a, b, pair)
+
+
+def _np_rows_update(amp_a, amp_b, a, b, pair):
+    """Pair update on ``(rows, ·, ·, ·)`` views with per-row ``a``, ``b``.
+
+    When several rows' pairs fit ``pair`` they go into one vectorized
+    update, the coefficients broadcast along the state axes; otherwise each
+    row runs the chunked :func:`_np_pair_update`.
+    """
+    rows = amp_a.shape[0]
+    rows_per = pair.size // amp_a[0].size
+    if rows_per < 2:
+        for r in range(rows):
+            _np_pair_update(amp_a[r], amp_b[r], a[r], b[r], pair)
+        return
+    a, b = a[:, None, None, None], b[:, None, None, None]
+    for r0 in range(0, rows, rows_per):
+        rs = slice(r0, r0 + rows_per)
+        _np_pair(amp_a[rs], amp_b[rs], a[rs], b[rs], pair)
 
 
 def _np_rotate_x(block, betas, positions):
     from ..python.furx import su2_x_rotation_batch
 
+    rows = block.shape[0]
     pair = _np_scratch(block)[0]
-    a, b = su2_x_rotation_batch(betas)
-    for r, row in enumerate(block):
-        for q in positions:
-            view = row.reshape(-1, 1, 2, 1 << int(q))
-            _np_pair_update(view[:, :, 0], view[:, :, 1], a[r], b[r], pair)
+    a, b = su2_x_rotation_batch(betas, dtype=block.dtype)
+    for q in positions.tolist():
+        view = block.reshape(rows, -1, 1, 2, 1 << q)
+        _np_rows_update(view[:, :, :, 0], view[:, :, :, 1], a, b, pair)
 
 
 def _np_furxy(block, betas, edges):
     from ..python.furx import su2_x_rotation_batch
 
+    rows = block.shape[0]
     pair = _np_scratch(block)[0]
-    a, b = su2_x_rotation_batch(betas)
+    a, b = su2_x_rotation_batch(betas, dtype=block.dtype)
     for i, j in edges.tolist():
-        for r, row in enumerate(block):
-            view = row.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-            _np_pair_update(view[:, 0, :, 1, :], view[:, 1, :, 0, :],
-                            a[r], b[r], pair)
+        view = block.reshape(rows, -1, 2, 1 << (j - i - 1), 2, 1 << i)
+        _np_rows_update(view[:, :, 0, :, 1], view[:, :, 1, :, 0], a, b, pair)
 
 
 def _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,

@@ -77,26 +77,33 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
         return np.ascontiguousarray(sv.real, dtype=np.float64)
 
 
-class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
+class JITMixerScratch:
+    """Scratch hooks of an X provider whose mixer runs the jit X kernels.
+
+    The engine allocates a block-shaped ping-pong buffer per sub-batch (and
+    its memory budget counts it) exactly when
+    :func:`kernels.mixer_needs_scratch` says the live rung uses one.
+    """
+
+    @property
+    def _mixer_needs_scratch(self) -> bool:
+        return kernels.mixer_needs_scratch()
+
+    def _mixer_scratch(self, block: Any) -> np.ndarray:
+        return np.empty(block.shape, dtype=block.dtype)
+
+
+class QAOAFURXSimulatorJIT(JITMixerScratch, _QAOAFURJITSimulatorBase):
     """Transverse-field X mixer, one cache-blocked pass per fused layer."""
 
     mixer_name = "x"
     supports_fused_mixer_expectation = True
 
-    @property
-    def _mixer_needs_scratch(self) -> bool:
-        # Compiled butterflies run in place; the numpy path's gemm passes
-        # ping-pong, so the memory budget must count a second block.
-        return kernels.active_path() == "numpy"
-
-    def _mixer_scratch(self, block: np.ndarray) -> np.ndarray:
-        return np.empty_like(block)
-
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
         # X-mixer factors commute: Trotterization is exact and unused.
         self._ensure_kernels()
-        kernels.furx_block(block, betas)
+        kernels.furx_block(block, betas, scratch=scratch)
 
     def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any, scratch: Any,

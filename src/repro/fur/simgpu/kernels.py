@@ -127,14 +127,16 @@ def device_apply_phase_batch(svb: DeviceArray, costs: DeviceArray, gammas: np.nd
 
 
 def device_furx_all_batch(svb: DeviceArray, betas: np.ndarray,
-                          n_qubits: int) -> DeviceArray:
+                          n_qubits: int,
+                          scratch: np.ndarray | None = None) -> DeviceArray:
     """Batched transverse-field mixer: n kernels, each streaming the block.
 
-    The host numerics run in place in one tiled pass; the modeled device
-    time still charges the real CUDA kernel's traffic — one
-    read-modify-write of the block per qubit.
+    The host numerics run :func:`repro.fur.jit.kernels.furx_block` (in
+    place on the compiled rungs; ``scratch`` is the numpy rung's ping-pong
+    block); the modeled device time still charges the real CUDA kernel's
+    traffic — one read-modify-write of the block per qubit.
     """
-    kernels.furx_block(svb.data, betas)
+    kernels.furx_block(svb.data, betas, scratch=scratch)
     svb.device.charge_kernel(2 * svb.nbytes * n_qubits, launches=n_qubits)
     return svb
 

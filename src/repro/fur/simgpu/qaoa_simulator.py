@@ -29,6 +29,7 @@ from ..base import (
 )
 from ..diagonal import term_masks_and_weights
 from ..jit import kernels
+from ..jit.qaoa_simulator import JITMixerScratch
 from .device import A100_80GB, DeviceArray, DeviceSpec, SimulatedDevice
 from .kernels import (
     device_apply_phase,
@@ -223,28 +224,22 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         return device_overlap(result, idx)
 
 
-class QAOAFURXSimulatorGPU(_QAOAFURGPUSimulatorBase):
-    """QAOA with the transverse-field mixer on the simulated GPU."""
+class QAOAFURXSimulatorGPU(JITMixerScratch, _QAOAFURGPUSimulatorBase):
+    """QAOA with the transverse-field mixer on the simulated GPU.
+
+    The host scratch of the jit mixer kernels is not on the modeled device:
+    its clock charges the real kernel's traffic regardless.
+    """
 
     mixer_name = "x"
     supports_fused_phase_mixer = True
-
-    @property
-    def _mixer_needs_scratch(self) -> bool:
-        # only the jit numpy rung's fused gemm mixer ping-pongs through host
-        # scratch; the modeled device clock charges the real kernel's
-        # traffic regardless
-        return kernels.active_path() == "numpy"
-
-    def _mixer_scratch(self, block: DeviceArray) -> np.ndarray:
-        return np.empty_like(block.data)
 
     def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
         device_furx_all(sv, beta, self._n_qubits)
 
     def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
-        device_furx_all_batch(svb, betas, self._n_qubits)
+        device_furx_all_batch(svb, betas, self._n_qubits, scratch=scratch)
 
     def _apply_phase_mixer_block(self, svb: DeviceArray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any,

@@ -12,7 +12,7 @@ p, INTERP-extend to p+1, re-optimize) used to reach high depths.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -215,10 +215,14 @@ def progressive_depth_optimization(objective_factory, max_p: int, *,
     each subsequent depth starts from the INTERP extension of the previous
     optimum.  When that run ends worse than the previous depth, the depth's
     result is the previous optimum padded with a ``γ = β = 0`` layer — the
-    same state, so the same value — so depth ``p + 1`` never ends worse
-    than depth ``p``.  (The padded point is not used as a start: it is a
-    stationary point of the deeper objective, where a local optimizer
-    stalls.)  Returns one :class:`OptimizationResult` per depth.
+    same state, so it carries the previous value without another
+    evaluation — so depth ``p + 1`` never ends worse than depth ``p``.  Its
+    ``n_evaluations``, ``wall_time``, ``history`` and ``scipy_result`` stay
+    those of the discarded run (what the depth cost), and the next depth
+    interpolates from the padded schedule.  (The padded point is not used
+    as a start: it is a stationary point of the deeper objective, where a
+    local optimizer stalls.)  Returns one :class:`OptimizationResult` per
+    depth.
     """
     if start_p <= 0 or max_p < start_p:
         raise ValueError("need 1 <= start_p <= max_p")
@@ -234,9 +238,8 @@ def progressive_depth_optimization(objective_factory, max_p: int, *,
                                maxiter=maxiter_per_depth)
         if results and result.value > results[-1].value:
             prev = results[-1]
-            result.gammas = np.append(prev.gammas, 0.0)
-            result.betas = np.append(prev.betas, 0.0)
-            result.value = float(objective(stack_parameters(result.gammas,
-                                                            result.betas)))
+            result = replace(result, gammas=np.append(prev.gammas, 0.0),
+                             betas=np.append(prev.betas, 0.0),
+                             value=prev.value)
         results.append(result)
     return results

@@ -17,9 +17,9 @@ Covers
 * the ``REPRO_NUM_THREADS`` knob and ``effective_num_threads`` resolution,
 * registry integration: the ``numba`` alias, capability tiers, and the
   ``describe()`` extra line reporting the active path,
-* bitwise pins of the shared arithmetic: the X butterfly is the
-  two-rounding formula on every rung and bit position, the phase a plain
-  complex multiply,
+* bitwise pins of the shared arithmetic: the X rotation is the
+  two-rounding formula on every rung and bit position (the full mixer on
+  the compiled rungs), the phase a plain complex multiply,
 * edge/argument validation (bad XY kind or edges, non-contiguous blocks,
   phase without table or costs) and XY edge-order equivalence with the ordered
   ``python`` kernels.
@@ -175,11 +175,13 @@ def two_rounding_rotation(block, betas, positions):
 class TestKernelArithmetic:
     """Bitwise pins of the arithmetic every provider shares.
 
-    The X butterfly equals the two-rounding formula on every rung and at
+    ``rotate_x_block`` equals the two-rounding formula on every rung and at
     every bit position — what makes the sharded backends' relabelled
-    global rotations reproduce the unsharded bits.  The compiled phase is
-    the two-rounding complex multiply; the numpy rung's phase is numpy's
-    own complex multiply (which may fuse one product per component).
+    global rotations reproduce the unsharded bits.  ``furx_block`` is that
+    formula on the compiled rungs and the python backend's gemm passes on
+    the numpy rung.  The compiled phase is the two-rounding complex
+    multiply; the numpy rung's phase is numpy's own complex multiply (which
+    may fuse one product per component).
     """
 
     N = 9
@@ -189,7 +191,10 @@ class TestKernelArithmetic:
                                                     precision):
         block = random_block(rng, 3, self.N, DTYPES[precision])
         betas = rng.uniform(-1.5, 1.5, 3)
-        expected = two_rounding_rotation(block, betas, range(self.N))
+        if jit_path == "numpy":
+            expected = furx_all_batch(block.copy(), betas, self.N)
+        else:
+            expected = two_rounding_rotation(block, betas, range(self.N))
         kernels.furx_block(block, betas)
         assert np.array_equal(block, expected)
 
@@ -509,6 +514,12 @@ class TestMixerScratchBudget:
         rows = sim._batch_rows(32, 8 * row_bytes)
         assert sim._mixer_needs_scratch == (jit_path == "numpy")
         assert rows == (4 if jit_path == "numpy" else 8)
+
+    def test_gpu_x_mixer_gets_scratch_on_the_numpy_rung(self, jit_path,
+                                                         small_labs_terms):
+        # (its sub-batches always count two blocks: see its _batch_rows)
+        sim = repro.simulator(self.N, terms=small_labs_terms, backend="gpu")
+        assert sim._mixer_needs_scratch == (jit_path == "numpy")
 
     def test_numpy_path_reuses_the_engine_scratch(self, monkeypatch, rng,
                                                   small_labs_terms):

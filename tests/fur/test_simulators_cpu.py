@@ -219,6 +219,27 @@ class TestBlockedKernels:
                                    edges=[(i, j)])
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk", [1, 48, 64, 200, 100000])
+    def test_row_chunks_match_single_rows(self, rng, numpy_rung, monkeypatch,
+                                          chunk):
+        # several rows share one vectorized update when their pairs fit the
+        # chunk; the per-row coefficients broadcast without changing a bit
+        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", chunk)
+        n, rows = 6, 5
+        block = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(
+            size=(rows, 1 << n))
+        betas = rng.uniform(-1.0, 1.0, rows)
+        edges = [(0, 1), (2, 5), (1, 4)]
+        for apply in (
+                lambda x, b: numpy_rung.rotate_x_block(x, b, [0, 5, 2]),
+                lambda x, b: numpy_rung.furxy_block(x, None, b, edges=edges)):
+            out = block.copy()
+            apply(out, betas)
+            for r in range(rows):
+                row = block[r:r + 1].copy()
+                apply(row, betas[r:r + 1])
+                assert np.array_equal(out[r], row[0])
+
     def test_small_chunks_full_sharded_run(self, small_labs_terms,
                                            qaoa_angles, numpy_rung,
                                            monkeypatch):
