@@ -446,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         if cores < SHARDED_GATE_MIN_CORES:
             sharded_gate["skipped"] = (
-                f"only {cores} core(s): the worker pool cannot parallelize "
+                f"only {cores} core(s): the row pool cannot parallelize "
                 f"shards, so the {REQUIRED_SHARDED_SPEEDUP}x gate needs "
                 f">= {SHARDED_GATE_MIN_CORES} cores")
         print(f"sharded(best, k={best_sharded['n_shards']}): "
@@ -630,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check and sharded_gate is not None and not args.smoke:
         # The sharded backend's acceptance bar: its best shard count must
         # beat the best single-worker backend by the required factor — but
-        # only where the worker pool can actually parallelize (the gate is
+        # only where the row pool can actually parallelize (the gate is
         # recorded as skipped, with the reason, on small runners).
         if "skipped" in sharded_gate:
             print(f"SKIP: sharded speedup gate — {sharded_gate['skipped']}")

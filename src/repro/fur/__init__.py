@@ -224,7 +224,7 @@ def _load_jit_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 
 def _sharded_describe_extra() -> str:
-    """Runtime-state line for ``describe()``: shard/worker resolution."""
+    """Runtime-state line for ``describe()``: shard count and pool threads."""
     from .sharded import shard_report
 
     return shard_report()
@@ -235,10 +235,9 @@ def _sharded_describe_extra() -> str:
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
                   priority=40,
-                  constructor_kwargs=("n_shards", "n_workers", "precision",
-                                      "optimize"),
+                  constructor_kwargs=("n_shards", "precision", "optimize"),
                   description="in-process sharded backend: global/local qubit "
-                              "slabs, worker pool, coalesced slab swaps",
+                              "slabs on the jit row pool, coalesced slab swaps",
                   describe_extra=_sharded_describe_extra)
 def _load_sharded_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .sharded import (
@@ -279,7 +278,7 @@ def _load_gpu_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
                   precisions=("double", "single"),
                   priority=20,
                   constructor_kwargs=("n_ranks", "alltoall_algorithm",
-                                      "parallel_local", "precision", "optimize"),
+                                      "precision", "optimize"),
                   description="distributed GPU backend (custom Alltoall, Algorithm 4)")
 def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .mpi import QAOAFURXSimulatorGPUMPI
@@ -290,8 +289,7 @@ def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("cusvmpi", aliases=("custatevec",), mixers=("x",), device="gpu",
                   distributed=True, precisions=("double", "single"),
                   priority=10,
-                  constructor_kwargs=("n_ranks", "parallel_local",
-                                      "precision", "optimize"),
+                  constructor_kwargs=("n_ranks", "precision", "optimize"),
                   description="distributed index-bit-swap backend (cuStateVec analogue)")
 def _load_cusvmpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .mpi import QAOAFURXSimulatorCUSVMPI

@@ -217,8 +217,8 @@ class EngineStats:
         """Per-shard busy fraction of the parallel-dispatch wall clock.
 
         Empty for non-sharded backends (no shard dispatch was ever recorded);
-        a fraction near 1.0 for every shard means the worker pool was
-        load-balanced, a lone hot shard means a skewed slab assignment.
+        a fraction near 1.0 for every shard means the row pool kept every
+        shard busy, a lone hot shard means a skewed slab assignment.
         """
         if self.shard_wall_s <= 0.0:
             return {}

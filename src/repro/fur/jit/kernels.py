@@ -31,7 +31,8 @@ unsharded result bitwise.
 :func:`active_path` reports which path is live; ``REPRO_JIT_PATH`` forces
 one (``numba``/``cc``/``numpy``/``auto``), falling down the ladder when the
 requested path is unavailable.  ``REPRO_NUM_THREADS`` bounds the worker
-count of both the numba thread pool and the ctypes row pool.  Kernel
+count of both the numba thread pool and the row pool (:func:`run_tasks`:
+the ``cc`` rung's row slices and the sharded backends' tasks).  Kernel
 compilation is lazy and cached per ``(path, dtype, n_qubits, mixer)``
 signature: :func:`ensure_kernels` returns the seconds newly spent compiling
 (zero on a warm signature) so providers can report compile time separately
@@ -41,6 +42,7 @@ from execution time in :class:`~repro.fur.engine.EngineStats`.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import logging
 import os
@@ -49,6 +51,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -60,6 +63,9 @@ __all__ = [
     "active_path",
     "requested_num_threads",
     "effective_num_threads",
+    "pool_threads",
+    "row_ranges",
+    "run_tasks",
     "ensure_kernels",
     "compiler_info",
     "phase_block",
@@ -134,9 +140,7 @@ def effective_num_threads() -> int:
         _apply_numba_threads()
         return int(numba.get_num_threads())
     if path == "cc":
-        cpus = os.cpu_count() or 1
-        requested = requested_num_threads()
-        return min(requested, cpus) if requested is not None else cpus
+        return pool_threads()
     return 1
 
 
@@ -149,35 +153,65 @@ def _apply_numba_threads() -> None:  # pragma: no cover - requires numba
 _row_pool = None
 _row_pool_size = 0
 _row_pool_lock = threading.Lock()
+_in_pool = threading.local()
+
+
+def pool_threads() -> int:
+    """Threads of the row pool, the one compute pool of :mod:`repro.fur`:
+    ``min(REPRO_NUM_THREADS, cpu_count)``, else the core count."""
+    cpus = os.cpu_count() or 1
+    requested = requested_num_threads()
+    return min(requested, cpus) if requested is not None else cpus
+
+
+def row_ranges(rows: int, parts: int) -> list[tuple[int, int]]:
+    """``[r0, r1)`` ranges splitting ``rows`` into ``min(parts, rows)``
+    near-equal chunks."""
+    chunk = max(1, -(-rows // max(1, min(parts, rows))))
+    return [(r0, min(r0 + chunk, rows)) for r0 in range(0, rows, chunk)]
+
+
+def run_tasks(tasks) -> None:
+    """Run every callable of ``tasks`` on the row pool, then return.
+
+    Returns or raises only once every task has finished (a failed task
+    never leaves a sibling writing behind the caller's back), re-raising
+    the first failure in task order.  Runs them inline, in order, with one
+    thread or one task, or when called from a pool worker: the pool never
+    submits to itself.
+    """
+    global _row_pool, _row_pool_size
+    threads = pool_threads()
+    if threads <= 1 or len(tasks) <= 1 or getattr(_in_pool, "worker", False):
+        errors = []
+        for task in tasks:
+            try:
+                task()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+    else:
+        with _row_pool_lock:
+            if _row_pool_size != threads:
+                if _row_pool is not None:
+                    _row_pool.shutdown(wait=False)
+                _row_pool = ThreadPoolExecutor(
+                    max_workers=threads, thread_name_prefix="repro-jit",
+                    initializer=setattr, initargs=(_in_pool, "worker", True))
+                _row_pool_size = threads
+            # submitted under the lock: a resize cannot shut the pool first
+            futures = [_row_pool.submit(task) for task in tasks]
+        errors = [f.exception() for f in futures]
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        raise first
 
 
 def _parallel_rows(rows: int, run_slice) -> None:
-    """Run ``run_slice(r0, r1)`` over row ranges, threaded when it pays.
-
-    ctypes releases the GIL for the duration of each foreign call, so row
-    slices of the block are processed concurrently by a persistent pool
-    sized by :func:`effective_num_threads`.
-    """
-    global _row_pool, _row_pool_size
-    workers = min(effective_num_threads(), rows)
-    if workers <= 1:
-        run_slice(0, rows)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _row_pool_lock:
-        if _row_pool is None or _row_pool_size < workers:
-            if _row_pool is not None:
-                _row_pool.shutdown(wait=False)
-            _row_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-jit")
-            _row_pool_size = workers
-        pool = _row_pool
-    chunk = -(-rows // workers)
-    futures = [pool.submit(run_slice, r0, min(r0 + chunk, rows))
-               for r0 in range(0, rows, chunk)]
-    for future in futures:
-        future.result()
+    """Run ``run_slice(r0, r1)`` over row slices on the row pool (ctypes
+    releases the GIL); from a pool worker, all rows in one slice."""
+    parts = 1 if getattr(_in_pool, "worker", False) else pool_threads()
+    run_tasks([functools.partial(run_slice, r0, r1)
+               for r0, r1 in row_ranges(rows, parts)])
 
 
 # --------------------------------------------------------------------------

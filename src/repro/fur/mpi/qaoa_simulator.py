@@ -25,9 +25,9 @@ distributed backends:
 Only the transverse-field (X) mixer is distributed — the same restriction as
 the paper's large-scale LABS runs, which use the standard mixer.  Every
 exchange is recorded in :attr:`traffic_log` as a
-:class:`~repro.parallel.collectives.TrafficTrace`.  With
-``parallel_local=True`` the per-rank kernels run on the persistent shard
-pool.  An SPMD entry point with per-rank message passing over
+:class:`~repro.parallel.collectives.TrafficTrace`.  The per-rank kernels
+run as the sharded backend's (rank, row-chunk) task grid on the jit tier's
+row pool.  An SPMD entry point with per-rank message passing over
 :class:`repro.parallel.communicator.ThreadCluster` lives in
 :mod:`repro.fur.mpi.spmd`.
 """
@@ -60,12 +60,10 @@ class _DistributedFURXBase(QAOAFURXSimulatorSharded):
     n_ranks = QAOAFURXSimulatorSharded.n_shards
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
-                 n_ranks: int = 4, parallel_local: bool = False,
-                 precision: str = "double",
+                 n_ranks: int = 4, precision: str = "double",
                  optimize: str = "default") -> None:
         self.traffic_log: list[TrafficTrace] = []
         super().__init__(n_qubits, terms=terms, costs=costs, n_shards=n_ranks,
-                         n_workers=None if parallel_local else 1,
                          precision=precision, optimize=optimize)
 
     def _record_exchange(self, trace: TrafficTrace) -> None:
@@ -118,7 +116,6 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *, n_ranks: int = 4,
                  alltoall_algorithm: str = "direct",
-                 parallel_local: bool = False,
                  precision: str = "double",
                  optimize: str = "default") -> None:
         if alltoall_algorithm not in ALLTOALL_ALGORITHMS:
@@ -128,7 +125,6 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
             )
         self._alltoall_algorithm = alltoall_algorithm
         super().__init__(n_qubits, terms=terms, costs=costs, n_ranks=n_ranks,
-                         parallel_local=parallel_local,
                          precision=precision, optimize=optimize)
 
     def _guarded_state_bytes(self) -> int:
@@ -164,7 +160,7 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
         trace = TrafficTrace()
         for j in range(self._g_global):
             self._exchange_global_bit(block, j, top, True, trace)
-            self._map_shards(
-                lambda s: kernels.rotate_x_block(block[s], betas, [top]))
+            self._map_shards(block, lambda s, r: kernels.rotate_x_block(
+                block[s][r], betas[r], [top]))
             self._exchange_global_bit(block, j, top, True, trace)
         self._record_exchange(trace)

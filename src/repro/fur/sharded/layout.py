@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "ShardLayout",
     "resolve_n_shards",
-    "resolve_n_workers",
     "sharded_state_bytes",
     "NUM_SHARDS_ENV",
 ]
@@ -148,25 +147,6 @@ def resolve_n_shards(n_qubits: int | None = None,
     if max_global is not None:
         k = min(k, 1 << max(0, max_global))
     return max(1, k)
-
-
-def resolve_n_workers(n_shards: int, n_workers: int | None = None) -> int:
-    """Worker threads for the shard pool: ``min(K, REPRO_NUM_THREADS | cores)``.
-
-    Reuses the jit tier's ``REPRO_NUM_THREADS`` parsing so one knob governs
-    thread budgets across the whole compiled/parallel surface.
-    """
-    if n_workers is not None:
-        w = int(n_workers)
-        if w < 1:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
-        return min(w, int(n_shards))
-    from ..jit.kernels import requested_num_threads
-
-    budget = requested_num_threads()
-    if budget is None:
-        budget = os.cpu_count() or 1
-    return max(1, min(int(n_shards), int(budget)))
 
 
 def sharded_state_bytes(n_qubits: int, itemsize: int, n_shards: int) -> int:

@@ -2,13 +2,14 @@
 
 The ``(B, 2^n)`` state block is split into ``K = 2^g`` contiguous shard
 slabs along the top ``g`` index bits (the *global* qubits, the paper's
-per-rank slicing of Sec. III-C), every slab living in this process and
-owned by a worker of a persistent thread pool.  The division of labor:
+per-rank slicing of Sec. III-C), every slab living in this process.  The
+division of labor:
 
 * **local ops** (phase sweeps, rotations of qubits ``< n − g``, XY edges
   between local qubits) run the :mod:`repro.fur.jit.kernels` tier per
   shard — its compiled rung when one is live, its numpy rung otherwise —
-  with all shards running concurrently on the pool;
+  as one grid of (shard, row-chunk) tasks on the jit tier's row pool
+  (:func:`~repro.fur.jit.kernels.run_tasks`), the only compute pool;
 * **global ops** relabel the global qubit local first: a transposition
   exchanges index bits between the shard axis and local positions via
   pairwise *slab swaps* (NumPy copies instead of messages), the rotation
@@ -39,9 +40,8 @@ bitwise-invariant under the shard count; expectations reduce over a
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -51,7 +51,7 @@ from ..base import QAOAFastSimulatorBase
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
 from ..jit import kernels
 from ..python.furxy import complete_edges, ring_edges
-from .layout import ShardLayout, resolve_n_shards, resolve_n_workers, sharded_state_bytes
+from .layout import ShardLayout, resolve_n_shards, sharded_state_bytes
 
 __all__ = [
     "ShardedStateVector",
@@ -121,15 +121,13 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     alltoall_algorithm: str = "direct"
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
-                 n_shards: int | None = None, n_workers: int | None = None,
+                 n_shards: int | None = None,
                  precision: str = "double", optimize: str = "default") -> None:
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         self._n_shards = resolve_n_shards(
             n_qubits, n_shards, max_global=self._max_global_qubits(n_qubits))
         self._g_global = self._n_shards.bit_length() - 1
-        self._n_workers = resolve_n_workers(self._n_shards, n_workers)
-        self._pool: ThreadPoolExecutor | None = None
         self._swap_buf: np.ndarray | None = None
         super().__init__(n_qubits, terms=terms, costs=costs,
                          precision=precision, optimize=optimize)
@@ -144,11 +142,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     def n_shards(self) -> int:
         """Number of shard slabs ``K = 2^g`` the state is split into."""
         return self._n_shards
-
-    @property
-    def n_shard_workers(self) -> int:
-        """Worker threads of the persistent shard pool (1 = inline)."""
-        return self._n_workers
 
     @property
     def n_global_qubits(self) -> int:
@@ -209,50 +202,41 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         if spent:
             self.engine.stats.kernel_compile_time_s += spent
 
-    # -- worker pool ---------------------------------------------------------
-    def _map_shards(self, fn: Callable[[int], None]) -> None:
-        """Run a per-shard callable on the pool; record busy/wall telemetry.
+    # -- shard dispatch ------------------------------------------------------
+    def _map_shards(self, block: list[np.ndarray],
+                    fn: Callable[[int, slice], None], *,
+                    split_rows: bool = True) -> None:
+        """Run ``fn(s, rows)`` over a (shard, row-chunk) grid on the row pool.
 
-        Every shard runs to completion before this returns, even when one
-        fails: the dispatch telemetry is recorded, then the first failure
-        in shard order is re-raised — no shard is left writing its slab
-        behind the caller's back.
+        Each shard's rows split into ``ceil(T / K)`` chunks of the pool's
+        ``T`` threads (one shard: the jit tier's own row split); the kernels
+        compute every row on its own, so no bit depends on the split.
+        ``split_rows=False`` keeps one task per shard.  Every task finishes
+        before this returns, even when one fails; the first failure in task
+        order is re-raised after the telemetry is recorded.  A shard's busy
+        time spans its first chunk's start to its last chunk's end.
         """
         k = self._n_shards
-        busy = [0.0] * k
-        wall0 = time.perf_counter()
+        parts = -(-kernels.pool_threads() // k) if split_rows else 1
+        chunks = kernels.row_ranges(block[0].shape[0], parts)
+        spans: list[list[tuple[float, float]]] = [[] for _ in range(k)]
 
-        def timed(s: int) -> None:
+        def task(s: int, r0: int, r1: int) -> None:
             t0 = time.perf_counter()
             try:
-                fn(s)
+                fn(s, slice(r0, r1))
             finally:
-                busy[s] = time.perf_counter() - t0
+                spans[s].append((t0, time.perf_counter()))
 
-        pool = self._ensure_pool()
+        wall0 = time.perf_counter()
         try:
-            if pool is None:
-                for s in range(k):
-                    timed(s)
-            else:
-                futures = [pool.submit(timed, s) for s in range(k)]
-                # collect every outcome first: no shard may outlive the call
-                errors = [f.exception() for f in futures]
-                first = next((e for e in errors if e is not None), None)
-                if first is not None:
-                    raise first
+            kernels.run_tasks([partial(task, s, r0, r1)
+                               for s in range(k) for r0, r1 in chunks])
         finally:
+            busy = [max(t1 for _, t1 in done) - min(t0 for t0, _ in done)
+                    if done else 0.0 for done in spans]
             self.engine.record_shard_dispatch(busy,
                                               time.perf_counter() - wall0)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor | None:
-        if self._n_workers <= 1 or self._n_shards <= 1:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._n_workers,
-                thread_name_prefix=f"repro-shard-{id(self):x}")
-        return self._pool
 
     # -- slab exchanges ------------------------------------------------------
     def _swap_views(self, a: np.ndarray, b: np.ndarray) -> int:
@@ -388,15 +372,17 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     def _apply_phase_block(self, block: list[np.ndarray], gammas: np.ndarray,
                            plan: Any) -> None:
         """Batched shard-local phase sweep (diagonal — no exchanges)."""
-        self._map_shards(lambda s: kernels.phase_block(
-            block[s], gammas, **self._shard_phase(s, plan.phase_tables)))
+        self._map_shards(block, lambda s, r: kernels.phase_block(
+            block[s][r], gammas[r], **self._shard_phase(s, plan.phase_tables)))
 
     def _block_expectations(self, block: list[np.ndarray],
                             costs: np.ndarray) -> np.ndarray:
         """Per-schedule objective over a fixed float64 segment grid.
 
-        Each shard reduces its segments into float64 partials (computed in
-        parallel on the pool); the final tree reduction sums the fixed
+        Each shard reduces its segments into float64 partials (the shards
+        in parallel on the pool, each over all its rows: BLAS groups the
+        rows of one matrix-vector product, so a row's bits depend on its
+        row group); the final tree reduction sums the fixed
         ``2^max(g, min(n, 8))`` segment axis, so the accumulation order —
         and therefore the result bits — are identical at every shard count.
         """
@@ -408,7 +394,7 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         per_shard = n_seg // self._n_shards
         partials = np.empty((n_seg, rows), dtype=np.float64)
 
-        def work(s: int) -> None:
+        def work(s: int, _rows: slice) -> None:
             slab = block[s]
             for t in range(per_shard):
                 seg = s * per_shard + t
@@ -422,7 +408,7 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                             @ costs[start + c0:start + c1])
                 partials[seg] = acc
 
-        self._map_shards(work)
+        self._map_shards(block, work, split_rows=False)
         return partials.sum(axis=0)
 
     def _block_results(self,
@@ -499,8 +485,9 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         del n_trotters
         gammas, tables = phase if phase is not None else (None, None)
         local = range(self.n_local_qubits)
-        self._map_shards(lambda s: kernels.rotate_x_block(
-            block[s], betas, local, gammas=gammas,
+        self._map_shards(block, lambda s, r: kernels.rotate_x_block(
+            block[s][r], betas[r], local,
+            gammas=None if gammas is None else gammas[r],
             **self._shard_phase(s, tables)))
         if self._g_global == 0:
             return
@@ -519,8 +506,8 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         self._transpose_global_local(block, coalesce)
         positions = [self._layout.position_of(n_local + j)
                      for j in range(self._g_global)]
-        self._map_shards(
-            lambda s: kernels.rotate_x_block(block[s], betas, positions))
+        self._map_shards(block, lambda s, r: kernels.rotate_x_block(
+            block[s][r], betas[r], positions))
         self._transpose_global_local(block, coalesce)
 
     def _apply_phase_mixer_block(self, block: list[np.ndarray],
@@ -596,8 +583,8 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
                 for global_bit, target in swaps:
                     self._exchange_global_bit(block, global_bit, target,
                                               coalesce, trace)
-                self._map_shards(lambda s: kernels.furxy_block(
-                    block[s], None, betas_t, edges=edges))
+                self._map_shards(block, lambda s, r: kernels.furxy_block(
+                    block[s][r], None, betas_t[r], edges=edges))
                 for global_bit, target in reversed(swaps):
                     self._exchange_global_bit(block, global_bit, target,
                                               coalesce, trace)

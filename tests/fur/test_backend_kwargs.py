@@ -26,17 +26,13 @@ class TestTypedKwargError:
         assert "'n_shards'" in msg
         assert "sharded" in msg  # names the backends that accept it
 
-    def test_n_workers_on_non_sharded_backend(self):
-        with pytest.raises(UnsupportedBackendKwargError) as exc:
-            repro.simulator(6, terms=TERMS, backend="python", n_workers=2)
-        assert "sharded" in str(exc.value)
-
     @pytest.mark.parametrize("backend", ["sharded", "gpu", "gpumpi",
                                          "cusvmpi"])
-    @pytest.mark.parametrize("kwarg", ["inner", "block_size"])
+    @pytest.mark.parametrize("kwarg", ["inner", "block_size", "n_workers",
+                                       "parallel_local"])
     def test_retired_kernel_kwargs_rejected(self, backend, kwarg):
-        # one kernel family: no backend chooses an inner kernel or sizes a
-        # kernel workspace any more
+        # one kernel family and one thread pool: no backend chooses an inner
+        # kernel, sizes a kernel workspace or owns a worker pool any more
         with pytest.raises(UnsupportedBackendKwargError,
                            match=f"'{kwarg}'"):
             repro.simulator(6, terms=TERMS, backend=backend,
@@ -89,7 +85,8 @@ class TestValidKwargsStillBind:
 class TestRegistryMetadata:
     def test_backends_accepting_kwarg(self):
         assert registry.backends_accepting_kwarg("n_shards") == ["sharded"]
-        assert registry.backends_accepting_kwarg("n_workers") == ["sharded"]
+        assert registry.backends_accepting_kwarg("n_workers") == []
+        assert registry.backends_accepting_kwarg("parallel_local") == []
         assert registry.backends_accepting_kwarg("inner") == []
         assert registry.backends_accepting_kwarg("block_size") == []
         assert registry.backends_accepting_kwarg("no_such_kwarg") == []

@@ -155,8 +155,8 @@ class TestEngineParity:
 ONE_ROW_CONFIGS = [
     *[("jit", m, {}) for m in ("x", "xyring")],
     *[("gates", m, {}) for m in ("x", "xyring")],
-    *[("sharded", m, {"n_shards": k, "n_workers": w})
-      for m in ("x", "xyring") for k in (1, 2, 4) for w in (1, 2)],
+    *[("sharded", m, {"n_shards": k})
+      for m in ("x", "xyring") for k in (1, 2, 4)],
     *[("gpumpi", "x", {"n_ranks": k}) for k in (1, 2, 4)],
     *[("cusvmpi", "x", {"n_ranks": k}) for k in (1, 2, 4)],
 ]

@@ -15,6 +15,8 @@ Covers
   signature, 0.0 when warm) and its flow into
   ``EngineStats.kernel_compile_time_s``,
 * the ``REPRO_NUM_THREADS`` knob and ``effective_num_threads`` resolution,
+  and the row pool's dispatch (every task finishes before a failure is
+  re-raised, pool workers run nested kernels inline),
 * registry integration: the ``numba`` alias, capability tiers, and the
   ``describe()`` extra line reporting the active path,
 * bitwise pins of the shared arithmetic: the X rotation is the
@@ -26,6 +28,7 @@ Covers
 """
 
 import logging
+import os
 import threading
 import time
 
@@ -456,6 +459,68 @@ class TestThreadKnob:
         monkeypatch.setenv("REPRO_NUM_THREADS", "1")
         kernels.furx_block(reference, betas)
         np.testing.assert_array_equal(block, reference)
+
+    def test_failing_slice_waits_for_its_sibling(self, rng, monkeypatch):
+        # The row pool returns or raises only after every slice finished:
+        # a failed slice must not leave a sibling writing the block behind
+        # the caller's back, and the pool must stay usable afterwards.
+        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+        finished = []
+
+        def run_slice(r0, r1):
+            if r0 == 0:
+                raise RuntimeError("slice 0 failed")
+            time.sleep(0.2)
+            finished.append((r0, r1))
+
+        with pytest.raises(RuntimeError, match="slice 0 failed"):
+            kernels._parallel_rows(4, run_slice)
+        # two slices on a host with two cores, one (the failing one) on one
+        assert finished == ([(2, 4)] if (os.cpu_count() or 1) >= 2 else [])
+        block = random_block(rng, 4, 6, np.complex128)
+        reference = block.copy()
+        betas = np.linspace(-1.0, 1.0, 4)
+        kernels.rotate_x_block(block, betas, range(6))
+        for r in range(4):
+            kernels.rotate_x_block(reference[r:r + 1], betas[r:r + 1],
+                                   range(6))
+        np.testing.assert_array_equal(block, reference)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tasks_all_run_and_first_failure_wins(self, threads,
+                                                  monkeypatch):
+        # Serial (T=1) and pooled dispatch alike: every task runs, then the
+        # first failure in task order is re-raised.
+        monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+        ran = []
+
+        def task(i):
+            time.sleep(0.05 * (3 - i))
+            ran.append(i)
+            if i in (1, 2):
+                raise ValueError(f"task {i} failed")
+
+        with pytest.raises(ValueError, match="task 1 failed"):
+            kernels.run_tasks([lambda i=i: task(i) for i in range(4)])
+        assert sorted(ran) == [0, 1, 2, 3]
+        kernels.run_tasks([lambda: ran.append("again")] * 2)
+        assert ran.count("again") == 2
+
+    def test_pool_workers_run_kernels_inline(self, rng, monkeypatch):
+        # A kernel called from a pool task runs its rows in one slice on
+        # that worker: the pool never submits to itself.
+        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+        seen = []
+
+        def outer():
+            kernels._parallel_rows(
+                8, lambda r0, r1: seen.append(
+                    (r0, r1, threading.current_thread().name)))
+
+        kernels.run_tasks([outer, outer])
+        assert sorted(r[:2] for r in seen) == [(0, 8), (0, 8)]
+        if kernels.pool_threads() == 2:
+            assert all(name.startswith("repro-jit") for *_, name in seen)
 
 
 class TestRegistryIntegration:

@@ -56,16 +56,6 @@ class TestDistributedCorrectness:
             sim.get_statevector(sim.simulate_qaoa(gammas, betas)), ref, atol=1e-12)
 
     @pytest.mark.parametrize("cls", DISTRIBUTED_CLASSES)
-    def test_parallel_local_threads_agree(self, cls, qaoa_angles):
-        n = 8
-        terms = labs.get_terms(n)
-        gammas, betas = qaoa_angles
-        _, ref = reference_state(n, terms, gammas, betas)
-        sim = cls(n, terms=terms, n_ranks=4, parallel_local=True)
-        np.testing.assert_allclose(
-            sim.get_statevector(sim.simulate_qaoa(gammas, betas)), ref, atol=1e-12)
-
-    @pytest.mark.parametrize("cls", DISTRIBUTED_CLASSES)
     def test_custom_initial_state(self, cls, qaoa_angles):
         n = 6
         terms = labs.get_terms(n)
@@ -229,8 +219,7 @@ class TestPinnedTraffic:
         sim = repro.simulator(8, terms=terms, backend=backend,
                               n_ranks=n_ranks, precision=precision)
         sharded = repro.simulator(8, terms=terms, backend="sharded",
-                                  n_shards=n_ranks, n_workers=1,
-                                  precision=precision)
+                                  n_shards=n_ranks, precision=precision)
         for a, b in zip(sim.simulate_qaoa_batch(gammas, betas),
                         sharded.simulate_qaoa_batch(gammas, betas)):
             assert np.array_equal(a.gather(), b.gather())

@@ -14,7 +14,6 @@ from repro.fur.sharded import (
     ShardedStateVector,
     ShardLayout,
     resolve_n_shards,
-    resolve_n_workers,
     shard_report,
     sharded_state_bytes,
 )
@@ -86,21 +85,18 @@ class TestShardResolution:
         monkeypatch.setenv("REPRO_NUM_SHARDS", "not-a-number")
         assert resolve_n_shards(10) >= 1  # falls back to the core count
 
-    def test_worker_budget(self):
-        assert resolve_n_workers(4, 2) == 2
-        assert resolve_n_workers(4, 99) == 4  # never more workers than shards
-        with pytest.raises(ValueError, match="positive"):
-            resolve_n_workers(4, 0)
-
     def test_sharded_state_bytes_counts_slab_plus_staging(self):
         slab = (1 << 10) * 16 // 4
         assert sharded_state_bytes(10, 16, 4) == slab + slab // 2
         # one shard degenerates to the monolithic state (plus staging)
         assert sharded_state_bytes(10, 16, 1) == (1 << 10) * 16 * 3 // 2
 
-    def test_shard_report_shape(self):
+    def test_shard_report_shape(self, monkeypatch):
+        # the shard count and the row pool's threads, which honour
+        # REPRO_NUM_THREADS like every jit kernel
+        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
         report = shard_report()
-        assert "shards=" in report and "workers=" in report
+        assert report.startswith("shards=") and report.endswith(" threads=1")
 
 
 class TestShardedSimulation:
@@ -150,6 +146,40 @@ class TestShardedSimulation:
             else:
                 assert np.array_equal(reference[0], states)
                 assert np.array_equal(reference[1], energies)
+
+    @pytest.mark.parametrize("rung", ["active", "numpy"])
+    @pytest.mark.parametrize("mixer", ["x", "xyring"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_bitwise_invariant_under_thread_budget(self, rung, mixer, rows,
+                                                   request, monkeypatch, rng):
+        # The (shard, row-chunk) grid splits each shard's rows into
+        # ceil(T/K) chunks of the row pool's T threads; the kernels compute
+        # each row on its own, so states and energies must not change with
+        # T.  T is forced (instead of REPRO_NUM_THREADS, which is clamped to
+        # the cores) so the splits run on any host: at T=3 and K=2 every
+        # shard's 5 rows are two chunks.
+        if rung == "numpy":
+            request.getfixturevalue("numpy_rung")
+        from repro.fur.jit import kernels
+
+        n = 8
+        costs = few_value_costs(rng, n)
+        gammas, betas = rng.normal(size=(2, rows, 2))
+        reference = None
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(kernels, "pool_threads", lambda: threads)
+            for n_shards in (1, 2, 4):
+                sim = repro.simulator(n, costs=costs, backend="sharded",
+                                      mixer=mixer, n_shards=n_shards)
+                states = np.stack([
+                    sim.get_statevector(r)
+                    for r in sim.simulate_qaoa_batch(gammas, betas)])
+                energies = np.asarray(sim.get_expectation_batch(gammas, betas))
+                if reference is None:
+                    reference = (states, energies)
+                else:
+                    assert np.array_equal(reference[0], states)
+                    assert np.array_equal(reference[1], energies)
 
     @pytest.mark.parametrize("rung", ["active", "numpy"])
     def test_bitwise_invariant_when_only_some_shards_get_a_table(
@@ -212,8 +242,9 @@ class TestShardedSimulation:
         # dispatch telemetry recorded, and the simulator must stay usable.
         from repro.fur.jit import kernels
 
-        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2,
-                              n_workers=2)
+        # two pool threads for two shards: one task per shard on any host
+        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2)
         real_rotate = kernels.rotate_x_block
         finished = []
 
@@ -233,7 +264,7 @@ class TestShardedSimulation:
         assert sim.engine.stats.shard_wall_s > wall_before
         monkeypatch.undo()
         reference = repro.simulator(6, terms=TERMS, backend="sharded",
-                                    n_shards=2, n_workers=1)
+                                    n_shards=2)
         np.testing.assert_array_equal(
             sim.get_expectation_batch(gammas, betas),
             reference.get_expectation_batch(gammas, betas))
@@ -244,8 +275,7 @@ class TestShardedSimulation:
         # half done; the next block must still start from the identity.
         from repro.fur.jit import kernels
 
-        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2,
-                              n_workers=1)
+        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=2)
         real_rotate = kernels.rotate_x_block
 
         def failing_global_rotation(block_s, betas, positions, **phase):
@@ -260,7 +290,7 @@ class TestShardedSimulation:
             sim.get_expectation_batch(gammas, betas)
         monkeypatch.undo()
         reference = repro.simulator(6, terms=TERMS, backend="sharded",
-                                    n_shards=2, n_workers=1)
+                                    n_shards=2)
         np.testing.assert_array_equal(
             sim.get_expectation_batch(gammas, betas),
             reference.get_expectation_batch(gammas, betas))
@@ -287,13 +317,11 @@ class TestShardedSimulation:
         assert sim.n_shards == 4
 
     def test_constructor_metadata(self):
-        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=4,
-                              n_workers=2)
+        sim = repro.simulator(6, terms=TERMS, backend="sharded", n_shards=4)
         assert sim.backend_name == "sharded"
         assert sim.n_shards == 4
         assert sim.n_global_qubits == 2
         assert sim.n_local_qubits == 4
-        assert sim.n_shard_workers == 2
         assert sim.supports_coalesced_exchange
 
 
@@ -372,5 +400,6 @@ class TestServeShardTelemetry:
 
         text = registry.describe()
         assert "sharded" in text
-        assert "shards=" in text and "workers=" in text
+        line = next(ln for ln in text.splitlines() if "shards=" in ln)
+        assert "threads=" in line and "workers=" not in line
 
