@@ -30,7 +30,12 @@ stream (``optimize="none"``) on the ``python`` and ``jit`` backends, and (with
 default.  ``--engine-report`` additionally records the engine's plan-compile
 time, blocks executed, per-backend fused throughput — including the
 distributed families — and the optimized-vs-unoptimized rewrite section in
-``BENCH_engine.json``.
+``BENCH_engine.json``, with a one-schedule row (B=1, n=18, X mixer: the
+Fig. 2 loop's shape) and a machine stamp (cores, jit rung, compiler).
+
+Every timed row is the median of its rounds, recorded with their
+interquartile range (``*_iqr_s``): at least 5 rounds at full size, fewer
+under ``--smoke``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import shutil
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,6 +59,7 @@ except ImportError:  # running without PYTHONPATH=src
     import repro
 
 from repro.fur import diagonal_cache
+from repro.fur.jit import kernels
 from repro.fur.base import batch_block_rows
 from repro.problems import labs
 
@@ -71,13 +80,20 @@ SINGLE_PRECISION_RTOL = 1e-5
 CUT_PARITY_ATOL = 1e-10
 
 
-def _best_of(callable_, repeats: int) -> float:
-    best = np.inf
-    for _ in range(repeats):
+def _spread(times) -> tuple[float, float]:
+    """Median and interquartile range of a row's round timings."""
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
+def _rounds(callable_, rounds: int) -> tuple[float, float]:
+    """Median and IQR of ``rounds`` timed calls."""
+    times = []
+    for _ in range(rounds):
         start = time.perf_counter()
         callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return _spread(times)
 
 
 def _paired_timings(callables: list, repeats: int) -> np.ndarray:
@@ -128,20 +144,23 @@ def bench_backend(backend: str, terms, n: int, batch: int, p: int,
     pairs = _paired_timings(
         [lambda: sim.get_expectation_batch(gammas, betas),
          lambda: sim.get_expectation_batch(gammas, betas, optimize="none")],
-        10 * repeats)
-    fused = float(pairs[:, 0].min())
-    unoptimized = float(pairs[:, 1].min())
-    looped = _best_of(
+        4 * repeats)
+    fused, fused_iqr = _spread(pairs[:, 0])
+    unoptimized, unoptimized_iqr = _spread(pairs[:, 1])
+    looped, looped_iqr = _rounds(
         lambda: sim.get_expectation_batch(gammas, betas, mode="looped"),
         repeats)
     stats = sim.engine.stats.as_dict()
     record = {
         "backend": backend,
         "fused_s": fused,
+        "fused_iqr_s": fused_iqr,
         "looped_s": looped,
+        "looped_iqr_s": looped_iqr,
         "speedup": looped / fused,
         "fused_schedules_per_s": batch / fused,
         "unoptimized_s": unoptimized,
+        "unoptimized_iqr_s": unoptimized_iqr,
         # Median of the paired per-round ratios (see _paired_timings) — the
         # drift-cancelling statistic the rewrite gate asserts on.
         "rewrite_speedup": float(np.median(pairs[:, 1] / pairs[:, 0])),
@@ -177,12 +196,12 @@ def bench_precision(backend: str, terms, n: int, batch: int, p: int,
     """
     gammas = rng.uniform(0.0, 1.0, (batch, p))
     betas = rng.uniform(0.0, 1.0, (batch, p))
-    sims, values, times, modeled = {}, {}, {}, {}
+    sims, values, times, iqrs, modeled = {}, {}, {}, {}, {}
     for prec in ("double", "single"):
         sim = repro.simulator(n, terms=terms, backend=backend, precision=prec)
         values[prec] = sim.get_expectation_batch(gammas, betas)  # warm-up
-        times[prec] = _best_of(lambda s=sim: s.get_expectation_batch(gammas, betas),
-                               repeats)
+        times[prec], iqrs[prec] = _rounds(
+            lambda s=sim: s.get_expectation_batch(gammas, betas), repeats)
         if backend == "gpu":
             sim.reset_device_clock()
             sim.get_expectation_batch(gammas, betas)
@@ -196,7 +215,9 @@ def bench_precision(backend: str, terms, n: int, batch: int, p: int,
     record = {
         "backend": backend,
         "double_s": times["double"],
+        "double_iqr_s": iqrs["double"],
         "single_s": times["single"],
+        "single_iqr_s": iqrs["single"],
         "speedup": times["double"] / times["single"],
         "state_block_bytes_double": double_bytes,
         "state_block_bytes_single": single_bytes,
@@ -247,11 +268,13 @@ def bench_cutting(smoke: bool, repeats: int) -> dict:
         pipe = CutQAOAPipeline(n, terms, backend="python", mode=mode,
                                partition=range(n // 2))
         value = float(pipe.expectation(gammas, betas))
+        eval_s, eval_iqr = _rounds(lambda: pipe.expectation(gammas, betas),
+                                   repeats)
         modes[mode] = {
             "value": value,
             "abs_err": abs(value - uncut),
-            "eval_s": _best_of(lambda: pipe.expectation(gammas, betas),
-                               repeats),
+            "eval_s": eval_s,
+            "eval_iqr_s": eval_iqr,
         }
 
     # Beyond-memory admission: evaluate an n whose monolithic state the
@@ -314,6 +337,52 @@ def bench_cutting(smoke: bool, repeats: int) -> dict:
     }
 
 
+def bench_one_row(n: int, p: int, rounds: int,
+                  rng: np.random.Generator) -> dict:
+    """One schedule per call, as the Fig. 2 optimizer loop evaluates them:
+    the jit backend's fused one-row ``get_expectation_batch`` (X mixer).
+
+    With fewer rows than threads the row pool splits this row's fused
+    layers; ``pool_threads`` records how many threads it had.
+    """
+    sim = repro.simulator(n, terms=labs.get_terms(n), backend="jit")
+    gammas = rng.uniform(0.0, 1.0, (1, p))
+    betas = rng.uniform(0.0, 1.0, (1, p))
+    sim.get_expectation_batch(gammas, betas)  # warm-up: plan and kernels
+    fused, fused_iqr = _rounds(lambda: sim.get_expectation_batch(gammas,
+                                                                 betas),
+                               rounds)
+    return {
+        "backend": "jit",
+        "workload": {"problem": "labs", "n": n, "batch": 1, "p": p,
+                     "mixer": "x", "rounds": rounds},
+        "fused_s": fused,
+        "fused_iqr_s": fused_iqr,
+        "fused_schedules_per_s": 1.0 / fused,
+        "pool_threads": kernels.pool_threads(),
+    }
+
+
+def machine_stamp() -> dict:
+    """Cores, architecture, jit rung and compiler the record was made with."""
+    compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which(
+        "clang")
+    version = None
+    if compiler is not None:
+        out = subprocess.run([compiler, "--version"], capture_output=True,
+                             text=True).stdout
+        version = out.splitlines()[0] if out else None
+    return {
+        "cores": os.cpu_count(),
+        "arch": platform.machine(),
+        "jit_rung": kernels.active_path(),
+        "pool_threads": kernels.pool_threads(),
+        "compiler": version,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def cache_metrics() -> dict:
     """Snapshot of the process-wide diagonal-cache counters."""
     stats = diagonal_cache.stats
@@ -351,10 +420,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="virtual rank count for the distributed backends")
     args = parser.parse_args(argv)
 
+    # repeats: timed rounds per row (the fused/unoptimized pairs take four
+    # times as many)
     if args.smoke:
-        n, batch, p, repeats = 10, 6, 2, 1
+        n, batch, p, repeats = 10, 6, 2, 2
     else:
-        n, batch, p, repeats = 16, 32, 4, 2
+        n, batch, p, repeats = 16, 32, 4, 5
     terms = labs.get_terms(n)
     rng = np.random.default_rng(42)
 
@@ -474,6 +545,15 @@ def main(argv: list[str] | None = None) -> int:
         # evaluation, parity with the uncut expectation, and the
         # beyond-memory admission demonstration.
         cutting_rec = bench_cutting(bool(args.smoke), repeats)
+
+        # One schedule per call (B=1): the row pool splits the row itself.
+        one_n = 12 if args.smoke else 18
+        one_row = bench_one_row(one_n, p, 4 * repeats, rng)
+        print(f"\nOne-row fused evaluation (jit, LABS n={one_n}, B=1, "
+              f"p={p}, {one_row['pool_threads']} pool threads): "
+              f"{one_row['fused_s'] * 1e3:.2f} ms median "
+              f"(IQR {one_row['fused_iqr_s'] * 1e3:.2f} ms), "
+              f"{one_row['fused_schedules_per_s']:.1f} sched/s")
         cw = cutting_rec["workload"]
         print(f"\nCircuit cutting: bridged rings n={cw['n']}, p=1, "
               f"k={cutting_rec['stats']['cut_qubits']} cut qubit(s)")
@@ -515,6 +595,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{kernel_compile_s * 1e3:.3f} ms kernel-compile, "
               f"{blocks} blocks executed")
         payload = {
+            "machine": machine_stamp(),
             "workload": {"problem": "labs", "n": n, "batch": batch, "p": p,
                          "repeats": repeats, "smoke": bool(args.smoke)},
             # Stable machine-diffable perf trajectory: backend name ->
@@ -530,6 +611,7 @@ def main(argv: list[str] | None = None) -> int:
             "baselines": baseline_results,
             "sharded": sharded_results,
             "sharded_gate": sharded_gate,
+            "one_row": one_row,
             # Optimized-vs-unoptimized report: what the plan-rewrite passes
             # buy on the fused path, per backend.
             "rewrite": [

@@ -38,9 +38,12 @@ class PlanCostModel:
 
     ``single_pass_mixer`` models the ``jit`` kernel tier: its fused kernels
     apply every butterfly whose stride fits a cache-sized tile in one
-    read-modify-write sweep, then stream one more sweep per qubit at or
-    above :data:`~repro.fur.jit.kernels.DEFAULT_TILE_QUBITS` — ``1 +
-    max(0, n − tile)`` sweeps instead of one per qubit.
+    read-modify-write sweep, then every stride at or above
+    :data:`~repro.fur.jit.kernels.DEFAULT_TILE_QUBITS` in one
+    column-grouped sweep — two sweeps past one tile instead of one per
+    qubit.  The fused expectation runs its last stride apart (it reduces
+    as it writes), so its grouped sweep exists only when a stride lies
+    between the tile and the last one.
     """
 
     def __init__(self, n_qubits: int, model: PerformanceModel | None = None,
@@ -55,12 +58,18 @@ class PlanCostModel:
         db = self.model.diag_bytes
         states = self.states
         phase = states * (2 * sb + db)  # numerator of phase_time
-        # read-modify-write sweeps per mixer: one tiled sweep plus one per
-        # qubit beyond the tile for the single-pass kernels; one per qubit
-        # rotation for multi-pass kernels (numerator of mixer_compute_time)
-        mixer_sweeps = (1 + max(0, self.n_qubits - DEFAULT_TILE_QUBITS)
-                        if self.single_pass_mixer else self.n_qubits)
-        mixer = mixer_sweeps * 2 * sb * states
+        # read-modify-write sweeps per mixer: the tiled sweep plus the
+        # column-grouped one past the tile for the single-pass kernels
+        # (the fused expectation: tiled, grouped below its last stride, and
+        # that stride); one per qubit rotation for multi-pass kernels
+        # (numerator of mixer_compute_time)
+        n, tile = self.n_qubits, DEFAULT_TILE_QUBITS
+        if self.single_pass_mixer:
+            sweeps = 1 + (n > tile)
+            expectation_sweeps = 1 + (n - 1 > tile) + (n > tile)
+        else:
+            sweeps = expectation_sweeps = n
+        mixer = sweeps * 2 * sb * states
         expectation = states * (sb + db)
         if isinstance(op, MixerOp):
             return mixer * op.n_trotters
@@ -72,8 +81,8 @@ class PlanCostModel:
             extra_diag = states * db if op.with_phase else 0
             # expectation reads the ping-pong buffer directly: the mixer's
             # final copy-back (one state write) is saved
-            return (mixer * op.n_trotters + extra_diag + expectation
-                    - states * sb)
+            return (expectation_sweeps * 2 * sb * states * op.n_trotters
+                    + extra_diag + expectation - states * sb)
         if isinstance(op, ExpectationOp):
             return expectation
         return phase  # PhaseOp: one streaming read-modify-write sweep

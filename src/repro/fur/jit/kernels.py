@@ -3,11 +3,12 @@
 Every other CPU backend executes a fused op as a *sequence* of numpy passes
 over the ``(rows, 2^n)`` block — a phase-table gather, then one gemm per
 butterfly group — so throughput is pinned to memory bandwidth times the pass
-count.  The kernels here execute an entire fused op in one pass: per
-cache-sized tile of each row they apply the phase multiply and *all* SU(2)
-butterflies whose stride fits the tile, then finish the few high-qubit
-strides with streaming sweeps.  ~6 flops/amplitude/qubit instead of the gemm
-formulation's ~32, and the block is read once, not once per qubit group.
+count.  The kernels here execute a fused op in two passes per row: per
+cache-sized tile they apply the phase multiply and *all* SU(2) butterflies
+whose stride fits the tile, then a column-grouped pass applies every
+higher stride to a few adjacent columns of the row's ``(2^(n-t), 2^t)``
+view while they stay in cache.  ~6 flops/amplitude/qubit instead of the
+gemm formulation's ~32, and the block is read twice, not once per qubit.
 
 Three execution paths provide the same public functions (the dual-path idiom
 of SNIPPETS.md Snippet 1, ``delande/and-python``):
@@ -32,7 +33,12 @@ unsharded result bitwise.
 one (``numba``/``cc``/``numpy``/``auto``), falling down the ladder when the
 requested path is unavailable.  ``REPRO_NUM_THREADS`` bounds the worker
 count of both the numba thread pool and the row pool (:func:`run_tasks`:
-the ``cc`` rung's row slices and the sharded backends' tasks).  Kernel
+the ``cc`` rung's row slices and the sharded backends' tasks).  On the
+``cc`` rung a call with fewer rows than the pool has threads splits each
+row of at least ``_SPLIT_MIN_STATES`` amplitudes too: its tile pass, then
+its column groups (and the fused expectation's last-stride flush blocks),
+one :func:`run_tasks` round each, with bits equal to the unsplit row's.
+The numba rung splits rows only (``prange``).  Kernel
 compilation is lazy and cached per ``(path, dtype, n_qubits, mixer)``
 signature: :func:`ensure_kernels` returns the seconds newly spent compiling
 (zero on a warm signature) so providers can report compile time separately
@@ -51,7 +57,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -107,6 +113,32 @@ KNOWN_PATHS = ("numba", "cc", "numpy")
 #: typical L1D, leaving room for the factor table.  Measured throughput is
 #: flat over tile_q 9..13 on the reference machine.
 DEFAULT_TILE_QUBITS = 11
+
+#: Columns per group, and strides per step, of the fused X layer's
+#: column-grouped pass: it applies every stride at or above the tile to
+#: ``_GROUP_COLUMNS`` adjacent columns of the row's ``(2^(n-t), 2^t)``
+#: view, ``_GROUP_STRIDES`` strides (2^4 rows) at a time.  Rows of the
+#: view lie 32 KiB apart, so on huge pages (numpy's large arrays) all
+#: 2^(n-t) rows of a group collide in a few L2 sets.  Tile plus high
+#: strides of one n=18 complex128 row on huge pages, one thread, 2-vCPU
+#: Sapphire Rapids Xeon (2 MiB 16-way L2), median ms: one sweep per stride
+#: 3.1; every stride in one step 4.5 (32 columns); four strides per step
+#: 3.1 at 32 columns, 2.8 at 64, 2.7 at 128.  At n=20: 20.4 against 17.5
+#: (128 columns, four strides).
+_GROUP_COLUMNS = 128
+_GROUP_STRIDES = 4
+
+#: Pairs per partial sum of the fused expectation's last-stride reduction
+#: (and of ``reduce_span``): a split of that loop cuts only between blocks.
+_FLUSH_PAIRS = 4096
+
+#: Smallest row (amplitudes) whose fused X layer splits across the row
+#: pool when a call has fewer rows than threads.  A split costs two or
+#: three :func:`run_tasks` rounds per layer, ~0.1 ms each.  One-row
+#: ``furx_phase_block`` (phase table) on a 2-vCPU Sapphire Rapids Xeon,
+#: split over two threads vs one, median ms: n=14 0.49 vs 0.30, n=15 0.64
+#: vs 0.53, n=16 0.88 vs 1.06, n=18 2.85 vs 4.38.
+_SPLIT_MIN_STATES = 1 << 16
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -171,8 +203,23 @@ def row_ranges(rows: int, parts: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + chunk, rows)) for r0 in range(0, rows, chunk)]
 
 
+def _run(task) -> BaseException | None:
+    try:
+        task()
+    except Exception as exc:  # noqa: BLE001 - re-raised by run_tasks
+        return exc
+    return None
+
+
 def run_tasks(tasks) -> None:
-    """Run every callable of ``tasks`` on the row pool, then return.
+    """Run every callable of ``tasks`` on the row pool, the caller helping.
+
+    The caller runs the first task itself, then takes back every sibling
+    no pool thread has started and runs it inline; it waits only on the
+    siblings already running.  So a call completes even while every pool
+    thread is busy with other callers' tasks, and a one-row split costs
+    no hand-off when the pool is idle.  While the caller runs tasks it
+    counts as a pool worker, so a task's own kernels never nest.
 
     Returns or raises only once every task has finished (a failed task
     never leaves a sibling writing behind the caller's back), re-raising
@@ -183,12 +230,7 @@ def run_tasks(tasks) -> None:
     global _row_pool, _row_pool_size
     threads = pool_threads()
     if threads <= 1 or len(tasks) <= 1 or getattr(_in_pool, "worker", False):
-        errors = []
-        for task in tasks:
-            try:
-                task()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
+        errors = [_run(task) for task in tasks]
     else:
         with _row_pool_lock:
             if _row_pool_size != threads:
@@ -199,8 +241,16 @@ def run_tasks(tasks) -> None:
                     initializer=setattr, initargs=(_in_pool, "worker", True))
                 _row_pool_size = threads
             # submitted under the lock: a resize cannot shut the pool first
-            futures = [_row_pool.submit(task) for task in tasks]
-        errors = [f.exception() for f in futures]
+            futures = [_row_pool.submit(task) for task in tasks[1:]]
+        _in_pool.worker = True
+        try:
+            errors = [_run(tasks[0])]
+            errors += [_run(task) if future.cancel() else future
+                       for task, future in zip(tasks[1:], futures)]
+        finally:
+            _in_pool.worker = False
+        errors = [e.exception() if isinstance(e, Future) else e
+                  for e in errors]
     first = next((e for e in errors if e is not None), None)
     if first is not None:
         raise first
@@ -208,10 +258,49 @@ def run_tasks(tasks) -> None:
 
 def _parallel_rows(rows: int, run_slice) -> None:
     """Run ``run_slice(r0, r1)`` over row slices on the row pool (ctypes
-    releases the GIL); from a pool worker, all rows in one slice."""
+    releases the GIL); from a pool worker, all rows in one slice.
+
+    This splits rows only; the fused X layers split each of a few big rows
+    as well (:func:`_row_parts`)."""
     parts = 1 if getattr(_in_pool, "worker", False) else pool_threads()
     run_tasks([functools.partial(run_slice, r0, r1)
                for r0, r1 in row_ranges(rows, parts)])
+
+
+def _row_parts(rows: int, n_qubits: int, tile_q: int) -> int:
+    """Slices each row of a fused X layer splits into on the ``cc`` rung.
+
+    1 (the row split) unless the call has fewer rows than the pool has
+    threads and a row holds at least :data:`_SPLIT_MIN_STATES` amplitudes
+    beyond one tile; then enough slices per row to give every thread one.
+    """
+    threads = pool_threads()
+    if (not 0 < rows < threads or getattr(_in_pool, "worker", False)
+            or n_qubits <= tile_q or (1 << n_qubits) < _SPLIT_MIN_STATES):
+        return 1
+    return -(-threads // rows)
+
+
+def _split_furx(lib, block, cs, ss, parts, phase, tile_q, q_end):
+    """One fused X layer of every row, each row's passes split ``parts``
+    ways: the tile pass, then (after :func:`run_tasks` returns, the only
+    barrier) the column-grouped pass of strides ``tile_q..q_end-1``.  The
+    C loops are the ones the row split runs, so the bits are too."""
+    rows, _, n_qubits = _check_block(block)
+    suf = _suffix(block)
+    mode, factors, inverse, g, pcosts = phase
+    tiles = getattr(lib, f"jit_furx_tiles_{suf}")
+    groups = getattr(lib, f"jit_furx_groups_{suf}")
+    n_groups = -(-(1 << tile_q) // _GROUP_COLUMNS)
+    run_tasks([functools.partial(
+        tiles, _ptr(block[r]), n_qubits, k0, k1, cs[r], ss[r], mode,
+        _ptr(factors[r]) if mode == 1 else None, _ptr(inverse),
+        g[r] if mode else 0.0, _ptr(pcosts), tile_q)
+        for r in range(rows)
+        for k0, k1 in row_ranges(1 << (n_qubits - tile_q), parts)])
+    run_tasks([functools.partial(groups, _ptr(block[r]), n_qubits, q_end,
+                                 g0, g1, cs[r], ss[r], tile_q)
+               for r in range(rows) for g0, g1 in row_ranges(n_groups, parts)])
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +328,15 @@ static void pair_@SUF@(@REAL@ *lo, @REAL@ *hi, @REAL@ c, @REAL@ s,
     hi[1] = c * bi + ns * ar;
 }
 
+/* the butterflies of two disjoint runs of w amplitudes, pair by pair */
+static void pairs_@SUF@(@REAL@ *restrict lo, @REAL@ *restrict hi,
+                        ptrdiff_t w, @REAL@ c, @REAL@ s)
+{
+    const @REAL@ ns = -s;
+    for (ptrdiff_t k = 0; k < w; ++k)
+        pair_@SUF@(lo + 2 * k, hi + 2 * k, c, s, ns);
+}
+
 /* every butterfly of bit position q over a span of len amplitudes; at
  * q = 0 one loop walks the adjacent pairs, because a one-pair run is too
  * short for the vectorizer (the fold made each butterfly dearer, and this
@@ -257,25 +355,35 @@ static void sweep_@SUF@(@REAL@ *x, ptrdiff_t len, int q, @REAL@ c, @REAL@ s)
             pair_@SUF@(x + 2 * k, x + 2 * (k + stride), c, s, ns);
 }
 
-/* last-stride butterfly fused with the cost-weighted norm reduction */
-static double butterfly_span_expec_@SUF@(@REAL@ *lo, @REAL@ *hi,
-                                         ptrdiff_t count, @REAL@ c, @REAL@ s,
-                                         const double *clo, const double *chi)
+/* the last-stride butterfly of one row, fused with the cost-weighted norm
+ * reduction, over the pair blocks [b0, b1) of @FLUSH@ pairs: block b's
+ * partial sum goes to partials[b - b0].  Summed in block order from 0.0, the
+ * partials give one sequential reduction's bits, however the blocks
+ * were split. */
+void jit_expec_tail_@SUF@(@REAL@ *x, int n_qubits, ptrdiff_t b0,
+                          ptrdiff_t b1, double cd, double sd,
+                          const double *ecosts, double *partials)
 {
-    const @REAL@ ns = -s;
-    double total = 0.0, part = 0.0;
-    for (ptrdiff_t k = 0; k < count; ++k) {
-        @REAL@ ar = lo[2 * k], ai = lo[2 * k + 1];
-        @REAL@ br = hi[2 * k], bi = hi[2 * k + 1];
-        @REAL@ lr = c * ar + s * bi, li = c * ai + ns * br;
-        @REAL@ hr = c * br + s * ai, hi_ = c * bi + ns * ar;
-        lo[2 * k] = lr;  lo[2 * k + 1] = li;
-        hi[2 * k] = hr;  hi[2 * k + 1] = hi_;
-        part += clo[k] * ((double)lr * lr + (double)li * li)
-              + chi[k] * ((double)hr * hr + (double)hi_ * hi_);
-        if ((k & 4095) == 4095) { total += part; part = 0.0; }
+    const ptrdiff_t half = (ptrdiff_t)1 << (n_qubits - 1);
+    const @REAL@ c = (@REAL@)cd, s = (@REAL@)sd, ns = -s;
+    @REAL@ *lo = x, *hi = x + 2 * half;
+    const double *clo = ecosts, *chi = ecosts + half;
+    for (ptrdiff_t b = b0; b < b1; ++b) {
+        const ptrdiff_t k1 = (b + 1) * @FLUSH@ < half ? (b + 1) * @FLUSH@
+                                                      : half;
+        double part = 0.0;
+        for (ptrdiff_t k = b * @FLUSH@; k < k1; ++k) {
+            @REAL@ ar = lo[2 * k], ai = lo[2 * k + 1];
+            @REAL@ br = hi[2 * k], bi = hi[2 * k + 1];
+            @REAL@ lr = c * ar + s * bi, li = c * ai + ns * br;
+            @REAL@ hr = c * br + s * ai, hi_ = c * bi + ns * ar;
+            lo[2 * k] = lr;  lo[2 * k + 1] = li;
+            hi[2 * k] = hr;  hi[2 * k + 1] = hi_;
+            part += clo[k] * ((double)lr * lr + (double)li * li)
+                  + chi[k] * ((double)hr * hr + (double)hi_ * hi_);
+        }
+        partials[b - b0] = part;
     }
-    return total + part;
 }
 
 /* phase multiply over a span: mode 1 = unique-value table gather,
@@ -315,33 +423,87 @@ static double reduce_span_@SUF@(const @REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
     for (ptrdiff_t i = 0; i < len; ++i) {
         @REAL@ ar = tx[2 * i], ai = tx[2 * i + 1];
         part += cost[i] * ((double)ar * ar + (double)ai * ai);
-        if ((i & 4095) == 4095) { total += part; part = 0.0; }
+        if ((i & (@FLUSH@ - 1)) == @FLUSH@ - 1) { total += part; part = 0.0; }
     }
     return total + part;
 }
 
-/* fused phase + X rotations of bit positions 0..q_end-1 on one row, in a
- * single cache-blocked pass: per tile apply the phase multiply and every
- * butterfly whose stride fits the tile, then finish the high strides with
- * streaming sweeps */
+/* The fused X layer of one row runs as two passes, each splittable across
+ * threads (the caller's run between them is the only barrier):
+ *
+ * the tile pass, over tiles [k0, k1) of 2^t amplitudes: per tile the phase
+ * multiply, then every butterfly whose stride fits the tile (q < t) */
+void jit_furx_tiles_@SUF@(@REAL@ *x, int n_qubits, ptrdiff_t k0,
+                          ptrdiff_t k1, double cd, double sd, int mode,
+                          const @REAL@ *factors_row, const int64_t *inverse,
+                          double gamma, const @REAL@ *pcosts, int tile_q)
+{
+    const int t = tile_q < n_qubits ? tile_q : n_qubits;
+    const ptrdiff_t T = (ptrdiff_t)1 << t;
+    const @REAL@ c = (@REAL@)cd, s = (@REAL@)sd;
+    for (ptrdiff_t k = k0; k < k1; ++k) {
+        @REAL@ *tx = x + 2 * k * T;
+        if (mode)
+            phase_span_@SUF@(tx, k * T, T, mode, factors_row, inverse, gamma,
+                             pcosts);
+        for (int q = 0; q < t; ++q)
+            sweep_@SUF@(tx, T, q, c, s);
+    }
+}
+
+/* and the column-grouped pass, over groups [g0, g1) of the row seen as a
+ * (2^(n-t), 2^t) matrix: each group of @GROUP@ adjacent columns applies
+ * the strides q = t..q_end-1 in order.  It takes them @STRIDES@ at a time,
+ * so each step mixes only 2^@STRIDES@ rows: those stay in cache, where all
+ * of a group's rows, a power-of-two stride apart, would collide in the
+ * cache sets.  Every amplitude meets the same butterflies in the same
+ * order as under one streamed sweep per stride, so the bits are those
+ * sweeps' bits. */
+void jit_furx_groups_@SUF@(@REAL@ *x, int n_qubits, int q_end,
+                           ptrdiff_t g0, ptrdiff_t g1, double cd, double sd,
+                           int tile_q)
+{
+    const int t = tile_q < n_qubits ? tile_q : n_qubits;
+    const ptrdiff_t T = (ptrdiff_t)1 << t;
+    const ptrdiff_t R = (ptrdiff_t)1 << (n_qubits - t);
+    const @REAL@ c = (@REAL@)cd, s = (@REAL@)sd;
+    for (ptrdiff_t g = g0; g < g1; ++g) {
+        const ptrdiff_t c0 = g * @GROUP@;
+        const ptrdiff_t w = c0 + @GROUP@ < T ? @GROUP@ : T - c0;
+        for (int qa = t; qa < q_end; qa += @STRIDES@) {
+            const int qb = qa + @STRIDES@ < q_end ? qa + @STRIDES@ : q_end;
+            /* rows m, m + step, ... m + span - step: the ones strides
+             * qa..qb-1 mix with each other */
+            const ptrdiff_t step = (ptrdiff_t)1 << (qa - t);
+            const ptrdiff_t span = (ptrdiff_t)1 << (qb - t);
+            for (ptrdiff_t j0 = 0; j0 < R; j0 += span)
+                for (ptrdiff_t m = j0; m < j0 + step; ++m)
+                    for (int q = qa; q < qb; ++q) {
+                        const ptrdiff_t h = (ptrdiff_t)1 << (q - t);
+                        for (ptrdiff_t b = m; b < m + span; b += 2 * h)
+                            for (ptrdiff_t j = b; j < b + h; j += step)
+                                pairs_@SUF@(x + 2 * (j * T + c0),
+                                            x + 2 * ((j + h) * T + c0), w,
+                                            c, s);
+                    }
+        }
+    }
+}
+
+/* fused phase + X rotations of bit positions 0..q_end-1 on one row: all
+ * tiles, then all column groups */
 static void furx_row_@SUF@(@REAL@ *x, int n_qubits, int q_end, @REAL@ c,
                            @REAL@ s, int mode, const @REAL@ *factors_row,
                            const int64_t *inverse, double gamma,
                            const @REAL@ *pcosts, int tile_q)
 {
-    const ptrdiff_t n = (ptrdiff_t)1 << n_qubits;
     const int t = tile_q < n_qubits ? tile_q : n_qubits;
-    const ptrdiff_t T = (ptrdiff_t)1 << t;
-    for (ptrdiff_t s0 = 0; s0 < n; s0 += T) {
-        @REAL@ *tx = x + 2 * s0;
-        if (mode)
-            phase_span_@SUF@(tx, s0, T, mode, factors_row, inverse, gamma,
-                             pcosts);
-        for (int q = 0; q < t; ++q)
-            sweep_@SUF@(tx, T, q, c, s);
-    }
-    for (int q = t; q < q_end; ++q)
-        sweep_@SUF@(x, n, q, c, s);
+    jit_furx_tiles_@SUF@(x, n_qubits, 0, (ptrdiff_t)1 << (n_qubits - t), c,
+                         s, mode, factors_row, inverse, gamma, pcosts,
+                         tile_q);
+    jit_furx_groups_@SUF@(x, n_qubits, q_end, 0,
+                          (((ptrdiff_t)1 << t) + @GROUP@ - 1) / @GROUP@, c,
+                          s, tile_q);
 }
 
 /* optional phase, then X rotations at the given bit positions, in order:
@@ -394,9 +556,16 @@ void jit_furx_expec_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
         furx_row_@SUF@(x, n_qubits, tiled ? n_qubits : n_qubits - 1, c, s,
                        mode, factors ? factors + 2 * r * n_unique : 0,
                        inverse, gammas ? gammas[r] : 0.0, pcosts, tile_q);
-        out[r] = tiled ? reduce_span_@SUF@(x, 0, n, ecosts)
-                       : butterfly_span_expec_@SUF@(x, x + 2 * half, half, c,
-                                                    s, ecosts, ecosts + half);
+        if (tiled) {
+            out[r] = reduce_span_@SUF@(x, 0, n, ecosts);
+            continue;
+        }
+        double total = 0.0, part;
+        for (ptrdiff_t b = 0; b * @FLUSH@ < half; ++b) {
+            jit_expec_tail_@SUF@(x, n_qubits, b, b + 1, c, s, ecosts, &part);
+            total += part;
+        }
+        out[r] = total;
     }
 }
 
@@ -460,9 +629,12 @@ _C_PRELUDE = """\
 
 
 def _c_source() -> str:
+    template = (_C_TEMPLATE.replace("@GROUP@", str(_GROUP_COLUMNS))
+                .replace("@STRIDES@", str(_GROUP_STRIDES))
+                .replace("@FLUSH@", str(_FLUSH_PAIRS)))
     parts = [_C_PRELUDE]
     for real, suf in (("double", "f64"), ("float", "f32")):
-        parts.append(_C_TEMPLATE.replace("@REAL@", real).replace("@SUF@", suf))
+        parts.append(template.replace("@REAL@", real).replace("@SUF@", suf))
     return "".join(parts)
 
 
@@ -531,6 +703,7 @@ def _declare_argtypes(lib: ctypes.CDLL) -> None:
     p = ctypes.c_void_p
     ssz = ctypes.c_ssize_t
     i = ctypes.c_int
+    d = ctypes.c_double
     for suf in ("f64", "f32"):
         fn = getattr(lib, f"jit_rotx_{suf}")
         fn.restype = None
@@ -538,6 +711,15 @@ def _declare_argtypes(lib: ctypes.CDLL) -> None:
         fn = getattr(lib, f"jit_furx_expec_{suf}")
         fn.restype = None
         fn.argtypes = [p, ssz, i, p, p, i, p, ssz, p, p, p, i, p, p]
+        fn = getattr(lib, f"jit_furx_tiles_{suf}")
+        fn.restype = None
+        fn.argtypes = [p, i, ssz, ssz, d, d, i, p, p, d, p, i]
+        fn = getattr(lib, f"jit_furx_groups_{suf}")
+        fn.restype = None
+        fn.argtypes = [p, i, i, ssz, ssz, d, d, i]
+        fn = getattr(lib, f"jit_expec_tail_{suf}")
+        fn.restype = None
+        fn.argtypes = [p, i, ssz, ssz, d, d, p, p]
         fn = getattr(lib, f"jit_phase_{suf}")
         fn.restype = None
         fn.argtypes = [p, ssz, ssz, i, p, ssz, p, p, p]
@@ -810,7 +992,13 @@ def _compiled_rotate_x(path, block, betas, positions, gammas, phase_table,
         _nb_rotx(block, cs, ss, positions, full, mode, factors, inverse, g,
                  pcosts, tile_q)
         return
-    fn = getattr(_load_clib(), f"jit_rotx_{_suffix(block)}")
+    lib = _load_clib()
+    parts = _row_parts(rows, n_qubits, tile_q)
+    if parts > 1 and np.array_equal(positions, np.arange(n_qubits)):
+        _split_furx(lib, block, cs, ss, parts,
+                    (mode, factors, inverse, g, pcosts), tile_q, n_qubits)
+        return
+    fn = getattr(lib, f"jit_rotx_{_suffix(block)}")
     n_unique = factors.shape[1]
 
     def run_slice(r0: int, r1: int) -> None:
@@ -896,6 +1084,26 @@ def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
                        tile_q, ecosts, out)
         return out
     lib = _load_clib()
+    parts = _row_parts(rows, n_qubits, tile_q)
+    if parts > 1:
+        # the last stride runs apart, cut only at flush boundaries: one
+        # partial per flush block, summed in block order as the row
+        # kernel sums them
+        _split_furx(lib, block, cs, ss, parts,
+                    (mode, factors, inverse, g, pcosts), tile_q, n_qubits - 1)
+        tail = getattr(lib, f"jit_expec_tail_{_suffix(block)}")
+        partials = np.empty((rows, -(-(n_states >> 1) // _FLUSH_PAIRS)))
+        run_tasks([functools.partial(tail, _ptr(block[r]), n_qubits, b0, b1,
+                                     cs[r], ss[r], _ptr(ecosts),
+                                     _ptr(partials[r, b0:]))
+                   for r in range(rows)
+                   for b0, b1 in row_ranges(partials.shape[1], parts)])
+        for r, row in enumerate(partials.tolist()):
+            total = 0.0
+            for part in row:
+                total += part
+            out[r] = total
+        return out
     fn = getattr(lib, f"jit_furx_expec_{_suffix(block)}")
     n_unique = factors.shape[1]
 

@@ -42,6 +42,11 @@ __all__ = [
 #: chunk by the direct-exponential batched phase fallback.
 _BATCH_PHASE_CHUNK: int = 1 << 20
 
+#: Basis states per chunk of the expectation reduction.  Fixed, never sized
+#: by the row count, so a row's float64 sum (pairwise within a chunk, the
+#: chunks in order) is the same whatever batch the row rides in.
+_EXPECTATION_COLUMNS: int = 1 << 14
+
 
 class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
     """Shared host-NumPy simulation loop; subclasses supply the mixer."""
@@ -174,16 +179,36 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         return np.ascontiguousarray(sv.real, dtype=np.float64)
 
 
-def _block_expectations(block: np.ndarray, costs: np.ndarray,
-                        chunk: int = _BATCH_PHASE_CHUNK) -> np.ndarray:
-    """Per-row ``Σ_x c[x] |ψ_x|²`` of a block, chunked over basis states."""
+def _block_expectations(block: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Per-row ``Σ_x c[x] |ψ_x|²`` of a block (one segment of
+    :func:`_segment_expectations`)."""
+    return _segment_expectations(block, costs, block.shape[1])[:, 0]
+
+
+def _segment_expectations(block: np.ndarray, costs: np.ndarray,
+                          width: int) -> np.ndarray:
+    """``(rows, n // width)`` sums ``Σ c[x] |ψ_x|²`` over each row's
+    segments of ``width`` basis states.
+
+    Every row and segment reduces on its own (multiply, then a pairwise sum
+    along the row per chunk of at most ``_EXPECTATION_COLUMNS`` states, the
+    chunks in order; no BLAS product grouping rows), so a sum's bits
+    depend only on ``width``, never on the batch or on how the rows are
+    split.  Rows go in groups that keep the temporaries near
+    ``_BATCH_PHASE_CHUNK`` elements.
+    """
     rows, n = block.shape
-    cols = max(1, chunk // max(rows, 1))
-    out = np.zeros(rows, dtype=np.float64)
-    for s in range(0, n, cols):
-        e = min(s + cols, n)
-        blk = block[:, s:e]
-        out += (blk.real ** 2 + blk.imag ** 2) @ costs[s:e]
+    n_seg = n // width
+    segments = block.reshape(rows, n_seg, width)
+    seg_costs = costs.reshape(n_seg, width)
+    cols = min(width, _EXPECTATION_COLUMNS)
+    step = max(1, _BATCH_PHASE_CHUNK // (n_seg * cols))
+    out = np.zeros((rows, n_seg), dtype=np.float64)
+    for r0 in range(0, rows, step):
+        for s in range(0, width, cols):
+            blk = segments[r0:r0 + step, :, s:s + cols]
+            probs = blk.real ** 2 + blk.imag ** 2
+            out[r0:r0 + step] += (probs * seg_costs[:, s:s + cols]).sum(axis=2)
     return out
 
 

@@ -51,6 +51,7 @@ from ..base import QAOAFastSimulatorBase
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
 from ..jit import kernels
 from ..python.furxy import complete_edges, ring_edges
+from ..python.qaoa_simulator import _segment_expectations
 from .layout import ShardLayout, resolve_n_shards, sharded_state_bytes
 
 __all__ = [
@@ -59,9 +60,6 @@ __all__ = [
     "QAOAFURXYRingSimulatorSharded",
     "QAOAFURXYCompleteSimulatorSharded",
 ]
-
-#: Fixed chunk (amplitudes) for the expectation reduction inside a segment.
-_EXPECTATION_CHUNK: int = 1 << 16
 
 #: Segment-grid exponent floor for expectation partials: the grid is
 #: ``2^max(g, min(n, 8))`` segments regardless of the actual shard count, so
@@ -204,20 +202,19 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     # -- shard dispatch ------------------------------------------------------
     def _map_shards(self, block: list[np.ndarray],
-                    fn: Callable[[int, slice], None], *,
-                    split_rows: bool = True) -> None:
+                    fn: Callable[[int, slice], None]) -> None:
         """Run ``fn(s, rows)`` over a (shard, row-chunk) grid on the row pool.
 
         Each shard's rows split into ``ceil(T / K)`` chunks of the pool's
         ``T`` threads (one shard: the jit tier's own row split); the kernels
-        compute every row on its own, so no bit depends on the split.
-        ``split_rows=False`` keeps one task per shard.  Every task finishes
-        before this returns, even when one fails; the first failure in task
-        order is re-raised after the telemetry is recorded.  A shard's busy
-        time spans its first chunk's start to its last chunk's end.
+        compute every row on its own, so no bit depends on the split.  Every
+        task finishes before this returns, even when one fails; the first
+        failure in task order is re-raised after the telemetry is recorded.
+        A shard's busy time spans its first chunk's start to its last
+        chunk's end.
         """
         k = self._n_shards
-        parts = -(-kernels.pool_threads() // k) if split_rows else 1
+        parts = -(-kernels.pool_threads() // k)
         chunks = kernels.row_ranges(block[0].shape[0], parts)
         spans: list[list[tuple[float, float]]] = [[] for _ in range(k)]
 
@@ -379,12 +376,12 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                             costs: np.ndarray) -> np.ndarray:
         """Per-schedule objective over a fixed float64 segment grid.
 
-        Each shard reduces its segments into float64 partials (the shards
-        in parallel on the pool, each over all its rows: BLAS groups the
-        rows of one matrix-vector product, so a row's bits depend on its
-        row group); the final tree reduction sums the fixed
-        ``2^max(g, min(n, 8))`` segment axis, so the accumulation order —
-        and therefore the result bits — are identical at every shard count.
+        Every segment of every row reduces on its own into a float64
+        partial (the python backend's row-independent reduction), on the
+        (shard, row-chunk) grid; each row then sums its fixed
+        ``2^max(g, min(n, 8))`` partials.  The accumulation order, and so
+        the result bits, depend neither on the shard count nor on the rows
+        a schedule is batched with.
         """
         rows = block[0].shape[0]
         g_seg = max(self._g_global,
@@ -392,24 +389,17 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         n_seg = 1 << g_seg
         seg_w = self._n_states >> g_seg
         per_shard = n_seg // self._n_shards
-        partials = np.empty((n_seg, rows), dtype=np.float64)
+        slab_w = per_shard * seg_w
+        partials = np.empty((rows, n_seg), dtype=np.float64)
 
-        def work(s: int, _rows: slice) -> None:
-            slab = block[s]
-            for t in range(per_shard):
-                seg = s * per_shard + t
-                o = t * seg_w
-                start = seg * seg_w
-                acc = np.zeros(rows, dtype=np.float64)
-                for c0 in range(0, seg_w, _EXPECTATION_CHUNK):
-                    c1 = min(c0 + _EXPECTATION_CHUNK, seg_w)
-                    sub = slab[:, o + c0:o + c1]
-                    acc += ((sub.real ** 2 + sub.imag ** 2)
-                            @ costs[start + c0:start + c1])
-                partials[seg] = acc
+        def work(s: int, r: slice) -> None:
+            partials[r, s * per_shard:(s + 1) * per_shard] = (
+                _segment_expectations(block[s][r],
+                                      costs[s * slab_w:(s + 1) * slab_w],
+                                      seg_w))
 
-        self._map_shards(block, work, split_rows=False)
-        return partials.sum(axis=0)
+        self._map_shards(block, work)
+        return partials.sum(axis=1)
 
     def _block_results(self,
                        block: list[np.ndarray]) -> list[ShardedStateVector]:

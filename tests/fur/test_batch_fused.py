@@ -107,6 +107,33 @@ class TestFusedBatchEquivalence:
         np.testing.assert_allclose(fused, looped, atol=1e-12)
 
 
+class TestBatchInvariantEnergies:
+    # A schedule's energy must not depend on the batch it rides in: every
+    # reduction sums each row on its own, in an order fixed by n alone.
+    @pytest.mark.parametrize("backend,kwargs,rung", [
+        ("python", {}, "active"),
+        ("jit", {}, "active"),
+        ("jit", {}, "numpy"),
+        ("sharded", {"n_shards": 1}, "active"),
+        ("sharded", {"n_shards": 2}, "active"),
+        ("sharded", {"n_shards": 4}, "active"),
+    ])
+    def test_alone_equals_batched_bitwise(self, backend, kwargs, rung,
+                                          request):
+        if rung == "numpy":
+            request.getfixturevalue("numpy_rung")
+        n, rows = 12, 7
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend,
+                              **kwargs)
+        gammas, betas = np.random.default_rng(5).uniform(0.0, 1.0,
+                                                         (2, rows, 3))
+        batched = np.asarray(sim.get_expectation_batch(gammas, betas))
+        alone = np.array([sim.get_expectation_batch(gammas[i:i + 1],
+                                                    betas[i:i + 1])[0]
+                          for i in range(rows)])
+        np.testing.assert_array_equal(alone, batched)
+
+
 class TestSubBatchSplitting:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_tiny_budget_matches_unsplit(self, backend):

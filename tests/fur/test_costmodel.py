@@ -48,15 +48,21 @@ class TestOpPrices:
                FusedMixerExpectationOp(0, with_phase=True), ExpectationOp()]
         assert [model.op_bytes(op) for op in ops] == expected
 
-    @pytest.mark.parametrize("n,sweeps", [(8, 1), (11, 1), (12, 2),
-                                          (16, 6), (18, 8)])
-    def test_single_pass_mixer_prices_the_sweeps_the_kernel_makes(self, n,
-                                                                 sweeps):
-        # one tiled read-modify-write sweep covers the 11 tile qubits; each
-        # higher qubit streams the block once more
+    @pytest.mark.parametrize("n,sweeps,expectation_sweeps", [
+        (8, 1, 1), (11, 1, 1), (12, 2, 2), (13, 2, 3), (16, 2, 3),
+        (18, 2, 3)])
+    def test_single_pass_mixer_prices_the_sweeps_the_kernel_makes(
+            self, n, sweeps, expectation_sweeps):
+        # one tiled read-modify-write sweep covers the 11 tile qubits, one
+        # column-grouped sweep every higher one; the fused expectation's
+        # last stride is a sweep of its own, reading the costs as it goes
         model = PlanCostModel(n, single_pass_mixer=True)
-        sweep = 2 * model.model.state_bytes * (1 << n)
+        states = 1 << n
+        sweep = 2 * model.model.state_bytes * states
         assert model.op_bytes(MixerOp(0)) == sweeps * sweep
+        assert (model.op_bytes(FusedMixerExpectationOp(0))
+                == expectation_sweeps * sweep
+                + states * model.model.diag_bytes)
 
     def test_precision_enters_through_the_performance_model(self):
         perf = PerformanceModel(state_bytes=8, diag_bytes=4)

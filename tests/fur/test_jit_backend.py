@@ -16,12 +16,16 @@ Covers
   ``EngineStats.kernel_compile_time_s``,
 * the ``REPRO_NUM_THREADS`` knob and ``effective_num_threads`` resolution,
   and the row pool's dispatch (every task finishes before a failure is
-  re-raised, pool workers run nested kernels inline),
+  re-raised, pool workers run nested kernels inline, a caller runs the
+  tasks no pool thread has started, every task runs exactly once) and the
+  one-row split, bitwise invariant under the pool size,
 * registry integration: the ``numba`` alias, capability tiers, and the
   ``describe()`` extra line reporting the active path,
 * bitwise pins of the shared arithmetic: the X rotation is the
   two-rounding formula on every rung and bit position (the full mixer on
-  the compiled rungs), the phase a plain complex multiply,
+  the compiled rungs, through the column-grouped pass too), the phase a
+  plain complex multiply, and no fused add/subtract in the compiled
+  kernels,
 * edge/argument validation (bad XY kind or edges, non-contiguous blocks,
   phase without table or costs) and XY edge-order equivalence with the ordered
   ``python`` kernels.
@@ -29,6 +33,10 @@ Covers
 
 import logging
 import os
+import re
+import shutil
+import subprocess
+import sys
 import threading
 import time
 
@@ -190,15 +198,17 @@ class TestKernelArithmetic:
     N = 9
 
     @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("tile_q", [kernels.DEFAULT_TILE_QUBITS, 2])
     def test_furx_block_is_the_two_rounding_formula(self, rng, jit_path,
-                                                    precision):
+                                                    precision, tile_q):
+        # tile_q=2 sends strides 2..8 through the column-grouped pass
         block = random_block(rng, 3, self.N, DTYPES[precision])
         betas = rng.uniform(-1.5, 1.5, 3)
         if jit_path == "numpy":
             expected = furx_all_batch(block.copy(), betas, self.N)
         else:
             expected = two_rounding_rotation(block, betas, range(self.N))
-        kernels.furx_block(block, betas)
+        kernels.furx_block(block, betas, tile_q=tile_q)
         assert np.array_equal(block, expected)
 
     @pytest.mark.parametrize("precision", PRECISIONS)
@@ -248,6 +258,20 @@ class TestKernelArithmetic:
         block = random_block(rng, 1, 3, np.complex128)
         with pytest.raises(ValueError, match="bit positions"):
             kernels.rotate_x_block(block, np.array([0.1]), [3])
+
+    def test_compiled_kernels_fuse_no_add_subtract(self):
+        # Shard-count invariance rests on every butterfly rounding its two
+        # products apart.  The vectorizer fuses an alternating
+        # c*ai - s*br / c*ar + s*bi into vfmaddsub/vfmsubadd; the sign-folded
+        # butterfly gives it none, and the shared object must hold none.
+        objdump = shutil.which("objdump")
+        if objdump is None or kernels.active_path() != "cc":
+            pytest.skip("needs objdump and the cc rung")
+        lib_path = kernels._load_clib()._name
+        listing = subprocess.run([objdump, "-d", lib_path], check=True,
+                                 capture_output=True, text=True).stdout
+        assert "<jit_rotx_f64>:" in listing
+        assert re.findall(r"\bvfm(?:addsub|subadd)\w*", listing) == []
 
 
 class TestFurxyKernels:
@@ -507,20 +531,127 @@ class TestThreadKnob:
         assert ran.count("again") == 2
 
     def test_pool_workers_run_kernels_inline(self, rng, monkeypatch):
-        # A kernel called from a pool task runs its rows in one slice on
-        # that worker: the pool never submits to itself.
+        # A kernel called from a task runs its rows in one slice on the
+        # thread running that task, a pool worker or the helping caller:
+        # the pool never submits to itself.
         monkeypatch.setenv("REPRO_NUM_THREADS", "2")
         seen = []
 
         def outer():
+            task_thread = threading.current_thread().name
             kernels._parallel_rows(
                 8, lambda r0, r1: seen.append(
-                    (r0, r1, threading.current_thread().name)))
+                    (r0, r1, task_thread, threading.current_thread().name)))
 
         kernels.run_tasks([outer, outer])
         assert sorted(r[:2] for r in seen) == [(0, 8), (0, 8)]
-        if kernels.pool_threads() == 2:
-            assert all(name.startswith("repro-jit") for *_, name in seen)
+        assert all(task == inner for *_, task, inner in seen)
+        # the caller stops counting as a pool worker once its tasks are done
+        assert not getattr(kernels._in_pool, "worker", False)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("phase", ["table", "direct"])
+    def test_bitwise_invariant_under_row_split(self, rng, monkeypatch, n,
+                                               rows, precision, phase):
+        # With fewer rows than threads a big row's fused X layer splits
+        # across the pool (tiles, then column groups, then the
+        # expectation's flush blocks).  The pool size is forced so every
+        # split runs on any host: at 2-4 threads one row splits, and three
+        # rows split only at 4.
+        costs = labs_costs(n)
+        kw = ({"phase_table": build_phase_table(costs)} if phase == "table"
+              else {"costs": costs})
+        block = random_block(rng, rows, n, DTYPES[precision])
+        gammas, betas = rng.uniform(-1.0, 1.0, (2, rows))
+
+        def run():
+            out = [block.copy() for _ in range(4)]
+            kernels.furx_phase_block(out[0], gammas, betas, **kw)
+            kernels.furx_block(out[1], betas)
+            kernels.rotate_x_block(out[2], betas, range(n), gammas=gammas,
+                                   **kw)
+            energies = kernels.furx_expectation_block(out[3], gammas, betas,
+                                                      costs, **kw)
+            return out, energies
+
+        reference = None
+        for threads in (1, 2, 3, 4):
+            monkeypatch.setattr(kernels, "pool_threads", lambda: threads)
+            states, energies = run()
+            if reference is None:
+                reference = (states, energies)
+                continue
+            for got, want in zip(states, reference[0]):
+                assert np.array_equal(got, want)
+            assert np.array_equal(energies, reference[1])
+
+    def test_caller_runs_unstarted_tasks(self, monkeypatch):
+        # While every pool thread is blocked, a run_tasks from another
+        # thread still completes: its caller takes back the tasks no pool
+        # thread has started and runs them itself.
+        monkeypatch.setattr(kernels, "pool_threads", lambda: 2)
+        release = threading.Event()
+        started = []
+
+        def hold():
+            started.append(threading.current_thread().name)
+            release.wait(30)
+
+        # the hog's caller runs one task, the two pool threads the others
+        hog = threading.Thread(target=kernels.run_tasks, args=([hold] * 3,))
+        ran = []
+        probe = threading.Thread(target=kernels.run_tasks,
+                                 args=([lambda: ran.append(1)] * 2,))
+        hog.start()
+        try:
+            deadline = time.monotonic() + 10
+            while (sum(name.startswith("repro-jit") for name in started) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            probe.start()
+            probe.join(timeout=5)
+            assert not probe.is_alive(), "run_tasks waited on a busy pool"
+            assert ran == [1, 1]
+        finally:
+            release.set()
+            hog.join(timeout=30)
+            if probe.ident is not None:
+                probe.join(timeout=30)
+        assert not hog.is_alive() and not probe.is_alive()
+
+    def test_concurrent_callers_run_every_task_exactly_once(self,
+                                                            monkeypatch):
+        # Callers race the pool for each task (cancel it and run it inline,
+        # or wait on the running worker): under rapid thread switching and
+        # more callers and workers than cores, no task may run twice or be
+        # skipped, and every call must return.
+        monkeypatch.setattr(kernels, "pool_threads", lambda: 3)
+        counts = [[0] * 8 for _ in range(4)]
+        lock = threading.Lock()
+
+        def bump(caller, i):
+            with lock:
+                counts[caller][i] += 1
+
+        def caller(c):
+            for _ in range(50):
+                kernels.run_tasks([lambda i=i: bump(c, i) for i in range(8)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(c,))
+                       for c in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert counts == [[50] * 8 for _ in range(4)]
 
 
 class TestRegistryIntegration:
