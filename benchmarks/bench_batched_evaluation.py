@@ -165,8 +165,8 @@ def bench_backend(backend: str, terms, n: int, batch: int, p: int,
         # drift-cancelling statistic the rewrite gate asserts on.
         "rewrite_speedup": float(np.median(pairs[:, 1] / pairs[:, 0])),
         # One-time compile costs, recorded apart from the timed rounds: the
-        # engine's plan compilation and the provider's kernel JIT (numba
-        # specialization / the jit tier's shared-object build).
+        # engine's plan compilation and the jit tier's one-time
+        # shared-object build.
         "compile_time_s": stats["compile_time_s"],
         "kernel_compile_time_s": stats["kernel_compile_time_s"],
         "engine": stats,

@@ -2,8 +2,8 @@
 
 Paper setup: QOKit's custom-C CPU simulator vs Qiskit Aer vs OpenQAOA, n=6…24,
 reporting the full time to evaluate one QAOA expectation value.
-Reproduction: our ``c`` (the jit tier's live rung — compiled C or numba when
-available, the numpy kernels otherwise; recorded as ``c_rung`` in each
+Reproduction: our ``c`` (the jit tier's live rung — compiled C when a
+compiler is available, the numpy kernels otherwise; recorded as ``c_rung`` in each
 timing's ``extra_info``) and ``python`` FUR backends vs the gate-based
 baseline (ladder-compiled, Qiskit-style) vs the same baseline with native
 diagonal gates (OpenQAOA-style vectorized evaluation), n=6…14.

@@ -36,8 +36,8 @@ def maxcut_terms_cache():
 def record_c_rung(benchmark) -> None:
     """Tag a ``c``-backend timing with the jit rung that produced it.
 
-    ``c`` resolves to the jit tier, which runs compiled C (or numba) when
-    available and its numpy kernels otherwise, so a "c" curve is only
+    ``c`` resolves to the jit tier, which runs compiled C when a compiler
+    is available and its numpy kernels otherwise, so a "c" curve is only
     the paper's compiled-C analogue when the recorded rung says so.
     """
     benchmark.extra_info["c_rung"] = active_path()

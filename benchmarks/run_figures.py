@@ -54,8 +54,8 @@ def _print_cache_delta(label: str, before: tuple[int, int, int]) -> None:
 
 
 def _print_c_rung() -> None:
-    """Name the jit rung behind the "FUR c" columns (compiled C, numba, or
-    the numpy kernels when neither is available)."""
+    """Name the jit rung behind the "FUR c" columns (compiled C, or the
+    numpy kernels without a compiler)."""
     print(f"  [FUR c] jit tier, {active_path()} rung")
 
 

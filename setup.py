@@ -33,9 +33,6 @@ setup(
     ],
     extras_require={
         "test": ["pytest>=7.0", "pytest-cov>=4.0"],
-        # numba unlocks the jit backend's fastest implementation path; the
-        # backend itself works without it (compiled-C / numpy fallbacks).
-        "jit": ["numba>=0.57"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -200,14 +200,14 @@ def _jit_describe_extra() -> str:
 
 
 # ``c``/``cpu`` name the paper's compiled-C backend: the jit tier's ``cc`` rung.
-@register_backend("jit", aliases=("numba", "c", "cpu"),
+@register_backend("jit", aliases=("c", "cpu"),
                   mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
                   priority=100,
                   constructor_kwargs=("precision", "optimize"),
                   description="single-pass cache-blocked fused kernels "
-                              "(numba; compiled-C/numpy fallback ladder)",
+                              "(compiled C, numpy fallback)",
                   describe_extra=_jit_describe_extra)
 def _load_jit_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .jit import (

@@ -152,9 +152,9 @@ class EngineStats:
     plan_compiles: int = 0
     plan_cache_hits: int = 0
     compile_time_s: float = 0.0
-    #: wall-clock seconds providers spent JIT-compiling kernels (numba type
-    #: specialization or the jit tier's one-time C build) — reported apart
-    #: from plan compilation and never included in execution timings
+    #: wall-clock seconds providers spent compiling kernels (the jit tier's
+    #: one-time C build) — reported apart from plan compilation and never
+    #: included in execution timings
     kernel_compile_time_s: float = 0.0
     blocks_executed: int = 0
     rows_executed: int = 0

@@ -1,13 +1,12 @@
 """The ``jit`` backend: single-pass cache-blocked fused kernels.
 
-See :mod:`repro.fur.jit.kernels` for the dual-path (numba / compiled-C /
-numpy) kernel implementations and :mod:`repro.fur.jit.qaoa_simulator` for
-the :class:`~repro.fur.engine.KernelProvider` classes registered under the
-``jit`` backend name (alias ``numba``).
+See :mod:`repro.fur.jit.kernels` for the dual-path (compiled-C / numpy)
+kernel implementations and :mod:`repro.fur.jit.qaoa_simulator` for the
+:class:`~repro.fur.engine.KernelProvider` classes registered under the
+``jit`` backend name (aliases ``c`` and ``cpu``).
 """
 
 from .kernels import (
-    NUMBA_AVAILABLE,
     active_path,
     effective_num_threads,
     ensure_kernels,
@@ -20,7 +19,6 @@ from .qaoa_simulator import (
 )
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "active_path",
     "effective_num_threads",
     "requested_num_threads",

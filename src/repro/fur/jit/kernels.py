@@ -10,19 +10,18 @@ higher stride to a few adjacent columns of the row's ``(2^(n-t), 2^t)``
 view while they stay in cache.  ~6 flops/amplitude/qubit instead of the
 gemm formulation's ~32, and the block is read twice, not once per qubit.
 
-Three execution paths provide the same public functions (the dual-path idiom
-of SNIPPETS.md Snippet 1, ``delande/and-python``):
+Two execution paths provide the same public functions (the dual-path idiom
+of SNIPPETS.md Snippet 1, ``delande/and-python``), mirroring the paper's
+compiled C and numpy simulators:
 
-* ``numba`` — ``@njit(parallel=True, cache=True)`` kernels, used when numba
-  imports (the ``pip install repro[jit]`` extra);
-* ``cc`` — the identical tiled loop structure as C, compiled at first use
-  with the system compiler and driven through :mod:`ctypes` (the shared
-  object is cached on disk keyed by a source hash, so the compile cost is
-  paid once per machine);
+* ``cc`` — the tiled loops as C, compiled at first use with the system
+  compiler and driven through :mod:`ctypes` (the shared object is cached
+  on disk keyed by a source hash, so the compile cost is paid once per
+  machine; a sidecar file next to it names the compiler that built it);
 * ``numpy`` — multi-pass NumPy kernels (the ``python`` backend's gemm
   fused X passes and expectation reduction, plus allocation-free blocked
   sweeps for the phase, single-position X rotations and XY edges), so the
-  backend stays importable and correct with no compiler and no numba.
+  backend stays importable and correct with no compiler.
 
 Every rung's butterfly is position-independent: the same pair of
 amplitudes gets the same bits whichever stride (bit position) it sits at,
@@ -30,19 +29,17 @@ so the sharded backends' relabelled global rotations reproduce the
 unsharded result bitwise.
 
 :func:`active_path` reports which path is live; ``REPRO_JIT_PATH`` forces
-one (``numba``/``cc``/``numpy``/``auto``), falling down the ladder when the
-requested path is unavailable.  ``REPRO_NUM_THREADS`` bounds the worker
-count of both the numba thread pool and the row pool (:func:`run_tasks`:
-the ``cc`` rung's row slices and the sharded backends' tasks).  On the
-``cc`` rung a call with fewer rows than the pool has threads splits each
-row of at least ``_SPLIT_MIN_STATES`` amplitudes too: its tile pass, then
-its column groups (and the fused expectation's last-stride flush blocks),
-one :func:`run_tasks` round each, with bits equal to the unsplit row's.
-The numba rung splits rows only (``prange``).  Kernel
-compilation is lazy and cached per ``(path, dtype, n_qubits, mixer)``
-signature: :func:`ensure_kernels` returns the seconds newly spent compiling
-(zero on a warm signature) so providers can report compile time separately
-from execution time in :class:`~repro.fur.engine.EngineStats`.
+one (``cc``/``numpy``/``auto``), falling to ``numpy`` when the C library
+is unavailable.  ``REPRO_NUM_THREADS`` bounds the row pool
+(:func:`run_tasks`: the ``cc`` rung's row slices and the sharded backends'
+tasks).  On the ``cc`` rung a call with fewer rows than the pool has
+threads splits each row of at least ``_SPLIT_MIN_STATES`` amplitudes too:
+its tile pass, then its column groups (and the fused expectation's
+last-stride flush blocks), one :func:`run_tasks` round each, with bits
+equal to the unsplit row's.  The C library is built (or loaded) once per
+process: :func:`ensure_kernels` returns the build seconds on its first
+call so providers can report compile time separately from execution time
+in :class:`~repro.fur.engine.EngineStats`.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "KNOWN_PATHS",
     "DEFAULT_TILE_QUBITS",
     "active_path",
@@ -84,30 +80,8 @@ __all__ = [
     "mixer_edges",
 ]
 
-# --------------------------------------------------------------------------
-# Optional-dependency detection (dual-path idiom: try numba, remember).
-# --------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """Identity decorator standing in for numba.njit."""
-        def decorate(func):
-            return func
-        if args and callable(args[0]) and not kwargs:
-            return args[0]
-        return decorate
-
-    prange = range
-
 #: Execution paths in ladder order (first available wins).
-KNOWN_PATHS = ("numba", "cc", "numpy")
+KNOWN_PATHS = ("cc", "numpy")
 
 #: Default tile size in qubits: 2^11 complex128 amplitudes = 32 KiB, half a
 #: typical L1D, leaving room for the factor table.  Measured throughput is
@@ -163,23 +137,10 @@ def requested_num_threads() -> int | None:
 def effective_num_threads() -> int:
     """Worker threads the active path will actually use.
 
-    The ``numba`` path asks numba (after applying the env request); the
-    ``cc`` path sizes its row pool to ``min(request, cpu_count)``; the
+    The ``cc`` path sizes its row pool to ``min(request, cpu_count)``; the
     ``numpy`` path runs single-threaded (numpy's internal threading aside).
     """
-    path = active_path()
-    if path == "numba":  # pragma: no cover - requires numba
-        _apply_numba_threads()
-        return int(numba.get_num_threads())
-    if path == "cc":
-        return pool_threads()
-    return 1
-
-
-def _apply_numba_threads() -> None:  # pragma: no cover - requires numba
-    requested = requested_num_threads()
-    if requested is not None:
-        numba.set_num_threads(min(requested, numba.config.NUMBA_NUM_THREADS))
+    return pool_threads() if active_path() == "cc" else 1
 
 
 _row_pool = None
@@ -651,6 +612,7 @@ _clib_error: BaseException | None = None
 _c_build_seconds: float = 0.0
 _c_compiler: str | None = None
 _clib_lock = threading.Lock()
+_log = logging.getLogger("repro.fur.jit")
 
 
 def _cache_dir() -> str:
@@ -664,39 +626,84 @@ def _cache_dir() -> str:
         return tempfile.mkdtemp(prefix="repro-jit-")
 
 
-def _build_clib() -> ctypes.CDLL:
-    """Compile the embedded source (once per machine) and load it."""
+def _compiler_name(compiler: str) -> str:
+    """``compiler`` plus the first line of its ``--version`` output."""
+    try:
+        result = subprocess.run([compiler, "--version"], capture_output=True,
+                                text=True, timeout=30)
+        version = result.stdout.strip().splitlines()[0]
+    except (OSError, subprocess.SubprocessError, IndexError):
+        return compiler
+    return f"{compiler} ({version})"
+
+
+def _compile_clib(source: str, src_path: str, lib_path: str) -> None:
+    """Compile ``source`` to ``lib_path``, naming the compiler in the
+    ``<lib_path>.compiler`` sidecar.  Both files appear through
+    ``os.replace`` (atomic under concurrent builds), the sidecar first, so
+    a cached shared object always has one."""
     global _c_build_seconds, _c_compiler
+    compiler = _find_compiler()
+    if compiler is None:
+        raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
+    name = _compiler_name(compiler)
+    with open(src_path, "w") as fh:
+        fh.write(source)
+    tmp_path = f"{lib_path}.{os.getpid()}.tmp"
+    with open(tmp_path, "w") as fh:
+        fh.write(name)
+    os.replace(tmp_path, f"{lib_path}.compiler")
+    base_cmd = [compiler, "-O3", "-fPIC", "-shared", "-std=c99",
+                src_path, "-o", tmp_path, "-lm"]
+    start = time.perf_counter()
+    result = subprocess.run(base_cmd[:2] + ["-march=native"] + base_cmd[2:],
+                            capture_output=True, text=True)
+    if result.returncode != 0:  # e.g. compilers without -march=native
+        result = subprocess.run(base_cmd, capture_output=True, text=True)
+    if result.returncode != 0:
+        raise RuntimeError(
+            f"C kernel compilation failed with {compiler}: "
+            f"{result.stderr.strip()[:500]}"
+        )
+    os.replace(tmp_path, lib_path)
+    _c_build_seconds = time.perf_counter() - start
+    _c_compiler = name
+
+
+def _open_clib(lib_path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(lib_path)
+    _declare_argtypes(lib)
+    return lib
+
+
+def _build_clib() -> ctypes.CDLL:
+    """Load the cached shared object, else compile it (once per machine).
+
+    A cache entry is the object plus its ``.compiler`` sidecar; an object
+    without one (cached before sidecars existed) is rebuilt.  A cached
+    object that fails to load is rebuilt once, with one WARNING naming the
+    file and the load error."""
+    global _c_compiler
     source = _c_source()
     tag = hashlib.sha256(source.encode()).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = os.path.join(cache, f"libreprojit-{tag}.so")
-    if not os.path.exists(lib_path):
-        compiler = _find_compiler()
-        if compiler is None:
-            raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
-        _c_compiler = compiler
-        src_path = os.path.join(cache, f"reprojit-{tag}.c")
-        with open(src_path, "w") as fh:
-            fh.write(source)
-        tmp_path = f"{lib_path}.{os.getpid()}.tmp"
-        base_cmd = [compiler, "-O3", "-fPIC", "-shared", "-std=c99",
-                    src_path, "-o", tmp_path, "-lm"]
-        start = time.perf_counter()
-        result = subprocess.run(base_cmd[:2] + ["-march=native"] + base_cmd[2:],
-                                capture_output=True, text=True)
-        if result.returncode != 0:  # e.g. compilers without -march=native
-            result = subprocess.run(base_cmd, capture_output=True, text=True)
-        if result.returncode != 0:
-            raise RuntimeError(
-                f"C kernel compilation failed with {compiler}: "
-                f"{result.stderr.strip()[:500]}"
-            )
-        os.replace(tmp_path, lib_path)  # atomic under concurrent builds
-        _c_build_seconds = time.perf_counter() - start
-    lib = ctypes.CDLL(lib_path)
-    _declare_argtypes(lib)
-    return lib
+    try:
+        with open(f"{lib_path}.compiler") as fh:
+            name = fh.read().strip()
+    except OSError:
+        name = None
+    if name and os.path.exists(lib_path):
+        try:
+            lib = _open_clib(lib_path)
+        except OSError as exc:
+            _log.warning("cached jit kernel library %s failed to load (%s); "
+                         "rebuilding it", lib_path, exc)
+        else:
+            _c_compiler = name
+            return lib
+    _compile_clib(source, os.path.join(cache, f"reprojit-{tag}.c"), lib_path)
+    return _open_clib(lib_path)
 
 
 def _declare_argtypes(lib: ctypes.CDLL) -> None:
@@ -748,7 +755,8 @@ def _load_clib() -> ctypes.CDLL | None:
 
 
 def compiler_info() -> str | None:
-    """The compiler used by the ``cc`` path (None on other paths)."""
+    """The compiler that built the ``cc`` path's library, with the first
+    line of its ``--version`` (``None`` until the library is loaded)."""
     return _c_compiler
 
 
@@ -758,18 +766,18 @@ def compiler_info() -> str | None:
 
 _active_path: str | None = None
 _path_lock = threading.Lock()
-_log = logging.getLogger("repro.fur.jit")
 
 
 def active_path() -> str:
     """Which implementation serves the public kernels (resolved lazily).
 
-    Ladder: ``numba`` when importable, else ``cc`` when a compiler (or a
-    cached shared object) is available, else ``numpy``.  ``REPRO_JIT_PATH``
-    starts the ladder lower (e.g. ``numpy`` forces the fallback; useful for
-    tests and for excluding the compile cost in constrained environments).
-    Falling to ``numpy`` from a higher starting rung logs one WARNING on the
-    ``repro.fur.jit`` logger naming the C build error.
+    ``cc`` when a compiler (or a cached shared object) is available, else
+    ``numpy``.  ``REPRO_JIT_PATH=numpy`` forces the fallback (useful for
+    tests and for excluding the compile cost in constrained environments);
+    ``cc`` and ``auto`` (the default) both try ``cc`` first, and any other
+    value logs one WARNING and does the same.  Falling to ``numpy`` from
+    ``cc`` logs one WARNING on the ``repro.fur.jit`` logger naming the C
+    build error.
     """
     global _active_path
     if _active_path is not None:
@@ -778,21 +786,18 @@ def active_path() -> str:
         if _active_path is not None:
             return _active_path
         forced = os.environ.get("REPRO_JIT_PATH", "auto").strip().lower()
-        start = forced if forced in KNOWN_PATHS else "numba"
-        ladder = KNOWN_PATHS[KNOWN_PATHS.index(start):]
-        for candidate in ladder:
-            if candidate == "numba" and NUMBA_AVAILABLE:
-                path = "numba"
-                break
-            if candidate == "cc" and _load_clib() is not None:
-                path = "cc"
-                break
+        if forced not in KNOWN_PATHS + ("auto", ""):
+            _log.warning("ignoring REPRO_JIT_PATH=%r (accepted: cc|numpy|"
+                         "auto); trying the cc path first", forced)
+        if forced == "numpy":
+            path = "numpy"
+        elif _load_clib() is not None:
+            path = "cc"
         else:
             path = "numpy"
-            if start != "numpy":
-                _log.warning("jit kernels fell back to the numpy rung "
-                             "(~3x slower than cc): compiled C path "
-                             "unavailable: %s", _clib_error)
+            _log.warning("jit kernels fell back to the numpy rung "
+                         "(~3x slower than cc): compiled C path "
+                         "unavailable: %s", _clib_error)
         _active_path = path
         return path
 
@@ -804,65 +809,29 @@ def _reset_path_cache() -> None:
 
 
 # --------------------------------------------------------------------------
-# Lazy per-signature compilation with separate time accounting.
+# One C build per process, booked once.
 # --------------------------------------------------------------------------
 
-_ensured: set[tuple] = set()
 _c_time_reported = False
 _ensure_lock = threading.Lock()
 
 
 def ensure_kernels(dtype: Any, n_qubits: int, mixer: str) -> float:
-    """Make the kernels for one ``(dtype, n, mixer)`` signature ready.
+    """Resolve the kernel path, building or loading the C library.
 
-    Returns the wall-clock seconds *newly* spent compiling for this
-    signature (0.0 when it was already warm): the one-time shared-object
-    build on the ``cc`` path, or the numba type-specialization triggered by
-    a tiny dummy invocation on the ``numba`` path (numba specializes on
-    argument *types*, so warming a 4-state block compiles the kernels the
-    full-size block will run).  Providers add the result to
-    ``EngineStats.kernel_compile_time_s``.
+    Returns the seconds this process spent compiling that library on its
+    first call on the ``cc`` path, and 0.0 on every other call: one
+    library serves every ``(dtype, n, mixer)`` signature, so the arguments
+    only name the caller's.  Providers call it once at construction and add
+    the result to ``EngineStats.kernel_compile_time_s``.
     """
     global _c_time_reported
     path = active_path()
-    key = (path, np.dtype(dtype).str, int(n_qubits), mixer)
     with _ensure_lock:
-        if key in _ensured:
+        if path != "cc" or _c_time_reported:
             return 0.0
-        spent = 0.0
-        if path == "cc":
-            if not _c_time_reported:
-                spent = _c_build_seconds
-                _c_time_reported = True
-        elif path == "numba":  # pragma: no cover - requires numba
-            _apply_numba_threads()
-            start = time.perf_counter()
-            _warm_numba(np.dtype(dtype), mixer)
-            spent = time.perf_counter() - start
-        _ensured.add(key)
-        return spent
-
-
-def _warm_numba(dtype: np.dtype, mixer: str) -> None:  # pragma: no cover
-    """Compile the numba kernels for one dtype by calling them on 4 states."""
-    block = np.full((1, 4), 0.5 + 0.0j, dtype=dtype)
-    angles = np.full(1, 0.25)
-    real = np.zeros(4, dtype=_real_dtype(dtype))
-    out = np.zeros(1)
-    factors = np.empty((0, 0), dtype=dtype)
-    if mixer == "x":
-        _nb_rotx(block.copy(), angles, angles, np.arange(2, dtype=np.int64),
-                 True, 2, factors, _EMPTY_I64, angles, real,
-                 DEFAULT_TILE_QUBITS)
-        _nb_furx_expec(block.copy(), angles, angles, 2, factors, _EMPTY_I64,
-                       angles, real, DEFAULT_TILE_QUBITS,
-                       np.zeros(4), out)
-    else:
-        edges = np.array([[0, 1]], dtype=np.int64)
-        _nb_furxy(block.copy(), angles, angles, 1, edges, 2, factors,
-                  _EMPTY_I64, angles, real)
-    _nb_phase(block.copy(), 2, factors, _EMPTY_I64, angles, real)
-    _nb_expec(block, np.zeros(4), out)
+        _c_time_reported = True
+        return _c_build_seconds
 
 
 def _real_dtype(dtype: np.dtype) -> np.dtype:
@@ -960,7 +929,7 @@ def rotate_x_block(block: np.ndarray, betas: np.ndarray, positions: Any, *,
     of ``positions``.  On every rung the arithmetic does not depend on the
     position a rotation acts on, so a qubit rotated at a relabelled
     position (the sharded backends' global step) gets the same bits as at
-    its home position.  The compiled rungs run the tiled single pass of
+    its home position.  The ``cc`` rung runs the tiled single pass of
     :func:`furx_phase_block` when ``positions`` is ``0..n-1`` and one
     strided sweep per position otherwise; the numpy rung runs the blocked
     pair update per position.
@@ -970,28 +939,21 @@ def rotate_x_block(block: np.ndarray, betas: np.ndarray, positions: Any, *,
     if pos.ndim != 1 or (pos.size and (pos.min() < 0
                                        or pos.max() >= n_qubits)):
         raise ValueError(f"positions must be bit positions in [0, {n_qubits})")
-    path = active_path()
-    if path == "numpy":
+    if active_path() == "numpy":
         if gammas is not None:
             _np_phase(block, gammas, phase_table, costs)
         _np_rotate_x(block, betas, pos)
         return
-    _compiled_rotate_x(path, block, betas, pos, gammas, phase_table, costs,
-                       tile_q)
+    _compiled_rotate_x(block, betas, pos, gammas, phase_table, costs, tile_q)
 
 
-def _compiled_rotate_x(path, block, betas, positions, gammas, phase_table,
-                       costs, tile_q):
+def _compiled_rotate_x(block, betas, positions, gammas, phase_table, costs,
+                       tile_q):
     rows, _, n_qubits = _check_block(block)
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
     b = np.ascontiguousarray(betas, dtype=np.float64)
     cs, ss = np.cos(b), np.sin(b)
-    if path == "numba":  # pragma: no cover - requires numba
-        full = np.array_equal(positions, np.arange(n_qubits))
-        _nb_rotx(block, cs, ss, positions, full, mode, factors, inverse, g,
-                 pcosts, tile_q)
-        return
     lib = _load_clib()
     parts = _row_parts(rows, n_qubits, tile_q)
     if parts > 1 and np.array_equal(positions, np.arange(n_qubits)):
@@ -1020,17 +982,16 @@ def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
     ``gammas=None`` skips the phase (plain ``exp(-i β_r Σ X)``); otherwise
     each row is multiplied by ``exp(-i γ_r c)`` as its first tile touch.
     Semantics match :func:`repro.fur.python.furx.furx_phase_all_batch`.
-    The compiled paths run in place; only the ``numpy`` path's gemm passes
+    The ``cc`` path runs in place; only the ``numpy`` path's gemm passes
     ping-pong through ``scratch`` (a block-shaped buffer, allocated per
     call when ``None``).
     """
     _, _, n_qubits = _check_block(block)
-    path = active_path()
-    if path == "numpy":
+    if active_path() == "numpy":
         _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
                        scratch)
         return
-    _compiled_rotate_x(path, block, betas, np.arange(n_qubits, dtype=np.int64),
+    _compiled_rotate_x(block, betas, np.arange(n_qubits, dtype=np.int64),
                        gammas, phase_table, costs, tile_q)
 
 
@@ -1069,8 +1030,7 @@ def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
     """
     rows, n_states, n_qubits = _check_block(block)
     ecosts = np.ascontiguousarray(ecosts, dtype=np.float64)
-    path = active_path()
-    if path == "numpy":
+    if active_path() == "numpy":
         _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
                        scratch)
         return _np_expectations(block, ecosts)
@@ -1079,10 +1039,6 @@ def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
     b = np.ascontiguousarray(betas, dtype=np.float64)
     cs, ss = np.cos(b), np.sin(b)
     out = np.zeros(rows, dtype=np.float64)
-    if path == "numba":  # pragma: no cover - requires numba
-        _nb_furx_expec(block, cs, ss, mode, factors, inverse, g, pcosts,
-                       tile_q, ecosts, out)
-        return out
     lib = _load_clib()
     parts = _row_parts(rows, n_qubits, tile_q)
     if parts > 1:
@@ -1134,8 +1090,7 @@ def furxy_block(block: np.ndarray, gammas: np.ndarray | None,
     rows, n_states, n_qubits = _check_block(block)
     edges = _edge_array(edges, n_qubits)
     b = np.ascontiguousarray(betas, dtype=np.float64) / n_trotters
-    path = active_path()
-    if path == "numpy":
+    if active_path() == "numpy":
         if gammas is not None:
             _np_phase(block, gammas, phase_table, costs)
         for _ in range(n_trotters):
@@ -1144,10 +1099,6 @@ def furxy_block(block: np.ndarray, gammas: np.ndarray | None,
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
     cs, ss = np.cos(b), np.sin(b)
-    if path == "numba":  # pragma: no cover - requires numba
-        _nb_furxy(block, cs, ss, n_trotters, edges, mode, factors, inverse,
-                  g, pcosts)
-        return
     lib = _load_clib()
     fn = getattr(lib, f"jit_furxy_{_suffix(block)}")
     n_unique = factors.shape[1]
@@ -1166,15 +1117,11 @@ def phase_block(block: np.ndarray, gammas: np.ndarray, *,
                 costs: np.ndarray | None = None) -> None:
     """Phase operator ``row_r *= exp(-i γ_r c)`` on every row, in place."""
     rows, n_states, _ = _check_block(block)
-    path = active_path()
-    if path == "numpy":
+    if active_path() == "numpy":
         _np_phase(block, gammas, phase_table, costs)
         return
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
-    if path == "numba":  # pragma: no cover - requires numba
-        _nb_phase(block, mode, factors, inverse, g, pcosts)
-        return
     lib = _load_clib()
     fn = getattr(lib, f"jit_phase_{_suffix(block)}")
     n_unique = factors.shape[1]
@@ -1191,13 +1138,9 @@ def expectation_block(block: np.ndarray, ecosts: np.ndarray) -> np.ndarray:
     """Per-row ``Σ_x c[x] |ψ_x|²`` of a block (float64, one fused read)."""
     rows, n_states, _ = _check_block(block)
     ecosts = np.ascontiguousarray(ecosts, dtype=np.float64)
-    path = active_path()
-    if path == "numpy":
+    if active_path() == "numpy":
         return _np_expectations(block, ecosts)
     out = np.zeros(rows, dtype=np.float64)
-    if path == "numba":  # pragma: no cover - requires numba
-        _nb_expec(block, ecosts, out)
-        return out
     lib = _load_clib()
     fn = getattr(lib, f"jit_expec_{_suffix(block)}")
 
@@ -1262,7 +1205,7 @@ def _np_phase(block, gammas, phase_table, costs):
         c = costs[s:s + chunk]
         out = buf[:c.size]
         # angle and exp in float64, rounded to the block's precision once —
-        # the factors a phase table (or a compiled rung) gives the same cost
+        # the factors a phase table (or the cc rung) gives the same cost
         wide = (out if out.dtype == np.complex128
                 else np.empty(c.size, dtype=np.complex128))
         for r in range(rows):
@@ -1370,157 +1313,3 @@ def _np_expectations(block, ecosts):
     from ..python.qaoa_simulator import _block_expectations
 
     return _block_expectations(block, ecosts)
-
-
-# --------------------------------------------------------------------------
-# numba path: the same tiled loop structure and sign-folded arithmetic,
-# JIT-compiled per dtype.
-# --------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
-
-    @njit(cache=True)
-    def _nb_phase_range(x, r, i0, i1, mode, factors, inverse, gammas,
-                        pcosts):
-        for i in range(i0, i1):
-            v = x[i]
-            if mode == 1:
-                f = factors[r, inverse[i]]
-                x[i] = complex(v.real * f.real + v.imag * -f.imag,
-                               v.real * f.imag + v.imag * f.real)
-            else:
-                th = -gammas[r] * pcosts[i]
-                fr = np.cos(th)
-                fi = np.sin(th)
-                x[i] = complex(v.real * fr + v.imag * -fi,
-                               v.real * fi + v.imag * fr)
-
-    @njit(cache=True)
-    def _nb_sweep(x, i0, i1, q, c, s):
-        stride = 1 << q
-        ns = -s
-        for base in range(i0, i1, 2 * stride):
-            for k in range(base, base + stride):
-                a = x[k]
-                b = x[k + stride]
-                x[k] = complex(c * a.real + s * b.imag,
-                               c * a.imag + ns * b.real)
-                x[k + stride] = complex(c * b.real + s * a.imag,
-                                        c * b.imag + ns * a.real)
-
-    @njit(cache=True)
-    def _nb_row(x, r, nq, q_end, c, s, mode, factors, inverse, gammas,
-                pcosts, tile_q):
-        n = 1 << nq
-        t = min(tile_q, nq)
-        tile = 1 << t
-        for s0 in range(0, n, tile):
-            if mode != 0:
-                _nb_phase_range(x, r, s0, s0 + tile, mode, factors, inverse,
-                                gammas, pcosts)
-            for q in range(t):
-                _nb_sweep(x, s0, s0 + tile, q, c, s)
-        for q in range(t, q_end):
-            _nb_sweep(x, 0, n, q, c, s)
-
-    @njit(parallel=True, cache=True)
-    def _nb_rotx(block, cs, ss, positions, full, mode, factors, inverse,
-                 gammas, pcosts, tile_q):
-        rows, n = block.shape
-        nq = 0
-        while (1 << nq) < n:
-            nq += 1
-        for r in prange(rows):
-            x = block[r]
-            if full:
-                _nb_row(x, r, nq, nq, cs[r], ss[r], mode, factors, inverse,
-                        gammas, pcosts, tile_q)
-                continue
-            if mode != 0:
-                _nb_phase_range(x, r, 0, n, mode, factors, inverse, gammas,
-                                pcosts)
-            for q in positions:
-                _nb_sweep(x, 0, n, q, cs[r], ss[r])
-
-    @njit(parallel=True, cache=True)
-    def _nb_furx_expec(block, cs, ss, mode, factors, inverse, gammas,
-                       pcosts, tile_q, ecosts, out):
-        rows, n = block.shape
-        nq = 0
-        while (1 << nq) < n:
-            nq += 1
-        tiled = tile_q >= nq
-        half = n >> 1
-        for r in prange(rows):
-            x = block[r]
-            c = cs[r]
-            s = ss[r]
-            ns = -s
-            _nb_row(x, r, nq, nq if tiled else nq - 1, c, s, mode, factors,
-                    inverse, gammas, pcosts, tile_q)
-            acc = 0.0
-            if tiled:
-                for i in range(n):
-                    v = x[i]
-                    acc += ecosts[i] * (v.real * v.real + v.imag * v.imag)
-            else:
-                for k in range(half):
-                    a = x[k]
-                    b = x[k + half]
-                    lo = complex(c * a.real + s * b.imag,
-                                 c * a.imag + ns * b.real)
-                    hi = complex(c * b.real + s * a.imag,
-                                 c * b.imag + ns * a.real)
-                    x[k] = lo
-                    x[k + half] = hi
-                    acc += ecosts[k] * (lo.real * lo.real
-                                        + lo.imag * lo.imag)
-                    acc += ecosts[k + half] * (hi.real * hi.real
-                                               + hi.imag * hi.imag)
-            out[r] = acc
-
-    @njit(parallel=True, cache=True)
-    def _nb_furxy(block, cs, ss, n_trotters, edges, mode, factors, inverse,
-                  gammas, pcosts):
-        rows, n = block.shape
-        n_edges = edges.shape[0]
-        for r in prange(rows):
-            x = block[r]
-            c = cs[r]
-            s = ss[r]
-            ns = -s
-            if mode != 0:
-                _nb_phase_range(x, r, 0, n, mode, factors, inverse, gammas,
-                                pcosts)
-            for _ in range(n_trotters):
-                for e in range(n_edges):
-                    sa = 1 << edges[e, 0]
-                    sb = 1 << edges[e, 1]
-                    for h in range(0, n, 2 * sb):
-                        for m in range(h, h + sb, 2 * sa):
-                            for l in range(m, m + sa):
-                                a = x[l + sa]
-                                b = x[l + sb]
-                                x[l + sa] = complex(c * a.real + s * b.imag,
-                                                    c * a.imag + ns * b.real)
-                                x[l + sb] = complex(c * b.real + s * a.imag,
-                                                    c * b.imag + ns * a.real)
-
-    @njit(parallel=True, cache=True)
-    def _nb_phase(block, mode, factors, inverse, gammas, pcosts):
-        rows, n = block.shape
-        for r in prange(rows):
-            if mode != 0:
-                _nb_phase_range(block[r], r, 0, n, mode, factors, inverse,
-                                gammas, pcosts)
-
-    @njit(parallel=True, cache=True)
-    def _nb_expec(block, ecosts, out):
-        rows, n = block.shape
-        for r in prange(rows):
-            x = block[r]
-            acc = 0.0
-            for i in range(n):
-                v = x[i]
-                acc += ecosts[i] * (v.real * v.real + v.imag * v.imag)
-            out[r] = acc

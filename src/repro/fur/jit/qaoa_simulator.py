@@ -2,15 +2,14 @@
 
 The classes here are thin :class:`~repro.fur.engine.KernelProvider`
 adapters over :mod:`repro.fur.jit.kernels`: every engine hook maps to one
-compiled kernel call, so a fused op really is a single pass over the
+kernel call, so a fused op really is a single pass over the
 ``(rows, 2^n)`` block.  Unlike the gemm-formulated backends the X mixer
-runs fully in place on the compiled paths, which also doubles the rows each
+runs fully in place on the ``cc`` path, which also doubles the rows each
 sub-batch fits into the engine's memory budget; the ``numpy`` path's gemm
 passes take the engine's per-sub-batch scratch instead.
 
-Kernel compilation is lazy: the first engine hook on a new ``(dtype, n,
-mixer)`` signature triggers it (numba type specialization, or the one-time
-shared-object build of the C path) and books the wall-clock seconds into
+Construction resolves the kernel path (building or loading the C library
+once per process) and books the build's wall-clock seconds into
 ``EngineStats.kernel_compile_time_s`` — never into execution time.
 """
 
@@ -36,9 +35,8 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
     backend_name = "jit"
     supports_fused_phase_mixer = True
 
-    # -- lazy per-signature kernel compilation -------------------------------
-    def _ensure_kernels(self) -> None:
-        """Compile (or warm) this signature's kernels; book compile time."""
+    def _post_init(self) -> None:
+        """Build or load the C library once; book its compile time."""
         spent = kernels.ensure_kernels(self._precision.complex_dtype,
                                        self._n_qubits, self.mixer_name)
         if spent:
@@ -50,13 +48,11 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
 
     def _apply_phase_block(self, block: np.ndarray, gammas: np.ndarray,
                            plan: Any) -> None:
-        self._ensure_kernels()
         kernels.phase_block(block, gammas, phase_table=plan.phase_tables,
                             costs=self._phase_costs())
 
     def _block_expectations(self, block: np.ndarray,
                             costs: np.ndarray) -> np.ndarray:
-        self._ensure_kernels()
         return kernels.expectation_block(block, costs)
 
     def _block_results(self, block: np.ndarray) -> list[np.ndarray]:
@@ -102,14 +98,12 @@ class QAOAFURXSimulatorJIT(JITMixerScratch, _QAOAFURJITSimulatorBase):
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
         # X-mixer factors commute: Trotterization is exact and unused.
-        self._ensure_kernels()
         kernels.furx_block(block, betas, scratch=scratch)
 
     def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any, scratch: Any,
                                  plan: Any) -> None:
         """FusedPhaseMixerOp kernel: phase + all butterflies, tile by tile."""
-        self._ensure_kernels()
         kernels.furx_phase_block(block, gammas, betas,
                                  phase_table=plan.phase_tables,
                                  costs=self._phase_costs(), scratch=scratch)
@@ -120,7 +114,6 @@ class QAOAFURXSimulatorJIT(JITMixerScratch, _QAOAFURJITSimulatorBase):
                                        scratch: Any, costs: np.ndarray,
                                        plan: Any) -> np.ndarray:
         """FusedMixerExpectationOp kernel: the reduction rides the sweep."""
-        self._ensure_kernels()
         return kernels.furx_expectation_block(block, gammas, betas, costs,
                                               phase_table=plan.phase_tables,
                                               costs=self._phase_costs(),
@@ -133,18 +126,17 @@ class _QAOAFURXYJITSimulatorBase(_QAOAFURJITSimulatorBase):
     _xy_kind = "ring"
 
     def _post_init(self) -> None:
+        super()._post_init()
         self._edges = kernels.mixer_edges(self._xy_kind, self._n_qubits)
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
-        self._ensure_kernels()
         kernels.furxy_block(block, None, betas, edges=self._edges,
                             n_trotters=n_trotters)
 
     def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
                                  betas: np.ndarray, op: Any, scratch: Any,
                                  plan: Any) -> None:
-        self._ensure_kernels()
         kernels.furxy_block(block, gammas, betas, edges=self._edges,
                             n_trotters=getattr(op, "n_trotters", 1),
                             phase_table=plan.phase_tables,

@@ -10,8 +10,6 @@ from .collectives import (
     ALLTOALL_ALGORITHMS,
     Message,
     TrafficTrace,
-    allgather_buffers,
-    allreduce_sum_buffers,
     alltoall,
     alltoall_bruck,
     alltoall_direct,
@@ -34,8 +32,6 @@ __all__ = [
     "alltoall_ring",
     "alltoall_bruck",
     "ALLTOALL_ALGORITHMS",
-    "allgather_buffers",
-    "allreduce_sum_buffers",
     "ClusterTopology",
     "POLARIS_LIKE",
     "SINGLE_NODE_DGX",

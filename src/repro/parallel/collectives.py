@@ -30,8 +30,6 @@ __all__ = [
     "alltoall_bruck",
     "alltoall",
     "ALLTOALL_ALGORITHMS",
-    "allgather_buffers",
-    "allreduce_sum_buffers",
 ]
 
 
@@ -206,23 +204,3 @@ def alltoall(buffers: list[np.ndarray],
             f"unknown alltoall algorithm {algorithm!r}; available: {sorted(ALLTOALL_ALGORITHMS)}"
         )
     return ALLTOALL_ALGORITHMS[algorithm](buffers)
-
-
-def allgather_buffers(buffers: list[np.ndarray]) -> list[np.ndarray]:
-    """Driver-style allgather: every rank receives the concatenation of all buffers."""
-    if not buffers:
-        raise ValueError("allgather needs at least one rank")
-    full = np.concatenate(buffers)
-    return [full.copy() for _ in buffers]
-
-
-def allreduce_sum_buffers(values: list[float | np.ndarray]) -> list[float | np.ndarray]:
-    """Driver-style allreduce(sum): every rank receives the sum of all values."""
-    if not values:
-        raise ValueError("allreduce needs at least one rank")
-    acc = values[0]
-    if isinstance(acc, np.ndarray):
-        acc = acc.copy()
-    for v in values[1:]:
-        acc = acc + v
-    return [acc.copy() if isinstance(acc, np.ndarray) else acc for _ in values]

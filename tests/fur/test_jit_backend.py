@@ -6,21 +6,25 @@ Covers
   within the established envelopes (1e-12 double / 1e-5 single) for every
   mixer, both phase modes (unique-value table gather and direct cos/sin),
   and the fused mixer+expectation reduction,
-* the fallback ladder: the numpy path is exercised unconditionally (via
+* the two rungs: the numpy path is exercised unconditionally (via
   ``REPRO_JIT_PATH``) so the suite pins the delegation contract even on
-  machines where numba or a C compiler is available; numba-specific checks
-  are skipped without numba; a failed C build falls to numpy with exactly
-  one WARNING on the ``repro.fur.jit`` logger,
-* ``ensure_kernels`` compile-time accounting (new seconds once per
-  signature, 0.0 when warm) and its flow into
+  machines where a C compiler is available; a failed C build (also with
+  every compiler off ``PATH``, in a subprocess) falls to numpy with exactly
+  one WARNING on the ``repro.fur.jit`` logger, as does an unrecognised
+  ``REPRO_JIT_PATH`` before trying ``cc``,
+* the on-disk library cache: a cached load names the compiler that built
+  it (its ``.compiler`` sidecar), and a corrupt cached object is rebuilt
+  once with one WARNING,
+* ``ensure_kernels`` compile-time accounting (the C build seconds once per
+  process, 0.0 after) and its flow into
   ``EngineStats.kernel_compile_time_s``,
 * the ``REPRO_NUM_THREADS`` knob and ``effective_num_threads`` resolution,
   and the row pool's dispatch (every task finishes before a failure is
   re-raised, pool workers run nested kernels inline, a caller runs the
   tasks no pool thread has started, every task runs exactly once) and the
   one-row split, bitwise invariant under the pool size,
-* registry integration: the ``numba`` alias, capability tiers, and the
-  ``describe()`` extra line reporting the active path,
+* registry integration: capability tiers and the ``describe()`` extra
+  line reporting the active path,
 * bitwise pins of the shared arithmetic: the X rotation is the
   two-rounding formula on every rung and bit position (the full mixer on
   the compiled rungs, through the column-grouped pass too), the phase a
@@ -31,6 +35,7 @@ Covers
   ``python`` kernels.
 """
 
+import json
 import logging
 import os
 import re
@@ -61,8 +66,8 @@ PRECISIONS = ("double", "single")
 DTYPES = {"double": np.complex128, "single": np.complex64}
 ATOL = {"double": 1e-12, "single": 1e-5}
 
-#: The resolved ladder path plus the numpy delegation path; identical on
-#: machines with neither numba nor a compiler (both cheap, so just run both).
+#: The resolved path plus the numpy delegation path; identical on machines
+#: without a compiler (both cheap, so just run both).
 PATHS = ("active", "numpy")
 
 
@@ -355,6 +360,7 @@ class TestPhaseAndValidation:
 class TestPathLadderAndCompileAccounting:
     def test_active_path_is_known(self):
         kernels._reset_path_cache()
+        assert kernels.KNOWN_PATHS == ("cc", "numpy")
         assert kernels.active_path() in kernels.KNOWN_PATHS
 
     def test_forced_numpy_path(self, monkeypatch):
@@ -366,20 +372,32 @@ class TestPathLadderAndCompileAccounting:
         finally:
             kernels._reset_path_cache()
 
-    def test_unknown_forced_path_falls_back_to_ladder(self, monkeypatch):
+    def test_unknown_forced_path_falls_back_to_ladder(self, monkeypatch,
+                                                      caplog):
+        monkeypatch.delenv("REPRO_JIT_PATH", raising=False)
+        kernels._reset_path_cache()
+        auto = kernels.active_path()
         monkeypatch.setenv("REPRO_JIT_PATH", "quantum-accelerator")
         kernels._reset_path_cache()
         try:
-            assert kernels.active_path() in kernels.KNOWN_PATHS
+            with caplog.at_level(logging.WARNING, logger="repro.fur.jit"):
+                assert kernels.active_path() == auto
+                assert kernels.active_path() == auto
         finally:
             kernels._reset_path_cache()
+        records = [r for r in caplog.records if r.name == "repro.fur.jit"
+                   and "REPRO_JIT_PATH" in r.getMessage()]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        assert "'quantum-accelerator'" in message
+        assert "cc|numpy|auto" in message
 
     def test_failed_c_build_warns_once(self, monkeypatch, caplog):
         def broken_build():
             raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
 
         monkeypatch.delenv("REPRO_JIT_PATH", raising=False)
-        monkeypatch.setattr(kernels, "NUMBA_AVAILABLE", False)
         monkeypatch.setattr(kernels, "_clib", None)
         monkeypatch.setattr(kernels, "_clib_error", None)
         monkeypatch.setattr(kernels, "_build_clib", broken_build)
@@ -410,7 +428,6 @@ class TestPathLadderAndCompileAccounting:
             results[i] = kernels.active_path()
 
         monkeypatch.delenv("REPRO_JIT_PATH", raising=False)
-        monkeypatch.setattr(kernels, "NUMBA_AVAILABLE", False)
         monkeypatch.setattr(kernels, "_clib", None)
         monkeypatch.setattr(kernels, "_clib_error", None)
         monkeypatch.setattr(kernels, "_build_clib", slow_broken_build)
@@ -447,15 +464,108 @@ class TestPathLadderAndCompileAccounting:
         assert isinstance(first, float) and first >= 0.0
         assert again == 0.0
 
-    @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE,
-                        reason="numba not installed")
-    def test_numba_is_preferred_when_available(self, monkeypatch):
+
+
+#: Run in a fresh interpreter: resolve the path and print it, the compiler
+#: name, the ``repro.fur.jit`` log messages and, with ``labs``, a LABS
+#: n=8 p=2 energy on ``jit`` and on ``python``.
+_PROBE = """
+import json, logging, sys
+messages = []
+handler = logging.Handler()
+handler.emit = lambda record: messages.append(record.getMessage())
+logging.getLogger("repro.fur.jit").addHandler(handler)
+import repro
+from repro.fur.jit import kernels
+from repro.problems import labs
+out = {"path": kernels.active_path(), "compiler": kernels.compiler_info()}
+if sys.argv[1:] == ["labs"]:
+    for backend in ("jit", "python"):
+        sim = repro.simulator(8, terms=labs.get_terms(8), backend=backend)
+        out[backend] = sim.get_expectation(
+            sim.simulate_qaoa([0.2, 0.5], [0.6, 0.3]))
+out["messages"] = messages
+print(json.dumps(out))
+"""
+
+
+def _probe(xdg_cache, *args, path_env=None):
+    """Run :data:`_PROBE` with ``XDG_CACHE_HOME=xdg_cache`` (and ``PATH``
+    replaced when ``path_env`` is given); its JSON record."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_JIT_PATH"}
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["XDG_CACHE_HOME"] = str(xdg_cache)
+    if path_env is not None:
+        env["PATH"] = path_env
+    result = subprocess.run([sys.executable, "-c", _PROBE, *args], env=env,
+                            capture_output=True, text=True, timeout=300,
+                            check=True)
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def built_cache(tmp_path_factory):
+    """One fresh cache directory, cold-built once by a subprocess: yields
+    the directory and that process's record."""
+    if kernels._find_compiler() is None:
+        pytest.skip("needs a C compiler")
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    return cache, _probe(cache)
+
+
+class TestLibraryCache:
+    def test_cached_load_names_the_compiler(self, built_cache):
+        cache, cold = built_cache
+        cached = _probe(cache)
+        assert cold["path"] == cached["path"] == "cc"
+        assert cold["compiler"] is not None
+        assert cached["compiler"] == cold["compiler"]
+        assert cold["messages"] == cached["messages"] == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "no sidecar"])
+    def test_damaged_cache_entry_is_rebuilt(self, built_cache, tmp_path,
+                                            monkeypatch, caplog, damage):
+        shutil.copytree(built_cache[0] / "repro-jit", tmp_path / "repro-jit")
+        (lib,) = (tmp_path / "repro-jit").glob("libreprojit-*.so")
+        sidecar = lib.with_name(lib.name + ".compiler")
+        if damage == "truncated":
+            lib.write_bytes(lib.read_bytes()[:64])
+        else:
+            sidecar.unlink()
+            lib.write_bytes(b"not loaded again")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.delenv("REPRO_JIT_PATH", raising=False)
+        for name, value in (("_clib", None), ("_clib_error", None),
+                            ("_c_compiler", None), ("_c_build_seconds", 0.0)):
+            monkeypatch.setattr(kernels, name, value)
         kernels._reset_path_cache()
         try:
-            assert kernels.active_path() == "numba"
+            with caplog.at_level(logging.WARNING, logger="repro.fur.jit"):
+                assert kernels.active_path() == "cc"
+                assert kernels.compiler_info() == built_cache[1]["compiler"]
         finally:
             kernels._reset_path_cache()
+        assert lib.stat().st_size > 64
+        assert sidecar.read_text() == built_cache[1]["compiler"]
+        records = [r for r in caplog.records if r.name == "repro.fur.jit"]
+        if damage == "no sidecar":  # an entry from before sidecars existed
+            assert records == []
+        else:
+            assert len(records) == 1
+            assert records[0].levelno == logging.WARNING
+            assert str(lib) in records[0].getMessage()
+
+    def test_hidden_compiler_falls_to_numpy(self, tmp_path):
+        empty_bin = tmp_path / "bin"
+        empty_bin.mkdir()
+        out = _probe(tmp_path / "cache", "labs", path_env=str(empty_bin))
+        assert out["path"] == "numpy"
+        assert out["compiler"] is None
+        assert len(out["messages"]) == 1
+        assert "no C compiler found" in out["messages"][0]
+        assert abs(out["jit"] - out["python"]) <= 1e-12
 
 
 class TestThreadKnob:
@@ -655,10 +765,9 @@ class TestThreadKnob:
 
 
 class TestRegistryIntegration:
-    def test_jit_registered_with_numba_alias(self):
+    def test_jit_registered(self):
         spec = fur.get_backend("jit")
         assert spec.name == "jit"
-        assert fur.get_backend("numba").name == "jit"
         assert set(spec.mixers) == {"x", "xyring", "xycomplete"}
         assert set(spec.precisions) == {"double", "single"}
 

@@ -47,7 +47,6 @@ class TestRegistryResolution:
         assert fur.get_backend("cpu").name == "jit"
         assert fur.get_backend("nbcuda").name == "gpu"
         assert fur.get_backend("custatevec").name == "cusvmpi"
-        assert fur.get_backend("numba").name == "jit"
         assert fur.get_backend("multidevice").name == "sharded"
 
     def test_auto_resolves_to_highest_priority(self):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.parallel import (
     ALLTOALL_ALGORITHMS,
     TrafficTrace,
-    allgather_buffers,
-    allreduce_sum_buffers,
     alltoall,
 )
 
@@ -120,22 +118,3 @@ class TestTrafficAccounting:
         assert trace.num_rounds == 0
         assert trace.max_bytes_per_rank() == 0
 
-
-class TestOtherCollectives:
-    def test_allgather_buffers(self, rng):
-        buffers = [rng.normal(size=3) for _ in range(4)]
-        out = allgather_buffers(buffers)
-        full = np.concatenate(buffers)
-        for o in out:
-            np.testing.assert_allclose(o, full)
-        with pytest.raises(ValueError):
-            allgather_buffers([])
-
-    def test_allreduce_sum_buffers(self):
-        out = allreduce_sum_buffers([1.0, 2.0, 3.0])
-        assert out == [6.0, 6.0, 6.0]
-        arrays = allreduce_sum_buffers([np.ones(2), 2 * np.ones(2)])
-        for a in arrays:
-            np.testing.assert_allclose(a, 3.0)
-        with pytest.raises(ValueError):
-            allreduce_sum_buffers([])
