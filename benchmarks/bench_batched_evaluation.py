@@ -235,7 +235,7 @@ def _bridge_terms(n: int) -> list[tuple[float, tuple[int, int]]]:
     """Two weighted rings joined by a single bridge edge.
 
     The natural half/half partition leaves exactly one crossing term, so
-    the cut pipeline runs with ``k = 1`` (4 fragment-B variants) — the
+    the cut pipeline runs with ``k = 1`` (4 fragment-B variant tables) — the
     cheapest non-trivial cut, which keeps the beyond-memory leg about the
     admission ceiling rather than the variant count.
     """
@@ -247,9 +247,8 @@ def _bridge_terms(n: int) -> list[tuple[float, tuple[int, int]]]:
 
 
 def bench_cutting(smoke: bool, repeats: int) -> dict:
-    """Circuit-cutting fragment pipeline: fused vs looped fragment
-    evaluation, parity against the uncut expectation, and the
-    beyond-memory admission demonstration."""
+    """Circuit-cutting fragment pipeline: evaluation time, parity against
+    the uncut expectation, and the beyond-memory admission demonstration."""
     import repro.fur.base as fur_base
     from repro.cutting import CutQAOAPipeline
 
@@ -262,20 +261,11 @@ def bench_cutting(smoke: bool, repeats: int) -> dict:
     sim = repro.simulator(n, terms=terms, backend="python")
     uncut = float(sim.get_expectation(sim.simulate_qaoa(gammas, betas)))
 
-    modes = {}
-    pipe = None
-    for mode in ("looped", "fused"):
-        pipe = CutQAOAPipeline(n, terms, backend="python", mode=mode,
-                               partition=range(n // 2))
-        value = float(pipe.expectation(gammas, betas))
-        eval_s, eval_iqr = _rounds(lambda: pipe.expectation(gammas, betas),
-                                   repeats)
-        modes[mode] = {
-            "value": value,
-            "abs_err": abs(value - uncut),
-            "eval_s": eval_s,
-            "eval_iqr_s": eval_iqr,
-        }
+    pipe = CutQAOAPipeline(n, terms, backend="python",
+                           partition=range(n // 2))
+    value = float(pipe.expectation(gammas, betas))
+    eval_s, eval_iqr = _rounds(lambda: pipe.expectation(gammas, betas),
+                               repeats)
 
     # Beyond-memory admission: evaluate an n whose monolithic state the
     # admission guard rejects.  The smoke run shrinks the ceiling
@@ -314,8 +304,10 @@ def bench_cutting(smoke: bool, repeats: int) -> dict:
         "workload": {"problem": "bridged-rings", "n": n, "p": 1,
                      "repeats": repeats, "smoke": smoke},
         "uncut_value": uncut,
-        "modes": modes,
-        "fused_speedup": modes["looped"]["eval_s"] / modes["fused"]["eval_s"],
+        "value": value,
+        "abs_err": abs(value - uncut),
+        "eval_s": eval_s,
+        "eval_iqr_s": eval_iqr,
         "stats": pipe.stats.as_dict(),
         "admission": {
             "n": n_adm,
@@ -541,9 +533,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{gates_rec['backend']:>8}  {gates_rec['looped_s']:>11.3f}  "
               f"{gates_rec['fused_s']:>11.3f}  {gates_rec['speedup']:>7.2f}x")
 
-        # Circuit cutting (ROADMAP item 2): fused vs looped fragment
-        # evaluation, parity with the uncut expectation, and the
-        # beyond-memory admission demonstration.
+        # Circuit cutting (ROADMAP item 2): evaluation time, parity with the
+        # uncut expectation, and the beyond-memory admission demonstration.
         cutting_rec = bench_cutting(bool(args.smoke), repeats)
 
         # One schedule per call (B=1): the row pool splits the row itself.
@@ -557,10 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         cw = cutting_rec["workload"]
         print(f"\nCircuit cutting: bridged rings n={cw['n']}, p=1, "
               f"k={cutting_rec['stats']['cut_qubits']} cut qubit(s)")
-        print(f"{'mode':>8}  {'eval [s]':>11}  {'abs err vs uncut':>17}")
-        for mode, rec in cutting_rec["modes"].items():
-            print(f"{mode:>8}  {rec['eval_s']:>11.3f}  "
-                  f"{rec['abs_err']:>17.2e}")
+        print(f"eval {cutting_rec['eval_s'] * 1e3:.2f} ms median "
+              f"(IQR {cutting_rec['eval_iqr_s'] * 1e3:.2f} ms), "
+              f"abs err vs uncut {cutting_rec['abs_err']:.2e}")
         adm = cutting_rec["admission"]
         print(f"admission: n={adm['n']} {adm['precision']} needs "
               f"{adm['state_bytes'] / 2**30:.3g} GiB monolithic vs "
@@ -625,8 +615,8 @@ def main(argv: list[str] | None = None) -> int:
                 for r in results + distributed_results + baseline_results
             ],
             "per_pass": per_pass,
-            # Circuit-cutting fragment pipeline: fused-vs-looped fragment
-            # evaluation, cut-vs-uncut parity, telemetry, and the
+            # Circuit-cutting fragment pipeline: evaluation time,
+            # cut-vs-uncut parity, telemetry, and the
             # beyond-memory admission record.
             "cutting": cutting_rec,
         }
@@ -676,20 +666,16 @@ def main(argv: list[str] | None = None) -> int:
         print("OK: all optimizer passes ran on the python and jit backends")
     if args.check and cutting_rec is not None:
         # The cutting pipeline's acceptance bars (ROADMAP item 2): the cut
-        # expectation must match the uncut reference on both fragment
-        # evaluation modes, and the pipeline must evaluate an n whose
-        # monolithic state the admission guard rejects.  Both run in smoke
-        # too — the smoke leg shrinks the ceiling in-process instead of
-        # paying for 2^19-amplitude fragments.
-        bad_modes = {mode: rec["abs_err"]
-                     for mode, rec in cutting_rec["modes"].items()
-                     if rec["abs_err"] > CUT_PARITY_ATOL}
-        if bad_modes:
-            print(f"FAIL: cut expectation deviates from uncut by more than "
-                  f"{CUT_PARITY_ATOL:g}: {bad_modes}", file=sys.stderr)
+        # expectation must match the uncut reference, and the pipeline must
+        # evaluate an n whose monolithic state the admission guard rejects.
+        # Both run in smoke too — the smoke leg shrinks the ceiling
+        # in-process instead of paying for 2^19-amplitude fragments.
+        if cutting_rec["abs_err"] > CUT_PARITY_ATOL:
+            print(f"FAIL: cut expectation deviates from uncut by "
+                  f"{cutting_rec['abs_err']:.2e}, more than "
+                  f"{CUT_PARITY_ATOL:g}", file=sys.stderr)
             return 1
-        print(f"OK: cut expectation matches uncut within {CUT_PARITY_ATOL:g} "
-              "(fused and looped fragment evaluation)")
+        print(f"OK: cut expectation matches uncut within {CUT_PARITY_ATOL:g}")
         adm = cutting_rec["admission"]
         if not adm["monolithic_rejected"]:
             print(f"FAIL: the admission guard accepted the monolithic "

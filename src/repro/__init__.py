@@ -14,9 +14,9 @@ The package mirrors the structure of the paper's QOKit framework:
   collectives, topology and performance model);
 * :mod:`repro.classical` — classical heuristic solvers used for reference;
 * :mod:`repro.cutting` — circuit cutting: splits the cost graph into two
-  fragments across ``k`` cut qubits, evaluates each fragment on an ordinary
-  full-tier backend (``4^k`` variants as one batched engine call) and
-  recombines with a tensor contraction, so ``p = 1`` problems beyond the
+  fragments across ``k`` cut qubits, evaluates each fragment with one
+  evolution on an ordinary full-tier backend (all ``4^k`` variant tables
+  come from that state) and recombines with a tensor contraction, so ``p = 1`` problems beyond the
   monolithic state budget still evaluate exactly
   (``repro.cut_qaoa_expectation(...)``; see the README's Circuit cutting
   section);

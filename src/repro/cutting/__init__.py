@@ -1,10 +1,10 @@
 """Circuit cutting: beyond-memory QAOA via fragment decomposition.
 
 Splits the QAOA cost graph into two fragments across ``k`` cut qubits,
-evaluates each fragment on an ordinary full-tier backend (fragment 2's
-``4^k`` preparation variants ride one batched engine call), and stitches
-the fragment expectation tables back together with a tensor-network
-contraction in :mod:`repro.tensornet`.  Exact for single-layer
+evaluates each fragment with one ordinary full-tier evolution (fragment
+2's ``4^k`` preparation variants are per-slot ``2×2`` maps of its single
+``|+⟩`` state), and stitches the fragment expectation tables back together
+with a tensor-network contraction in :mod:`repro.tensornet`.  Exact for single-layer
 transverse-field QAOA; see :mod:`repro.cutting.cutter` for why deeper
 schedules and XY mixers raise :class:`CutUnsupportedError`.
 
@@ -33,7 +33,8 @@ from .variants import (
     PREP_LABELS,
     coefficient_matrix,
     conjugated_paulis,
-    variant_initial_states,
+    preparation_maps,
+    variant_tables,
 )
 
 __all__ = [
@@ -53,5 +54,6 @@ __all__ = [
     "PREP_LABELS",
     "coefficient_matrix",
     "conjugated_paulis",
-    "variant_initial_states",
+    "preparation_maps",
+    "variant_tables",
 ]

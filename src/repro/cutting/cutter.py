@@ -61,7 +61,7 @@ class CutSpec:
     ``fragment_a`` and ``fragment_b`` are disjoint sorted qubit tuples
     covering ``range(n_qubits)``.  ``cut_qubits`` is the subset of
     ``fragment_a`` through which cost terms cross the partition; fragment B
-    re-hosts these qubits as *slot* qubits during its variant runs.
+    re-hosts these qubits as *slot* qubits on top of its own register.
     """
 
     n_qubits: int
@@ -71,7 +71,7 @@ class CutSpec:
 
     @property
     def n_cuts(self) -> int:
-        """Number of cut qubits ``k`` (the pipeline runs ``4^k`` variants)."""
+        """Number of cut qubits ``k`` (fragment tables hold ``4^k`` variants)."""
         return len(self.cut_qubits)
 
     @property

@@ -5,14 +5,19 @@ into an end-to-end evaluator:
 
 1. :func:`~repro.cutting.cutter.choose_cut` splits the cost graph into two
    fragments across ``k`` cut qubits;
-2. fragment 1 runs **one** uniform QAOA evolution on its own backend and
-   measures all ``4^k`` conjugated-Pauli settings on the evolved state;
-3. fragment 2 runs all ``4^k`` preparation variants as **one** batched
-   engine call — the variant initial states ride the engine's per-row
-   ``sv0`` block, so a full-tier backend streams them through its fused
-   kernels;
-4. :func:`~repro.cutting.recombine.recombine_term` contracts each term's
-   fragment tables through :mod:`repro.tensornet`.
+2. the measured terms fold into a few observable rows per fragment, built
+   once: the identity, a precomputed cost diagonal of the terms that live
+   on that fragment alone, and one parity row per distinct crossing mask;
+3. each fragment runs **one** ``p = 1`` evolution (fragment 2 from
+   ``|+⟩``), and one gemm of its observable rows against the conjugate
+   products of the state's cut slices gives the weighted reduced matrices
+   on the cut qubits.  All ``4^k`` table columns follow from those small
+   matrices: conjugated-Pauli settings for fragment 1, per-slot
+   preparation maps for fragment 2
+   (:mod:`repro.cutting.variants`);
+4. :func:`~repro.cutting.recombine.recombine_term` contracts the tables
+   through :mod:`repro.tensornet`: once for each fragment's diagonal and
+   once per crossing term.
 
 The two fragments dispatch concurrently on a small worker pool.  Each
 fragment's simulator is built through the :func:`repro.simulator` facade,
@@ -23,7 +28,7 @@ so every *full-tier* backend works unchanged; expectation-only families
 Because only fragment-sized state vectors are ever materialized, problems
 whose monolithic ``2^n`` state the admission guard rejects still evaluate
 — that is the point: the largest allocation is ``max(2^{n_1}, 2^{n_2})``
-amplitudes per engine sub-batch row, not ``2^n``.
+amplitudes (plus a few observable rows of that length), not ``2^n``.
 
 The decomposition is exact for single-layer (``p = 1``) transverse-field
 QAOA; anything else raises the typed
@@ -42,12 +47,12 @@ import numpy as np
 
 from ..fur.base import validate_angles
 from ..fur.capabilities import require_capability
+from ..fur.diagonal import precompute_cost_diagonal
 from ..fur.registry import simulator as _construct_simulator
 from ..qaoa.parameters import split_parameters
 from .cutter import CutSpec, CutUnsupportedError, assign_terms, choose_cut
 from .recombine import recombine_term
-from .variants import apply_one_qubit, conjugated_paulis, variant_digits, \
-    variant_initial_states
+from .variants import conjugated_paulis, preparation_maps, variant_tables
 
 __all__ = [
     "CuttingStats",
@@ -70,13 +75,15 @@ class CuttingStats:
     evaluations: int = 0
     #: fragment circuits dispatched (two per evaluation)
     fragments_evaluated: int = 0
-    #: fragment-variant state evolutions (``1 + 4^k`` per evaluation)
+    #: fragment variant tables read off the two evolved states (``1 + 4^k``
+    #: per evaluation: fragment 1's state, fragment 2's ``4^k`` preps)
     variants_evaluated: int = 0
     #: cut qubits of the active cut (``k``)
     cut_qubits: int = 0
     #: cost terms recombined across the cut
     recombined_terms: int = 0
-    #: tensor-network contractions performed during recombination
+    #: tensor-network contractions performed during recombination (two for
+    #: the fragments' folded diagonals plus one per crossing term)
     tensor_contractions: int = 0
     #: wall-clock seconds inside fragment simulation
     fragment_wall_s: float = 0.0
@@ -95,22 +102,74 @@ class CuttingStats:
         return dict(vars(self))
 
 
-def _parity_signs(masks: Sequence[int], n_qubits: int) -> np.ndarray:
-    """``(len(masks), 2^n)`` rows of ``(-1)^popcount(x & mask)``."""
+#: amplitudes per chunk of the conjugate products (stays cache-resident)
+_CHUNK = 1 << 14
+
+
+def _observable_rows(terms: Sequence[tuple[float, int]],
+                     crossing_masks: Sequence[int],
+                     n_qubits: int) -> np.ndarray:
+    """One fragment's observables: the identity, the cost diagonal of its
+    own ``(weight, mask)`` terms and one ``(-1)^popcount(x & mask)`` parity
+    row per crossing mask."""
+    rows = np.zeros((2 + len(crossing_masks), 1 << n_qubits))
+    rows[0] = 1.0
+    if terms:
+        precompute_cost_diagonal(
+            [(w, [q for q in range(n_qubits) if m >> q & 1]) for w, m in terms],
+            n_qubits, out=rows[1])
     idx = np.arange(1 << n_qubits, dtype=np.uint64)
-    out = np.empty((len(masks), idx.shape[0]), dtype=np.float64)
-    for r, mask in enumerate(masks):
-        parity = (np.bitwise_count(idx & np.uint64(mask)) & np.uint64(1))
-        out[r] = 1.0 - 2.0 * parity.astype(np.float64)
-    return out
+    for row, mask in zip(rows[2:], crossing_masks):
+        row[:] = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1)
+    return rows
+
+
+def _reduced_matrices(rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
+    """``ρ[v][b, b'] = Σ_r rows[v, r] conj(slices[b, r]) slices[b', r]``.
+
+    ``slices`` is the state as ``(2^k, L)``: one row per value of the cut
+    bits.  The ``4^k`` real conjugate products (the upper triangle's real
+    parts, then its off-diagonal imaginary parts) are formed in double
+    precision one cache-sized chunk of ``L`` at a time and fed to a gemm
+    against the ``(V, L)`` observable rows.
+    """
+    d, length = slices.shape
+    lo, hi = np.triu_indices(d)
+    off = lo != hi
+    # conj(z_b) z_c = (re_b re_c + im_b im_c) + i (re_b im_c - im_b re_c)
+    pairs = ([(b, c, False) for b, c in zip(lo, hi)]
+             + [(b, c, True) for b, c in zip(lo[off], hi[off])])
+    chunk = min(_CHUNK, length)
+    parts = np.empty((d * d, chunk))
+    tmp = np.empty(chunk)
+    gram = np.zeros((rows.shape[0], d * d))
+    for start in range(0, length, chunk):
+        window = slice(start, start + chunk)
+        z = slices[:, window].astype(np.complex128)
+        re, im = z.real, z.imag
+        for part, (b, c, imag) in zip(parts, pairs):
+            if imag:
+                np.multiply(re[b], im[c], out=part)
+                part -= np.multiply(im[b], re[c], out=tmp)
+            else:
+                np.multiply(re[b], re[c], out=part)
+                part += np.multiply(im[b], im[c], out=tmp)
+        gram += rows[:, window] @ parts.T
+    upper = gram[:, :lo.size].astype(np.complex128)
+    upper[:, off] += 1j * gram[:, lo.size:]
+    rho = np.empty((rows.shape[0], d, d), dtype=np.complex128)
+    rho[:, hi, lo] = upper.conj()
+    rho[:, lo, hi] = upper
+    return rho
 
 
 class CutQAOAPipeline:
     """A reusable cut-QAOA evaluator bound to one problem and one cut.
 
     Construction picks (or validates) the cut, splits the cost polynomial,
-    and builds both fragment simulators; :meth:`expectation` then serves
-    any number of ``p = 1`` schedules against the cached fragments.
+    builds both fragment simulators and folds the measured terms into each
+    fragment's observable rows; :meth:`expectation` then serves any number
+    of ``p = 1`` schedules against the cached fragments.
     """
 
     def __init__(self, n_qubits: int,
@@ -122,7 +181,6 @@ class CutQAOAPipeline:
                  mixer: str = "x",
                  precision: str | None = None,
                  optimize: str | None = None,
-                 mode: str = "auto",
                  n_workers: int = 2,
                  **simulator_kwargs: Any) -> None:
         if mixer != "x":
@@ -136,91 +194,97 @@ class CutQAOAPipeline:
                                         cut_qubits=cut_qubits,
                                         max_cuts=max_cuts)
         self.assignment = assign_terms(terms, self.spec)
-        self.mode = mode
         self.n_workers = max(1, int(n_workers))
         self.stats = CuttingStats(cut_qubits=self.spec.n_cuts)
 
         k = self.spec.n_cuts
-        self._n1 = len(self.spec.fragment_a)
-        self._n2 = len(self.assignment.f2_qubits)
+        n1 = len(self.spec.fragment_a)
+        n2 = len(self.assignment.f2_qubits)
         build = dict(backend=backend, mixer=mixer, precision=precision,
                      optimize=optimize, **simulator_kwargs)
         # A zero-weight placeholder keeps term-requiring backends (gates)
         # working when one fragment ends up with no phase terms at all.
         self.sim1 = _construct_simulator(
-            self._n1, terms=list(self.assignment.f1_terms) or [(0.0, (0,))],
+            n1, terms=list(self.assignment.f1_terms) or [(0.0, (0,))],
             **build)
         self.sim2 = _construct_simulator(
-            self._n2, terms=list(self.assignment.f2_terms) or [(0.0, (0,))],
+            n2, terms=list(self.assignment.f2_terms) or [(0.0, (0,))],
             **build)
         for sim in (self.sim1, self.sim2):
             require_capability(sim, "statevector")
-        #: fragment-1 register positions of the cut qubits
+
+        # Each fragment reads its state as (cut bits, the other bits): the
+        # cut axes of the (2,)*n state tensor move to the front, highest cut
+        # first.  Fragment B's slots already are its top k bits; fragment A's
+        # masks (which never hold a cut bit) are squeezed onto the rest.
         a_local = {q: i for i, q in enumerate(self.spec.fragment_a)}
-        self._cut_positions = tuple(a_local[q] for q in self.spec.cut_qubits)
-        #: the (4^k, 2^{n_2}) per-row sv0 block fed to fragment 2's engine
-        self._prep_block = variant_initial_states(
-            self._n2, k, dtype=self.sim2._precision.complex_dtype)
-        # Deduplicate the per-term observable masks so each unique mask is
-        # reduced against the fragment data exactly once.
-        self._weights = [w for w, _m1, _m2 in self.assignment.measured]
-        self._u1, self._masks1 = self._unique(
-            [m1 for _w, m1, _m2 in self.assignment.measured])
-        self._u2, self._masks2 = self._unique(
-            [m2 for _w, _m1, m2 in self.assignment.measured])
-        self._signs1 = _parity_signs(self._masks1, self._n1)
-        self._signs2 = _parity_signs(self._masks2, self._n2)
+        cut_pos = [a_local[q] for q in self.spec.cut_qubits]
+        self._cut_axes = [n1 - 1 - pos for pos in reversed(cut_pos)]
+        rest = [i for i in range(n1) if i not in cut_pos]
+
+        def squeeze(mask: int) -> int:
+            return sum(1 << j for j, i in enumerate(rest) if mask >> i & 1)
+
+        # A-only terms fold into fragment A's diagonal, B-only terms (slot
+        # bits included) into fragment B's; each crossing term keeps one
+        # parity row per side.
+        measured = self.assignment.measured
+        crossing = [(w, m1, m2) for w, m1, m2 in measured if m1 and m2]
+        self._cross_weights = [w for w, _m1, _m2 in crossing]
+        self._cross_a, masks_a = self._unique(
+            [squeeze(m1) for _w, m1, _m2 in crossing])
+        self._cross_b, masks_b = self._unique(
+            [m2 for _w, _m1, m2 in crossing])
+        self._rows_a = _observable_rows(
+            [(w, squeeze(m1)) for w, m1, m2 in measured if not m2],
+            masks_a, n1 - k)
+        self._rows_b = _observable_rows(
+            [(w, m2) for w, m1, m2 in measured if not m1], masks_b, n2)
 
     @staticmethod
     def _unique(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Per-mask row indices (after the identity and diagonal rows) and
+        the distinct masks in first-seen order."""
         order: dict[int, int] = {}
         rows = []
         for m in masks:
             if m not in order:
                 order[m] = len(order)
-            rows.append(order[m])
+            rows.append(2 + order[m])
         return rows, list(order)
 
     # -- fragment evaluation -------------------------------------------------
-    def _fragment_one(self, gamma: float, beta: float) -> np.ndarray:
-        """Fragment 1: one evolution, then all ``4^k`` Pauli settings.
+    def _fragment_tables(self, sim: Any, cut_axes: Sequence[int],
+                         rows: np.ndarray, maps: np.ndarray, gamma: float,
+                         beta: float) -> np.ndarray:
+        """One fragment's ``(V, 4^k)`` table from its single evolution.
 
-        Returns the ``(n_masks1, 4^k)`` table ``M[u, m] =
-        ⟨ψ₁| Z_{mask_u} ⊗ σ̃_m |ψ₁⟩`` for the deduplicated fragment-1 masks.
+        ``rows`` are the fragment's ``V`` observables, over the bits off the
+        cut (fragment A) or over its whole register (fragment B); ``maps``
+        is the per-cut map of :func:`~repro.cutting.variants.variant_tables`.
         """
-        k = self.spec.n_cuts
-        res = self.sim1.simulate_qaoa([gamma], [beta])
-        psi = np.asarray(self.sim1.get_statevector(res),
-                         dtype=np.complex128).reshape(-1)
-        sigmas = conjugated_paulis(beta)
-        m_table = np.empty((len(self._masks1), 4 ** k), dtype=np.float64)
-        for m in range(4 ** k):
-            phi = psi
-            for cut, digit in enumerate(variant_digits(m, k)):
-                if digit:
-                    phi = apply_one_qubit(phi, sigmas[digit],
-                                          self._cut_positions[cut], self._n1)
-            weight = (np.conj(psi) * phi).real
-            m_table[:, m] = self._signs1 @ weight
-        return m_table
+        d = 1 << self.spec.n_cuts
+        res = sim.simulate_qaoa([gamma], [beta])
+        psi = np.asarray(sim.get_statevector(res)).reshape((2,) * sim.n_qubits)
+        slices = np.moveaxis(psi, cut_axes, range(len(cut_axes))).reshape(d, -1)
+        rho = _reduced_matrices(rows.reshape(-1, slices.shape[1]), slices)
+        return variant_tables(rho.reshape(rows.shape[0], -1, d, d), maps)
+
+    def _fragment_one(self, gamma: float, beta: float) -> np.ndarray:
+        """Fragment A: ``M[u, m] = ⟨ψ₁| e_u ⊗ σ̃_m |ψ₁⟩``."""
+        return self._fragment_tables(self.sim1, self._cut_axes, self._rows_a,
+                                     conjugated_paulis(beta)[:, None],
+                                     gamma, beta)
 
     def _fragment_two(self, gamma: float, beta: float) -> np.ndarray:
-        """Fragment 2: all ``4^k`` prep variants as one batched engine call.
-
-        Returns the ``(n_masks2, 4^k)`` table ``R[u, s] = Σ_x p_s(x)
-        (-1)^popcount(x & mask_u)`` for the deduplicated fragment-2 masks.
-        """
-        rows = self._prep_block.shape[0]
-        g = np.full((rows, 1), gamma)
-        b = np.full((rows, 1), beta)
-        results = self.sim2.engine.simulate_batch(
-            g, b, sv0=self._prep_block, mode=self.mode)
-        r_table = np.empty((len(self._masks2), rows), dtype=np.float64)
-        for s, res in enumerate(results):
-            probs = np.asarray(self.sim2.get_probabilities(res),
-                               dtype=np.float64).reshape(-1)
-            r_table[:, s] = self._signs2 @ probs
-        return r_table
+        """Fragment B: ``R[u, s] = ⟨ψ_s| e_u |ψ_s⟩`` with ``ψ_s =
+        (⊗_i O_{s_i}) ψ₊`` on the slots
+        (:func:`~repro.cutting.variants.preparation_maps`)."""
+        o = preparation_maps(beta)
+        return self._fragment_tables(self.sim2, range(self.spec.n_cuts),
+                                     self._rows_b,
+                                     np.einsum("syb,syc->sybc", o.conj(), o),
+                                     gamma, beta)
 
     # -- public API ----------------------------------------------------------
     def expectation(self, gammas: Sequence[float] | np.ndarray,
@@ -246,17 +310,21 @@ class CutQAOAPipeline:
             r_table = self._fragment_two(gamma, beta)
         t1 = time.perf_counter()
 
-        total = self.assignment.offset
-        for t, w in enumerate(self._weights):
-            total += w * recombine_term(m_table[self._u1[t]],
-                                        r_table[self._u2[t]], k)
+        # rows: 0 = identity, 1 = the fragment's folded diagonal, 2.. = the
+        # crossing terms' parities
+        total = (self.assignment.offset
+                 + recombine_term(m_table[1], r_table[0], k)
+                 + recombine_term(m_table[0], r_table[1], k))
+        for w, u1, u2 in zip(self._cross_weights, self._cross_a,
+                             self._cross_b):
+            total += w * recombine_term(m_table[u1], r_table[u2], k)
         t2 = time.perf_counter()
 
         self.stats.evaluations += 1
         self.stats.fragments_evaluated += 2
         self.stats.variants_evaluated += 1 + 4 ** k
-        self.stats.recombined_terms += len(self._weights)
-        self.stats.tensor_contractions += len(self._weights)
+        self.stats.recombined_terms += len(self.assignment.measured)
+        self.stats.tensor_contractions += 2 + len(self._cross_weights)
         self.stats.fragment_wall_s += t1 - t0
         self.stats.recombine_wall_s += t2 - t1
         return float(total)
@@ -272,10 +340,10 @@ def cut_qaoa_expectation(n_qubits: int,
     Builds the fragment pipeline, evaluates the single ``p = 1`` schedule
     and returns ``<γβ|Ĉ|γβ>``.  All keyword arguments are forwarded to
     :class:`CutQAOAPipeline` (``partition``, ``cut_qubits``, ``max_cuts``,
-    ``backend``, ``precision``, ``mode``, backend constructor kwargs, ...).
+    ``backend``, ``precision``, backend constructor kwargs, ...).
     For repeated evaluations — e.g. inside an optimizer loop — construct
     the pipeline once (or use :class:`CutQAOAObjective`) so the fragment
-    simulators and variant states are reused.
+    simulators and observable rows are reused.
     """
     pipeline = CutQAOAPipeline(n_qubits, terms, **pipeline_kwargs)
     return pipeline.expectation(gammas, betas)

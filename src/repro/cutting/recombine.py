@@ -1,11 +1,16 @@
 """Tensor recombination of fragment expectation tables.
 
-After the fragments run, each cost term ``t`` owns two tables:
+After the fragments run, every observable ``t = e_1 ⊗ e_2`` split across
+the cut owns two tables:
 
 - ``m_table`` — fragment 1's ``4^k`` conjugated-Pauli expectations
-  ``M_t[m] = ⟨ψ₁| Z_{mask1} ⊗ σ̃_m |ψ₁⟩``;
-- ``r_table`` — fragment 2's ``4^k`` per-variant sign expectations
-  ``R_t[s] = Σ_x p_s(x) (-1)^{popcount(x & mask2)}``.
+  ``M_t[m] = ⟨ψ₁| e_1 ⊗ σ̃_m |ψ₁⟩``;
+- ``r_table`` — fragment 2's ``4^k`` per-variant expectations
+  ``R_t[s] = ⟨ψ_s| e_2 |ψ_s⟩``.
+
+The pipeline's observables are a fragment's folded cost diagonal against
+the other fragment's identity, and each crossing term's two parities
+(:class:`repro.cutting.pipeline.CutQAOAPipeline`).
 
 The exact wire-cut identity stitches them through the fixed ``(4, 4)``
 coefficient matrix ``C`` (:func:`repro.cutting.variants.coefficient_matrix`),

@@ -1,4 +1,4 @@
-"""Fragment variant enumeration for wire cutting.
+"""Fragment variant algebra for wire cutting.
 
 A wire cut on ``k`` qubits decomposes the traced-out wire states through
 the Pauli basis: for any bipartite state and any post-cut circuit,
@@ -20,10 +20,15 @@ owns those fixed ingredients:
   which applies one extra mixer rotation ``exp(-i β X)`` on each cut qubit
   after the cut point; measuring ``σ̃ = U σ U†`` on the evolved state is
   exactly measuring ``σ`` at the cut point;
-- :func:`variant_initial_states` — the ``(4^k, 2^{n_2})`` block of
-  fragment-2 initial states (prep states on the slot qubits tensored with
-  ``|+⟩`` on the fragment's own qubits), which the execution engine
-  consumes as one per-row ``sv0`` batch.
+- :func:`preparation_maps` — fragment B runs only the ``|+⟩`` evolution
+  ``ψ₊``.  The phase separator is diagonal and the mixer is a product of
+  one-qubit rotations, so preparing slot ``i`` in state ``|s⟩`` instead of
+  ``|+⟩`` is the fixed per-slot ``2×2`` map ``O_s = √2 · U diag(|s⟩) U†``
+  applied to ``ψ₊`` (``|s⟩ = √2 diag(|s⟩) |+⟩``, and the diagonal
+  commutes with the phase);
+- :func:`variant_tables` — every fragment's ``4^k`` table from its
+  weighted reduced matrices on the cut qubits, one ``(4, ·, 2, 2)`` map
+  contracted per cut.
 
 Everything here is little-endian (qubit ``q`` is bit ``q`` of the state
 index), matching :mod:`repro.fur`.
@@ -41,8 +46,9 @@ __all__ = [
     "coefficient_matrix",
     "conjugated_paulis",
     "apply_one_qubit",
-    "variant_initial_states",
+    "preparation_maps",
     "variant_digits",
+    "variant_tables",
 ]
 
 #: fragment-1 measurement bases, in digit order (digit value 0..3)
@@ -84,6 +90,12 @@ def coefficient_matrix() -> np.ndarray:
     ], dtype=np.float64)
 
 
+def _mixer_rotation(beta: float) -> np.ndarray:
+    """The one-qubit mixer rotation ``U = exp(-i β X)``."""
+    c, s = np.cos(beta), np.sin(beta)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
 def conjugated_paulis(beta: float) -> np.ndarray:
     """``σ̃_m = U σ_m U†`` for ``U = exp(-i β X)``, stacked ``(4, 2, 2)``.
 
@@ -91,8 +103,7 @@ def conjugated_paulis(beta: float) -> np.ndarray:
     cut qubits *after* the cut point; the cut-point Pauli expectation is
     recovered from the evolved state as ``⟨ψ₁|σ̃_m|ψ₁⟩``.
     """
-    c, s = np.cos(beta), np.sin(beta)
-    u = np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    u = _mixer_rotation(beta)
     return np.einsum("ab,mbc,dc->mad", u, PAULIS, u.conj())
 
 
@@ -108,27 +119,44 @@ def variant_digits(variant: int, n_cuts: int) -> tuple[int, ...]:
     return tuple((variant >> (2 * i)) & 3 for i in range(n_cuts))
 
 
-def variant_initial_states(n_qubits: int, slot_qubits: int,
-                           dtype: np.dtype | type = np.complex128) -> np.ndarray:
-    """The ``(4^k, 2^n)`` fragment-2 initial-state block.
+def preparation_maps(beta: float) -> np.ndarray:
+    """``O_s = √2 · U diag(|s⟩) U†`` for ``U = exp(-i β X)``, ``(4, 2, 2)``.
 
-    The register layout matches :func:`repro.cutting.cutter.assign_terms`:
-    qubits ``[0, n - k)`` are the fragment's own qubits (initialized to
-    ``|+⟩``), qubits ``[n - k, n)`` are the slots (slot ``i`` = qubit
-    ``n - k + i`` hosts cut qubit ``i``).  Row ``v`` prepares slot ``i`` in
-    ``PREP_STATES[(v >> 2i) & 3]`` — base-4 digits of ``v``, cut 0 in the
-    lowest digit.
+    Rows follow :data:`PREP_LABELS`.  Fragment B's variant ``s`` is
+    ``(⊗_i O_{s_i}) ψ₊`` on the slot qubits, with ``ψ₊`` its single
+    ``|+⟩`` evolution: the prep state is ``√2 diag(|s⟩) |+⟩``, the diagonal
+    commutes with the phase separator, and ``U`` carries it through the
+    mixer.
     """
-    k = slot_qubits
-    n_own = n_qubits - k
-    plus = np.full(2 ** n_own, 1.0 / np.sqrt(2.0) ** n_own,
-                   dtype=np.complex128)
-    block = np.empty((4 ** k, 2 ** n_qubits), dtype=dtype)
-    for v in range(4 ** k):
-        sv = plus
-        # prepend slots from lowest (qubit n_own) to highest: np.kron(a, b)
-        # puts b in the low bits, so the slot state is the first factor
-        for digit in variant_digits(v, k):
-            sv = np.kron(PREP_STATES[digit], sv)
-        block[v] = sv
-    return block
+    u = _mixer_rotation(beta)
+    return np.sqrt(2.0) * np.einsum("ab,mb,cb->mac", u, PREP_STATES, u.conj())
+
+
+def variant_tables(rho: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The ``(U, 4^k)`` tables ``Re Σ_{y,b,b'} Π_i T[v_i, y_i, b_i, b'_i]
+    ρ[u, y, b, b']``.
+
+    ``rho`` is a ``(U, Y, 2^k, 2^k)`` stack of weighted reduced matrices on
+    the ``k`` cut qubits (bit ``i`` of ``b`` is cut ``i``), with ``Y = 1``
+    when the observable does not depend on the cut bits and ``Y = 2^k``
+    when it does (then bit ``i`` of ``y`` is cut ``i`` too).  ``maps`` is
+    the per-cut map ``T``, the same on every cut: the ``(4, 1, 2, 2)``
+    ``σ̃_m[b, b']`` for fragment A, the ``(4, 2, 2, 2)``
+    ``conj(O_s[y, b]) O_s[y, b']`` for fragment B.  Columns are base-4
+    variant indices, cut 0 in the lowest digit (:func:`variant_digits`).
+    The maps enter one per cut, never as a ``4^k × 4^k`` operator.
+    """
+    n_rows = rho.shape[0]
+    k = rho.shape[-1].bit_length() - 1
+    # reshape puts the highest cut first in each axis group; cut i's y, b,
+    # b' and variant indices are labelled 1 + 4i .. 4 + 4i
+    cuts = range(k - 1, -1, -1)
+    tensor = rho.reshape((n_rows,) + (maps.shape[1],) * k + (2,) * (2 * k))
+    labels = ([0] + [1 + 4 * i for i in cuts] + [2 + 4 * i for i in cuts]
+              + [3 + 4 * i for i in cuts])
+    operands: list = [tensor, labels]
+    for i in range(k):
+        operands += [maps, [4 + 4 * i, 1 + 4 * i, 2 + 4 * i, 3 + 4 * i]]
+    out = np.einsum(*operands, [0] + [4 + 4 * i for i in cuts],
+                    optimize=True)
+    return np.ascontiguousarray(out.real.reshape(n_rows, 4 ** k))

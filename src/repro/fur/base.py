@@ -460,7 +460,7 @@ class QAOAFastSimulatorBase(abc.ABC):
         The batches are ``(B, p)`` shaped; entry ``i`` of the returned list is
         the backend result object for schedule ``i``.  ``sv0`` may be a shared
         1-D initial state or a ``(B, 2^n)`` block supplying one initial state
-        per schedule row (the circuit-cutting fragment-variant shape).  All
+        per schedule row.  All
         orchestration is delegated to the shared execution engine, which
         evolves ``(B, 2^n)`` state blocks through all layers at once
         (``memory_budget`` bounds the block scratch by splitting large

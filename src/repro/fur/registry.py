@@ -81,6 +81,11 @@ ENTRY_POINT_GROUP = "repro.fur.backends"
 #: Mixer families defined by the paper (transverse-field X, ring XY, complete XY).
 KNOWN_MIXERS = ("x", "xyring", "xycomplete")
 
+#: Backend names that no longer exist, mapped to the backend that replaced
+#: them.  An unknown-backend error names the replacement instead of guessing
+#: a look-alike; these are not aliases and construct nothing.
+RETIRED_BACKENDS = {"numba": "jit"}
+
 #: Loader signature: zero-argument callable returning mixer -> simulator class.
 BackendLoader = Callable[[], dict[str, type]]
 
@@ -382,6 +387,10 @@ class BackendRegistry:
 
     # -- resolution ----------------------------------------------------------
     def _unknown_backend_error(self, name: str) -> ValueError:
+        successor = RETIRED_BACKENDS.get(name)
+        if successor is not None:
+            return ValueError(f"simulator backend {name!r} was retired; "
+                              f"use {successor!r}")
         canonical = sorted(self._specs)
         aliases = sorted(self._aliases)
         message = (

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cutting import CutUnsupportedError, cut_qaoa_expectation
+from repro.cutting import (CutQAOAPipeline, CutUnsupportedError,
+                           cut_qaoa_expectation)
 from repro.fur import available_backends
 from repro.fur.capabilities import UnsupportedCapabilityError
 from repro.testing import random_terms
@@ -66,15 +67,38 @@ def test_cut_matches_uncut_structured_problems(backend, qaoa_angles):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["fused", "looped"])
-def test_fragment_execution_mode_parity(mode, seeded_rng):
-    """Fused and looped fragment evaluation agree to machine precision."""
-    n = 8
-    terms = random_terms(seeded_rng, n, n_terms=12)
-    want = _uncut(n, terms, [0.31], [0.57], "double")
-    got = cut_qaoa_expectation(n, terms, [0.31], [0.57],
-                               backend="python", mode=mode)
-    assert got == pytest.approx(want, abs=1e-12)
+def _multi_cut_problem(rng, cuts):
+    """Fragment A = qubits 0..5 with the given cut qubits, fragment B = 6..9.
+
+    Holds an A-only 3-body term, a term on a cut qubit alone, crossing
+    edges from each cut qubit, a 3-body term across the partition (two cut
+    qubits and a B qubit) and 3-body and 2-body fragment-A terms that mix
+    cut and non-cut qubits (observable masks on both sides).
+    """
+    w = lambda: float(rng.uniform(-1, 1))
+    terms = [(w(), (i, i + 1)) for i in range(5)] + [(w(), (0, 2, 4))]
+    terms += [(w(), (i, i + 1)) for i in range(6, 9)]
+    terms += [(w(), (cuts[1],)), (w(), (cuts[0], cuts[1], 8)),
+              (w(), (0, cuts[0], cuts[1]))]
+    terms += [(w(), (c, 6 + j)) for j, c in enumerate(cuts)]
+    return terms
+
+
+@pytest.mark.parametrize("backend", FULL_TIER)
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("cuts", [(1, 3), (1, 3, 5)])
+def test_multi_cut_matches_uncut(backend, precision, cuts, seeded_rng):
+    """k = 2 and k = 3 cuts at non-adjacent, non-zero fragment-A positions."""
+    n = 10
+    terms = _multi_cut_problem(seeded_rng, cuts)
+    gamma = float(seeded_rng.uniform(-1, 1))
+    beta = float(seeded_rng.uniform(-1, 1))
+    want = _uncut(n, terms, [gamma], [beta], "double")
+    pipe = CutQAOAPipeline(n, terms, backend=backend, precision=precision,
+                           partition=range(6), cut_qubits=cuts)
+    assert pipe.spec.n_cuts == len(cuts)
+    got = pipe.expectation([gamma], [beta])
+    assert got == pytest.approx(want, abs=TOLERANCES[precision])
 
 
 def test_p2_raises_typed_error():

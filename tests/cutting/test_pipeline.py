@@ -22,7 +22,11 @@ class TestCuttingStats:
         assert stats.variants_evaluated == 2 * (1 + 4 ** k)
         assert stats.cut_qubits == k
         assert stats.recombined_terms == 2 * len(RING)
-        assert stats.tensor_contractions == 2 * len(RING)
+        crossing = sum(1 for _w, m1, m2 in pipe.assignment.measured
+                       if m1 and m2)
+        assert crossing == 2
+        # one contraction per fragment diagonal, one per crossing term
+        assert stats.tensor_contractions == 2 * (2 + crossing)
         assert stats.fragment_wall_s > 0
         assert stats.recombine_wall_s > 0
 
@@ -41,6 +45,27 @@ class TestCuttingStats:
         pipe.stats.reset()
         assert pipe.stats.evaluations == 0
         assert pipe.stats.cut_qubits == pipe.spec.n_cuts
+
+
+class TestFragmentMemory:
+    def test_bridged_rings_keep_a_few_observable_rows(self):
+        """Identity, the folded diagonal and one parity row per distinct
+        crossing mask: 4 rows on fragment A (crossing edges (0, 1) and
+        (7, 0) around cut qubit 0), 3 on fragment B (the bridge's slot
+        bit); no (4^k, 2^{n_2}) prep block is kept."""
+        n = 16
+        terms = [(0.5, (i, (i + 1) % 8)) for i in range(8)]
+        terms += [(0.5, (8 + i, 8 + (i + 1) % 8)) for i in range(8)]
+        terms.append((0.7, (0, 8)))
+        pipe = CutQAOAPipeline(n, terms, backend="python",
+                               partition=range(8))
+        k = pipe.spec.n_cuts
+        n2 = pipe.sim2.n_qubits
+        assert (k, n2) == (1, 9)
+        assert pipe._rows_a.shape == (4, 2 ** (8 - k))
+        assert pipe._rows_b.shape == (3, 2 ** n2)
+        arrays = [v for v in vars(pipe).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < 4 ** k * 2 ** n2 for a in arrays)
 
 
 class TestCutQAOAObjective:

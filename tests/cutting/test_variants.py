@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.cutting import coefficient_matrix, conjugated_paulis
 from repro.cutting.variants import (
     PAULIS,
     PREP_STATES,
     apply_one_qubit,
+    preparation_maps,
     variant_digits,
-    variant_initial_states,
+    variant_tables,
 )
+from repro.testing import random_terms
 
 
 def test_paulis_and_prep_states_are_what_they_claim():
@@ -69,26 +72,85 @@ def test_variant_digits_little_endian():
     assert variant_digits(0b100100 + 2, 3) == (2, 1, 2)
 
 
-def test_variant_initial_states_layout():
-    # n=3, one slot (qubit 2): row v prepares slot in PREP_STATES[v]
-    block = variant_initial_states(3, 1)
-    assert block.shape == (4, 8)
-    plus2 = np.full(4, 0.5)
-    for v in range(4):
-        expected = np.kron(PREP_STATES[v], plus2)
-        np.testing.assert_allclose(block[v], expected, atol=1e-15)
-        assert np.isclose(np.vdot(block[v], block[v]), 1.0)
+def _prep_block(n_qubits, n_slots):
+    """Per-variant initial states: |+> on the low qubits, variant v's slot
+    i (qubit n - k + i) in PREP_STATES[digit i of v]."""
+    n_own = n_qubits - n_slots
+    plus = np.full(2 ** n_own, 2.0 ** (-n_own / 2), dtype=np.complex128)
+    block = []
+    for v in range(4 ** n_slots):
+        sv = plus
+        for digit in variant_digits(v, n_slots):
+            sv = np.kron(PREP_STATES[digit], sv)  # slot above the last one
+        block.append(sv)
+    return np.array(block)
 
 
-def test_variant_initial_states_two_slots_digit_order():
-    # slot 0 = qubit 1 (low), slot 1 = qubit 2 (high); variant v = 4*d1+d0
-    block = variant_initial_states(3, 2)
-    assert block.shape == (16, 8)
-    plus1 = np.full(2, 1 / np.sqrt(2))
-    v = 4 * 3 + 1  # slot 0 -> |1>, slot 1 -> |+i>
-    expected = np.kron(PREP_STATES[3], np.kron(PREP_STATES[1], plus1))
-    np.testing.assert_allclose(block[v], expected, atol=1e-15)
+def _apply_slot_maps(psi, maps, variant, n_qubits, n_slots):
+    for i, digit in enumerate(variant_digits(variant, n_slots)):
+        psi = apply_one_qubit(psi, maps[digit], n_qubits - n_slots + i,
+                              n_qubits)
+    return psi
 
 
-def test_variant_initial_states_dtype():
-    assert variant_initial_states(3, 1, dtype=np.complex64).dtype == np.complex64
+@pytest.mark.parametrize("backend", ["python", "jit"])
+@pytest.mark.parametrize("n_slots", [1, 2])
+def test_preparation_maps_reproduce_prep_evolution(backend, n_slots,
+                                                   seeded_rng):
+    """O_s ψ₊ on the slots is the p=1 evolution of prep state s."""
+    n = 5
+    terms = random_terms(seeded_rng, n, n_terms=2 * n, max_order=3)
+    terms.append((0.4, (n - 1,)))  # a slot-only term
+    gamma = float(seeded_rng.uniform(-1, 1))
+    beta = float(seeded_rng.uniform(-1, 1))
+    sim = repro.simulator(n, terms=terms, backend=backend)
+    block = _prep_block(n, n_slots)
+    rows = block.shape[0]
+    results = sim.engine.simulate_batch(np.full((rows, 1), gamma),
+                                        np.full((rows, 1), beta), sv0=block)
+    plus = np.asarray(sim.get_statevector(sim.simulate_qaoa([gamma], [beta])))
+    maps = preparation_maps(beta)
+    for v, res in enumerate(results):
+        want = np.asarray(sim.get_statevector(res))
+        got = _apply_slot_maps(plus, maps, v, n, n_slots)
+        np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"v={v}")
+
+
+def test_preparation_maps_at_zero_scale_the_prep_diagonals():
+    want = np.sqrt(2.0) * np.array([np.diag(s) for s in PREP_STATES])
+    np.testing.assert_allclose(preparation_maps(0.0), want, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_cuts", [1, 2, 3])
+def test_variant_tables_match_explicit_variants(n_cuts, seeded_rng):
+    """Both table shapes against states built variant by variant: the
+    conjugated-Pauli readout (Y = 1) and the per-slot prep maps (Y = 2^k),
+    with the cut qubits on the top bits of a 5-qubit register."""
+    n, k = 5, n_cuts
+    d = 2 ** k
+    psi = seeded_rng.normal(size=2 ** n) + 1j * seeded_rng.normal(size=2 ** n)
+    psi /= np.linalg.norm(psi)
+    rows = seeded_rng.normal(size=(3, 2 ** n))
+    slices = psi.reshape(d, -1)
+    beta = 0.37
+
+    # observables off the cut bits: Y = 1, M[u, m] = <psi| e_u ⊗ σ̃_m |psi>
+    own = rows[:, : 2 ** (n - k)]
+    rho = np.einsum("ur,br,cr->ubc", own, slices.conj(), slices)
+    got = variant_tables(rho[:, None], conjugated_paulis(beta)[:, None])
+    sigmas = conjugated_paulis(beta)
+    for m in range(4 ** k):
+        phi = _apply_slot_maps(psi, sigmas, m, n, k)
+        for u in range(3):
+            want = np.vdot(psi, np.tile(own[u], d) * phi).real
+            assert got[u, m] == pytest.approx(want, abs=1e-12)
+
+    # observables on every bit: Y = 2^k, R[u, s] = <psi_s| e_u |psi_s>
+    rho = np.einsum("uyr,br,cr->uybc", rows.reshape(3, d, -1),
+                    slices.conj(), slices)
+    maps = preparation_maps(beta)
+    got = variant_tables(rho, np.einsum("syb,syc->sybc", maps.conj(), maps))
+    for s in range(4 ** k):
+        phi = _apply_slot_maps(psi, maps, s, n, k)
+        want = rows @ (np.abs(phi) ** 2)
+        np.testing.assert_allclose(got[:, s], want, atol=1e-12)

@@ -1,9 +1,10 @@
 """Per-row initial-state blocks through the batched execution engine.
 
-The circuit-cutting pipeline feeds every fragment variant a *different*
-initial state via a ``(B, 2^n)`` ``sv0`` block.  These tests pin the
-engine contract: per-row blocks ride the fused path on every provider and
-agree with one-schedule evolution from the same initial state.
+A ``(B, 2^n)`` ``sv0`` block gives every schedule row its own initial
+state.  These tests pin the engine contract: per-row blocks ride the fused
+path on every provider and agree with one-schedule evolution from the same
+initial state.  (The circuit-cutting tests use the same path as the
+reference for fragment B's preparation maps.)
 """
 
 import numpy as np

@@ -68,6 +68,12 @@ class TestRegistryResolution:
         with pytest.raises(ValueError, match="Did you mean 'python'"):
             fur.get_backend("pyton")
 
+    def test_retired_backend_names_its_successor(self):
+        with pytest.raises(ValueError, match="'numba' was retired") as info:
+            repro.simulator(6, terms=[(1.0, (0, 1))], backend="numba")
+        assert "use 'jit'" in str(info.value)
+        assert "numpy" not in str(info.value)
+
     def test_capability_filtering_names_alternatives(self):
         with pytest.raises(ValueError, match="backends implementing 'xyring'"):
             fur.get_simulator_class("gpumpi", "xyring")
