@@ -11,9 +11,14 @@ Reproduction: n=12, p ∈ {1, 4, 16, 64, 256}; "GPU precompute" is represented
 by constructing the simulator from an already-precomputed diagonal (its
 modeled device-side precompute time is bounded against one layer's by
 ``test_fig4_modeled_gpu_precompute_is_negligible``), the CPU
-precompute path re-runs the vectorized precomputation inside the measured
-region, and the gate-based baseline re-simulates every compiled gate at every
-layer (benchmarked only up to p=16 — exactly because it is the slow curve).
+precompute path re-runs the precomputation inside the measured region, and
+the gate-based baseline re-simulates every compiled gate at every layer
+(benchmarked only up to p=16 — exactly because it is the slow curve).
+
+The CPU precompute is a blocked Walsh–Hadamard transform (O(n · 2^n), see
+:mod:`repro.fur.diagonal`), so it amortizes faster than the paper's
+per-term O(|T| · 2^n) CPU kernel; the modeled GPU precompute still charges
+the paper's per-term kernel.
 """
 
 from __future__ import annotations

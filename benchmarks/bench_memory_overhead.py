@@ -4,7 +4,8 @@ Paper statements reproduced here (abstract + Sec. V-B): the cost vector is the
 only extra exponentially-sized object; stored as uint16 (valid for LABS up to
 n < 65 because the optimal/maximal energies stay below 2¹⁶) it adds 2 bytes
 per 16-byte amplitude; precomputation time itself is small and embarrassingly
-parallel.
+parallel.  Here the precompute is the blocked Walsh–Hadamard transform of
+:mod:`repro.fur.diagonal` (O(n · 2^n), a few milliseconds at n=16).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ N_QUBITS = 16
 
 @pytest.mark.benchmark(group="memory-overhead")
 def test_precompute_float64(benchmark, labs_terms_cache):
-    """Time to precompute the full float64 LABS diagonal (vectorized CPU kernel)."""
+    """Time to precompute the full float64 LABS diagonal (blocked Walsh–Hadamard kernel)."""
     terms = labs_terms_cache[N_QUBITS]
     diag = benchmark(precompute_cost_diagonal, terms, N_QUBITS)
     assert diag.shape == (1 << N_QUBITS,)

@@ -712,7 +712,8 @@ class QAOAFastSimulatorBase(abc.ABC):
         ``|+>^n``, a 1-D state is validated and tiled across all rows, and a
         2-D ``(rows, 2^n)`` array supplies one initial state *per row*
         (copied at the simulator's complex dtype, never upcast).  The 1-D and
-        ``None`` paths write the block with a single broadcast pass.
+        ``None`` paths write the block with a single broadcast pass; ``None``
+        fills it directly, without a 2^n temporary state per call.
         """
         if sv0 is not None and np.ndim(sv0) == 2:
             arr = np.array(sv0, dtype=self._precision.complex_dtype, copy=True)
@@ -722,10 +723,12 @@ class QAOAFastSimulatorBase(abc.ABC):
                     f"expected ({rows}, {self._n_states})"
                 )
             return arr
-        sv = self._validate_sv0(sv0)
         block = np.empty((rows, self._n_states),
                          dtype=self._precision.complex_dtype)
-        np.copyto(block, sv[None, :])
+        if sv0 is None:
+            block.fill(1.0 / np.sqrt(self._n_states))  # |+>^n
+        else:
+            np.copyto(block, self._validate_sv0(sv0)[None, :])
         return block
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,6 +1,7 @@
 """Process-wide cache of precomputed cost diagonals.
 
-The precomputation of the 2^n cost vector is the one-time O(|T| · 2^n) cost
+The precomputation of the 2^n cost vector (a blocked Walsh–Hadamard transform,
+O(n · 2^n); see :mod:`repro.fur.diagonal`) is the one-time cost
 that the paper's fast simulators amortize over every phase-operator
 application and objective evaluation (Sec. III-A).  During parameter
 optimization (Fig. 1/2), however, user code frequently *reconstructs*
@@ -19,7 +20,7 @@ The cache is a small thread-safe LRU; statistics (hits / misses / evictions)
 are exposed for tests and for capacity tuning.  Lookups are *single-flight*:
 when several threads race for the same uncached problem (the serving layer's
 micro-batch flushes run on a thread pool), exactly one thread performs the
-O(|T| · 2^n) precomputation and the others wait for its result instead of
+O(n · 2^n) precomputation and the others wait for its result instead of
 duplicating the work — ``stats.misses`` counts actual precomputations.
 """
 
@@ -178,7 +179,7 @@ class DiagonalCache:
 
         Misses are *single-flight*: concurrent callers for the same uncached
         problem wait for the one thread that owns the precomputation instead
-        of each paying the O(|T| · 2^n) cost (and then racing to store).
+        of each paying the O(n · 2^n) cost (and then racing to store).
         Unrelated problems still precompute concurrently — the lock is only
         held for bookkeeping, never during the computation itself.
         """

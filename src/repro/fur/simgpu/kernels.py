@@ -68,8 +68,11 @@ def device_precompute_diagonal(device, masks: np.ndarray, weights: np.ndarray,
                                dtype=np.float64) -> DeviceArray:
     """Precompute a cost-vector slice on the device (Sec. III-A GPU kernel).
 
-    One in-place accumulation pass over the slice per term: the locality the
-    paper exploits for GPU parallelism and communication-free distribution.
+    The values come from the host's blocked Walsh–Hadamard kernel
+    (:func:`~repro.fur.diagonal.apply_terms_to_slice`).  The modeled device
+    charge still models the paper's per-term GPU kernel: one in-place
+    accumulation pass over the slice per term, the locality the paper
+    exploits for GPU parallelism and communication-free distribution.
     """
     out = device.empty(stop - start, dtype=dtype)
     host = apply_terms_to_slice(masks, weights, offset, start, stop)

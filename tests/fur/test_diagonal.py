@@ -64,7 +64,7 @@ class TestPrecompute:
         terms = random_terms(rng, n, 8)
         full = D.precompute_cost_diagonal(terms, n)
         chunked = D.precompute_cost_diagonal(terms, n, chunk_size=7)
-        np.testing.assert_allclose(full, chunked)
+        assert np.array_equal(full, chunked)
 
     def test_out_buffer_and_dtype(self, rng):
         n = 5
@@ -96,7 +96,7 @@ class TestSlices:
         terms = random_terms(rng, n, 10, max_order=4)
         full = D.precompute_cost_diagonal(terms, n)
         parts = [D.precompute_cost_diagonal_slice(terms, n, s, s + 64) for s in range(0, 256, 64)]
-        np.testing.assert_allclose(np.concatenate(parts), full)
+        assert np.array_equal(np.concatenate(parts), full)
 
     def test_empty_and_invalid_slices(self, rng):
         terms = random_terms(rng, 4, 3)
@@ -105,6 +105,108 @@ class TestSlices:
             D.precompute_cost_diagonal_slice(terms, 4, 10, 20)
         with pytest.raises(ValueError):
             D.apply_terms_to_slice(np.array([], dtype=np.uint64), np.array([]), 0.0, 5, 3)
+
+
+class TestDecompositionInvariance:
+    """The value at ``x`` depends on ``(terms, n, x)`` only: never on the
+    slice bounds or the chunk size.  ``n`` falls on both sides of the
+    Walsh–Hadamard block width (2^16 states)."""
+
+    @staticmethod
+    def _terms(n):
+        # the top qubit is always touched, so the block width is min(n, 16)
+        rng = np.random.default_rng(n)
+        return random_terms(rng, n, 30, max_order=3) + [(0.37, (0, n - 1))]
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 18])
+    def test_slices_bitwise_equal_full(self, n):
+        terms = self._terms(n)
+        size = 1 << n
+        full = D.precompute_cost_diagonal(terms, n)
+        block = min(size, 1 << D.BLOCK_BITS)
+        bounds = [
+            (0, size),                          # full
+            (0, size // 2), (size // 2, size),  # aligned halves
+            (block // 2, block // 2),           # empty
+            (1, size - 3),                      # unaligned, spans every block
+            (size // 3, size // 3 + 5),         # short, inside one block
+        ]
+        if size > block:
+            bounds += [(block, 2 * block), (block - 7, block + 9)]
+        for start, stop in bounds:
+            for chunk_size in (1, 7, 1 << 16, 1 << 17):
+                part = D.precompute_cost_diagonal_slice(terms, n, start, stop,
+                                                        chunk_size=chunk_size)
+                assert np.array_equal(part, full[start:stop]), (start, stop, chunk_size)
+
+
+class TestExactness:
+    """Integer and dyadic weights make every partial sum exact, so the
+    transform equals the per-term reference bit for bit."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_labs_bitwise(self, n):
+        terms = labs.get_terms(n)
+        assert np.array_equal(D.precompute_cost_diagonal(terms, n),
+                              brute_force_cost_vector(terms, n))
+
+    @pytest.mark.parametrize("n", [8, 12, 18])
+    def test_unweighted_maxcut_bitwise(self, n):
+        g = maxcut.random_regular_graph(3, n, seed=n)
+        terms = maxcut.maxcut_terms_from_graph(g)
+        assert np.array_equal(D.precompute_cost_diagonal(terms, n),
+                              brute_force_cost_vector(terms, n))
+
+    @pytest.mark.parametrize("n", [12, 18])
+    def test_half_weighted_bridged_rings_bitwise(self, n):
+        # two rings of n/2 qubits joined by one bridge edge, all weights 0.5
+        half = n // 2
+        terms = [(0.5, (i, (i + 1) % half)) for i in range(half)]
+        terms += [(0.5, (half + i, half + (i + 1) % half)) for i in range(half)]
+        terms.append((0.5, (0, half)))
+        assert np.array_equal(D.precompute_cost_diagonal(terms, n),
+                              brute_force_cost_vector(terms, n))
+
+    @pytest.mark.parametrize("n", [5, 12, 17])
+    def test_real_weights_within_bound(self, n):
+        rng = np.random.default_rng(100 + n)
+        terms = random_terms(rng, n, 40, max_order=4) + [(0.81, ()), (-0.4, (n - 1,))]
+        bound = 1e-12 * max(1.0, sum(abs(w) for w, _ in terms))
+        diff = D.precompute_cost_diagonal(terms, n) - brute_force_cost_vector(terms, n)
+        assert np.max(np.abs(diff)) <= bound
+
+
+class TestFloatingOutputOnly:
+    """Integer output types would truncate non-integer costs to garbage;
+    every entry point rejects them and points at compress_diagonal."""
+
+    TERMS = [(0.5, (0, 1)), (0.25, (1,))]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8, np.complex128])
+    def test_full_dtype(self, dtype):
+        with pytest.raises(ValueError, match="compress_diagonal"):
+            D.precompute_cost_diagonal(self.TERMS, 2, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    def test_full_out(self, dtype):
+        with pytest.raises(ValueError, match="compress_diagonal"):
+            D.precompute_cost_diagonal(self.TERMS, 2, out=np.zeros(4, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8])
+    def test_slice_dtype(self, dtype):
+        with pytest.raises(ValueError, match="compress_diagonal"):
+            D.precompute_cost_diagonal_slice(self.TERMS, 2, 1, 3, dtype=dtype)
+
+    def test_kernel_out(self):
+        masks, weights, offset = D.term_masks_and_weights(self.TERMS, 2)
+        with pytest.raises(ValueError, match="compress_diagonal"):
+            D.apply_terms_to_slice(masks, weights, offset, 0, 4,
+                                   out=np.zeros(4, dtype=np.int64))
+
+    def test_float32_still_accepted(self):
+        diag = D.precompute_cost_diagonal(self.TERMS, 2, dtype=np.float32)
+        assert diag.dtype == np.float32
+        np.testing.assert_array_equal(diag, brute_force_cost_vector(self.TERMS, 2))
 
 
 class TestFromFunction:

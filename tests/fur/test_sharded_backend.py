@@ -147,6 +147,32 @@ class TestShardedSimulation:
                 assert np.array_equal(reference[0], states)
                 assert np.array_equal(reference[1], energies)
 
+    def test_bitwise_invariant_with_shard_local_precompute(self):
+        # Built from real-weighted terms=, so every shard precomputes its own
+        # diagonal slice.  n=17 puts the slices on both sides of the
+        # 2^16-state transform block: one shard holds two blocks, eight
+        # shards each hold a quarter of one.
+        from repro.fur import precompute_cost_diagonal
+        from repro.testing import random_terms
+
+        n = 17
+        rng = np.random.default_rng(17)
+        terms = random_terms(rng, n, 30, max_order=3) + [(0.37, (2, n - 1))]
+        full = precompute_cost_diagonal(terms, n)
+        gammas, betas = rng.normal(size=(2, 1, 2))
+        reference = None
+        for n_shards in (1, 2, 4, 8):
+            sim = repro.simulator(n, terms=terms, backend="sharded",
+                                  n_shards=n_shards)
+            assert np.array_equal(sim.get_cost_diagonal(), full)
+            state = sim.get_statevector(sim.simulate_qaoa(gammas[0], betas[0]))
+            energies = np.asarray(sim.get_expectation_batch(gammas, betas))
+            if reference is None:
+                reference = (state, energies)
+            else:
+                assert np.array_equal(reference[0], state)
+                assert np.array_equal(reference[1], energies)
+
     @pytest.mark.parametrize("rung", ["active", "numpy"])
     @pytest.mark.parametrize("mixer", ["x", "xyring"])
     @pytest.mark.parametrize("rows", [1, 5])
