@@ -631,7 +631,16 @@ class QAOAFastSimulatorBase(abc.ABC):
     def get_expectation(self, result: Any,
                         costs: np.ndarray | CompressedDiagonal | None = None,
                         preserve_state: bool = True, **kwargs: Any) -> float:
-        """QAOA objective ``<γβ|Ĉ|γβ>`` — one inner product with the diagonal."""
+        """QAOA objective ``<γβ|Ĉ|γβ>`` — one inner product with the diagonal.
+
+        A host-array result is reduced as a one-row block by the provider's
+        ``_block_expectations`` (on ``jit`` one read and no ``|ψ|²``
+        array); other results take the inner product of
+        :meth:`get_probabilities` with the diagonal.
+        """
+        if isinstance(result, np.ndarray):
+            row = np.ascontiguousarray(result).reshape(1, -1)
+            return float(self._block_expectations(row, self._resolve_costs(costs))[0])
         probs = self.get_probabilities(result, preserve_state=preserve_state, **kwargs)
         return float(np.dot(probs, self._resolve_costs(costs)))
 

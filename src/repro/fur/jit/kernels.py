@@ -114,6 +114,12 @@ _FLUSH_PAIRS = 4096
 #: vs 0.53, n=16 0.88 vs 1.06, n=18 2.85 vs 4.38.
 _SPLIT_MIN_STATES = 1 << 16
 
+#: Largest |γ·c| the ``cc`` rung's direct phase gives to its own
+#: vectorized sin/cos; larger angles get libm's ``cos``/``sin``.  That
+#: sin/cos reduces its argument exactly only below 2^20·π/2, and QAOA
+#: angles stay far below this limit.
+_PHASE_DIRECT_LIMIT = 1e5
+
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
@@ -347,9 +353,22 @@ void jit_expec_tail_@SUF@(@REAL@ *x, int n_qubits, ptrdiff_t b0,
     }
 }
 
+/* one amplitude times the factor fr + i fi; the sign folds into the
+ * factor as in the butterfly (and in the table gather below) */
+static inline void cmul_@SUF@(@REAL@ *a, @REAL@ fr, @REAL@ fi)
+{
+    @REAL@ ar = a[0], ai = a[1], nfi = -fi;
+    a[0] = ar * fr + ai * nfi;
+    a[1] = ar * fi + ai * fr;
+}
+
 /* phase multiply over a span: mode 1 = unique-value table gather,
- * mode 2 = direct cos/sin of -gamma*cost; the sign folds into the factor
- * as in the butterfly */
+ * mode 2 = direct cos/sin of -gamma*cost, in double and rounded once to
+ * @REAL@.  Mode 2 takes the vectorized sincos_direct while every angle of
+ * the span is within PHASE_DIRECT_LIMIT; a span with a larger (or NaN)
+ * angle runs a scalar loop that gives each such angle libm's cos and sin
+ * and the rest sincos_direct, so an amplitude's bits never depend on the
+ * span it falls in. */
 static void phase_span_@SUF@(@REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
                              int mode, const @REAL@ *factors_row,
                              const int64_t *inverse, double gamma,
@@ -366,12 +385,26 @@ static void phase_span_@SUF@(@REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
         }
     } else if (mode == 2) {
         const @REAL@ *cost = pcosts + s0;
+        int wide = 0;
+        for (ptrdiff_t i = 0; i < len; ++i)
+            wide |= !(fabs(gamma * (double)cost[i]) <= PHASE_DIRECT_LIMIT);
+        if (!wide) {
+            for (ptrdiff_t i = 0; i < len; ++i) {
+                double sn, cs;
+                sincos_direct(-gamma * (double)cost[i], &sn, &cs);
+                cmul_@SUF@(tx + 2 * i, (@REAL@)cs, (@REAL@)sn);
+            }
+            return;
+        }
         for (ptrdiff_t i = 0; i < len; ++i) {
-            double th = -gamma * (double)cost[i];
-            @REAL@ fr = (@REAL@)cos(th), fi = (@REAL@)sin(th), nfi = -fi;
-            @REAL@ ar = tx[2 * i], ai = tx[2 * i + 1];
-            tx[2 * i]     = ar * fr + ai * nfi;
-            tx[2 * i + 1] = ar * fi + ai * fr;
+            double th = -gamma * (double)cost[i], sn, cs;
+            if (fabs(th) <= PHASE_DIRECT_LIMIT) {
+                sincos_direct(th, &sn, &cs);
+            } else {
+                cs = cos(th);
+                sn = sin(th);
+            }
+            cmul_@SUF@(tx + 2 * i, (@REAL@)cs, (@REAL@)sn);
         }
     }
 }
@@ -586,6 +619,54 @@ _C_PRELUDE = """\
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
+
+#define PHASE_DIRECT_LIMIT @LIMIT@
+
+/* sin and cos of x, |x| <= PHASE_DIRECT_LIMIT, with no branch and no call,
+ * so the phase loops vectorize.  fdlibm's medium-range reduction, second
+ * round: k = nearest integer to x*2/pi (the 1.5*2^52 shift leaves k mod 4
+ * in the low bits), then x - k*pi/2 as the double-double y0 + y1, with
+ * pi/2 split into 33-bit pieces so k*pio2_1 and k*pio2_2 are exact for
+ * |k| < 2^20 (no fma(): without -march=native it is a software call).
+ * Then fdlibm's __kernel_sin/__kernel_cos polynomials on |y0| <= pi/4,
+ * and the quadrant folded in with selects.  Within 1 ulp of libm. */
+static inline void sincos_direct(double x, double *sn, double *cs)
+{
+    const double shift = 6755399441055744.0;              /* 1.5 * 2^52 */
+    const double invpio2 = 6.36619772367581382433e-01;    /* 2/pi */
+    const double pio2_1 = 1.57079632673412561417e+00;     /* pi/2, 33 bits */
+    const double pio2_2 = 6.07710050630396597660e-11;     /* next 33 bits */
+    const double pio2_2t = 2.02226624879595063154e-21;    /* the rest */
+    const double t = x * invpio2 + shift, k = t - shift;
+    uint64_t q;
+    memcpy(&q, &t, sizeof q);
+    const double r = x - k * pio2_1;
+    double w = k * pio2_2;
+    const double rr = r - w;
+    w = k * pio2_2t - ((r - rr) - w);
+    const double y0 = rr - w, y1 = (rr - y0) - w;
+
+    const double z = y0 * y0, zz = z * z, v = z * y0;
+    const double ps = 8.33333333332248946124e-03
+        + z * (-1.98412698298579493134e-04 + z * 2.75573137070700676789e-06)
+        + z * zz * (-2.50507602534068634195e-08
+                    + z * 1.58969099521155010221e-10);
+    const double s = y0 - ((z * (0.5 * y1 - v * ps) - y1)
+                           - v * -1.66666666666666324348e-01);
+    const double pc = z * (4.16666666666666019037e-02
+                           + z * (-1.38888888888741095749e-03
+                                  + z * 2.48015872894767294178e-05))
+        + zz * zz * (-2.75573143513906633035e-07
+                     + z * (2.08757232129817482790e-09
+                            + z * -1.13596475577881948265e-11));
+    const double hz = 0.5 * z, wc = 1.0 - hz;
+    const double c = wc + (((1.0 - wc) - hz) + (z * pc - y0 * y1));
+
+    const double sa = q & 1 ? c : s, ca = q & 1 ? s : c;
+    *sn = q & 2 ? -sa : sa;
+    *cs = (q + 1) & 2 ? -ca : ca;
+}
 """
 
 
@@ -593,7 +674,7 @@ def _c_source() -> str:
     template = (_C_TEMPLATE.replace("@GROUP@", str(_GROUP_COLUMNS))
                 .replace("@STRIDES@", str(_GROUP_STRIDES))
                 .replace("@FLUSH@", str(_FLUSH_PAIRS)))
-    parts = [_C_PRELUDE]
+    parts = [_C_PRELUDE.replace("@LIMIT@", repr(_PHASE_DIRECT_LIMIT))]
     for real, suf in (("double", "f64"), ("float", "f32")):
         parts.append(template.replace("@REAL@", real).replace("@SUF@", suf))
     return "".join(parts)
@@ -857,7 +938,11 @@ def _phase_args(block: np.ndarray, gammas: np.ndarray | None,
                 phase_table: Any, costs: np.ndarray | None):
     """Normalize the phase inputs to (mode, factors, inverse, gammas, costs).
 
-    mode 0 = no phase, 1 = unique-value table gather, 2 = direct cos/sin.
+    mode 0 = no phase, 1 = unique-value table gather, 2 = direct cos/sin
+    of ``-γ·c`` per amplitude (the diagonals :func:`build_phase_table`
+    declines), in double and rounded once to the block's precision: the
+    ``cc`` rung's branch-free vectorized sin/cos, within 1 ulp of libm,
+    and libm's own bits for any ``|γ·c|`` above ``_PHASE_DIRECT_LIMIT``.
     All arrays come back C-contiguous at the dtypes the compiled kernels
     expect (complex factors at block dtype, int64 inverse, float64 gammas,
     real costs at the block's real dtype).

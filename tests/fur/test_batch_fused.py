@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro.fur import CompressedDiagonal, batch_block_rows, build_phase_table, compress_diagonal
 from repro.fur.base import QAOAFastSimulatorBase
+from repro.fur.diagonal import precompute_cost_diagonal
 from repro.fur.python.furx import apply_su2, apply_su2_batch, furx_all, furx_all_batch
 from repro.fur.python.furxy import (
     apply_xy_su2,
@@ -28,7 +29,7 @@ from repro.fur.python.furxy import (
     furxy_ring,
     furxy_ring_batch,
 )
-from repro.problems import labs
+from repro.problems import labs, maxcut
 from repro.testing import random_terms
 
 BACKENDS = ["python", "c", "gpu"]
@@ -53,6 +54,10 @@ def _make_simulator(backend, mixer, construction, n=N):
 def _random_block(rng, rows, n_states):
     block = rng.standard_normal((rows, n_states)) + 1j * rng.standard_normal((rows, n_states))
     return np.ascontiguousarray(block / np.linalg.norm(block, axis=1, keepdims=True))
+
+
+def _labs_costs(n):
+    return precompute_cost_diagonal(labs.get_terms(n), n)
 
 
 class TestFusedBatchEquivalence:
@@ -329,6 +334,94 @@ class TestDiagonalPhaseTable:
         rng = np.random.default_rng(0)
         assert build_phase_table(rng.uniform(0, 1, 256)) is None
 
+    @staticmethod
+    def _assert_matches_sorted_reference(costs, fraction=0.125):
+        # the table np.unique gives, or None where its count is over the limit
+        unique, inverse = np.unique(costs, return_inverse=True)
+        expect_none = unique.size > max(2, int(costs.size * fraction))
+        table = build_phase_table(costs, max_unique_fraction=fraction)
+        if expect_none:
+            assert table is None
+            return
+        assert table is not None
+        assert np.array_equal(table.unique_values, unique)
+        assert np.array_equal(table.inverse, inverse)
+        assert table.inverse.dtype == np.intp
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_labs_matches_sorted_reference(self, n):
+        self._assert_matches_sorted_reference(_labs_costs(n))
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_maxcut_matches_sorted_reference(self, n):
+        g = maxcut.random_regular_graph(3, n, seed=n)
+        sim = repro.simulator(n, terms=maxcut.maxcut_terms_from_graph(g),
+                              backend="python")
+        self._assert_matches_sorted_reference(sim.get_cost_diagonal())
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_half_weighted_rings_match_sorted_reference(self, n):
+        half = n // 2
+        terms = [(0.5, (i, (i + 1) % half)) for i in range(half)]
+        terms += [(0.5, (half + i, half + (i + 1) % half)) for i in range(half)]
+        terms.append((0.5, (0, half)))
+        sim = repro.simulator(n, terms=terms, backend="python")
+        self._assert_matches_sorted_reference(sim.get_cost_diagonal())
+
+    def test_negative_values_and_signed_zero(self):
+        rng = np.random.default_rng(7)
+        ints = rng.integers(-6, 7, 512).astype(np.float64)
+        ints[ints == 0] = -0.0
+        ints[::9] = 0.0
+        self._assert_matches_sorted_reference(ints)
+        self._assert_matches_sorted_reference(ints - 0.25)
+        self._assert_matches_sorted_reference(np.array([-0.0, 0.0, -0.0, 3.0]))
+
+    def test_random_reals_and_wide_integer_ranges(self):
+        rng = np.random.default_rng(8)
+        self._assert_matches_sorted_reference(rng.normal(size=1024))
+        # integers, but the range spans more values than there are entries
+        self._assert_matches_sorted_reference(
+            rng.choice([0.0, 5000.0, -7000.0], 1024))
+        self._assert_matches_sorted_reference(
+            np.array([0.0, 2.0 ** 60, 0.0, 2.0 ** 60]))
+        self._assert_matches_sorted_reference(np.array([1.0, np.nan, 1.0, 2.0]))
+        self._assert_matches_sorted_reference(np.array([1.0, np.inf, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_repeating_prefix_with_distinct_tail(self, offset):
+        rng = np.random.default_rng(9)
+        size, limit = 1024, 128
+        head = np.tile([0.0, 1.0, 2.0], limit)[:limit + 1] + offset
+        tail = rng.normal(size=size - head.size)
+        self._assert_matches_sorted_reference(np.concatenate([head, tail]))
+        # the same prefix, a tail that keeps the count within the limit
+        tail = rng.integers(0, limit - 3, size - head.size) + 10 + offset
+        self._assert_matches_sorted_reference(np.concatenate([head, tail]))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_unique_count_at_the_limit(self, offset, extra):
+        rng = np.random.default_rng(10)
+        size, limit = 1024, 128
+        values = np.arange(limit + extra) * 3.0 - 100.0 + offset
+        # the prefix a decline may look at holds every distinct value
+        head = np.concatenate([values, values[:1]])
+        costs = np.concatenate([head, rng.choice(values, size - head.size)])
+        self._assert_matches_sorted_reference(costs)
+        rng.shuffle(costs)
+        self._assert_matches_sorted_reference(costs)
+        assert (build_phase_table(costs) is None) == bool(extra)
+
+    def test_integer_diagonals_are_counted_not_sorted(self, monkeypatch):
+        costs = _labs_costs(10)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called on an integer diagonal")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert build_phase_table(costs) is not None
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="non-empty"):
             build_phase_table(np.empty(0))
@@ -391,3 +484,30 @@ class TestHotPathRegressions:
         assert probs.dtype == np.float64
         assert probs.flags["C_CONTIGUOUS"]
         np.testing.assert_allclose(probs, reference, atol=1e-14)
+
+
+class TestOneRowExpectation:
+    """``get_expectation`` of a host-array result is the provider's one-row
+    block reduction (on ``jit``: no ``|ψ|²`` array, no BLAS dot product)."""
+
+    @pytest.mark.parametrize("backend", ["python", "jit", "gates"])
+    @pytest.mark.parametrize("precision,atol", [("double", 1e-12),
+                                                ("single", 1e-5)])
+    def test_equals_the_block_reduction(self, backend, precision, atol):
+        n = 10
+        sim = repro.simulator(n, terms=random_terms(np.random.default_rng(3),
+                                                    n, 30, max_order=3),
+                              backend=backend, precision=precision)
+        rng = np.random.default_rng(4)
+        result = sim.simulate_qaoa(rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
+        other = rng.integers(-20, 20, 1 << n).astype(np.float64)
+        for costs in (None, other, compress_diagonal(other)):
+            resolved = sim._resolve_costs(costs)
+            row = np.asarray(result)[None]
+            value = sim.get_expectation(result, costs=costs)
+            assert value == sim._block_expectations(row, resolved)[0]
+            probs = sim.get_probabilities(result)
+            assert abs(value - float(np.dot(probs, resolved))) <= atol
+        state = np.asarray(result).copy()
+        sim.get_expectation(result, preserve_state=False)
+        assert np.array_equal(np.asarray(result), state)

@@ -30,6 +30,10 @@ Covers
   the compiled rungs, through the column-grouped pass too), the phase a
   plain complex multiply, and no fused add/subtract in the compiled
   kernels,
+* the ``cc`` rung's direct phase: its vectorized sin/cos within 2 ulp of
+  libm up to ``_PHASE_DIRECT_LIMIT`` (sweeps, k·π/4 ± 1 ulp, ±0,
+  subnormals), libm's bits above it, span-independent bits, and every
+  phase-carrying kernel's states against the numpy rung,
 * edge/argument validation (bad XY kind or edges, non-contiguous blocks,
   phase without table or costs) and XY edge-order equivalence with the ordered
   ``python`` kernels.
@@ -37,6 +41,7 @@ Covers
 
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -277,6 +282,142 @@ class TestKernelArithmetic:
                                  capture_output=True, text=True).stdout
         assert "<jit_rotx_f64>:" in listing
         assert re.findall(r"\bvfm(?:addsub|subadd)\w*", listing) == []
+
+
+def _ulp_distance(a, b):
+    """Units in the last place between float64 arrays (±0 count as equal)."""
+    def key(x):
+        bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, np.int64(-2 ** 63) - bits, bits)
+    return np.abs(key(a) - key(b))
+
+
+def _direct_factors(theta, gamma):
+    """The ``cc`` direct phase's factors ``exp(-i γ c)`` for ``c = theta``,
+    read off a block of ``1 - 0j`` (the multiply then keeps every bit of
+    the factor, the sign of a zero sine included)."""
+    size = 1 << max(1, int(np.ceil(np.log2(theta.size))))
+    costs = np.zeros(size)
+    costs[:theta.size] = theta
+    block = np.full((1, size), complex(1.0, -0.0))
+    kernels.phase_block(block, np.array([gamma]), costs=costs)
+    return block[0, :theta.size]
+
+
+def _libm_factors(theta, gamma):
+    angles = (-gamma * theta).tolist()
+    return (np.array([math.cos(a) for a in angles]),
+            np.array([math.sin(a) for a in angles]))
+
+
+class TestDirectPhase:
+    """The ``cc`` rung's direct phase (no phase table): its branch-free
+    sin/cos is within 2 ulp of libm up to ``_PHASE_DIRECT_LIMIT``, angles
+    beyond it get libm's bits, and its states match the numpy rung."""
+
+    LIMIT = kernels._PHASE_DIRECT_LIMIT
+
+    @pytest.fixture(autouse=True)
+    def _cc_only(self):
+        if kernels.active_path() != "cc":
+            pytest.skip("the direct sin/cos is the cc rung's")
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    def test_within_two_ulp_of_libm(self, gamma):
+        rng = np.random.default_rng(21)
+        k_top = int(self.LIMIT // (math.pi / 4))
+        ks = [k for k in range(-64, 65)] + list(range(k_top - 64, k_top + 1))
+        near = [np.nextafter(k * math.pi / 4, side)
+                for k in ks + [-k for k in ks] for side in (-np.inf, np.inf)]
+        near += [k * math.pi / 4 for k in ks]
+        theta = np.concatenate([
+            np.linspace(-self.LIMIT, self.LIMIT, (1 << 16) + 1),
+            rng.uniform(-8.0, 8.0, 1 << 14),
+            np.exp(rng.uniform(-30.0, math.log(self.LIMIT), 1 << 14))
+            * rng.choice([-1.0, 1.0], 1 << 14),
+            near,
+            [5e-324, -5e-324, 1e-310, -2.2e-308],
+        ])
+        assert np.abs(theta).max() <= self.LIMIT
+        f = _direct_factors(theta, gamma)
+        cos, sin = _libm_factors(theta, gamma)
+        assert _ulp_distance(f.real, cos).max() <= 2
+        assert _ulp_distance(f.imag, sin).max() <= 2
+        # the reduced angle's double-double tail keeps most factors on
+        # libm's bits: ~6% differ here, ~29% without the tail
+        assert np.mean((f.real != cos) | (f.imag != sin)) <= 0.1
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    def test_signed_zero_and_subnormal_angles_are_exact(self, gamma):
+        theta = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+        f = _direct_factors(theta, gamma)
+        cos, sin = _libm_factors(theta, gamma)
+        assert np.array_equal(f.real, cos)
+        assert np.array_equal(f.imag, sin)
+        assert np.array_equal(np.signbit(f.imag), np.signbit(sin))
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    def test_libm_bits_above_the_limit(self, gamma):
+        rng = np.random.default_rng(22)
+        big = np.concatenate([
+            [np.nextafter(self.LIMIT, np.inf), 2.0 ** 20 * math.pi, 1e300],
+            rng.uniform(self.LIMIT, 1e9, 256)])
+        big *= rng.choice([-1.0, 1.0], big.size)
+        small = rng.uniform(-50.0, 50.0, 1024)
+        mixed = small.copy()
+        at = rng.choice(small.size, big.size, replace=False)
+        mixed[at] = big
+        f = _direct_factors(mixed, gamma)
+        cos, sin = _libm_factors(mixed, gamma)
+        assert np.array_equal(f.real[at], cos[at])
+        assert np.array_equal(f.imag[at], sin[at])
+        # the in-range angles of a mixed span keep the bits they get in a
+        # span of their own
+        rest = np.setdiff1d(np.arange(small.size), at)
+        alone = _direct_factors(small, gamma)
+        assert np.array_equal(f[rest], alone[rest])
+        assert np.array_equal(_direct_factors(big, gamma).real, cos[at])
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("kernel", ["phase", "furx_phase",
+                                        "furx_expectation", "furxy"])
+    def test_states_match_the_numpy_rung(self, rng, monkeypatch, precision,
+                                         kernel):
+        n, rows = 10, 3
+        dtype, atol = DTYPES[precision], ATOL[precision]
+        costs = rng.normal(scale=4.0, size=1 << n)
+        assert build_phase_table(costs) is None
+        gammas = np.array([0.4, -1.3, 2.9])
+        betas = np.array([0.3, -0.7, 1.1])
+        start = random_block(rng, rows, n, dtype)
+
+        def run():
+            block = start.copy()
+            values = None
+            if kernel == "phase":
+                kernels.phase_block(block, gammas, costs=costs)
+            elif kernel == "furx_phase":
+                kernels.furx_phase_block(block, gammas, betas, costs=costs)
+            elif kernel == "furx_expectation":
+                values = kernels.furx_expectation_block(
+                    block, gammas, betas, costs, costs=costs)
+            else:
+                kernels.furxy_block(block, gammas, betas, costs=costs,
+                                    edges=kernels.mixer_edges("ring", n))
+            return block, values
+
+        compiled, compiled_values = run()
+        monkeypatch.setenv("REPRO_JIT_PATH", "numpy")
+        kernels._reset_path_cache()
+        try:
+            expected, expected_values = run()
+        finally:
+            monkeypatch.delenv("REPRO_JIT_PATH")
+            kernels._reset_path_cache()
+        np.testing.assert_allclose(compiled, expected, rtol=0, atol=atol)
+        if expected_values is not None:
+            np.testing.assert_allclose(compiled_values, expected_values,
+                                       rtol=0, atol=atol * np.abs(costs).max())
 
 
 class TestFurxyKernels:
