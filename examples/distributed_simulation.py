@@ -1,15 +1,13 @@
 """Distributed QAOA simulation on the virtual cluster (Algorithm 4 / Fig. 5).
 
-Shows the three distributed execution paths of the reproduction:
+Shows the two distributed paths of the reproduction:
 
 1. the driver-style ``gpumpi`` simulator (custom Alltoall, Algorithm 4) and
    ``cusvmpi`` simulator (cuStateVec-style index swaps) — the sharded X
    simulator with one shard per rank, running the jit kernel tier, with
    their own global-qubit exchange — verified to machine precision against
    the single-node simulator;
-2. the genuinely SPMD program (the same jit kernels per rank) executed on
-   the thread-based virtual cluster;
-3. the calibrated performance model that regenerates the paper's Fig. 5
+2. the calibrated performance model that regenerates the paper's Fig. 5
    weak-scaling curves at the original scale (K = 8 … 128 A100 GPUs).
 
 Run with:  python examples/distributed_simulation.py [n_qubits]
@@ -22,7 +20,7 @@ import argparse
 import numpy as np
 
 import repro
-from repro.fur.mpi import QAOAFURXSimulatorCUSVMPI, QAOAFURXSimulatorGPUMPI, run_distributed_qaoa
+from repro.fur.mpi import QAOAFURXSimulatorCUSVMPI, QAOAFURXSimulatorGPUMPI
 from repro.parallel import POLARIS_LIKE, PerformanceModel
 from repro.problems import labs
 from repro.qaoa import linear_ramp_parameters
@@ -50,12 +48,7 @@ def main(n: int = 12) -> None:
         print(f"{label}: K={n_ranks} ranks, <E> = {energy:.4f}, "
               f"max |Δψ| vs single node = {max_err:.2e}, "
               f"communicated {traffic / 1e6:.2f} MB")
-
-    # --- SPMD execution on the thread cluster ------------------------------------
-    spmd = run_distributed_qaoa(n, terms, gammas, betas, n_ranks=n_ranks)
-    print(f"SPMD thread-cluster run: <E> = {spmd['expectation']:.4f}, "
-          f"{spmd['ranks'][0]['n_alltoall']} Alltoall calls per rank, "
-          f"max |Δψ| = {float(np.abs(spmd['statevector'] - ref_state).max()):.2e}\n")
+    print()
 
     # --- Fig. 5 weak-scaling projection at the paper's scale ----------------------
     model = PerformanceModel(POLARIS_LIKE)

@@ -5,14 +5,13 @@ The package mirrors the structure of the paper's QOKit framework:
 * :mod:`repro.fur` — the fast QAOA simulators built on the precomputed
   diagonal cost operator (the paper's core contribution), with CPU, simulated
   GPU and distributed (virtual-cluster) backends behind one backend registry;
-* :mod:`repro.problems` — MaxCut, LABS, portfolio and SK problem generators;
+* :mod:`repro.problems` — MaxCut, LABS and portfolio problem generators;
 * :mod:`repro.qaoa` — objective factories, parameter initialization and
   optimization drivers;
 * :mod:`repro.gates` — a gate-based state-vector simulator (baseline);
 * :mod:`repro.tensornet` — a tensor-network contraction simulator (baseline);
-* :mod:`repro.parallel` — the virtual-cluster substrate (communicators,
-  collectives, topology and performance model);
-* :mod:`repro.classical` — classical heuristic solvers used for reference;
+* :mod:`repro.parallel` — the virtual-cluster substrate (collectives,
+  topology and performance model);
 * :mod:`repro.cutting` — circuit cutting: splits the cost graph into two
   fragments across ``k`` cut qubits, evaluates each fragment with one
   evolution on an ordinary full-tier backend (all ``4^k`` variant tables
@@ -59,7 +58,7 @@ tensor-network contraction simulator.
 from . import cutting, fur, problems, serve
 from .cutting import CutQAOAObjective, CutQAOAPipeline, cut_qaoa_expectation
 from .fur.registry import simulator
-from .problems import labs, maxcut, portfolio, sk
+from .problems import labs, maxcut, portfolio
 
 __version__ = "1.6.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "labs",
     "maxcut",
     "portfolio",
-    "sk",
     "simulator",
     "__version__",
 ]

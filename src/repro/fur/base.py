@@ -64,6 +64,24 @@ def _readonly_view(arr: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
 
+
+def host_probabilities(sv: np.ndarray, preserve_state: bool = True) -> np.ndarray:
+    """``|ψ_x|²`` of a host state as float64: ``re² + im²`` of the widened parts.
+
+    The components are widened before squaring, so a complex64 state gets
+    the exact float64 squares of its amplitudes.  With
+    ``preserve_state=False`` a complex128 state's own buffer holds the
+    squares (the state is overwritten).
+    """
+    if preserve_state or sv.dtype != np.complex128:
+        return sv.real.astype(np.float64) ** 2 + sv.imag.astype(np.float64) ** 2
+    re, im = sv.real, sv.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    np.add(re, im, out=re)
+    return np.ascontiguousarray(re)
+
+
 #: Default memory budget (bytes) for the fused batch engines: the scratch a
 #: backend may spend on ``(B, 2^n)`` state blocks per sub-batch.  Larger
 #: batches are transparently split into sub-batches that fit the budget.
@@ -97,8 +115,8 @@ def batch_block_rows(batch_size: int, n_states: int,
     budget = DEFAULT_BATCH_MEMORY_BUDGET if memory_budget is None else float(memory_budget)
     if budget <= 0:
         raise ValueError("memory_budget must be positive")
-    bytes_per_row = itemsize * n_states * blocks
-    rows = int(budget // bytes_per_row)
+    row_bytes = itemsize * n_states * blocks
+    rows = int(budget // row_bytes)
     return max(1, min(int(batch_size), rows))
 
 
@@ -458,9 +476,8 @@ class QAOAFastSimulatorBase(abc.ABC):
         """Simulate a batch of (γ, β) schedules over the same problem.
 
         The batches are ``(B, p)`` shaped; entry ``i`` of the returned list is
-        the backend result object for schedule ``i``.  ``sv0`` may be a shared
-        1-D initial state or a ``(B, 2^n)`` block supplying one initial state
-        per schedule row.  All
+        the backend result object for schedule ``i``.  ``sv0`` is one
+        ``(2^n,)`` initial state shared by every row.  All
         orchestration is delegated to the shared execution engine, which
         evolves ``(B, 2^n)`` state blocks through all layers at once
         (``memory_budget`` bounds the block scratch by splitting large
@@ -605,15 +622,16 @@ class QAOAFastSimulatorBase(abc.ABC):
     def get_statevector(self, result: Any, **kwargs: Any) -> np.ndarray:
         """Full state vector as a host complex array."""
 
-    @abc.abstractmethod
     def get_probabilities(self, result: Any, preserve_state: bool = True,
                           **kwargs: Any) -> np.ndarray:
-        """Measurement probabilities |ψ_x|² as a host float array.
+        """Measurement probabilities |ψ_x|² as a host float64 array.
 
+        The default serves host-array results (:func:`host_probabilities`).
         With ``preserve_state=False`` a backend may reuse the state-vector
         memory for the squared magnitudes (the paper's memory-saving option on
         GPU backends); the result object must not be used afterwards.
         """
+        return host_probabilities(np.asarray(result), preserve_state)
 
     def _resolve_costs(self, costs: np.ndarray | CompressedDiagonal | None) -> np.ndarray:
         """Pick between a user-supplied diagonal and the precomputed one."""
@@ -718,20 +736,10 @@ class QAOAFastSimulatorBase(abc.ABC):
         """A ``(rows, 2^n)`` block of initial states at the simulation precision.
 
         The staging helper of the block providers: ``sv0=None`` tiles
-        ``|+>^n``, a 1-D state is validated and tiled across all rows, and a
-        2-D ``(rows, 2^n)`` array supplies one initial state *per row*
-        (copied at the simulator's complex dtype, never upcast).  The 1-D and
-        ``None`` paths write the block with a single broadcast pass; ``None``
+        ``|+>^n``, and a ``(2^n,)`` state is validated and tiled across all
+        rows.  Both write the block with a single broadcast pass; ``None``
         fills it directly, without a 2^n temporary state per call.
         """
-        if sv0 is not None and np.ndim(sv0) == 2:
-            arr = np.array(sv0, dtype=self._precision.complex_dtype, copy=True)
-            if arr.shape != (rows, self._n_states):
-                raise ValueError(
-                    f"per-row initial-state block has shape {arr.shape}, "
-                    f"expected ({rows}, {self._n_states})"
-                )
-            return arr
         block = np.empty((rows, self._n_states),
                          dtype=self._precision.complex_dtype)
         if sv0 is None:

@@ -434,26 +434,6 @@ class ExecutionEngine:
         return mode == "looped"
 
     @staticmethod
-    def _resolve_sv0(sv0: np.ndarray | None,
-                     batch: int) -> tuple[np.ndarray | None, bool]:
-        """Normalize ``sv0``; returns ``(sv0, per_row)``.
-
-        ``per_row`` is true when ``sv0`` is a ``(B, 2^n)`` block carrying one
-        initial state per schedule row.
-        """
-        if sv0 is None:
-            return None, False
-        arr = np.asarray(sv0)
-        if arr.ndim != 2:
-            return arr, False
-        if arr.shape[0] != batch:
-            raise ValueError(
-                f"per-row initial-state block has {arr.shape[0]} rows for a "
-                f"batch of {batch} schedules"
-            )
-        return arr, True
-
-    @staticmethod
     def _fused_kwargs(kwargs: dict) -> int:
         """Extract ``n_trotters`` from the fused path's kwargs, reject the rest."""
         n_trotters = kwargs.pop("n_trotters", 1)
@@ -538,21 +518,18 @@ class ExecutionEngine:
         require_capability(self._sim, "statevector")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         looped = self._is_looped(mode)
-        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
         if looped:
             with self._lock:
                 self.stats.looped_evaluations += g.shape[0]
-            return [self._sim.simulate_qaoa(
-                        gi, bi, sv0=sv0[i] if per_row else sv0, **kwargs)
-                    for i, (gi, bi) in enumerate(zip(g, b))]
+            return [self._sim.simulate_qaoa(gi, bi, sv0=sv0, **kwargs)
+                    for gi, bi in zip(g, b)]
         n_trotters = self._fused_kwargs(kwargs)
         plan = self.plan(g.shape[1], n_trotters=n_trotters,
                          memory_budget=memory_budget, reduce=False,
                          optimize=optimize)
         results: list[Any] = []
         for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-            block, _ = self._run_ops(plan, g[r0:r1], b[r0:r1],
-                                     sv0[r0:r1] if per_row else sv0, None)
+            block, _ = self._run_ops(plan, g[r0:r1], b[r0:r1], sv0, None)
             results.extend(self._sim._block_results(block))
         return results
 
@@ -573,14 +550,12 @@ class ExecutionEngine:
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         resolved_costs = self._sim._resolve_costs(costs)
         looped = self._is_looped(mode)
-        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
         if looped:
             with self._lock:
                 self.stats.looped_evaluations += g.shape[0]
             out = np.empty(g.shape[0], dtype=np.float64)
             for i, (gi, bi) in enumerate(zip(g, b)):
-                result = self._sim.simulate_qaoa(
-                    gi, bi, sv0=sv0[i] if per_row else sv0, **kwargs)
+                result = self._sim.simulate_qaoa(gi, bi, sv0=sv0, **kwargs)
                 out[i] = self._sim.get_expectation(result, costs=resolved_costs,
                                                   preserve_state=False)
             return out
@@ -593,8 +568,7 @@ class ExecutionEngine:
         try:
             for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
                 block, values = self._run_ops(plan, g[r0:r1], b[r0:r1],
-                                              sv0[r0:r1] if per_row else sv0,
-                                              staged)
+                                              sv0, staged)
                 try:
                     out[r0:r1] = values
                 finally:

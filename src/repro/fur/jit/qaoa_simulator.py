@@ -63,15 +63,6 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
         """Return the evolved state vector (host array)."""
         return np.asarray(result)
 
-    def get_probabilities(self, result: np.ndarray, preserve_state: bool = True,
-                          **kwargs: Any) -> np.ndarray:
-        """Measurement probabilities |ψ_x|² (always float64 on output)."""
-        sv = np.asarray(result)
-        if preserve_state:
-            return (np.abs(sv) ** 2).astype(np.float64, copy=False)
-        np.multiply(sv, np.conj(sv), out=sv)
-        return np.ascontiguousarray(sv.real, dtype=np.float64)
-
 
 class JITMixerScratch:
     """Scratch hooks of an X provider whose mixer runs the jit X kernels.

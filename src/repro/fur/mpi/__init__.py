@@ -5,11 +5,9 @@ from .qaoa_simulator import (
     QAOAFURXSimulatorCUSVMPI,
     QAOAFURXSimulatorGPUMPI,
 )
-from .spmd import run_distributed_qaoa
 
 __all__ = [
     "DistributedStateVector",
     "QAOAFURXSimulatorGPUMPI",
     "QAOAFURXSimulatorCUSVMPI",
-    "run_distributed_qaoa",
 ]

@@ -27,9 +27,7 @@ the paper's large-scale LABS runs, which use the standard mixer.  Every
 exchange is recorded in :attr:`traffic_log` as a
 :class:`~repro.parallel.collectives.TrafficTrace`.  The per-rank kernels
 run as the sharded backend's (rank, row-chunk) task grid on the jit tier's
-row pool.  An SPMD entry point with per-rank message passing over
-:class:`repro.parallel.communicator.ThreadCluster` lives in
-:mod:`repro.fur.mpi.spmd`.
+row pool.
 """
 
 from __future__ import annotations

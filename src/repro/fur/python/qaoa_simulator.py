@@ -164,20 +164,6 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         """Return the evolved state vector (host array)."""
         return np.asarray(result)
 
-    def get_probabilities(self, result: np.ndarray, preserve_state: bool = True,
-                          **kwargs: Any) -> np.ndarray:
-        """Measurement probabilities |ψ_x|² (always float64 on output)."""
-        sv = np.asarray(result)
-        if preserve_state:
-            return (np.abs(sv) ** 2).astype(np.float64, copy=False)
-        # In-place variant: square magnitudes into the state-vector buffer,
-        # then return a contiguous float64 array — a strided ``.real`` view
-        # of the complex buffer would halve the throughput of every
-        # downstream reduction (and surprise callers expecting a plain
-        # probability vector).
-        np.multiply(sv, np.conj(sv), out=sv)
-        return np.ascontiguousarray(sv.real, dtype=np.float64)
-
 
 def _block_expectations(block: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """Per-row ``Σ_x c[x] |ψ_x|²`` of a block (one segment of

@@ -47,7 +47,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ...parallel.collectives import Message, TrafficTrace, alltoall
-from ..base import QAOAFastSimulatorBase
+from ..base import QAOAFastSimulatorBase, host_probabilities
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
 from ..jit import kernels
 from ..python.furxy import complete_edges, ring_edges
@@ -358,10 +358,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             return [np.full((rows, s), amp,
                             dtype=self._precision.complex_dtype)
                     for _ in range(self._n_shards)]
-        if np.ndim(sv0) == 2:
-            full2 = self._validate_sv0_block(sv0, rows)
-            return [np.ascontiguousarray(full2[:, r * s:(r + 1) * s])
-                    for r in range(self._n_shards)]
         full = self._validate_sv0(sv0)
         return [np.repeat(full[r * s:(r + 1) * s][None, :], rows, axis=0)
                 for r in range(self._n_shards)]
@@ -444,8 +440,7 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                           gather: bool = True,
                           **kwargs: Any) -> np.ndarray | list[np.ndarray]:
         """Measurement probabilities (gathered by default; always float64)."""
-        probs = [(np.abs(s) ** 2).astype(np.float64, copy=False)
-                 for s in result.slices]
+        probs = [host_probabilities(s, preserve_state) for s in result.slices]
         if gather:
             return np.concatenate(probs)
         return probs

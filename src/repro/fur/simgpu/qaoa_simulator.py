@@ -150,12 +150,12 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
                 - self._device.stats.allocated_bytes)
         # complex64 amplitudes halve the per-row device cost, doubling the
         # rows device_split_rows can keep resident per sub-batch.
-        per_row = 2 * itemsize * self._n_states
-        device_rows = int(free // per_row)
+        row_bytes = 2 * itemsize * self._n_states
+        device_rows = int(free // row_bytes)
         return max(1, min(rows, device_rows))
 
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> DeviceArray:
-        """Upload a ``(rows, 2^n)`` block (shared or per-row ``sv0``)."""
+        """Upload a ``(rows, 2^n)`` block of the shared initial state."""
         return self._device.to_device(self._validate_sv0_block(sv0, rows))
 
     def _apply_phase_block(self, block: DeviceArray, gammas: np.ndarray,

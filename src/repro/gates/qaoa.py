@@ -158,8 +158,6 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
 
     def _stage_block(self, sv0: np.ndarray | None,
                      rows: int) -> list[np.ndarray]:
-        if sv0 is not None and np.ndim(sv0) == 2:
-            return list(self._validate_sv0_block(sv0, rows))
         sv = self._validate_sv0(sv0)
         return [sv.copy() for _ in range(rows)]
 
@@ -195,13 +193,6 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
     def get_statevector(self, result: np.ndarray, **kwargs: Any) -> np.ndarray:
         """Return the evolved state vector."""
         return np.asarray(result)
-
-    def get_probabilities(self, result: np.ndarray, preserve_state: bool = True,
-                          **kwargs: Any) -> np.ndarray:
-        """Measurement probabilities |ψ_x|² (always float64 on output)."""
-        sv = np.asarray(result)
-        return (sv.real.astype(np.float64) ** 2
-                + sv.imag.astype(np.float64) ** 2)
 
 
 class QAOAGateBasedXSimulator(QAOAGateBasedSimulator):

@@ -1,9 +1,9 @@
-"""Virtual-cluster substrate: communicators, collectives, topology, perf model.
+"""Virtual-cluster substrate: collectives, topology, perf model.
 
 Substitutes for the MPI + multi-GPU environment of the paper's distributed
-experiments (Sec. III-C, Fig. 5): SPMD execution on threads over shared
-memory, driver-level collective algorithms with traffic accounting, and an
-analytical performance model calibrated to the paper's hardware description.
+experiments (Sec. III-C, Fig. 5): driver-level collective algorithms with
+traffic accounting, and an analytical performance model calibrated to the
+paper's hardware description.
 """
 
 from .collectives import (
@@ -16,14 +16,10 @@ from .collectives import (
     alltoall_pairwise,
     alltoall_ring,
 )
-from .communicator import Communicator, ThreadCluster, ThreadCommunicator
 from .perfmodel import COMMUNICATION_STRATEGIES, LayerTimeBreakdown, PerformanceModel
 from .topology import POLARIS_LIKE, SINGLE_NODE_DGX, ClusterTopology
 
 __all__ = [
-    "Communicator",
-    "ThreadCommunicator",
-    "ThreadCluster",
     "Message",
     "TrafficTrace",
     "alltoall",

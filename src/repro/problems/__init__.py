@@ -11,11 +11,9 @@ Submodules
     Low Autocorrelation Binary Sequences problem (Figs. 3–5 workloads).
 ``portfolio``
     Mean-variance portfolio optimization for the XY-mixer (constrained) path.
-``sk``
-    Sherrington–Kirkpatrick spin glass (auxiliary dense-quadratic workload).
 """
 
-from . import labs, maxcut, portfolio, sk, terms
+from . import labs, maxcut, portfolio, terms
 from .terms import TermsPolynomial
 
-__all__ = ["terms", "maxcut", "labs", "portfolio", "sk", "TermsPolynomial"]
+__all__ = ["terms", "maxcut", "labs", "portfolio", "TermsPolynomial"]

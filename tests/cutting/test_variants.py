@@ -105,13 +105,11 @@ def test_preparation_maps_reproduce_prep_evolution(backend, n_slots,
     beta = float(seeded_rng.uniform(-1, 1))
     sim = repro.simulator(n, terms=terms, backend=backend)
     block = _prep_block(n, n_slots)
-    rows = block.shape[0]
-    results = sim.engine.simulate_batch(np.full((rows, 1), gamma),
-                                        np.full((rows, 1), beta), sv0=block)
     plus = np.asarray(sim.get_statevector(sim.simulate_qaoa([gamma], [beta])))
     maps = preparation_maps(beta)
-    for v, res in enumerate(results):
-        want = np.asarray(sim.get_statevector(res))
+    for v, sv0 in enumerate(block):
+        want = np.asarray(sim.get_statevector(
+            sim.simulate_qaoa([gamma], [beta], sv0=sv0)))
         got = _apply_slot_maps(plus, maps, v, n, n_slots)
         np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"v={v}")
 

@@ -7,9 +7,12 @@ Covers
   the simulator precision) recompiles,
 * fused-vs-looped parity *via the shared engine* across backends x mixers x
   precisions,
-* the new distributed fused path (``gpumpi``/``cusvmpi`` kernel providers
-  over per-rank slice blocks, and the 2-rank SPMD batched program),
+* the distributed fused path (``gpumpi``/``cusvmpi`` kernel providers
+  over per-rank slice blocks),
 * engine statistics and execution-mode validation,
+* the shared-``sv0`` contract on every full-tier backend: one ``(2^n,)``
+  initial state drives every row in both modes, and a 2-D or wrong-length
+  ``sv0`` is rejected before any row runs,
 * the read-only guarantees of ``get_cost_diagonal()`` and the plan/phase
   caches (the PR 1 shared-diagonal mutation hazard).
 """
@@ -18,9 +21,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.fur import compress_diagonal
+from repro.fur import available_backends, compress_diagonal
 from repro.fur.engine import ExpectationOp, MixerOp, PhaseOp
-from repro.fur.mpi.spmd import run_distributed_qaoa_batch
+from repro.fur.registry import registry
 from repro.problems import labs
 
 BACKENDS = ["python", "c", "gpu"]
@@ -248,36 +251,6 @@ class TestDistributedFused:
         np.testing.assert_allclose(split, whole, atol=1e-12)
         assert sim.engine.stats.blocks_executed - blocks_before == 5
 
-    def test_spmd_batched_program_two_ranks(self, rng):
-        terms = labs.get_terms(6)
-        gb = rng.uniform(0, 1, (3, 2))
-        bb = rng.uniform(0, 1, (3, 2))
-        out = run_distributed_qaoa_batch(6, terms, gb, bb, n_ranks=2)
-        reference = repro.simulator(6, terms=terms, backend="python")
-        np.testing.assert_allclose(out["expectations"],
-                                   reference.get_expectation_batch(gb, bb),
-                                   atol=1e-10)
-        states = [np.asarray(reference.simulate_qaoa(g, b))
-                  for g, b in zip(gb, bb)]
-        np.testing.assert_allclose(out["statevectors"], np.stack(states),
-                                   atol=1e-12)
-        # coalesced exchange (the default): 2 alltoalls per layer, B-independent
-        assert out["ranks"][0]["n_alltoall"] == 2 * 2
-
-    def test_spmd_per_schedule_exchange_matches_coalesced(self, rng):
-        terms = labs.get_terms(6)
-        gb = rng.uniform(0, 1, (3, 2))
-        bb = rng.uniform(0, 1, (3, 2))
-        coalesced = run_distributed_qaoa_batch(6, terms, gb, bb, n_ranks=2)
-        per_row = run_distributed_qaoa_batch(6, terms, gb, bb, n_ranks=2,
-                                             coalesce=False)
-        # the historical per-schedule path: 2 alltoalls per layer per schedule
-        assert per_row["ranks"][0]["n_alltoall"] == 2 * 3 * 2
-        np.testing.assert_array_equal(coalesced["statevectors"],
-                                      per_row["statevectors"])
-        np.testing.assert_array_equal(coalesced["expectations"],
-                                      per_row["expectations"])
-
 
 class TestEngineStatsAndModes:
     def test_blocks_and_rows_counted(self, rng):
@@ -305,6 +278,66 @@ class TestEngineStatsAndModes:
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
         with pytest.raises(TypeError, match="unexpected keyword"):
             sim.get_expectation_batch([[0.1]], [[0.2]], bogus=1)
+
+
+class TestSharedInitialState:
+    """``sv0`` is ``None`` or one ``(2^n,)`` state shared by every row."""
+
+    FULL_TIER = [name for name in available_backends(importable_only=True)
+                 if registry.spec(name).capabilities == "full"]
+
+    @pytest.mark.parametrize("backend", FULL_TIER)
+    @pytest.mark.parametrize("mode", ["fused", "looped"])
+    @pytest.mark.parametrize("call", ["simulate_batch", "expectation_batch"])
+    def test_2d_sv0_block_is_rejected(self, backend, mode, call, rng):
+        n = 4
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
+        gb = rng.uniform(0, 1, (3, 2))
+        bb = rng.uniform(0, 1, (3, 2))
+        block = np.tile(sim.initial_state(), (3, 1))
+        rows = sim.engine.stats.rows_executed
+        with pytest.raises(ValueError, match=rf"expected \({1 << n},\)"):
+            getattr(sim.engine, call)(gb, bb, sv0=block, mode=mode)
+        assert sim.engine.stats.rows_executed == rows
+
+    @pytest.mark.parametrize("backend", FULL_TIER)
+    @pytest.mark.parametrize("mode", ["fused", "looped"])
+    def test_shared_sv0_matches_individual_evolution(self, backend, mode, rng):
+        n = 5
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
+        gb = rng.uniform(0, 1, (3, 2))
+        bb = rng.uniform(0, 1, (3, 2))
+        shared = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        shared /= np.linalg.norm(shared)
+        singles = [sim.simulate_qaoa(g, b, sv0=shared) for g, b in zip(gb, bb)]
+        want = [sim.get_expectation(r) for r in singles]
+        stats = sim.engine.stats
+        rows, looped = stats.rows_executed, stats.looped_evaluations
+        got = sim.engine.expectation_batch(gb, bb, sv0=shared, mode=mode)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        if mode == "fused":
+            assert stats.rows_executed == rows + 3
+            assert stats.looped_evaluations == looped
+        else:
+            assert stats.looped_evaluations == looped + 3
+        results = sim.engine.simulate_batch(gb, bb, sv0=shared, mode=mode)
+        for result, single in zip(results, singles):
+            np.testing.assert_allclose(
+                np.asarray(sim.get_statevector(result)),
+                np.asarray(sim.get_statevector(single)), atol=1e-12)
+
+    @pytest.mark.parametrize("backend", FULL_TIER)
+    def test_wrong_length_sv0_is_rejected(self, backend, rng):
+        n = 4
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
+        gb = rng.uniform(0, 1, (3, 2))
+        bb = rng.uniform(0, 1, (3, 2))
+        short = np.ones((1 << n) - 1, dtype=complex)
+        rows = sim.engine.stats.rows_executed
+        for call in ("simulate_batch", "expectation_batch"):
+            with pytest.raises(ValueError, match=rf"expected \({1 << n},\)"):
+                getattr(sim.engine, call)(gb, bb, sv0=short)
+        assert sim.engine.stats.rows_executed == rows
 
 
 class TestReadOnlyDiagonals:

@@ -5,11 +5,7 @@ import pytest
 
 import repro
 from repro.fur import get_simulator_class
-from repro.fur.mpi import (
-    QAOAFURXSimulatorCUSVMPI,
-    QAOAFURXSimulatorGPUMPI,
-    run_distributed_qaoa,
-)
+from repro.fur.mpi import QAOAFURXSimulatorCUSVMPI, QAOAFURXSimulatorGPUMPI
 from repro.problems import labs, maxcut
 
 DISTRIBUTED_CLASSES = [QAOAFURXSimulatorGPUMPI, QAOAFURXSimulatorCUSVMPI]
@@ -246,24 +242,3 @@ class TestValidation:
                                       alltoall_algorithm=algorithm)
         slab = (1 << n) * 16 // k
         assert sim._guarded_state_bytes() == int(slabs * slab)
-
-
-class TestSPMDPath:
-    def test_spmd_matches_reference(self):
-        n, p = 8, 2
-        terms = labs.get_terms(n)
-        rng = np.random.default_rng(0)
-        gammas, betas = rng.uniform(0, 1, p), rng.uniform(0, 1, p)
-        ref_sim, ref = reference_state(n, terms, gammas, betas)
-        out = run_distributed_qaoa(n, terms, gammas, betas, n_ranks=4)
-        np.testing.assert_allclose(out["statevector"], ref, atol=1e-12)
-        assert out["expectation"] == pytest.approx(
-            ref_sim.get_expectation(ref_sim.simulate_qaoa(gammas, betas)), abs=1e-10)
-        assert all(r["n_alltoall"] == 2 * p for r in out["ranks"])
-
-    def test_spmd_rejects_bad_rank_count(self):
-        terms = labs.get_terms(6)
-        with pytest.raises(ValueError):
-            run_distributed_qaoa(6, terms, [0.1], [0.1], n_ranks=3)
-        with pytest.raises(ValueError):
-            run_distributed_qaoa(4, terms[:3], [0.1], [0.1], n_ranks=8)

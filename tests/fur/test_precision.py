@@ -11,6 +11,8 @@ Covers
   MaxCut workload,
 * memory accounting: ``batch_block_rows`` and the simulated device both fit
   twice the rows at single precision,
+* host-array probabilities and overlaps are the exact float64 squares of
+  the amplitude components, also for complex64 states,
 * regressions: a caller-supplied complex64 ``sv0`` is honoured (not upcast),
   ``compress_diagonal`` round-trips through a float32 decompression, and the
   vectorized brute-force index helpers match the scalar definitions.
@@ -31,7 +33,7 @@ from repro.fur import (
 from repro.fur.base import QAOAFastSimulatorBase
 from repro.fur.precision import DOUBLE, SINGLE
 from repro.fur.registry import BackendSpec, registry
-from repro.problems import maxcut
+from repro.problems import labs, maxcut
 from repro.problems.terms import (
     bits_from_index,
     index_from_bits,
@@ -208,6 +210,42 @@ class TestSv0DtypeRegression:
         sv = sim.get_statevector(result)
         assert sv.dtype == np.complex64
         assert np.abs(np.vdot(sv, sv) - 1.0) < 1e-5
+
+
+class TestFloat64Probabilities:
+    """Host-array probabilities are ``re² + im²`` of the float64-widened parts."""
+
+    @staticmethod
+    def _squares(sv):
+        return sv.real.astype(np.float64) ** 2 + sv.imag.astype(np.float64) ** 2
+
+    @pytest.mark.parametrize("backend, kwargs", [
+        ("python", {}), ("jit", {}), ("gates", {}), ("sharded", {"n_shards": 2})])
+    def test_single_precision_probabilities_and_overlap(self, backend, kwargs,
+                                                        qaoa_angles):
+        n = 8
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend,
+                              precision="single", **kwargs)
+        result = sim.simulate_qaoa(*qaoa_angles)
+        sv = np.asarray(sim.get_statevector(result))
+        assert sv.dtype == np.complex64
+        want = self._squares(sv)
+        probs = sim.get_probabilities(result)
+        assert probs.dtype == np.float64
+        np.testing.assert_array_equal(probs, want)
+        costs = sim.get_cost_diagonal()
+        optimum = np.flatnonzero(costs == costs.min())
+        assert sim.get_overlap(result) == float(want[optimum].sum())
+
+    @pytest.mark.parametrize("backend", ["python", "jit", "gates", "sharded"])
+    def test_double_precision_in_place_matches(self, backend, qaoa_angles):
+        n = 6
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
+        result = sim.simulate_qaoa(*qaoa_angles)
+        want = self._squares(np.asarray(sim.get_statevector(result)))
+        np.testing.assert_array_equal(sim.get_probabilities(result), want)
+        np.testing.assert_array_equal(
+            sim.get_probabilities(result, preserve_state=False), want)
 
 
 class TestNumericalPolicy:
@@ -403,18 +441,6 @@ class TestDistributedSinglePrecision:
         np.testing.assert_allclose(sv, ref_sv, rtol=1e-5, atol=1e-6)
         e_ref = ref.get_expectation(ref.simulate_qaoa(*qaoa_angles))
         assert dist.get_expectation(result) == pytest.approx(e_ref, rel=1e-5)
-
-    def test_spmd_program_single_precision(self, qaoa_angles):
-        from repro.fur.mpi.spmd import run_distributed_qaoa
-
-        n = 6
-        terms = [(1.0, (0, 1)), (0.5, (2, 3))]
-        out = run_distributed_qaoa(n, terms, *qaoa_angles, n_ranks=4,
-                                   precision="single")
-        assert out["statevector"].dtype == np.complex64
-        ref = repro.simulator(n, terms=terms, backend="python")
-        e_ref = ref.get_expectation(ref.simulate_qaoa(*qaoa_angles))
-        assert out["expectation"] == pytest.approx(e_ref, rel=1e-5)
 
 
 class TestVectorizedBruteForceHelpers:

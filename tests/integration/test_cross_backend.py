@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.fur import get_simulator_class
 from repro.gates import QAOAGateBasedSimulator
-from repro.problems import labs, maxcut, portfolio, sk
+from repro.problems import labs, maxcut, portfolio
 
 from repro.testing import random_terms
 
@@ -36,7 +36,10 @@ class TestAllBackendsAgree:
         elif problem == "maxcut":
             terms = maxcut.maxcut_terms_from_graph(maxcut.random_regular_graph(3, n, seed=1))
         elif problem == "sk":
-            terms = sk.get_sk_terms(n, seed=1)
+            # Sherrington–Kirkpatrick: dense Gaussian couplings J_ij / sqrt(n)
+            couplings = np.random.default_rng(1).normal(size=(n, n))
+            terms = [(float(couplings[i, j]) * (1.0 / np.sqrt(n)), (i, j))
+                     for i in range(n) for j in range(i + 1, n)]
         else:
             terms = portfolio.portfolio_terms(portfolio.random_portfolio_problem(n, seed=1))
         gammas, betas = qaoa_angles
