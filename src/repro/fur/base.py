@@ -26,7 +26,10 @@ backend implements the :class:`~repro.fur.engine.KernelProvider` protocol,
 and a single schedule is just the engine's compiled one-row plan.  The
 provider hooks (``_stage_block``, ``_apply_phase_block``,
 ``_apply_mixer_block``, ``_block_expectations``, ...) declared here are the
-entire per-backend surface of that engine.
+entire per-backend surface of that engine.  The objective has one reduction:
+:meth:`get_expectation` views its result as a one-row block
+(``_result_block``) and reduces it through the same ``_block_expectations``
+the batch plans end in.
 """
 
 from __future__ import annotations
@@ -470,7 +473,6 @@ class QAOAFastSimulatorBase(abc.ABC):
                             betas_batch: Sequence[Sequence[float]] | np.ndarray,
                             sv0: np.ndarray | None = None, *,
                             memory_budget: float | None = None,
-                            mode: str = "auto",
                             optimize: str | None = None,
                             **kwargs: Any) -> list[Any]:
         """Simulate a batch of (γ, β) schedules over the same problem.
@@ -481,22 +483,19 @@ class QAOAFastSimulatorBase(abc.ABC):
         orchestration is delegated to the shared execution engine, which
         evolves ``(B, 2^n)`` state blocks through all layers at once
         (``memory_budget`` bounds the block scratch by splitting large
-        batches into sub-batches).  ``mode="looped"`` instead runs one
-        :meth:`simulate_qaoa` per row (``"auto"`` and its synonym ``"fused"``
-        take the block path); ``optimize`` overrides the simulator's plan-optimizer
-        level for this call (``"none"`` pins the unrewritten op stream).
+        batches into sub-batches); ``optimize`` overrides the simulator's
+        plan-optimizer level for this call (``"none"`` pins the unrewritten
+        op stream).
         """
         return self.engine.simulate_batch(gammas_batch, betas_batch, sv0=sv0,
                                           memory_budget=memory_budget,
-                                          mode=mode, optimize=optimize,
-                                          **kwargs)
+                                          optimize=optimize, **kwargs)
 
     def get_expectation_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                               betas_batch: Sequence[Sequence[float]] | np.ndarray,
                               costs: np.ndarray | CompressedDiagonal | None = None,
                               sv0: np.ndarray | None = None, *,
                               memory_budget: float | None = None,
-                              mode: str = "auto",
                               optimize: str | None = None,
                               **kwargs: Any) -> np.ndarray:
         """Objective values for a batch of schedules, as a length-``B`` array.
@@ -505,14 +504,16 @@ class QAOAFastSimulatorBase(abc.ABC):
         states: each schedule is reduced to ``<γβ|Ĉ|γβ>`` immediately, with
         the diagonal resolved to float64 exactly once for the whole batch and
         expectations accumulated in float64 regardless of the state precision
-        (the engine-wide policy).  See :meth:`simulate_qaoa_batch` for the
-        fused/looped ``mode`` and plan-optimizer ``optimize`` semantics.
+        (the engine-wide policy).  On backends without the fused
+        mixer+expectation kernel (all but ``python`` and ``jit``) row ``i``
+        is bitwise ``get_expectation(simulate_qaoa(...))``.  See
+        :meth:`simulate_qaoa_batch` for the ``memory_budget`` and
+        ``optimize`` semantics.
         """
         return self.engine.expectation_batch(gammas_batch, betas_batch,
                                              costs=costs, sv0=sv0,
                                              memory_budget=memory_budget,
-                                             mode=mode, optimize=optimize,
-                                             **kwargs)
+                                             optimize=optimize, **kwargs)
 
     # -- kernel-provider hooks (engine-driven; see repro.fur.engine) ---------
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
@@ -607,6 +608,15 @@ class QAOAFastSimulatorBase(abc.ABC):
         """Per-schedule result objects of an evolved block (default: rows)."""
         return list(block)
 
+    def _result_block(self, result: Any) -> Any:
+        """One result object as a one-row block, without a copy.
+
+        The inverse of :meth:`_block_results`: the block
+        :meth:`get_expectation` hands to :meth:`_block_expectations`.  The
+        default serves host-array results.
+        """
+        return np.ascontiguousarray(result).reshape(1, -1)
+
     def _release_block(self, block: Any) -> None:
         """Free a block after its reduction (no-op for host blocks)."""
 
@@ -651,16 +661,18 @@ class QAOAFastSimulatorBase(abc.ABC):
                         preserve_state: bool = True, **kwargs: Any) -> float:
         """QAOA objective ``<γβ|Ĉ|γβ>`` — one inner product with the diagonal.
 
-        A host-array result is reduced as a one-row block by the provider's
-        ``_block_expectations`` (on ``jit`` one read and no ``|ψ|²``
-        array); other results take the inner product of
-        :meth:`get_probabilities` with the diagonal.
+        The result is reduced as a one-row block (:meth:`_result_block`) by
+        the provider's ``_block_expectations`` against the staged diagonal:
+        the batch plans' reduction, never a ``|ψ|²`` array.
+        ``preserve_state`` and ``**kwargs`` are accepted for QOKit
+        compatibility; the reduction never modifies the state.
         """
-        if isinstance(result, np.ndarray):
-            row = np.ascontiguousarray(result).reshape(1, -1)
-            return float(self._block_expectations(row, self._resolve_costs(costs))[0])
-        probs = self.get_probabilities(result, preserve_state=preserve_state, **kwargs)
-        return float(np.dot(probs, self._resolve_costs(costs)))
+        staged = self._stage_batch_costs(self._resolve_costs(costs))
+        try:
+            return float(self._block_expectations(self._result_block(result),
+                                                  staged)[0])
+        finally:
+            self._release_batch_costs(staged)
 
     def get_overlap(self, result: Any,
                     costs: np.ndarray | CompressedDiagonal | None = None,

@@ -1,12 +1,8 @@
 """Layered execution-plan engine shared by every simulator backend.
 
-Before this module existed, the orchestration of batched QAOA evaluation —
-layer sequencing, phase-table reuse, memory-budgeted sub-batch splitting,
-scratch-block lifetime and the float64 accumulation policy — was
-re-implemented once per backend family (a ``FusedBatchEngineMixin`` plus three
-per-backend fused loops), and the distributed backends were left on the slow
-looped default.  The engine extracts that orchestration into exactly one
-place:
+The orchestration of QAOA evaluation — layer sequencing, phase-table
+reuse, memory-budgeted sub-batch splitting, scratch-block lifetime and the
+float64 accumulation policy — lives in exactly one place:
 
 * a ``(p, mixer, precision, n_trotters, batch-memory-budget)`` tuple is
   *compiled* into an :class:`ExecutionPlan` — a declarative sequence of layer
@@ -26,9 +22,7 @@ place:
 
 Every backend is a kernel provider, and a single schedule
 (:meth:`~repro.fur.base.QAOAFastSimulatorBase.simulate_qaoa`) is a one-row
-plan.  The engine also offers a *looped* path, ``mode="looped"``: one
-:meth:`simulate_qaoa` call per schedule, for benchmarking the fused blocks
-against their per-schedule baseline.
+plan.  Every batch runs as blocks.
 
 After a plan's base op list is built, the optimizer pass pipeline
 (:mod:`repro.fur.rewrite`) rewrites it once, at compile time: phase sweeps
@@ -79,13 +73,7 @@ __all__ = [
     "EngineStats",
     "KernelProvider",
     "ExecutionEngine",
-    "EXECUTION_MODES",
 ]
-
-#: Accepted values of the ``mode`` argument of the batched entry points.
-#: ``"fused"`` is a synonym of ``"auto"`` (every backend runs blocks);
-#: ``"looped"`` runs one ``simulate_qaoa`` per row.
-EXECUTION_MODES = ("auto", "fused", "looped")
 
 
 def _plan_key(p: int, n_trotters: int, memory_budget: float | None,
@@ -158,7 +146,6 @@ class EngineStats:
     kernel_compile_time_s: float = 0.0
     blocks_executed: int = 0
     rows_executed: int = 0
-    looped_evaluations: int = 0
     #: FusedPhaseMixerOp executions (fused ops are counted distinctly from
     #: the split phase/mixer sweeps so rewrite wins are visible in reports)
     fused_ops_executed: int = 0
@@ -202,7 +189,6 @@ class EngineStats:
             "kernel_compile_time_s": self.kernel_compile_time_s,
             "blocks_executed": self.blocks_executed,
             "rows_executed": self.rows_executed,
-            "looped_evaluations": self.looped_evaluations,
             "fused_ops_executed": self.fused_ops_executed,
             "coalesced_exchange_ops": self.coalesced_exchange_ops,
             "mixer_expectation_fused_ops": self.mixer_expectation_fused_ops,
@@ -423,19 +409,9 @@ class ExecutionEngine:
             self.stats.compile_time_s += plan.compile_time_s
             return plan
 
-    # -- mode resolution -----------------------------------------------------
     @staticmethod
-    def _is_looped(mode: str) -> bool:
-        """Validate ``mode``; ``"auto"`` and its synonym ``"fused"`` run blocks."""
-        if mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
-        return mode == "looped"
-
-    @staticmethod
-    def _fused_kwargs(kwargs: dict) -> int:
-        """Extract ``n_trotters`` from the fused path's kwargs, reject the rest."""
+    def _batch_kwargs(kwargs: dict) -> int:
+        """Extract ``n_trotters`` from the batch kwargs, reject the rest."""
         n_trotters = kwargs.pop("n_trotters", 1)
         if kwargs:
             raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
@@ -506,7 +482,6 @@ class ExecutionEngine:
     def simulate_batch(self, gammas_batch, betas_batch,
                        sv0: np.ndarray | None = None, *,
                        memory_budget: float | None = None,
-                       mode: str = "auto",
                        optimize: str | None = None, **kwargs: Any) -> list[Any]:
         """Evolve a batch of schedules; one backend result object per schedule.
 
@@ -517,13 +492,7 @@ class ExecutionEngine:
         """
         require_capability(self._sim, "statevector")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
-        looped = self._is_looped(mode)
-        if looped:
-            with self._lock:
-                self.stats.looped_evaluations += g.shape[0]
-            return [self._sim.simulate_qaoa(gi, bi, sv0=sv0, **kwargs)
-                    for gi, bi in zip(g, b)]
-        n_trotters = self._fused_kwargs(kwargs)
+        n_trotters = self._batch_kwargs(kwargs)
         plan = self.plan(g.shape[1], n_trotters=n_trotters,
                          memory_budget=memory_budget, reduce=False,
                          optimize=optimize)
@@ -537,7 +506,6 @@ class ExecutionEngine:
                           costs: np.ndarray | CompressedDiagonal | None = None,
                           sv0: np.ndarray | None = None, *,
                           memory_budget: float | None = None,
-                          mode: str = "auto",
                           optimize: str | None = None, **kwargs: Any) -> np.ndarray:
         """Objective values for a batch of schedules, as a length-``B`` array.
 
@@ -549,17 +517,7 @@ class ExecutionEngine:
         require_capability(self._sim, "expectation")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         resolved_costs = self._sim._resolve_costs(costs)
-        looped = self._is_looped(mode)
-        if looped:
-            with self._lock:
-                self.stats.looped_evaluations += g.shape[0]
-            out = np.empty(g.shape[0], dtype=np.float64)
-            for i, (gi, bi) in enumerate(zip(g, b)):
-                result = self._sim.simulate_qaoa(gi, bi, sv0=sv0, **kwargs)
-                out[i] = self._sim.get_expectation(result, costs=resolved_costs,
-                                                  preserve_state=False)
-            return out
-        n_trotters = self._fused_kwargs(kwargs)
+        n_trotters = self._batch_kwargs(kwargs)
         plan = self.plan(g.shape[1], n_trotters=n_trotters,
                          memory_budget=memory_budget, reduce=True,
                          optimize=optimize)

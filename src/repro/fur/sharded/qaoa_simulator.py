@@ -408,6 +408,10 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             for i in range(rows)
         ]
 
+    def _result_block(self, result: ShardedStateVector) -> list[np.ndarray]:
+        """One result as one-row shard slabs (views of its slices)."""
+        return [s.reshape(1, -1) for s in result.slices]
+
     # -- simulation ----------------------------------------------------------
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
                            n_trotters: int, coalesce: bool) -> None:

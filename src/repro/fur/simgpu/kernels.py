@@ -26,7 +26,6 @@ __all__ = [
     "device_apply_phase_batch",
     "device_precompute_diagonal",
     "device_probabilities",
-    "device_expectation",
     "device_expectation_batch",
     "device_overlap",
     "device_split_rows",
@@ -103,16 +102,6 @@ def device_probabilities(sv: DeviceArray, preserve_state: bool = True) -> Device
     probs += sv.data.imag * sv.data.imag
     device.charge_kernel(sv.nbytes)
     return DeviceArray(device, probs)
-
-
-def device_expectation(sv: DeviceArray, costs: DeviceArray) -> float:
-    """Expectation kernel ``Σ c[x] |ψ_x|²`` (single reduction pass)."""
-    _check_device_pair(sv, costs)
-    # accumulates in float64 regardless of the diagonal's (possibly
-    # float32) device dtype
-    value = float(kernels.expectation_block(sv.data[None], costs.data)[0])
-    sv.device.charge_kernel(sv.nbytes + costs.nbytes)
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .device import A100_80GB, DeviceArray, DeviceSpec, SimulatedDevice
 from .kernels import (
     device_apply_phase,
     device_apply_phase_batch,
-    device_expectation,
     device_expectation_batch,
     device_furx_all,
     device_furx_all_batch,
@@ -169,6 +168,10 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
     def _block_results(self, block: DeviceArray) -> list[DeviceArray]:
         return device_split_rows(block)
 
+    def _result_block(self, result: DeviceArray) -> DeviceArray:
+        """A one-row view of a device result (no device allocation)."""
+        return DeviceArray(result.device, result.data.reshape(1, -1))
+
     def _release_block(self, block: DeviceArray) -> None:
         block.free()
 
@@ -197,18 +200,6 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         """Measurement probabilities, computed on device and copied to the host."""
         probs = device_probabilities(result, preserve_state=preserve_state)
         return probs.copy_to_host().astype(np.float64, copy=False)
-
-    def get_expectation(self, result: DeviceArray, costs=None,
-                        preserve_state: bool = True, **kwargs: Any) -> float:
-        """Objective value via a device-side reduction (no 2^n host transfer)."""
-        if costs is None:
-            return device_expectation(result, self._costs_device)
-        host_costs = self._resolve_costs(costs)
-        costs_dev = self._device.to_device(np.ascontiguousarray(host_costs))
-        try:
-            return device_expectation(result, costs_dev)
-        finally:
-            costs_dev.free()
 
     def get_overlap(self, result: DeviceArray, costs=None, indices=None,
                     preserve_state: bool = True, **kwargs: Any) -> float:

@@ -181,6 +181,9 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
         self._run_circuit_rows(
             block, [self._mixer_circuit(float(b), n_trotters) for b in betas])
 
+    def _result_block(self, result: np.ndarray) -> list[np.ndarray]:
+        return [result]
+
     def _block_expectations(self, block: list[np.ndarray],
                             costs: np.ndarray) -> np.ndarray:
         out = np.empty(len(block), dtype=np.float64)

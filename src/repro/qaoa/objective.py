@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from ..fur.base import QAOAFastSimulatorBase
+from ..fur.base import QAOAFastSimulatorBase, validate_angles
 from ..fur.registry import simulator as _construct_simulator
 from .parameters import split_parameters
 
@@ -101,18 +101,19 @@ class QAOAObjective(EvaluationBookkeepingMixin):
 
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, gammas: Sequence[float], betas: Sequence[float]) -> float:
-        """Evaluate the objective for explicit (γ, β) schedules."""
-        result = self.simulator.simulate_qaoa(gammas, betas, sv0=self.sv0,
-                                              **self.simulate_kwargs)
-        if self.objective == "expectation":
-            value = self.simulator.get_expectation(result)
-        else:
-            # minimize the *negated* overlap so all objectives are minimized
-            value = -self.simulator.get_overlap(result)
-        theta = np.concatenate([np.asarray(gammas, dtype=np.float64),
-                                np.asarray(betas, dtype=np.float64)])
-        self._record_evaluation(theta, float(value))
-        return float(value)
+        """Evaluate the objective for explicit (γ, β) schedules.
+
+        The schedule is a one-row batch through the body of
+        :meth:`evaluate_batch`: the same plan, reduction and bookkeeping.
+        It calls that body, not the public method, so a subclass that
+        instruments :meth:`evaluate_batch` sees only batches.
+        """
+        g, b = validate_angles(gammas, betas)
+        if g.shape[0] != self.p:
+            raise ValueError(
+                f"parameter vector encodes p={g.shape[0]}, objective expects p={self.p}"
+            )
+        return float(self._evaluate_rows(np.concatenate([g, b])[None])[0])
 
     def evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate the objective for a batch of flat parameter vectors.
@@ -141,14 +142,19 @@ class QAOAObjective(EvaluationBookkeepingMixin):
                 f"parameter vectors of length {arr.shape[1]} {detail}, "
                 f"objective expects p={self.p}"
             )
-        gammas_batch, betas_batch = arr[:, :self.p], arr[:, self.p:]
+        return self._evaluate_rows(arr)
+
+    def _evaluate_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """Objective values of validated ``(B, 2p)`` rows, each recorded."""
+        gammas_batch, betas_batch = thetas[:, :self.p], thetas[:, self.p:]
         if self.objective == "expectation":
             values = self.simulator.get_expectation_batch(
                 gammas_batch, betas_batch, sv0=self.sv0,
                 memory_budget=self.batch_memory_budget, **self.simulate_kwargs)
         else:
             # One simulate+reduce per row: never holds more than one evolved
-            # state, so memory stays independent of the batch size.
+            # state, so memory stays independent of the batch size.  The
+            # *negated* overlap is returned so all objectives are minimized.
             values = np.array([
                 -self.simulator.get_overlap(
                     self.simulator.simulate_qaoa(g, b, sv0=self.sv0,
@@ -156,17 +162,12 @@ class QAOAObjective(EvaluationBookkeepingMixin):
                     preserve_state=False)
                 for g, b in zip(gammas_batch, betas_batch)
             ])
-        for theta, value in zip(arr, values):
+        for theta, value in zip(thetas, values):
             self._record_evaluation(theta, float(value))
         return values
 
     def __call__(self, theta: np.ndarray) -> float:
-        gammas, betas = split_parameters(theta)
-        if gammas.shape[0] != self.p:
-            raise ValueError(
-                f"parameter vector encodes p={gammas.shape[0]}, objective expects p={self.p}"
-            )
-        return self.evaluate(gammas, betas)
+        return self.evaluate(*split_parameters(theta))
 
 
 def get_qaoa_objective(n_qubits: int, p: int,

@@ -161,14 +161,25 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
         # X-mixer factors commute exactly; Trotter slicing is a no-op.
         block.events.append(("mixer", np.array(betas, dtype=np.float64)))
 
+    def _row_probabilities(self, block: _SymbolicBlock, row: int) -> np.ndarray:
+        """Contract |<x|γβ>|² for every ``x`` of one recorded row."""
+        return self._contract_probabilities(self._layer_circuits(
+            [(kind, angles[row]) for kind, angles in block.events]))
+
     def _block_expectations(self, block: _SymbolicBlock,
                             costs: np.ndarray) -> np.ndarray:
         out = np.empty(block.rows, dtype=np.float64)
         for r in range(block.rows):
-            circuit = self._layer_circuits(
-                [(kind, angles[r]) for kind, angles in block.events])
-            out[r] = self._contract_probabilities(circuit) @ costs
+            out[r] = self._row_probabilities(block, r) @ costs
         return out
+
+    def _result_block(self, result: TensorNetQAOAResult) -> _SymbolicBlock:
+        """The one-row block the engine would have recorded for ``result``."""
+        block = _SymbolicBlock(rows=1)
+        for g_l, b_l in zip(result.gammas, result.betas):
+            block.events.append(("phase", np.array([g_l])))
+            block.events.append(("mixer", np.array([b_l])))
+        return block
 
     def _block_results(self, block: _SymbolicBlock) -> list[Any]:
         raise UnsupportedCapabilityError(
@@ -186,6 +197,4 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
                           preserve_state: bool = True,
                           **kwargs: Any) -> np.ndarray:
         """Contract |<x|γβ>|² for every basis state ``x``."""
-        events = [(kind, angle) for g_l, b_l in zip(result.gammas, result.betas)
-                  for kind, angle in (("phase", g_l), ("mixer", b_l))]
-        return self._contract_probabilities(self._layer_circuits(events))
+        return self._row_probabilities(self._result_block(result), 0)

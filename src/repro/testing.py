@@ -1,4 +1,4 @@
-"""Shared test/benchmark helpers (random problem instances).
+"""Shared test/benchmark helpers (random problem instances, reference loops).
 
 Importable as ``repro.testing`` so the test-suite (and downstream users
 writing their own tests against the simulators) can generate reproducible
@@ -12,7 +12,7 @@ import numpy as np
 
 from .problems.terms import Term, normalize_terms
 
-__all__ = ["random_terms"]
+__all__ = ["per_row_expectations", "random_terms"]
 
 
 def random_terms(rng: np.random.Generator, n: int, n_terms: int,
@@ -29,3 +29,15 @@ def random_terms(rng: np.random.Generator, n: int, n_terms: int,
         idx = tuple(sorted(rng.choice(n, size=min(order, n), replace=False).tolist()))
         terms.append((float(rng.uniform(-1, 1)), idx))
     return normalize_terms(terms)
+
+
+def per_row_expectations(sim, gammas_batch, betas_batch,
+                         **simulate_kwargs) -> np.ndarray:
+    """Reference energies: one ``simulate_qaoa`` + ``get_expectation`` per row.
+
+    The per-schedule loop a batch's ``get_expectation_batch`` values are
+    checked against; ``simulate_kwargs`` (``sv0=``, ``n_trotters=``) go to
+    every ``simulate_qaoa`` call.
+    """
+    return np.array([sim.get_expectation(sim.simulate_qaoa(g, b, **simulate_kwargs))
+                     for g, b in zip(gammas_batch, betas_batch)])

@@ -9,7 +9,7 @@ Covers
 * the diagonal phase table,
 * regressions: ``CompressedDiagonal.decompress`` with ``np.dtype`` instances,
   one-decompression-per-simulator on deep circuits, single default-diagonal
-  resolution in the looped batch default, and contiguous in-place
+  resolution across a per-row evaluation loop, and contiguous in-place
   probabilities on the ``python`` backend.
 """
 
@@ -30,7 +30,7 @@ from repro.fur.python.furxy import (
     furxy_ring_batch,
 )
 from repro.problems import labs, maxcut
-from repro.testing import random_terms
+from repro.testing import per_row_expectations, random_terms
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -78,9 +78,9 @@ class TestFusedBatchEquivalence:
             np.testing.assert_allclose(state, looped, atol=1e-12)
 
         fused_values = sim.get_expectation_batch(gb, bb)
-        looped_values = [sim.get_expectation(sim.simulate_qaoa(g, b))
-                         for g, b in zip(gb, bb)]
-        np.testing.assert_allclose(fused_values, looped_values, atol=1e-12)
+        np.testing.assert_allclose(fused_values,
+                                   per_row_expectations(sim, gb, bb),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fused_respects_sv0_and_trotters(self, backend):
@@ -472,8 +472,8 @@ class TestHotPathRegressions:
 
         monkeypatch.setattr(type(sim), "get_cost_diagonal", counting)
         rng = np.random.default_rng(1)
-        sim.get_expectation_batch(rng.uniform(0, 1, (6, 2)),
-                                  rng.uniform(0, 1, (6, 2)), mode="looped")
+        per_row_expectations(sim, rng.uniform(0, 1, (6, 2)),
+                             rng.uniform(0, 1, (6, 2)))
         assert calls["n"] == 1
 
     def test_python_inplace_probabilities_contiguous(self):

@@ -5,14 +5,14 @@ Covers
 * plan-cache hit/invalidate semantics: repeated evaluation at the same
   ``(p, n_trotters, budget)`` reuses the compiled plan, any change (including
   the simulator precision) recompiles,
-* fused-vs-looped parity *via the shared engine* across backends x mixers x
-  precisions,
+* fused-batch vs per-row-loop parity (``simulate_qaoa`` + ``get_expectation``
+  per schedule) across backends x mixers x precisions,
 * the distributed fused path (``gpumpi``/``cusvmpi`` kernel providers
   over per-rank slice blocks),
-* engine statistics and execution-mode validation,
+* engine statistics and keyword validation,
 * the shared-``sv0`` contract on every full-tier backend: one ``(2^n,)``
-  initial state drives every row in both modes, and a 2-D or wrong-length
-  ``sv0`` is rejected before any row runs,
+  initial state drives every row, and a 2-D or wrong-length ``sv0`` is
+  rejected before any row runs,
 * the read-only guarantees of ``get_cost_diagonal()`` and the plan/phase
   caches (the PR 1 shared-diagonal mutation hazard).
 """
@@ -25,6 +25,7 @@ from repro.fur import available_backends, compress_diagonal
 from repro.fur.engine import ExpectationOp, MixerOp, PhaseOp
 from repro.fur.registry import registry
 from repro.problems import labs
+from repro.testing import per_row_expectations
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -134,8 +135,8 @@ class TestEngineParity:
                               mixer=mixer, precision=precision)
         gb = rng.uniform(-1, 1, (4, 2))
         bb = rng.uniform(-1, 1, (4, 2))
-        fused = sim.get_expectation_batch(gb, bb, mode="fused")
-        looped = sim.get_expectation_batch(gb, bb, mode="looped")
+        fused = sim.get_expectation_batch(gb, bb)
+        looped = per_row_expectations(sim, gb, bb)
         tol = 1e-12 if precision == "double" else 2e-5
         np.testing.assert_allclose(fused, looped, rtol=tol, atol=tol)
         assert fused.dtype == np.float64  # float64 accumulation policy
@@ -192,8 +193,7 @@ class TestDistributedFused:
         gb = rng.uniform(0, 1, (5, 3))
         bb = rng.uniform(0, 1, (5, 3))
         fused = sim.get_expectation_batch(gb, bb)
-        np.testing.assert_allclose(fused,
-                                   sim.get_expectation_batch(gb, bb, mode="looped"),
+        np.testing.assert_allclose(fused, per_row_expectations(sim, gb, bb),
                                    atol=1e-12)
         np.testing.assert_allclose(fused, reference.get_expectation_batch(gb, bb),
                                    atol=1e-10)
@@ -226,16 +226,16 @@ class TestDistributedFused:
 
     def test_cusvmpi_batched_exchange_message_count_is_rows_independent(self, rng):
         # The batched index-bit swap exchanges whole (rows, half) blocks, so
-        # the message count matches a single looped layer while the looped
-        # path pays one exchange per schedule.
+        # the message count matches a single schedule's layer while the
+        # per-row loop pays one exchange per schedule.
         terms = labs.get_terms(6)
         gb = rng.uniform(0, 1, (4, 1))
         bb = rng.uniform(0, 1, (4, 1))
         fused_sim = repro.simulator(6, terms=terms, backend="cusvmpi", n_ranks=2)
-        fused_sim.get_expectation_batch(gb, bb, mode="fused")
+        fused_sim.get_expectation_batch(gb, bb)
         fused_msgs = sum(t.num_messages for t in fused_sim.traffic_log)
         looped_sim = repro.simulator(6, terms=terms, backend="cusvmpi", n_ranks=2)
-        looped_sim.get_expectation_batch(gb, bb, mode="looped")
+        per_row_expectations(looped_sim, gb, bb)
         looped_msgs = sum(t.num_messages for t in looped_sim.traffic_log)
         assert fused_msgs < looped_msgs
         assert looped_msgs == 4 * fused_msgs  # one exchange set per schedule
@@ -252,7 +252,7 @@ class TestDistributedFused:
         assert sim.engine.stats.blocks_executed - blocks_before == 5
 
 
-class TestEngineStatsAndModes:
+class TestEngineStatsAndKwargs:
     def test_blocks_and_rows_counted(self, rng):
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
         gb = rng.uniform(0, 1, (7, 2))
@@ -261,18 +261,6 @@ class TestEngineStatsAndModes:
         sim.get_expectation_batch(gb, bb, memory_budget=2 * 16 * (1 << 5))
         assert sim.engine.stats.blocks_executed == 7
         assert sim.engine.stats.rows_executed == 7
-
-    def test_looped_evaluations_counted(self, rng):
-        sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
-        sim.get_expectation_batch(rng.uniform(0, 1, (3, 2)),
-                                  rng.uniform(0, 1, (3, 2)), mode="looped")
-        assert sim.engine.stats.looped_evaluations == 3
-        assert sim.engine.stats.blocks_executed == 0
-
-    def test_unknown_mode_rejected(self, rng):
-        sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            sim.get_expectation_batch([[0.1]], [[0.2]], mode="warp")
 
     def test_fused_rejects_unknown_kwargs(self, rng):
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
@@ -287,9 +275,8 @@ class TestSharedInitialState:
                  if registry.spec(name).capabilities == "full"]
 
     @pytest.mark.parametrize("backend", FULL_TIER)
-    @pytest.mark.parametrize("mode", ["fused", "looped"])
     @pytest.mark.parametrize("call", ["simulate_batch", "expectation_batch"])
-    def test_2d_sv0_block_is_rejected(self, backend, mode, call, rng):
+    def test_2d_sv0_block_is_rejected(self, backend, call, rng):
         n = 4
         sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
         gb = rng.uniform(0, 1, (3, 2))
@@ -297,12 +284,11 @@ class TestSharedInitialState:
         block = np.tile(sim.initial_state(), (3, 1))
         rows = sim.engine.stats.rows_executed
         with pytest.raises(ValueError, match=rf"expected \({1 << n},\)"):
-            getattr(sim.engine, call)(gb, bb, sv0=block, mode=mode)
+            getattr(sim.engine, call)(gb, bb, sv0=block)
         assert sim.engine.stats.rows_executed == rows
 
     @pytest.mark.parametrize("backend", FULL_TIER)
-    @pytest.mark.parametrize("mode", ["fused", "looped"])
-    def test_shared_sv0_matches_individual_evolution(self, backend, mode, rng):
+    def test_shared_sv0_matches_individual_evolution(self, backend, rng):
         n = 5
         sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
         gb = rng.uniform(0, 1, (3, 2))
@@ -312,15 +298,11 @@ class TestSharedInitialState:
         singles = [sim.simulate_qaoa(g, b, sv0=shared) for g, b in zip(gb, bb)]
         want = [sim.get_expectation(r) for r in singles]
         stats = sim.engine.stats
-        rows, looped = stats.rows_executed, stats.looped_evaluations
-        got = sim.engine.expectation_batch(gb, bb, sv0=shared, mode=mode)
+        rows = stats.rows_executed
+        got = sim.engine.expectation_batch(gb, bb, sv0=shared)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        if mode == "fused":
-            assert stats.rows_executed == rows + 3
-            assert stats.looped_evaluations == looped
-        else:
-            assert stats.looped_evaluations == looped + 3
-        results = sim.engine.simulate_batch(gb, bb, sv0=shared, mode=mode)
+        assert stats.rows_executed == rows + 3
+        results = sim.engine.simulate_batch(gb, bb, sv0=shared)
         for result, single in zip(results, singles):
             np.testing.assert_allclose(
                 np.asarray(sim.get_statevector(result)),

@@ -5,7 +5,8 @@ Covers
 * the randomized cross-backend parity harness: random terms, angles, mixers,
   precisions and batch shapes (seeded via the session ``seeded_rng`` fixture,
   reproducible from the seed printed in the pytest header), asserting
-  optimized == unoptimized == looped within the established envelopes
+  optimized == unoptimized == the per-row loop (``simulate_qaoa`` +
+  ``get_expectation`` per schedule) within the established envelopes
   (1e-5 single / 1e-12 double) for every importable backend,
 * unit semantics of the three passes (FusePhaseIntoMixer,
   CoalesceExchanges, FuseMixerIntoExpectation) and their fixed order,
@@ -41,7 +42,7 @@ from repro.fur.rewrite import (
     run_passes,
 )
 from repro.problems import labs
-from repro.testing import random_terms
+from repro.testing import per_row_expectations, random_terms
 
 #: Every backend importable in this environment participates in the harness.
 BACKENDS = available_backends(importable_only=True)
@@ -99,7 +100,7 @@ class TestRandomizedParityHarness:
                                   mixer=mixer, precision=precision, **kwargs)
             optimized = sim.get_expectation_batch(gb, bb)
             unoptimized = sim.get_expectation_batch(gb, bb, optimize="none")
-            looped = sim.get_expectation_batch(gb, bb, mode="looped")
+            looped = per_row_expectations(sim, gb, bb)
             tol = ENVELOPE[precision] * max(1.0, float(np.max(np.abs(looped))))
             context = (f"backend={backend} precision={precision} "
                        f"trial={trial} n={n} mixer={mixer} "

@@ -4,8 +4,9 @@ Covers
 
 * precision resolution (names, aliases, dtypes) and the registry capability
   metadata / facade validation,
-* the single-precision state dtype across every backend and mixer, in looped
-  and fused-batch modes, including fused == looped parity at single precision,
+* the single-precision state dtype across every backend and mixer, one
+  schedule at a time and in fused batches, including fused == per-row-loop
+  parity at single precision,
 * the pinned numerical policy: expectations accumulate in float64 and stay
   within the 1e-5 relative error envelope of double precision on the Fig. 2
   MaxCut workload,
@@ -41,6 +42,7 @@ from repro.problems.terms import (
     spins_from_index,
 )
 from repro.qaoa import get_qaoa_objective
+from repro.testing import per_row_expectations
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -299,7 +301,7 @@ class TestFusedLoopedParitySingle:
         gb = rng.uniform(0.0, 1.0, (batch, p))
         bb = rng.uniform(0.0, 1.0, (batch, p))
         fused = sim.get_expectation_batch(gb, bb)
-        looped = sim.get_expectation_batch(gb, bb, mode="looped")
+        looped = per_row_expectations(sim, gb, bb)
         np.testing.assert_allclose(fused, looped, rtol=2e-5, atol=2e-5)
         fused_states = [sim.get_statevector(r)
                         for r in sim.simulate_qaoa_batch(gb, bb)]

@@ -71,6 +71,32 @@ class TestObjective:
         with pytest.raises(ValueError):
             obj(np.array([0.1, 0.2]))
 
+    def test_evaluate_rejects_wrong_depth_like_call(self, small_maxcut):
+        _, terms = small_maxcut
+        obj = get_qaoa_objective(6, 2, terms=terms, backend="c")
+        g, b = [0.1, 0.2, 0.3], [0.4, 0.5, 0.6]
+        message = "parameter vector encodes p=3, objective expects p=2"
+        with pytest.raises(ValueError, match=message):
+            obj(stack_parameters(g, b))
+        with pytest.raises(ValueError, match=message):
+            obj.evaluate(g, b)
+        assert obj.n_evaluations == 0 and obj.best_parameters is None
+
+    def test_call_is_one_evaluation_not_a_public_batch_call(self, small_maxcut,
+                                                            monkeypatch):
+        # Subclasses that time evaluate_batch (a benchmark's objective) must
+        # not see a single __call__ as a second evaluation.
+        _, terms = small_maxcut
+        obj = get_qaoa_objective(6, 1, terms=terms, backend="c")
+
+        def no_batch(thetas):
+            raise AssertionError("__call__ went through evaluate_batch")
+
+        monkeypatch.setattr(obj, "evaluate_batch", no_batch)
+        obj(np.array([0.1, 0.2]))
+        obj.evaluate([0.3], [0.4])
+        assert obj.n_evaluations == 2 and len(obj.history) == 2
+
     def test_invalid_objective_kind(self, small_maxcut):
         _, terms = small_maxcut
         with pytest.raises(ValueError):
