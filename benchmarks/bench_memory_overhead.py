@@ -5,7 +5,11 @@ only extra exponentially-sized object; stored as uint16 (valid for LABS up to
 n < 65 because the optimal/maximal energies stay below 2¹⁶) it adds 2 bytes
 per 16-byte amplitude; precomputation time itself is small and embarrassingly
 parallel.  Here the precompute is the blocked Walsh–Hadamard transform of
-:mod:`repro.fur.diagonal` (O(n · 2^n), a few milliseconds at n=16).
+:mod:`repro.fur.diagonal` (O(n · 2^n), a few milliseconds at n=16), and the
+uint16 storage is the index of the simulator's phase table, measured on a
+constructed simulator after one evaluation.  The simulator also holds the
+float64 vector (for the expectation reduction), so it holds 10 bytes of
+diagonal per amplitude in all.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.fur import (
-    compress_diagonal,
+    build_phase_table,
     diagonal_memory_overhead,
     precompute_cost_diagonal,
 )
@@ -32,33 +37,36 @@ def test_precompute_float64(benchmark, labs_terms_cache):
 
 
 @pytest.mark.benchmark(group="memory-overhead")
-def test_precompute_and_compress_uint16(benchmark, labs_terms_cache):
-    """Time to precompute and compress the diagonal to uint16 (Sec. V-B path)."""
+def test_precompute_and_index_uint16(benchmark, labs_terms_cache):
+    """Time to precompute the diagonal and build its uint16 phase-table index."""
     terms = labs_terms_cache[N_QUBITS]
 
     def build():
-        return compress_diagonal(precompute_cost_diagonal(terms, N_QUBITS))
+        return build_phase_table(precompute_cost_diagonal(terms, N_QUBITS))
 
-    compressed = benchmark(build)
-    assert compressed.values.dtype == np.uint16
+    table = benchmark(build)
+    assert table.inverse.dtype == np.uint16
 
 
 def test_memory_overhead_figures(labs_terms_cache):
-    """Record the actual byte counts behind the 12.5 % claim."""
-    terms = labs_terms_cache[N_QUBITS]
-    diag = precompute_cost_diagonal(terms, N_QUBITS)
-    compressed = compress_diagonal(diag)
+    """The byte counts behind the 12.5 % claim, as a LABS simulator holds them."""
+    sim = repro.simulator(N_QUBITS, terms=labs_terms_cache[N_QUBITS])
+    sim.get_expectation_batch([[0.2]], [[0.3]])
+    diag = sim.get_cost_diagonal()
+    index = sim._diagonal_phase_table().inverse
     state_bytes = (1 << N_QUBITS) * 16
+    held = diag.nbytes + index.nbytes
     print(f"\nState vector: {state_bytes / 1e6:.2f} MB; "
-          f"float64 diagonal: {diag.nbytes / 1e6:.2f} MB "
-          f"({diag.nbytes / state_bytes:.1%}); "
-          f"uint16 diagonal: {compressed.nbytes / 1e6:.2f} MB "
-          f"({compressed.nbytes / state_bytes:.1%})")
-    assert compressed.nbytes / state_bytes == pytest.approx(0.125)
-    assert diagonal_memory_overhead(N_QUBITS, np.uint16) == pytest.approx(0.125)
+          f"uint16 index: {index.nbytes / 1e6:.2f} MB "
+          f"({index.nbytes / state_bytes:.1%}); "
+          f"float64 vector: {diag.nbytes / 1e6:.2f} MB; "
+          f"held: {held / (1 << N_QUBITS):.0f} B per amplitude")
+    assert index.dtype == np.uint16
+    assert index.nbytes / state_bytes == pytest.approx(0.125)
+    assert index.nbytes / state_bytes == diagonal_memory_overhead(N_QUBITS, index.dtype)
+    assert held <= 10 * (1 << N_QUBITS)
     # LABS values fit uint16 (the n < 65 claim, checked at reproducible scale)
     assert diag.max() < 2 ** 16
-    np.testing.assert_allclose(compressed.decompress(), diag)
 
 
 def test_uint16_valid_for_all_tabulated_sizes():

@@ -42,10 +42,8 @@ from .cache import (
     problem_fingerprint,
 )
 from .diagonal import (
-    CompressedDiagonal,
     DiagonalPhaseTable,
     build_phase_table,
-    compress_diagonal,
     diagonal_memory_bytes,
     diagonal_memory_overhead,
     precompute_cost_diagonal,
@@ -111,8 +109,6 @@ __all__ = [
     "PrecisionSpec",
     "resolve_precision",
     "KNOWN_PRECISIONS",
-    "CompressedDiagonal",
-    "compress_diagonal",
     "DiagonalPhaseTable",
     "build_phase_table",
     "precompute_cost_diagonal",

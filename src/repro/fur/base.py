@@ -43,7 +43,7 @@ import numpy as np
 
 from ..problems.terms import Term, validate_terms
 from .cache import cached_cost_diagonal
-from .diagonal import CompressedDiagonal, DiagonalPhaseTable, build_phase_table
+from .diagonal import DiagonalPhaseTable, build_phase_table
 from .precision import PrecisionSpec, resolve_precision
 from .rewrite import resolve_optimize
 
@@ -204,15 +204,18 @@ class QAOAFastSimulatorBase(abc.ABC):
         Cost polynomial as an iterable of ``(weight, indices)`` pairs.
         Mutually exclusive with ``costs``.
     costs:
-        Precomputed cost diagonal (length-2^n array or
-        :class:`~repro.fur.diagonal.CompressedDiagonal`).  Passing a
-        precomputed diagonal mirrors QOKit's ``costs=`` constructor argument
-        and skips the precomputation.
+        Precomputed cost diagonal, a length-2^n array (held as float64).
+        Passing a precomputed diagonal mirrors QOKit's ``costs=``
+        constructor argument and skips the precomputation.  Either way the
+        simulator holds the float64 vector and, when the diagonal is
+        repetitive enough, one
+        :class:`~repro.fur.diagonal.DiagonalPhaseTable` with a ``uint16``
+        index (the paper's storage), at both precisions.
     precision:
         ``"double"`` (complex128 state, the default) or ``"single"``
-        (complex64 state with float32 phase diagonals) — see
-        :mod:`repro.fur.precision`.  Expectation values are accumulated in
-        float64 regardless of the state precision.
+        (complex64 state) — see :mod:`repro.fur.precision`.  Phase angles
+        and expectation values are computed in float64 regardless of the
+        state precision.
     optimize:
         ``"default"`` (the plan-rewrite optimizer passes of
         :mod:`repro.fur.rewrite` transform compiled execution plans — phase
@@ -246,7 +249,7 @@ class QAOAFastSimulatorBase(abc.ABC):
 
     def __init__(self, n_qubits: int,
                  terms: Iterable[tuple[float, Iterable[int]]] | None = None,
-                 costs: np.ndarray | CompressedDiagonal | None = None, *,
+                 costs: np.ndarray | None = None, *,
                  precision: str | PrecisionSpec = "double",
                  optimize: str = "default") -> None:
         if n_qubits <= 0:
@@ -263,18 +266,10 @@ class QAOAFastSimulatorBase(abc.ABC):
                 f"n_qubits={n_qubits} would require {state_bytes / 2**30:.0f} GiB "
                 f"for the {self._precision.name}-precision state vector; refusing"
             )
-        #: resolved float64 default diagonal, cached so deep circuits and
-        #: batched evaluation never decompress/validate per layer or element
-        self._costs_cache: np.ndarray | None = None
-        #: precision-matched (real-dtype) view of the default diagonal used by
-        #: the phase kernels; identical to ``_costs_cache`` at double precision
-        self._phase_costs_cache: np.ndarray | None = None
         self._phase_table_cache: DiagonalPhaseTable | None = None
         self._phase_table_built = False
-        #: guards the lazily-built derived caches (resolved diagonal, phase
-        #: costs, phase table, engine) against concurrent first use — the
-        #: serving layer evaluates on a thread pool.  Reentrant because the
-        #: lazy initializers nest (phase table -> resolved diagonal).
+        #: guards the lazily-built phase table and engine against concurrent
+        #: first use — the serving layer evaluates on a thread pool.
         self._derived_lock = threading.RLock()
         #: lazily-constructed execution engine (plan cache lives on it)
         self._execution_engine = None
@@ -284,7 +279,8 @@ class QAOAFastSimulatorBase(abc.ABC):
             host_costs = self._precompute_diagonal(self._terms)
         else:
             host_costs = self._ingest_costs(costs)
-        self._hamiltonian_host = host_costs  # float64 host copy (or CompressedDiagonal)
+        #: the float64 cost vector, read-only (see get_cost_diagonal)
+        self._costs = _readonly_view(host_costs)
         self._post_init()
 
     # -- construction hooks --------------------------------------------------
@@ -313,20 +309,9 @@ class QAOAFastSimulatorBase(abc.ABC):
         """
         return cached_cost_diagonal(terms, self._n_qubits)
 
-    def _ingest_costs(self, costs: np.ndarray | CompressedDiagonal) -> np.ndarray | CompressedDiagonal:
-        """Validate a user-provided cost diagonal."""
-        if isinstance(costs, CompressedDiagonal):
-            if len(costs) != self._n_states:
-                raise ValueError(
-                    f"cost diagonal has length {len(costs)}, expected {self._n_states}"
-                )
-            return costs
-        arr = np.asarray(costs, dtype=np.float64)
-        if arr.shape != (self._n_states,):
-            raise ValueError(
-                f"cost diagonal has shape {arr.shape}, expected ({self._n_states},)"
-            )
-        return arr
+    def _ingest_costs(self, costs: np.ndarray) -> np.ndarray:
+        """Validate a user-provided cost diagonal (as C-contiguous float64)."""
+        return self._resolve_costs(costs)
 
     def _post_init(self) -> None:
         """Hook for backends that stage data onto a device / across ranks."""
@@ -367,11 +352,6 @@ class QAOAFastSimulatorBase(abc.ABC):
         """State-vector amplitude dtype (complex128 or complex64)."""
         return self._precision.complex_dtype
 
-    @property
-    def real_dtype(self) -> np.dtype:
-        """Phase-diagonal dtype matching the state (float64 or float32)."""
-        return self._precision.real_dtype
-
     def get_cost_diagonal(self) -> np.ndarray:
         """The precomputed cost vector as a **read-only** host float64 array.
 
@@ -382,47 +362,7 @@ class QAOAFastSimulatorBase(abc.ABC):
         corrupt state far beyond this simulator.  Copy before mutating
         (``diag.copy()``).
         """
-        if isinstance(self._hamiltonian_host, CompressedDiagonal):
-            diag = self._hamiltonian_host.decompress()
-            diag.flags.writeable = False
-            return diag
-        return _readonly_view(np.asarray(self._hamiltonian_host))
-
-    def _default_costs(self) -> np.ndarray:
-        """The resolved float64 default diagonal, decompressed at most once.
-
-        For a :class:`~repro.fur.diagonal.CompressedDiagonal` problem,
-        :meth:`get_cost_diagonal` reconstructs the full 2^n float vector on
-        every call; the hot paths (one phase application per layer, one
-        objective reduction per evaluation) go through this cache instead so
-        a depth-1000 simulation pays for exactly one decompression.
-        """
-        if self._costs_cache is None:
-            with self._derived_lock:
-                if self._costs_cache is None:
-                    self._costs_cache = self.get_cost_diagonal()
-        return self._costs_cache
-
-    def _phase_costs(self) -> np.ndarray:
-        """The default diagonal at the state's matching real dtype (cached).
-
-        The phase operator streams the diagonal alongside the full state
-        every layer, so at single precision it reads a float32 copy — half
-        the diagonal traffic and phase factors computed directly at state
-        precision.  At double precision this is exactly
-        :meth:`_default_costs` (no copy).  Expectation reductions never use
-        this view; they accumulate in float64 via :meth:`_default_costs`.
-        """
-        if self._phase_costs_cache is None:
-            with self._derived_lock:
-                if self._phase_costs_cache is None:
-                    costs = self._default_costs()
-                    if costs.dtype == self._precision.real_dtype:
-                        self._phase_costs_cache = costs
-                    else:
-                        self._phase_costs_cache = np.ascontiguousarray(
-                            costs, dtype=self._precision.real_dtype)
-        return self._phase_costs_cache
+        return self._costs
 
     def _diagonal_phase_table(self) -> DiagonalPhaseTable | None:
         """Unique-value phase table for the default diagonal (lazy, cached).
@@ -433,7 +373,7 @@ class QAOAFastSimulatorBase(abc.ABC):
         if not self._phase_table_built:
             with self._derived_lock:
                 if not self._phase_table_built:
-                    self._phase_table_cache = build_phase_table(self._default_costs())
+                    self._phase_table_cache = build_phase_table(self._costs)
                     self._phase_table_built = True
         return self._phase_table_cache
 
@@ -443,7 +383,7 @@ class QAOAFastSimulatorBase(abc.ABC):
         """The per-simulator :class:`~repro.fur.engine.ExecutionEngine`.
 
         Constructed lazily on first use; its compiled-plan cache lives next
-        to the resolved-diagonal and phase-table caches of this simulator.
+        to the phase-table cache of this simulator.
         """
         if self._execution_engine is None:
             from .engine import ExecutionEngine  # deferred: engine imports base
@@ -493,7 +433,7 @@ class QAOAFastSimulatorBase(abc.ABC):
 
     def get_expectation_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                               betas_batch: Sequence[Sequence[float]] | np.ndarray,
-                              costs: np.ndarray | CompressedDiagonal | None = None,
+                              costs: np.ndarray | None = None,
                               sv0: np.ndarray | None = None, *,
                               memory_budget: float | None = None,
                               optimize: str | None = None,
@@ -643,13 +583,11 @@ class QAOAFastSimulatorBase(abc.ABC):
         """
         return host_probabilities(np.asarray(result), preserve_state)
 
-    def _resolve_costs(self, costs: np.ndarray | CompressedDiagonal | None) -> np.ndarray:
+    def _resolve_costs(self, costs: np.ndarray | None) -> np.ndarray:
         """Pick between a user-supplied diagonal and the precomputed one."""
         if costs is None:
-            return self._default_costs()
-        if isinstance(costs, CompressedDiagonal):
-            return costs.decompress()
-        arr = np.asarray(costs, dtype=np.float64)
+            return self._costs
+        arr = np.ascontiguousarray(costs, dtype=np.float64)
         if arr.shape != (self._n_states,):
             raise ValueError(
                 f"cost diagonal has shape {arr.shape}, expected ({self._n_states},)"
@@ -657,7 +595,7 @@ class QAOAFastSimulatorBase(abc.ABC):
         return arr
 
     def get_expectation(self, result: Any,
-                        costs: np.ndarray | CompressedDiagonal | None = None,
+                        costs: np.ndarray | None = None,
                         preserve_state: bool = True, **kwargs: Any) -> float:
         """QAOA objective ``<γβ|Ĉ|γβ>`` — one inner product with the diagonal.
 
@@ -675,7 +613,7 @@ class QAOAFastSimulatorBase(abc.ABC):
             self._release_batch_costs(staged)
 
     def get_overlap(self, result: Any,
-                    costs: np.ndarray | CompressedDiagonal | None = None,
+                    costs: np.ndarray | None = None,
                     indices: np.ndarray | Sequence[int] | None = None,
                     preserve_state: bool = True, **kwargs: Any) -> float:
         """Probability of measuring an optimal (minimal-cost) basis state.

@@ -30,14 +30,17 @@ precomputation communication-free in the distributed setting (each rank
 computes exactly its slice of the cost vector, Sec. III-C), at the price of
 rounding a slice out to whole blocks.
 
-Memory notes reproduced from the paper:
+What a simulator holds, at either state precision:
 
-* LABS cost values are non-negative integers below 2¹⁶ for n < 65, so the
-  diagonal can be stored as ``uint16`` (``CompressedDiagonal``), adding 2
-  bytes per 16-byte complex128 amplitude — the **12.5 %** memory overhead
-  quoted in the paper's abstract (``diagonal_memory_overhead``);
-* a full-precision float64 diagonal costs 8 bytes per amplitude (50 %) and is
-  the default for problems with non-integer weights.
+* the float64 cost vector, read-only (``get_cost_diagonal()``, shared with
+  the diagonal cache): 8 bytes per amplitude, read by the expectation
+  reductions and by the direct phase;
+* when the diagonal takes at most ``min(2^16, 2^n / 8)`` distinct values
+  (LABS, unweighted MaxCut), one :class:`DiagonalPhaseTable`: the sorted
+  distinct values and a ``uint16`` index per basis state — the paper's
+  storage (Sec. V-B), 2 bytes per 16-byte complex128 amplitude, the
+  **12.5 %** overhead quoted in its abstract
+  (``diagonal_memory_overhead``).  The phase kernels gather through it.
 """
 
 from __future__ import annotations
@@ -62,10 +65,10 @@ __all__ = [
     "precompute_cost_diagonal_slice",
     "precompute_cost_diagonal_from_function",
     "apply_terms_to_slice",
-    "CompressedDiagonal",
-    "compress_diagonal",
     "DiagonalPhaseTable",
     "build_phase_table",
+    "PHASE_TABLE_MAX_VALUES",
+    "PHASE_TABLE_MAX_FRACTION",
     "diagonal_memory_bytes",
     "diagonal_memory_overhead",
     "DEFAULT_CHUNK_SIZE",
@@ -114,7 +117,7 @@ def _check_floating(dtype: np.dtype | type, what: str) -> None:
     """Reject integer (and complex) output types before they truncate costs."""
     if not np.issubdtype(np.dtype(dtype), np.floating):
         raise ValueError(f"{what} must have a floating dtype, got {np.dtype(dtype)}; "
-                         "use compress_diagonal for integer storage")
+                         "integer storage is the uint16 index of build_phase_table")
 
 
 def _block_spectra(low: np.ndarray, high: np.ndarray, weights: np.ndarray,
@@ -211,8 +214,8 @@ def precompute_cost_diagonal(terms: Iterable[tuple[float, Iterable[int]]],
         Number of qubits; inferred from the largest index if omitted.
     dtype:
         Floating output dtype (``float64`` by default; ``float32`` supported
-        for reduced-memory studies).  Integer storage goes through
-        :func:`compress_diagonal`.
+        for reduced-memory studies).  Integer storage is the ``uint16``
+        index of :func:`build_phase_table`.
     chunk_size:
         Number of basis states per vectorized step.
     out:
@@ -246,10 +249,12 @@ def precompute_cost_diagonal_slice(terms: Iterable[tuple[float, Iterable[int]]],
                                    chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
     """Precompute only the cost-vector slice ``[start, stop)``.
 
-    Used by the distributed simulators (Sec. III-C): each rank computes the
+    The distributed precomputation (Sec. III-C): each rank computes the
     slice corresponding to its portion of the state vector, with no
-    communication.  The slice is bitwise equal to the same range of
-    :func:`precompute_cost_diagonal`, whatever the bounds and ``chunk_size``.
+    communication (the sharded simulators write the same slices straight
+    into their one host vector).  The slice is bitwise equal to the same
+    range of :func:`precompute_cost_diagonal`, whatever the bounds and
+    ``chunk_size``.
     """
     size = 1 << n_qubits
     if not (0 <= start <= stop <= size):
@@ -291,88 +296,16 @@ def precompute_cost_diagonal_from_function(func: Callable[[np.ndarray], float],
 
 
 # ---------------------------------------------------------------------------
-# Compressed (integer) diagonals — Sec. V-B: uint16 storage for LABS at scale.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompressedDiagonal:
-    """Integer-compressed cost diagonal ``costs[x] = scale * stored[x] + shift``.
-
-    The paper stores the LABS diagonal as ``uint16`` (its values are
-    non-negative integers below 2¹⁶ for n < 65), reducing the memory overhead
-    of precomputation from 12.5 % to under 2 %.  This container generalizes the
-    trick to any affine integer encoding.
-    """
-
-    values: np.ndarray
-    scale: float
-    shift: float
-
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the stored representation."""
-        return int(self.values.nbytes)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
-    def decompress(self, dtype: np.dtype | type = np.float64) -> np.ndarray:
-        """Reconstruct the float cost vector.
-
-        ``dtype`` may be a NumPy scalar type (``np.float32``) or a ``np.dtype``
-        instance (``np.dtype("float32")``) — dtype instances are not callable,
-        so the affine parameters go through ``np.dtype(dtype).type``.
-        """
-        scalar = np.dtype(dtype).type
-        return (self.values.astype(dtype) * scalar(self.scale)) + scalar(self.shift)
-
-    def __getitem__(self, item) -> np.ndarray:
-        """Decompressed access to a slice (used by phase-operator kernels)."""
-        return self.values[item].astype(np.float64) * self.scale + self.shift
-
-
-def compress_diagonal(costs: np.ndarray, *, dtype: np.dtype | type = np.uint16,
-                      rtol: float = 1e-9) -> CompressedDiagonal:
-    """Compress a float cost vector into an integer representation.
-
-    The costs must be (approximately) integer multiples of a common scale after
-    subtracting their minimum; for LABS with the standard formulation they are
-    exact non-negative integers and compress losslessly into ``uint16`` for
-    n < 65.  Raises ``ValueError`` if the values do not fit the target dtype or
-    are not close to an integer grid.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.size == 0:
-        raise ValueError("cannot compress an empty diagonal")
-    info = np.iinfo(dtype)
-    shift = float(costs.min())
-    shifted = costs - shift
-    max_val = float(shifted.max())
-    if max_val == 0.0:
-        scale = 1.0
-    else:
-        # Use the greatest common scale consistent with integer storage: try
-        # scale 1 first (typical integer-valued objectives such as LABS and
-        # unweighted MaxCut), otherwise scale so the max maps to the dtype max.
-        if np.allclose(shifted, np.round(shifted), rtol=0, atol=rtol * max(1.0, max_val)) \
-                and np.round(max_val) <= info.max:
-            scale = 1.0
-        else:
-            scale = max_val / info.max
-    quantized = np.round(shifted / scale)
-    if quantized.max() > info.max or quantized.min() < info.min:
-        raise ValueError(
-            f"cost values spanning [{costs.min()}, {costs.max()}] do not fit dtype {np.dtype(dtype)}"
-        )
-    if not np.allclose(quantized * scale, shifted, rtol=0, atol=max(rtol * max(1.0, max_val), 1e-12)):
-        raise ValueError("cost values are not representable on an integer grid; "
-                         "refusing lossy compression (pass a float dtype instead)")
-    return CompressedDiagonal(values=quantized.astype(dtype), scale=float(scale), shift=shift)
-
-
-# ---------------------------------------------------------------------------
 # Phase tables — unique-value factorization of the phase operator.
 # ---------------------------------------------------------------------------
+
+#: Most distinct values a phase table holds: its index is ``uint16``.
+PHASE_TABLE_MAX_VALUES: int = 1 << 16
+
+#: Most distinct values a phase table holds, as a fraction of the diagonal
+#: length (2^n / 8 at full length).
+PHASE_TABLE_MAX_FRACTION: float = 0.125
+
 
 @dataclass(frozen=True)
 class DiagonalPhaseTable:
@@ -389,7 +322,8 @@ class DiagonalPhaseTable:
 
     #: sorted distinct cost values, shape (U,)
     unique_values: np.ndarray
-    #: index of each basis state's cost in ``unique_values``, shape (2^n,)
+    #: index of each basis state's cost in ``unique_values``, shape (2^n,),
+    #: ``uint16``
     inverse: np.ndarray
 
     @property
@@ -427,19 +361,19 @@ class DiagonalPhaseTable:
         return out
 
 
-def build_phase_table(costs: np.ndarray, *,
-                      max_unique_fraction: float = 0.125) -> DiagonalPhaseTable | None:
+def build_phase_table(costs: np.ndarray) -> DiagonalPhaseTable | None:
     """Build a :class:`DiagonalPhaseTable` when the diagonal is repetitive enough.
 
     Returns ``None`` when the distinct-value count exceeds
-    ``max_unique_fraction`` of the diagonal length (e.g. generic
+    :data:`PHASE_TABLE_MAX_VALUES` (the ``uint16`` index) or
+    :data:`PHASE_TABLE_MAX_FRACTION` of the diagonal length (e.g. generic
     real-weighted problems, where almost every basis state has a distinct
     cost): those diagonals take the direct phase, one vectorized sin/cos
     per amplitude.  The gather is the cheaper of the two on the ``cc``
     rung, but not by much — one-row fused phase + X mixer, n=18
     complex64, 2-vCPU Xeon, median ms: no phase 0.71, table 0.85, direct
-    1.22 — while its index array costs a set-up pass and 8 bytes per
-    amplitude, so the limit keeps it for repetitive diagonals only.
+    1.22 — while its index costs a set-up pass and 2 bytes per amplitude,
+    so the limit keeps it for repetitive diagonals only.
 
     Integer-valued diagonals whose range spans fewer values than the
     diagonal has entries (LABS, unweighted MaxCut) get their distinct
@@ -450,19 +384,24 @@ def build_phase_table(costs: np.ndarray, *,
     arr = np.asarray(costs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("phase table requires a non-empty 1-D cost diagonal")
-    if not 0.0 < max_unique_fraction <= 1.0:
-        raise ValueError("max_unique_fraction must be in (0, 1]")
-    limit = max(2, int(arr.size * max_unique_fraction))
-    found = _counted_unique(arr)
-    if found is None:
+    limit = max(2, min(PHASE_TABLE_MAX_VALUES,
+                       int(arr.size * PHASE_TABLE_MAX_FRACTION)))
+    offsets = _integer_offsets(arr)
+    if offsets is not None:
+        present = np.flatnonzero(np.bincount(offsets))
+        if present.size > limit:
+            return None
+        slot = np.zeros(int(present[-1]) + 1, dtype=np.uint16)
+        slot[present] = np.arange(present.size)
+        unique, inverse = present + arr.min(), slot[offsets]
+    else:
         # a subset's distinct count is a lower bound on the whole's
         if arr.size > limit + 1 and np.unique(arr[:limit + 1]).size > limit:
             return None
-        found = np.unique(arr, return_inverse=True)
-    unique, inverse = found
-    if unique.size > limit:
-        return None
-    inverse = np.ascontiguousarray(inverse, dtype=np.intp)
+        unique, inverse = np.unique(arr, return_inverse=True)
+        if unique.size > limit:
+            return None
+        inverse = inverse.astype(np.uint16)
     # Tables are cached on simulators and inside compiled execution plans and
     # shared by every evaluation — read-only, like the diagonal cache.
     unique.setflags(write=False)
@@ -470,10 +409,10 @@ def build_phase_table(costs: np.ndarray, *,
     return DiagonalPhaseTable(unique_values=unique, inverse=inverse)
 
 
-def _counted_unique(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``np.unique(arr, return_inverse=True)`` by a ``bincount`` over
-    ``arr - min``, or ``None`` unless ``arr`` holds integers of magnitude
-    at most 2^53 whose range spans fewer values than ``arr`` has entries."""
+def _integer_offsets(arr: np.ndarray) -> np.ndarray | None:
+    """``arr - min(arr)`` as int64, or ``None`` unless ``arr`` holds
+    integers of magnitude at most 2^53 whose range spans fewer values than
+    ``arr`` has entries (then the distinct values can be counted)."""
     lo, hi = float(arr.min()), float(arr.max())
     if not (-2.0 ** 53 <= lo and hi <= 2.0 ** 53 and hi - lo < arr.size):
         return None  # also NaN and inf
@@ -481,10 +420,7 @@ def _counted_unique(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not np.array_equal(offsets, arr):
         return None
     offsets -= int(lo)
-    present = np.flatnonzero(np.bincount(offsets))
-    slot = np.zeros(int(present[-1]) + 1, dtype=np.intp)
-    slot[present] = np.arange(present.size)
-    return present + lo, slot[offsets]
+    return offsets
 
 
 def diagonal_memory_bytes(n_qubits: int, dtype: np.dtype | type = np.float64) -> int:
@@ -498,8 +434,7 @@ def diagonal_memory_overhead(n_qubits: int,
     """Relative memory overhead of storing the diagonal next to the state vector.
 
     A full-precision float64 diagonal next to a complex128 state vector is a
-    50 % overhead; the compressed uint16 diagonal used for LABS at scale
-    (Sec. V-B) is 2/16 = 12.5 %, which is the figure quoted in the paper's
-    abstract.
+    50 % overhead; the ``uint16`` phase-table index used for LABS (Sec. V-B)
+    is 2/16 = 12.5 %, which is the figure quoted in the paper's abstract.
     """
     return np.dtype(diag_dtype).itemsize / np.dtype(state_dtype).itemsize

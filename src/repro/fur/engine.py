@@ -46,7 +46,6 @@ import numpy as np
 
 from .base import validate_angle_batches
 from .capabilities import UnsupportedCapabilityError, require_capability
-from .diagonal import CompressedDiagonal
 from .rewrite import (
     ExpectationOp,
     FusedMixerExpectationOp,
@@ -503,7 +502,7 @@ class ExecutionEngine:
         return results
 
     def expectation_batch(self, gammas_batch, betas_batch,
-                          costs: np.ndarray | CompressedDiagonal | None = None,
+                          costs: np.ndarray | None = None,
                           sv0: np.ndarray | None = None, *,
                           memory_budget: float | None = None,
                           optimize: str | None = None, **kwargs: Any) -> np.ndarray:

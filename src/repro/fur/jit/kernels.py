@@ -120,7 +120,7 @@ _SPLIT_MIN_STATES = 1 << 16
 #: angles stay far below this limit.
 _PHASE_DIRECT_LIMIT = 1e5
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_U16 = np.empty(0, dtype=np.uint16)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
@@ -371,11 +371,11 @@ static inline void cmul_@SUF@(@REAL@ *a, @REAL@ fr, @REAL@ fi)
  * span it falls in. */
 static void phase_span_@SUF@(@REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
                              int mode, const @REAL@ *factors_row,
-                             const int64_t *inverse, double gamma,
-                             const @REAL@ *pcosts)
+                             const uint16_t *inverse, double gamma,
+                             const double *pcosts)
 {
     if (mode == 1) {
-        const int64_t *idx = inverse + s0;
+        const uint16_t *idx = inverse + s0;
         for (ptrdiff_t i = 0; i < len; ++i) {
             @REAL@ fr = factors_row[2 * idx[i]];
             @REAL@ fi = factors_row[2 * idx[i] + 1], nfi = -fi;
@@ -384,20 +384,20 @@ static void phase_span_@SUF@(@REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
             tx[2 * i + 1] = ar * fi + ai * fr;
         }
     } else if (mode == 2) {
-        const @REAL@ *cost = pcosts + s0;
+        const double *cost = pcosts + s0;
         int wide = 0;
         for (ptrdiff_t i = 0; i < len; ++i)
-            wide |= !(fabs(gamma * (double)cost[i]) <= PHASE_DIRECT_LIMIT);
+            wide |= !(fabs(gamma * cost[i]) <= PHASE_DIRECT_LIMIT);
         if (!wide) {
             for (ptrdiff_t i = 0; i < len; ++i) {
                 double sn, cs;
-                sincos_direct(-gamma * (double)cost[i], &sn, &cs);
+                sincos_direct(-gamma * cost[i], &sn, &cs);
                 cmul_@SUF@(tx + 2 * i, (@REAL@)cs, (@REAL@)sn);
             }
             return;
         }
         for (ptrdiff_t i = 0; i < len; ++i) {
-            double th = -gamma * (double)cost[i], sn, cs;
+            double th = -gamma * cost[i], sn, cs;
             if (fabs(th) <= PHASE_DIRECT_LIMIT) {
                 sincos_direct(th, &sn, &cs);
             } else {
@@ -429,8 +429,8 @@ static double reduce_span_@SUF@(const @REAL@ *tx, ptrdiff_t s0, ptrdiff_t len,
  * multiply, then every butterfly whose stride fits the tile (q < t) */
 void jit_furx_tiles_@SUF@(@REAL@ *x, int n_qubits, ptrdiff_t k0,
                           ptrdiff_t k1, double cd, double sd, int mode,
-                          const @REAL@ *factors_row, const int64_t *inverse,
-                          double gamma, const @REAL@ *pcosts, int tile_q)
+                          const @REAL@ *factors_row, const uint16_t *inverse,
+                          double gamma, const double *pcosts, int tile_q)
 {
     const int t = tile_q < n_qubits ? tile_q : n_qubits;
     const ptrdiff_t T = (ptrdiff_t)1 << t;
@@ -488,8 +488,8 @@ void jit_furx_groups_@SUF@(@REAL@ *x, int n_qubits, int q_end,
  * tiles, then all column groups */
 static void furx_row_@SUF@(@REAL@ *x, int n_qubits, int q_end, @REAL@ c,
                            @REAL@ s, int mode, const @REAL@ *factors_row,
-                           const int64_t *inverse, double gamma,
-                           const @REAL@ *pcosts, int tile_q)
+                           const uint16_t *inverse, double gamma,
+                           const double *pcosts, int tile_q)
 {
     const int t = tile_q < n_qubits ? tile_q : n_qubits;
     jit_furx_tiles_@SUF@(x, n_qubits, 0, (ptrdiff_t)1 << (n_qubits - t), c,
@@ -507,8 +507,8 @@ void jit_rotx_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
                     const double *cs, const double *ss,
                     const int64_t *positions, int n_positions, int mode,
                     const @REAL@ *factors, ptrdiff_t n_unique,
-                    const int64_t *inverse, const double *gammas,
-                    const @REAL@ *pcosts, int tile_q)
+                    const uint16_t *inverse, const double *gammas,
+                    const double *pcosts, int tile_q)
 {
     const ptrdiff_t n = (ptrdiff_t)1 << n_qubits;
     int full = n_positions == n_qubits;
@@ -538,8 +538,8 @@ void jit_rotx_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
 void jit_furx_expec_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
                           const double *cs, const double *ss, int mode,
                           const @REAL@ *factors, ptrdiff_t n_unique,
-                          const int64_t *inverse, const double *gammas,
-                          const @REAL@ *pcosts, int tile_q,
+                          const uint16_t *inverse, const double *gammas,
+                          const double *pcosts, int tile_q,
                           const double *ecosts, double *out)
 {
     const ptrdiff_t n = (ptrdiff_t)1 << n_qubits, half = n >> 1;
@@ -565,8 +565,8 @@ void jit_furx_expec_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
 
 void jit_phase_@SUF@(@REAL@ *block, ptrdiff_t rows, ptrdiff_t n_states,
                      int mode, const @REAL@ *factors, ptrdiff_t n_unique,
-                     const int64_t *inverse, const double *gammas,
-                     const @REAL@ *pcosts)
+                     const uint16_t *inverse, const double *gammas,
+                     const double *pcosts)
 {
     for (ptrdiff_t r = 0; r < rows; ++r)
         phase_span_@SUF@(block + 2 * r * n_states, 0, n_states, mode,
@@ -589,8 +589,8 @@ void jit_furxy_@SUF@(@REAL@ *block, ptrdiff_t rows, int n_qubits,
                      const double *cs, const double *ss, int n_trotters,
                      const int64_t *edges, ptrdiff_t n_edges, int mode,
                      const @REAL@ *factors, ptrdiff_t n_unique,
-                     const int64_t *inverse, const double *gammas,
-                     const @REAL@ *pcosts)
+                     const uint16_t *inverse, const double *gammas,
+                     const double *pcosts)
 {
     const ptrdiff_t n = (ptrdiff_t)1 << n_qubits;
     for (ptrdiff_t r = 0; r < rows; ++r) {
@@ -915,11 +915,6 @@ def ensure_kernels(dtype: Any, n_qubits: int, mixer: str) -> float:
         return _c_build_seconds
 
 
-def _real_dtype(dtype: np.dtype) -> np.dtype:
-    return np.dtype(np.float32 if np.dtype(dtype) == np.complex64
-                    else np.float64)
-
-
 # --------------------------------------------------------------------------
 # Shared argument staging.
 # --------------------------------------------------------------------------
@@ -944,23 +939,23 @@ def _phase_args(block: np.ndarray, gammas: np.ndarray | None,
     ``cc`` rung's branch-free vectorized sin/cos, within 1 ulp of libm,
     and libm's own bits for any ``|γ·c|`` above ``_PHASE_DIRECT_LIMIT``.
     All arrays come back C-contiguous at the dtypes the compiled kernels
-    expect (complex factors at block dtype, int64 inverse, float64 gammas,
-    real costs at the block's real dtype).
+    expect (complex factors at block dtype, the table's ``uint16``
+    inverse, float64 gammas, float64 costs) — the arrays a simulator holds,
+    passed without a copy.
     """
-    real = _real_dtype(block.dtype)
+    empty = np.empty((0, 0), dtype=block.dtype)
     if gammas is None:
-        return (0, np.empty((0, 0), dtype=block.dtype), _EMPTY_I64,
-                _EMPTY_F64, np.empty(0, dtype=real))
+        return 0, empty, _EMPTY_U16, _EMPTY_F64, _EMPTY_F64
     g = np.ascontiguousarray(gammas, dtype=np.float64)
     if phase_table is not None:
         factors = np.ascontiguousarray(
             phase_table.factors_batch(g, dtype=block.dtype))
-        inverse = np.ascontiguousarray(phase_table.inverse, dtype=np.int64)
-        return 1, factors, inverse, g, np.empty(0, dtype=real)
+        inverse = np.ascontiguousarray(phase_table.inverse, dtype=np.uint16)
+        return 1, factors, inverse, g, _EMPTY_F64
     if costs is None:
         raise ValueError("phase application needs a phase_table or costs")
-    pcosts = np.ascontiguousarray(costs, dtype=real)
-    return 2, np.empty((0, 0), dtype=block.dtype), _EMPTY_I64, g, pcosts
+    pcosts = np.ascontiguousarray(costs, dtype=np.float64)
+    return 2, empty, _EMPTY_U16, g, pcosts
 
 
 def _ptr(arr: np.ndarray):

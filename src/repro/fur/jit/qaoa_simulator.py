@@ -49,7 +49,7 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
     def _apply_phase_block(self, block: np.ndarray, gammas: np.ndarray,
                            plan: Any) -> None:
         kernels.phase_block(block, gammas, phase_table=plan.phase_tables,
-                            costs=self._phase_costs())
+                            costs=self._costs)
 
     def _block_expectations(self, block: np.ndarray,
                             costs: np.ndarray) -> np.ndarray:
@@ -97,7 +97,7 @@ class QAOAFURXSimulatorJIT(JITMixerScratch, _QAOAFURJITSimulatorBase):
         """FusedPhaseMixerOp kernel: phase + all butterflies, tile by tile."""
         kernels.furx_phase_block(block, gammas, betas,
                                  phase_table=plan.phase_tables,
-                                 costs=self._phase_costs(), scratch=scratch)
+                                 costs=self._costs, scratch=scratch)
 
     def _apply_mixer_expectation_block(self, block: np.ndarray,
                                        gammas: np.ndarray | None,
@@ -107,7 +107,7 @@ class QAOAFURXSimulatorJIT(JITMixerScratch, _QAOAFURJITSimulatorBase):
         """FusedMixerExpectationOp kernel: the reduction rides the sweep."""
         return kernels.furx_expectation_block(block, gammas, betas, costs,
                                               phase_table=plan.phase_tables,
-                                              costs=self._phase_costs(),
+                                              costs=self._costs,
                                               scratch=scratch)
 
 
@@ -131,7 +131,7 @@ class _QAOAFURXYJITSimulatorBase(_QAOAFURJITSimulatorBase):
         kernels.furxy_block(block, gammas, betas, edges=self._edges,
                             n_trotters=getattr(op, "n_trotters", 1),
                             phase_table=plan.phase_tables,
-                            costs=self._phase_costs())
+                            costs=self._costs)
 
 
 class QAOAFURXYRingSimulatorJIT(_QAOAFURXYJITSimulatorBase):

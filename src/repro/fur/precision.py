@@ -11,18 +11,20 @@ budget.
 This module defines the precision vocabulary threaded through every backend:
 
 * :class:`PrecisionSpec` — one named precision: the complex dtype of the
-  state vector and the matching real dtype used for phase-operator diagonals
-  and gathered phase tables;
+  state vector;
 * :data:`DOUBLE` / :data:`SINGLE` — the two supported precisions
-  (``complex128``/``float64`` and ``complex64``/``float32``);
+  (``complex128`` and ``complex64``);
 * :func:`resolve_precision` — permissive normalization of user spellings
   (``"single"``, ``"fp32"``, ``np.complex64``, ...) to a spec.
 
 Numerical policy (pinned by the test-suite): the *state* and the *phase
-factors* follow the selected precision, but expectation values are always
-accumulated in ``float64`` regardless of the state dtype — reductions over
-2^n float32 partial products would otherwise lose digits the bandwidth
-saving does not pay for.
+factors* follow the selected precision; nothing else does.  The cost
+diagonal is the same float64 vector (plus, for repetitive diagonals, the
+``uint16`` phase-table index) at both precisions: phase angles are computed
+in double and each factor is rounded once to the state's precision, and
+expectation values square the amplitudes and accumulate in ``float64`` —
+reductions over 2^n float32 partial products would otherwise lose digits
+the bandwidth saving does not pay for.
 """
 
 from __future__ import annotations
@@ -42,14 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrecisionSpec:
-    """One named simulation precision and its dtype pair."""
+    """One named simulation precision and its state dtype."""
 
     #: canonical name ("double" or "single")
     name: str
     #: dtype of state-vector amplitudes
     complex_dtype: np.dtype
-    #: dtype of phase-operator diagonals / phase tables matching the state
-    real_dtype: np.dtype
 
     @property
     def complex_itemsize(self) -> int:
@@ -62,8 +62,8 @@ class PrecisionSpec:
         return self.name == "double"
 
 
-DOUBLE = PrecisionSpec("double", np.dtype(np.complex128), np.dtype(np.float64))
-SINGLE = PrecisionSpec("single", np.dtype(np.complex64), np.dtype(np.float32))
+DOUBLE = PrecisionSpec("double", np.dtype(np.complex128))
+SINGLE = PrecisionSpec("single", np.dtype(np.complex64))
 
 #: Canonical precision names, default first.
 KNOWN_PRECISIONS: tuple[str, ...] = (DOUBLE.name, SINGLE.name)

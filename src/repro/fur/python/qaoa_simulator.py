@@ -47,6 +47,11 @@ _BATCH_PHASE_CHUNK: int = 1 << 20
 #: chunks in order) is the same whatever batch the row rides in.
 _EXPECTATION_COLUMNS: int = 1 << 14
 
+#: Amplitudes per step of the expectation reduction (one chunk of columns
+#: when that is wider): it bounds the step's two float64 temporaries,
+#: however many rows and segments the block has.
+_EXPECTATION_STEP: int = 1 << 13
+
 
 class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
     """Shared host-NumPy simulation loop; subclasses supply the mixer."""
@@ -59,13 +64,10 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
     def _apply_phase(self, sv: np.ndarray, gamma: float) -> None:
         """Phase operator: ``sv[x] *= exp(-i γ c[x])`` (Algorithm 3, line 4).
 
-        Uses the per-simulator resolved-diagonal cache: for a
-        :class:`~repro.fur.diagonal.CompressedDiagonal` problem the 2^n float
-        vector is decompressed exactly once, not once per layer.  The phase
-        factors are evaluated at the state's precision (float32 costs with a
-        weak complex scalar yield complex64 factors for single precision).
+        The factors are evaluated in double from the float64 diagonal and
+        rounded once to the state's precision by the in-place multiply.
         """
-        sv *= np.exp(self._phase_costs() * (-1j * gamma))
+        sv *= np.exp(self._costs * (-1j * gamma))
 
     def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
                       sv0: np.ndarray | None = None, *, n_trotters: int = 1,
@@ -132,8 +134,8 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         unique-value phase table applies, one ``exp`` over the ``(rows, U)``
         distinct values plus per-row gathers (into the per-sub-batch gather
         buffer) replaces ``rows · 2^n`` transcendentals; otherwise the
-        exponential is evaluated directly, chunked over basis states so the
-        ``(rows, chunk)`` temporaries stay bounded.
+        exponential is evaluated directly in double, chunked over basis
+        states so the ``(rows, chunk)`` temporaries stay bounded.
         """
         table = plan.phase_tables
         rows, n = block.shape
@@ -144,8 +146,8 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
                 np.take(factors[r], table.inverse, out=buf)
                 block[r] *= buf
             return
-        costs = self._phase_costs()
-        coeff = (-1j * gammas).astype(block.dtype)
+        costs = self._costs
+        coeff = -1j * gammas
         cols = max(1, _BATCH_PHASE_CHUNK // rows)
         for s in range(0, n, cols):
             e = min(s + cols, n)
@@ -176,25 +178,30 @@ def _segment_expectations(block: np.ndarray, costs: np.ndarray,
     """``(rows, n // width)`` sums ``Σ c[x] |ψ_x|²`` over each row's
     segments of ``width`` basis states.
 
-    Every row and segment reduces on its own (multiply, then a pairwise sum
-    along the row per chunk of at most ``_EXPECTATION_COLUMNS`` states, the
-    chunks in order; no BLAS product grouping rows), so a sum's bits
-    depend only on ``width``, never on the batch or on how the rows are
-    split.  Rows go in groups that keep the temporaries near
-    ``_BATCH_PHASE_CHUNK`` elements.
+    Every row and segment reduces on its own (the float64 squares of the
+    widened amplitude parts times the costs, then a pairwise sum along the
+    row per chunk of at most ``_EXPECTATION_COLUMNS`` states, the chunks in
+    order; no BLAS product grouping rows), so a sum's bits depend only on
+    ``width``, never on the batch or on how the rows are split.  Rows and
+    segments go in groups of about ``_EXPECTATION_STEP`` amplitudes, which
+    bounds the temporaries.
     """
     rows, n = block.shape
     n_seg = n // width
     segments = block.reshape(rows, n_seg, width)
     seg_costs = costs.reshape(n_seg, width)
     cols = min(width, _EXPECTATION_COLUMNS)
-    step = max(1, _BATCH_PHASE_CHUNK // (n_seg * cols))
+    segs = max(1, _EXPECTATION_STEP // cols)
+    step = max(1, segs // n_seg)
     out = np.zeros((rows, n_seg), dtype=np.float64)
     for r0 in range(0, rows, step):
-        for s in range(0, width, cols):
-            blk = segments[r0:r0 + step, :, s:s + cols]
-            probs = blk.real ** 2 + blk.imag ** 2
-            out[r0:r0 + step] += (probs * seg_costs[:, s:s + cols]).sum(axis=2)
+        for j0 in range(0, n_seg, segs):
+            for s in range(0, width, cols):
+                blk = segments[r0:r0 + step, j0:j0 + segs, s:s + cols]
+                probs = np.square(blk.real, dtype=np.float64)
+                probs += np.square(blk.imag, dtype=np.float64)
+                probs *= seg_costs[j0:j0 + segs, s:s + cols]
+                out[r0:r0 + step, j0:j0 + segs] += probs.sum(axis=2)
     return out
 
 
@@ -220,7 +227,7 @@ class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
         """FusedPhaseMixerOp kernel: the phase rides the first gemm pass."""
         furx_phase_all_batch(block, gammas, betas, self._n_qubits,
                              phase_table=plan.phase_tables,
-                             costs=self._phase_costs(), scratch=scratch,
+                             costs=self._costs, scratch=scratch,
                              phase_buf=self._gather_buffer())
 
     def _apply_mixer_expectation_block(self, block: np.ndarray,
@@ -237,7 +244,7 @@ class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
         if gammas is not None:
             out = furx_phase_all_batch(block, gammas, betas, self._n_qubits,
                                        phase_table=plan.phase_tables,
-                                       costs=self._phase_costs(), scratch=scratch,
+                                       costs=self._costs, scratch=scratch,
                                        phase_buf=self._gather_buffer(),
                                        copy_back=False)
         else:

@@ -48,7 +48,11 @@ import numpy as np
 
 from ...parallel.collectives import Message, TrafficTrace, alltoall
 from ..base import QAOAFastSimulatorBase, host_probabilities
-from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
+from ..diagonal import (
+    apply_terms_to_slice,
+    build_phase_table,
+    term_masks_and_weights,
+)
 from ..jit import kernels
 from ..python.furxy import complete_edges, ring_edges
 from ..python.qaoa_simulator import _segment_expectations
@@ -168,32 +172,21 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                                    self._n_shards)
 
     def _precompute_diagonal(self, terms) -> np.ndarray:
-        """Shard-local diagonal precomputation, then a host mirror."""
+        """Shard-local diagonal precomputation, each shard's slice written
+        straight into its part of the one host vector."""
+        masks, weights, offset = term_masks_and_weights(terms, self._n_qubits)
+        full = np.empty(self._n_states, dtype=np.float64)
         s = self.local_states
-        self._cost_slices = [
-            precompute_cost_diagonal_slice(terms, self._n_qubits,
-                                           r * s, (r + 1) * s)
-            for r in range(self._n_shards)
-        ]
-        return np.concatenate(self._cost_slices)
-
-    def _ingest_costs(self, costs):
-        host = super()._ingest_costs(costs)
-        full = (host.decompress() if hasattr(host, "decompress")
-                else np.asarray(host, dtype=np.float64))
-        s = self.local_states
-        self._cost_slices = [full[r * s:(r + 1) * s]
-                             for r in range(self._n_shards)]
-        return host
+        for r in range(self._n_shards):
+            apply_terms_to_slice(masks, weights, offset, r * s, (r + 1) * s,
+                                 out=full[r * s:(r + 1) * s])
+        return full
 
     def _post_init(self) -> None:
-        if self._precision.is_double:
-            self._phase_cost_slices = self._cost_slices
-        else:
-            self._phase_cost_slices = [
-                np.ascontiguousarray(c, dtype=self._precision.real_dtype)
-                for c in self._cost_slices
-            ]
+        #: each shard's cost slice: a view of the one float64 host vector
+        s = self.local_states
+        self._cost_slices = [self._costs[r * s:(r + 1) * s]
+                             for r in range(self._n_shards)]
         self._layout = ShardLayout(self._n_qubits, self.n_local_qubits)
         spent = kernels.ensure_kernels(self._precision.complex_dtype,
                                        self.n_local_qubits, self.mixer_name)
@@ -331,16 +324,15 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     # -- kernel-provider hooks (driven by repro.fur.engine) ------------------
     def _shard_phase(self, s: int, tables: tuple | None) -> dict:
         """Phase inputs of shard ``s``: its table (when the plan has them)
-        and its cost slice at the state's real dtype."""
+        and its float64 cost slice."""
         return {"phase_table": None if tables is None else tables[s],
-                "costs": self._phase_cost_slices[s]}
+                "costs": self._cost_slices[s]}
 
     def _engine_phase_tables(self) -> tuple:
         """Per-shard unique-value phase tables over the local diagonal slices."""
         tables = getattr(self, "_phase_table_slices", None)
         if tables is None:
-            tables = tuple(build_phase_table(np.asarray(c, dtype=np.float64))
-                           for c in self._cost_slices)
+            tables = tuple(build_phase_table(c) for c in self._cost_slices)
             self._phase_table_slices = tables
         return tables
 

@@ -69,32 +69,17 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
 
     # -- construction hooks ----------------------------------------------------
     def _precompute_diagonal(self, terms) -> np.ndarray:
-        """Precompute the diagonal *on the device* and mirror it on the host.
-
-        The host mirror is always float64 (the expectation-accumulation
-        policy); at single precision the device copy is downcast to float32 —
-        half the diagonal traffic of every phase kernel — via one modeled
-        cast kernel.
-        """
+        """Precompute the float64 diagonal *on the device* and mirror it on
+        the host (at both precisions, like every other backend)."""
         masks, weights, offset = term_masks_and_weights(terms, self._n_qubits)
-        full = device_precompute_diagonal(
+        self._costs_device = device_precompute_diagonal(
             self._device, masks, weights, offset, 0, self._n_states
         )
-        host = np.array(full.data, copy=True)
-        if self._precision.real_dtype != full.dtype:
-            cast = self._device.empty(self._n_states, dtype=self._precision.real_dtype)
-            cast.data[:] = full.data
-            self._device.charge_kernel(full.nbytes + cast.nbytes)
-            full.free()
-            full = cast
-        self._costs_device = full
-        return host
+        return np.array(self._costs_device.data, copy=True)
 
     def _ingest_costs(self, costs):
         host = super()._ingest_costs(costs)
-        host_arr = host.decompress() if hasattr(host, "decompress") else np.asarray(host, dtype=np.float64)
-        self._costs_device = self._device.to_device(
-            np.ascontiguousarray(host_arr, dtype=self._precision.real_dtype))
+        self._costs_device = self._device.to_device(host)
         return host
 
     # -- properties --------------------------------------------------------------
@@ -182,7 +167,7 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         freed by :meth:`_release_batch_costs`; the default diagonal reuses
         the always-resident device copy.
         """
-        if resolved is self._default_costs():
+        if resolved is self._costs:
             return self._costs_device
         return self._device.to_device(np.ascontiguousarray(resolved))
 
@@ -205,7 +190,7 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
                     preserve_state: bool = True, **kwargs: Any) -> float:
         """Ground-state overlap via a device-side gather + reduction."""
         if indices is None:
-            diag = self.get_cost_diagonal() if costs is None else self._resolve_costs(costs)
+            diag = self._resolve_costs(costs)
             indices = np.flatnonzero(diag == diag.min())
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:

@@ -64,7 +64,10 @@ class PerformanceModel:
     def __init__(self, topology: ClusterTopology = POLARIS_LIKE, *,
                  state_bytes: int = 16, diag_bytes: int = 2,
                  congestion_alpha: float = 0.5) -> None:
-        """``diag_bytes`` defaults to 2 (the uint16 compressed LABS diagonal).
+        """``diag_bytes`` defaults to 2: the ``uint16`` phase-table index the
+        simulators hold for repetitive diagonals (LABS, unweighted MaxCut) and
+        stream in the table phase.  Diagonals without a table stream the
+        float64 vector, 8 bytes, at either state precision.
 
         ``congestion_alpha`` models the loss of effective inter-node bandwidth
         under all-to-all traffic as the node count grows (bisection-bandwidth

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fur import base as B
-from repro.fur.diagonal import compress_diagonal
 from repro.fur.python import QAOAFURXSimulator
 
 
@@ -84,14 +83,17 @@ class TestConstructor:
         np.testing.assert_allclose(sim.get_cost_diagonal(), costs)
         assert sim.terms is None
 
-    def test_compressed_costs_accepted(self):
-        costs = np.arange(8, dtype=float)
-        sim = QAOAFURXSimulator(3, costs=compress_diagonal(costs))
-        np.testing.assert_allclose(sim.get_cost_diagonal(), costs)
-
-    def test_compressed_costs_wrong_length(self):
-        with pytest.raises(ValueError):
-            QAOAFURXSimulator(4, costs=compress_diagonal(np.arange(8.0)))
+    def test_integer_costs_held_as_float64(self):
+        """Integer costs become the read-only float64 vector; the compact
+        form is the phase table's uint16 index."""
+        costs = np.array([bin(x).count("1") for x in range(64)], dtype=np.uint16)
+        sim = QAOAFURXSimulator(6, costs=costs)
+        held = sim.get_cost_diagonal()
+        assert held.dtype == np.float64 and not held.flags.writeable
+        np.testing.assert_array_equal(held, costs)
+        table = sim._diagonal_phase_table()
+        assert table.inverse.dtype == np.uint16
+        np.testing.assert_array_equal(table.unique_values[table.inverse], costs)
 
     def test_terms_retrievable(self):
         terms = [(1.0, (0, 1)), (0.5, (2,))]

@@ -3,21 +3,23 @@
 Covers
 
 * fused == looped equivalence across backends x mixers x problem
-  constructions (``terms`` / ``costs`` array / ``CompressedDiagonal``),
+  constructions (``terms`` / float ``costs`` array / integer ``costs``
+  array),
 * sub-batch splitting under a memory budget,
 * the batched kernels against their per-row references,
 * the diagonal phase table,
-* regressions: ``CompressedDiagonal.decompress`` with ``np.dtype`` instances,
-  one-decompression-per-simulator on deep circuits, single default-diagonal
-  resolution across a per-row evaluation loop, and contiguous in-place
-  probabilities on the ``python`` backend.
+* regressions: the phase kernels of a deep circuit read the held diagonal
+  arrays with no copy, single default-diagonal resolution across a per-row
+  evaluation loop, and contiguous in-place probabilities on the ``python``
+  backend.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.fur import CompressedDiagonal, batch_block_rows, build_phase_table, compress_diagonal
+from repro.fur import batch_block_rows, build_phase_table
+from repro.fur.diagonal import PHASE_TABLE_MAX_FRACTION, PHASE_TABLE_MAX_VALUES
 from repro.fur.base import QAOAFastSimulatorBase
 from repro.fur.diagonal import precompute_cost_diagonal
 from repro.fur.python.furx import apply_su2, apply_su2_batch, furx_all, furx_all_batch
@@ -46,8 +48,8 @@ def _make_simulator(backend, mixer, construction, n=N):
     costs = reference.get_cost_diagonal().copy()
     if construction == "costs":
         return repro.simulator(n, costs=costs, backend=backend, mixer=mixer)
-    assert construction == "compressed"
-    return repro.simulator(n, costs=compress_diagonal(costs),
+    assert construction == "integer"
+    return repro.simulator(n, costs=costs.astype(np.uint16),
                            backend=backend, mixer=mixer)
 
 
@@ -63,7 +65,7 @@ def _labs_costs(n):
 class TestFusedBatchEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mixer", MIXERS)
-    @pytest.mark.parametrize("construction", ["terms", "costs", "compressed"])
+    @pytest.mark.parametrize("construction", ["terms", "costs", "integer"])
     def test_fused_matches_looped(self, backend, mixer, construction):
         sim = _make_simulator(backend, mixer, construction)
         rng = np.random.default_rng(hash((backend, mixer, construction)) % (2 ** 32))
@@ -335,18 +337,19 @@ class TestDiagonalPhaseTable:
         assert build_phase_table(rng.uniform(0, 1, 256)) is None
 
     @staticmethod
-    def _assert_matches_sorted_reference(costs, fraction=0.125):
+    def _assert_matches_sorted_reference(costs):
         # the table np.unique gives, or None where its count is over the limit
         unique, inverse = np.unique(costs, return_inverse=True)
-        expect_none = unique.size > max(2, int(costs.size * fraction))
-        table = build_phase_table(costs, max_unique_fraction=fraction)
-        if expect_none:
+        limit = min(PHASE_TABLE_MAX_VALUES,
+                    int(costs.size * PHASE_TABLE_MAX_FRACTION))
+        table = build_phase_table(costs)
+        if unique.size > max(2, limit):
             assert table is None
             return
         assert table is not None
         assert np.array_equal(table.unique_values, unique)
         assert np.array_equal(table.inverse, inverse)
-        assert table.inverse.dtype == np.intp
+        assert table.inverse.dtype == np.uint16
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_labs_matches_sorted_reference(self, n):
@@ -425,44 +428,58 @@ class TestDiagonalPhaseTable:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="non-empty"):
             build_phase_table(np.empty(0))
-        with pytest.raises(ValueError, match="max_unique_fraction"):
-            build_phase_table(np.ones(4), max_unique_fraction=0.0)
+        with pytest.raises(ValueError, match="1-D"):
+            build_phase_table(np.ones((2, 2)))
 
 
 class TestHotPathRegressions:
-    def test_decompress_accepts_dtype_instance(self):
-        compressed = compress_diagonal(np.array([0.0, 1.0, 2.0, 3.0]))
-        # np.dtype instances satisfy the annotated `np.dtype | type` contract
-        out = compressed.decompress(np.dtype(np.float32))
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(out, [0.0, 1.0, 2.0, 3.0])
-        out64 = compressed.decompress(np.dtype("float64"))
-        assert out64.dtype == np.float64
-        # the scalar-type spelling keeps working
-        np.testing.assert_allclose(compressed.decompress(np.float32), out)
-
     @pytest.mark.parametrize("backend", ["python", "c"])
-    def test_deep_compressed_simulation_decompresses_once(self, backend, monkeypatch):
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_deep_simulation_reads_the_held_diagonal(self, backend, precision,
+                                                     monkeypatch):
+        """Every phase of a deep circuit reads the simulator's own float64
+        vector or uint16 index: no per-layer (or per-simulator) copy."""
+        from repro.fur.jit import kernels
+        from repro.fur.python import furx
+        from repro.fur.python import qaoa_simulator as python_sim
+
         costs = repro.simulator(N, terms=labs.get_terms(N),
-                                backend="python").get_cost_diagonal().copy()
-        compressed = compress_diagonal(costs)
-        calls = {"n": 0}
-        original = CompressedDiagonal.decompress
+                                backend="python").get_cost_diagonal()
+        sim = repro.simulator(N, costs=costs.astype(np.uint16),
+                              backend=backend, precision=precision)
+        held = sim.get_cost_diagonal()
+        table = sim._diagonal_phase_table()
+        assert held.dtype == np.float64 and table.inverse.dtype == np.uint16
+        seen = []
+        original_args, original_fused = kernels._phase_args, furx.furx_phase_all_batch
 
-        def counting(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
+        def spy_args(block, gammas, phase_table, costs):
+            out = original_args(block, gammas, phase_table, costs)
+            seen.append(out[2] if out[0] == 1 else out[4])
+            return out
 
-        monkeypatch.setattr(CompressedDiagonal, "decompress", counting)
-        sim = repro.simulator(N, costs=compressed, backend=backend)
+        def spy_fused(block, gammas, betas, n_qubits, **kwargs):
+            seen.append(kwargs["phase_table"].inverse)
+            return original_fused(block, gammas, betas, n_qubits, **kwargs)
+
+        monkeypatch.setattr(kernels, "_phase_args", spy_args)
+        monkeypatch.setattr(furx, "furx_phase_all_batch", spy_fused)
+        monkeypatch.setattr(python_sim, "furx_phase_all_batch", spy_fused)
         rng = np.random.default_rng(0)
         p = 50
-        result = sim.simulate_qaoa(rng.uniform(0, 1, p), rng.uniform(0, 1, p))
-        sim.get_expectation(result)
-        assert calls["n"] == 1
+        sim.get_expectation_batch(rng.uniform(0, 1, (2, p)),
+                                  rng.uniform(0, 1, (2, p)))
+        if backend == "python":  # the reference loop's direct phase
+            result = sim.simulate_qaoa(rng.uniform(0, 1, p), rng.uniform(0, 1, p))
+            assert np.isfinite(sim.get_expectation(result))
+        assert seen
+        assert all(a is table.inverse or a is held for a in seen)
 
-    def test_default_batch_resolves_default_costs_once(self, monkeypatch):
+    def test_default_batch_reads_the_held_costs(self, monkeypatch):
+        """A per-row loop reduces against the held vector itself: nothing
+        resolves, decompresses or copies the default diagonal."""
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
+        assert sim._resolve_costs(None) is sim.get_cost_diagonal()
         calls = {"n": 0}
         original = type(sim).get_cost_diagonal
 
@@ -474,7 +491,7 @@ class TestHotPathRegressions:
         rng = np.random.default_rng(1)
         per_row_expectations(sim, rng.uniform(0, 1, (6, 2)),
                              rng.uniform(0, 1, (6, 2)))
-        assert calls["n"] == 1
+        assert calls["n"] == 0
 
     def test_python_inplace_probabilities_contiguous(self):
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
@@ -501,7 +518,7 @@ class TestOneRowExpectation:
         rng = np.random.default_rng(4)
         result = sim.simulate_qaoa(rng.uniform(0, 1, 3), rng.uniform(0, 1, 3))
         other = rng.integers(-20, 20, 1 << n).astype(np.float64)
-        for costs in (None, other, compress_diagonal(other)):
+        for costs in (None, other, other.astype(np.int32)):
             resolved = sim._resolve_costs(costs)
             row = np.asarray(result)[None]
             value = sim.get_expectation(result, costs=costs)

@@ -178,28 +178,29 @@ class TestExactness:
 
 class TestFloatingOutputOnly:
     """Integer output types would truncate non-integer costs to garbage;
-    every entry point rejects them and points at compress_diagonal."""
+    every entry point rejects them and points at the phase table's uint16
+    index, the integer storage."""
 
     TERMS = [(0.5, (0, 1)), (0.25, (1,))]
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8, np.complex128])
     def test_full_dtype(self, dtype):
-        with pytest.raises(ValueError, match="compress_diagonal"):
+        with pytest.raises(ValueError, match="build_phase_table"):
             D.precompute_cost_diagonal(self.TERMS, 2, dtype=dtype)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
     def test_full_out(self, dtype):
-        with pytest.raises(ValueError, match="compress_diagonal"):
+        with pytest.raises(ValueError, match="build_phase_table"):
             D.precompute_cost_diagonal(self.TERMS, 2, out=np.zeros(4, dtype=dtype))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint8])
     def test_slice_dtype(self, dtype):
-        with pytest.raises(ValueError, match="compress_diagonal"):
+        with pytest.raises(ValueError, match="build_phase_table"):
             D.precompute_cost_diagonal_slice(self.TERMS, 2, 1, 3, dtype=dtype)
 
     def test_kernel_out(self):
         masks, weights, offset = D.term_masks_and_weights(self.TERMS, 2)
-        with pytest.raises(ValueError, match="compress_diagonal"):
+        with pytest.raises(ValueError, match="build_phase_table"):
             D.apply_terms_to_slice(masks, weights, offset, 0, 4,
                                    out=np.zeros(4, dtype=np.int64))
 
@@ -239,44 +240,73 @@ class TestFromFunction:
         np.testing.assert_allclose(diag_fn, D.precompute_cost_diagonal(terms, n))
 
 
-class TestCompression:
-    def test_labs_diagonal_compresses_to_uint16(self):
+class TestUint16Index:
+    """The compact diagonal is the phase table's ``uint16`` index: lossless
+    for any repetitive diagonal, 2 bytes per amplitude."""
+
+    @staticmethod
+    def _table(costs):
+        table = D.build_phase_table(costs)
+        assert table is not None
+        assert table.inverse.dtype == np.uint16
+        np.testing.assert_array_equal(table.unique_values[table.inverse], costs)
+        return table
+
+    def test_labs_diagonal_indexes_to_uint16(self):
         n = 12
         diag = D.precompute_cost_diagonal(labs.get_terms(n), n)
-        comp = D.compress_diagonal(diag)
-        assert comp.values.dtype == np.uint16
-        assert comp.scale == 1.0
-        np.testing.assert_allclose(comp.decompress(), diag)
+        table = self._table(diag)
         # footprint reduced 4x vs float64
-        assert comp.nbytes == diag.nbytes // 4
+        assert table.inverse.nbytes == diag.nbytes // 4
 
-    def test_compressed_getitem_slice(self):
-        diag = np.array([0.0, 3.0, 7.0, 1.0])
-        comp = D.compress_diagonal(diag)
-        np.testing.assert_allclose(comp[1:3], [3.0, 7.0])
-        assert len(comp) == 4
-
-    def test_non_integer_costs_rejected(self):
-        # 0.3 is not representable on the uint16 grid spanned by [0, 1]
-        with pytest.raises(ValueError):
-            D.compress_diagonal(np.array([0.0, 0.3, 1.0]))
+    def test_non_integer_and_negative_values_exact(self):
+        rng = np.random.default_rng(2)
+        values = np.array([-3.0, 0.0, 0.3, 5.0, -0.125, 1e-9])
+        self._table(rng.choice(values, 256))
 
     def test_constant_diagonal(self):
-        comp = D.compress_diagonal(np.full(8, 5.0))
-        np.testing.assert_allclose(comp.decompress(), 5.0)
+        assert self._table(np.full(64, 5.0)).n_unique == 1
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            D.compress_diagonal(np.array([]))
 
-    def test_negative_integer_costs_shifted(self):
-        diag = np.array([-3.0, 0.0, 5.0])
-        comp = D.compress_diagonal(diag)
-        np.testing.assert_allclose(comp.decompress(), diag)
+class TestPhaseTableBoundary:
+    """At n=20 the uint16 index, not the 2^n/8 fraction, sets the limit:
+    exactly 2^16 distinct values get a table, 2^16 + 1 take the direct
+    phase, and either way the energies are the python backend's."""
 
-    def test_uint8_overflow_detected(self):
-        with pytest.raises(ValueError):
-            D.compress_diagonal(np.array([0.0, 1.0, 300.0, 301.5]), dtype=np.uint8)
+    N = 20
+
+    @pytest.fixture(scope="class", params=[0, 1], ids=["2^16", "2^16+1"])
+    def costs(self, request):
+        rng = np.random.default_rng(20)
+        values = rng.permutation(1 << self.N) % (D.PHASE_TABLE_MAX_VALUES
+                                                 + request.param)
+        return values.astype(np.float64), request.param
+
+    def test_table_up_to_uint16(self, costs):
+        diag, extra = costs
+        table = D.build_phase_table(diag)
+        if extra:
+            assert table is None
+            # a non-integer diagonal takes the sort path to the same answer
+            assert D.build_phase_table(diag + 0.5) is None
+            return
+        assert table.n_unique == D.PHASE_TABLE_MAX_VALUES
+        assert table.inverse.dtype == np.uint16
+        np.testing.assert_array_equal(table.unique_values[table.inverse], diag)
+        shifted = D.build_phase_table(diag + 0.5)
+        np.testing.assert_array_equal(shifted.inverse, table.inverse)
+
+    def test_energies_match_python(self, costs):
+        import repro
+
+        diag, extra = costs
+        gammas, betas = [0.01, 0.02], [0.3, 0.2]
+        ref_sim = repro.simulator(self.N, costs=diag, backend="python")
+        ref = ref_sim.get_expectation(ref_sim.simulate_qaoa(gammas, betas))
+        sim = repro.simulator(self.N, costs=diag, backend="jit")
+        assert (sim._diagonal_phase_table() is None) == bool(extra)
+        got = sim.get_expectation_batch([gammas], [betas])[0]
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 class TestMemoryAccounting:

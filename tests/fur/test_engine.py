@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.fur import available_backends, compress_diagonal
+from repro.fur import available_backends
 from repro.fur.engine import ExpectationOp, MixerOp, PhaseOp
 from repro.fur.registry import registry
 from repro.problems import labs
@@ -142,11 +142,11 @@ class TestEngineParity:
         assert fused.dtype == np.float64  # float64 accumulation policy
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compressed_diagonal_construction(self, backend, rng):
+    def test_integer_diagonal_construction(self, backend, rng):
         terms = labs.get_terms(N)
         reference = repro.simulator(N, terms=terms, backend="python")
         costs = reference.get_cost_diagonal().copy()
-        sim = repro.simulator(N, costs=compress_diagonal(costs), backend=backend)
+        sim = repro.simulator(N, costs=costs.astype(np.uint16), backend=backend)
         gb = rng.uniform(0, 1, (3, 2))
         bb = rng.uniform(0, 1, (3, 2))
         np.testing.assert_allclose(sim.get_expectation_batch(gb, bb),
@@ -325,7 +325,7 @@ class TestSharedInitialState:
 class TestReadOnlyDiagonals:
     """Regression: the PR 1 shared-diagonal mutation hazard."""
 
-    @pytest.mark.parametrize("construction", ["terms", "costs", "compressed"])
+    @pytest.mark.parametrize("construction", ["terms", "costs", "integer"])
     def test_get_cost_diagonal_is_read_only(self, construction):
         terms = labs.get_terms(N)
         if construction == "terms":
@@ -333,8 +333,8 @@ class TestReadOnlyDiagonals:
         else:
             costs = repro.simulator(N, terms=terms,
                                     backend="python").get_cost_diagonal().copy()
-            if construction == "compressed":
-                costs = compress_diagonal(costs)
+            if construction == "integer":
+                costs = costs.astype(np.uint16)
             sim = repro.simulator(N, costs=costs, backend="python")
         diag = sim.get_cost_diagonal()
         with pytest.raises(ValueError, match="read-only"):

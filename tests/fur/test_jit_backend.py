@@ -110,8 +110,7 @@ class TestFurxKernels:
     def test_fused_phase_mixer_matches_python(self, rng, jit_path, precision,
                                               phase_mode):
         dtype, atol = DTYPES[precision], ATOL[precision]
-        costs = labs_costs(self.N).astype(
-            np.float32 if precision == "single" else np.float64)
+        costs = labs_costs(self.N)  # float64 at both precisions
         block = random_block(rng, self.ROWS, self.N, dtype)
         expected = block.copy()
         gammas = np.linspace(0.1, 0.9, self.ROWS)

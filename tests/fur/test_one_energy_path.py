@@ -11,8 +11,13 @@ Covers
 * the sharded family's single schedule: ``get_expectation(simulate_qaoa(θ))``
   is bitwise the one-row ``get_expectation_batch`` value (same slabs, same
   segment-grid reduction),
-* the simulated GPU frees a diagonal ``get_expectation`` staged for it.
+* the simulated GPU frees a diagonal ``get_expectation`` staged for it,
+* a single-precision energy is the float64-square reduction of the
+  backend's own state, and a one-row sharded reduction allocates a small
+  fraction of the state.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from repro.fur import available_backends
 from repro.fur.registry import registry
 from repro.problems import labs, maxcut
 from repro.qaoa import get_qaoa_objective
+from repro.testing import random_terms
 
 PRECISIONS = ["double", "single"]
 
@@ -94,3 +100,35 @@ def test_gpu_expectation_releases_its_staged_diagonal(precision):
         rtol=1e-6)
     sim.get_expectation(result)
     assert sim.device.stats.allocated_bytes == allocated
+
+
+@pytest.mark.parametrize("backend,kwargs", [
+    ("python", {}), ("jit", {}), ("sharded", {"n_shards": 2}), ("gpu", {})])
+def test_single_precision_energy_is_the_float64_square_reduction(backend,
+                                                                 kwargs):
+    """Squares in float64 against the float64 diagonal, whatever the state
+    precision: the reduction adds only summation-order rounding."""
+    n = 12
+    sim = repro.simulator(n, terms=random_terms(np.random.default_rng(12), n, 40),
+                          backend=backend, precision="single", **kwargs)
+    result = sim.simulate_qaoa([0.4, -0.3], [0.7, 0.2])
+    sv = np.asarray(sim.get_statevector(result))
+    assert sv.dtype == np.complex64
+    probs = sv.real.astype(np.float64) ** 2 + sv.imag.astype(np.float64) ** 2
+    want = float(np.dot(probs, sim.get_cost_diagonal()))
+    assert abs(sim.get_expectation(result) - want) <= 1e-14 * abs(want)
+
+
+def test_one_row_sharded_expectation_allocates_a_quarter_of_the_diagonal():
+    n = 18
+    sim = repro.simulator(n, terms=labs.get_terms(n), backend="sharded",
+                          n_shards=2)
+    result = sim.simulate_qaoa([0.2], [0.3])
+    sim.get_expectation(result)  # warm: phase tables, plan, pool threads
+    tracemalloc.start()
+    try:
+        sim.get_expectation(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << n) * 8 / 4

@@ -14,9 +14,12 @@ Covers
   twice the rows at single precision,
 * host-array probabilities and overlaps are the exact float64 squares of
   the amplitude components, also for complex64 states,
-* regressions: a caller-supplied complex64 ``sv0`` is honoured (not upcast),
-  ``compress_diagonal`` round-trips through a float32 decompression, and the
-  vectorized brute-force index helpers match the scalar definitions.
+* one diagonal at both precisions: the float64 vector plus the ``uint16``
+  phase-table index, at most 10 bytes per amplitude held after an
+  evaluation, and single-precision energies that are the float64-square
+  reduction of the state,
+* regressions: a caller-supplied complex64 ``sv0`` is honoured (not upcast)
+  and the vectorized brute-force index helpers match the scalar definitions.
 """
 
 import numpy as np
@@ -27,7 +30,6 @@ from repro.fur import (
     PrecisionSpec,
     batch_block_rows,
     build_phase_table,
-    compress_diagonal,
     resolve_precision,
     uniform_superposition,
 )
@@ -87,7 +89,8 @@ class TestResolvePrecision:
 
     def test_spec_fields(self):
         assert SINGLE.complex_dtype == np.complex64
-        assert SINGLE.real_dtype == np.float32
+        # no precision-matched diagonal dtype: the diagonal is float64
+        assert not hasattr(SINGLE, "real_dtype")
         assert SINGLE.complex_itemsize == 8
         assert DOUBLE.complex_itemsize == 16
         assert DOUBLE.is_double and not SINGLE.is_double
@@ -159,7 +162,7 @@ class TestSinglePrecisionStateDtype:
                               precision="single")
         assert sim.precision == "single"
         assert sim.complex_dtype == np.complex64
-        assert sim.real_dtype == np.float32
+        assert sim.get_cost_diagonal().dtype == np.float64
         result = sim.simulate_qaoa(*qaoa_angles)
         sv = sim.get_statevector(result)
         assert sv.dtype == np.complex64
@@ -390,39 +393,94 @@ class TestPhaseTableAndDiagonalDtypes:
         assert table.phases(0.3, out=out) is out
         np.testing.assert_allclose(out, table.phases(0.3), rtol=1e-6)
 
-    def test_phase_costs_view_cached_and_float32(self):
-        sim = repro.simulator(5, terms=[(1.0, (0, 1)), (2.0, (2, 3))],
-                              backend="python", precision="single")
-        phase = sim._phase_costs()
-        assert phase.dtype == np.float32
-        assert sim._phase_costs() is phase  # cached, one cast total
-        np.testing.assert_allclose(phase, sim.get_cost_diagonal(), rtol=1e-6)
-        # double precision: the float64 diagonal is shared, not copied
-        dbl = repro.simulator(5, terms=[(1.0, (0, 1)), (2.0, (2, 3))],
-                              backend="python")
-        assert dbl._phase_costs() is dbl._default_costs()
-
-    def test_compress_decompress_float32_roundtrip(self):
-        """Satellite: CompressedDiagonal round-trips to float32 losslessly.
-
-        LABS/MaxCut cost values are small integers, exactly representable in
-        float32 — decompressing at single precision must change nothing but
-        the dtype (no precision-policy violation on the stored values).
-        """
-        costs = np.array([0.0, 3.0, 7.0, 3.0, 12.0, 0.0, 7.0, 1.0])
-        compressed = compress_diagonal(costs)
-        f32 = compressed.decompress(np.float32)
-        assert f32.dtype == np.float32
-        np.testing.assert_array_equal(f32.astype(np.float64), costs)
-        round_tripped = compress_diagonal(f32.astype(np.float64))
-        np.testing.assert_array_equal(round_tripped.decompress(), costs)
+    def test_one_held_diagonal_at_both_precisions(self):
+        """Single precision holds the double-precision diagonal: the same
+        cached float64 vector and a uint16 phase-table index."""
+        terms = [(1.0, (0, 1)), (2.0, (2, 3))]
+        single = repro.simulator(5, terms=terms, backend="python",
+                                 precision="single")
+        double = repro.simulator(5, terms=terms, backend="python")
+        held = single.get_cost_diagonal()
+        assert held.dtype == np.float64 and not held.flags.writeable
+        assert held is double.get_cost_diagonal()  # one cached vector
+        assert single._diagonal_phase_table().inverse.dtype == np.uint16
 
     def test_gpu_device_diagonal_dtype(self):
         sim = repro.simulator(5, terms=[(1.0, (0, 1))], backend="gpu",
                               precision="single")
-        assert sim._costs_device.dtype == np.float32
-        # host mirror stays float64 (expectation accumulation policy)
+        # the device copy and the host mirror are both the float64 vector
+        assert sim._costs_device.dtype == np.float64
         assert sim.get_cost_diagonal().dtype == np.float64
+
+
+def _held_per_amplitude(sim) -> float:
+    """Bytes per amplitude of the distinct real/integer buffers reachable
+    from ``sim`` that scale with the state (at least 2^n / 256 elements):
+    the cost vector, phase-table indices and any copy of either.  Views
+    count once, through their base buffer."""
+    seen, roots = set(), {}
+    stack = [sim]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            roots[id(obj)] = obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro"):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, name) for name in
+                         getattr(type(obj), "__slots__", ()) if hasattr(obj, name))
+    n_states = sim.n_states
+    return sum(a.nbytes for a in roots.values()
+               if not np.iscomplexobj(a) and a.size >= n_states // 256) / n_states
+
+
+class TestHeldDiagonal:
+    """One diagonal representation: the float64 vector plus, for repetitive
+    diagonals, the uint16 phase-table index — at both precisions."""
+
+    N = 18
+
+    @pytest.fixture(scope="class", params=["labs", "maxcut"])
+    def terms(self, request):
+        if request.param == "labs":
+            return labs.get_terms(self.N)
+        graph = maxcut.random_regular_graph(3, self.N, seed=18)
+        return maxcut.maxcut_terms_from_graph(graph)
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("backend,kwargs", [
+        ("jit", {}), ("python", {}), ("sharded", {"n_shards": 2})])
+    def test_at_most_10_bytes_per_amplitude(self, terms, backend, kwargs,
+                                            precision):
+        sim = repro.simulator(self.N, terms=terms, backend=backend,
+                              precision=precision, **kwargs)
+        sim.get_expectation_batch([[0.2]], [[0.3]])
+        assert sim._engine_phase_tables() is not None
+        assert _held_per_amplitude(sim) <= 10.0
+
+    @pytest.mark.parametrize("construction", ["terms", "costs"])
+    def test_sharded_slices_view_the_one_vector(self, construction):
+        n = 12
+        terms = labs.get_terms(n)
+        if construction == "costs":
+            costs = repro.simulator(n, terms=terms,
+                                    backend="python").get_cost_diagonal()
+            sim = repro.simulator(n, costs=costs, backend="sharded", n_shards=4)
+        else:
+            sim = repro.simulator(n, terms=terms, backend="sharded", n_shards=4)
+        full = sim.get_cost_diagonal()
+        assert all(np.shares_memory(c, full) for c in sim._cost_slices)
+        np.testing.assert_array_equal(np.concatenate(sim._cost_slices), full)
+        tables = sim._engine_phase_tables()
+        assert all(t.inverse.dtype == np.uint16 for t in tables)
 
 
 class TestDistributedSinglePrecision:

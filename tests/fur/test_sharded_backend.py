@@ -275,7 +275,7 @@ class TestShardedSimulation:
         finished = []
 
         def faulty_rotate(block_s, betas, positions, **phase):
-            if phase.get("costs") is sim._phase_cost_slices[0]:
+            if phase.get("costs") is sim._cost_slices[0]:
                 raise RuntimeError("shard 0 failed")
             time.sleep(0.3)
             real_rotate(block_s, betas, positions, **phase)

@@ -101,7 +101,7 @@ class TestEnginePlanCache:
 class TestLazyDerivedCaches:
     def test_concurrent_lazy_initialization_builds_once(self):
         sim = repro.simulator(N, terms=TERMS, backend="python")
-        costs = run_in_threads(lambda i: sim._default_costs())
+        costs = run_in_threads(lambda i: sim.get_cost_diagonal())
         first = costs[0]
         assert all(c is first for c in costs)
 

@@ -93,17 +93,19 @@ class TestAllBackendsAgree:
             sv_b = np.asarray(sim_costs.get_statevector(sim_costs.simulate_qaoa(gammas, betas)))
             np.testing.assert_allclose(sv_a, sv_b, atol=1e-12)
 
-    def test_uint16_compressed_diagonal_gives_same_results(self, qaoa_angles):
-        """The uint16 diagonal of Sec. V-B is numerically lossless for LABS."""
+    def test_uint16_diagonal_gives_same_results(self, qaoa_angles):
+        """The uint16 diagonal of Sec. V-B is numerically lossless for LABS:
+        a uint16 ``costs`` array evaluates bitwise as the float64 one, and
+        the phase gathers through a uint16 index."""
         n = 10
         terms = labs.get_terms(n)
-        from repro.fur import compress_diagonal, precompute_cost_diagonal
+        from repro.fur import precompute_cost_diagonal
 
         costs = precompute_cost_diagonal(terms, n)
-        compressed = compress_diagonal(costs)
         gammas, betas = qaoa_angles
         sim_full = get_simulator_class("c")(n, costs=costs)
-        sim_comp = get_simulator_class("c")(n, costs=compressed)
+        sim_u16 = get_simulator_class("c")(n, costs=costs.astype(np.uint16))
+        assert sim_u16._diagonal_phase_table().inverse.dtype == np.uint16
         e_full = sim_full.get_expectation(sim_full.simulate_qaoa(gammas, betas))
-        e_comp = sim_comp.get_expectation(sim_comp.simulate_qaoa(gammas, betas))
-        assert e_comp == pytest.approx(e_full, abs=1e-10)
+        e_u16 = sim_u16.get_expectation(sim_u16.simulate_qaoa(gammas, betas))
+        assert e_u16 == e_full
