@@ -251,10 +251,8 @@ def precompute_cost_diagonal_slice(terms: Iterable[tuple[float, Iterable[int]]],
 
     The distributed precomputation (Sec. III-C): each rank computes the
     slice corresponding to its portion of the state vector, with no
-    communication (the sharded simulators write the same slices straight
-    into their one host vector).  The slice is bitwise equal to the same
-    range of :func:`precompute_cost_diagonal`, whatever the bounds and
-    ``chunk_size``.
+    communication.  The slice is bitwise equal to the same range of
+    :func:`precompute_cost_diagonal`, whatever the bounds and ``chunk_size``.
     """
     size = 1 << n_qubits
     if not (0 <= start <= stop <= size):

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "apply_su2",
     "apply_su2_batch",
+    "direct_phase_batch",
     "furx",
     "furx_all",
     "furx_all_batch",
@@ -284,6 +285,35 @@ def _group_pass_loop(block: np.ndarray, scratch: np.ndarray, u: np.ndarray,
     return src
 
 
+#: Elements of the direct phase's reused buffers: one complex128 angle tile
+#: and, at single precision, one complex64 factor tile.
+_DIRECT_PHASE_CHUNK: int = 1 << 16
+
+
+def direct_phase_batch(block: np.ndarray, gammas: np.ndarray,
+                       costs: np.ndarray) -> None:
+    """Phase ``row_r *= exp(-i γ_r c)`` on a ``(rows, m)`` block, in place.
+
+    The angle and the exponential are evaluated in double, one (row group,
+    basis chunk) tile of at most ``_DIRECT_PHASE_CHUNK`` elements at a time,
+    into reused buffers, and rounded once to the block's precision.
+    """
+    rows, n = block.shape
+    coeff = -1j * np.asarray(gammas, dtype=np.float64)
+    cols = min(n, _DIRECT_PHASE_CHUNK)
+    step = min(rows, max(1, _DIRECT_PHASE_CHUNK // cols))
+    wide = np.empty((step, cols), dtype=np.complex128)
+    factors = (wide if block.dtype == np.complex128
+               else np.empty((step, cols), dtype=block.dtype))
+    for r0 in range(0, rows, step):
+        k = min(step, rows - r0)
+        for s in range(0, n, cols):
+            e = min(s + cols, n)
+            np.multiply(coeff[r0:r0 + k, None], costs[s:e], out=wide[:k, :e - s])
+            np.exp(wide[:k, :e - s], out=factors[:k, :e - s])
+            block[r0:r0 + k, s:e] *= factors[:k, :e - s]
+
+
 #: Amplitudes (summed over all rows) per chunk of the fused phase+first-pass
 #: sweep — ~4 MiB of complex128 (8192 columns at the benchmark's B=32), the
 #: measured sweet spot where the freshly phased chunk is still cache-warm for
@@ -315,7 +345,7 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
     remaining passes run the standard ping-pong loop, with the chunk-local
     pass alternating buffers exactly like the global loop would — parity
     works out with no extra copy-back.  ``phase_buf``
-    optionally supplies the per-chunk gather buffer (callers on the hot
+    optionally supplies the per-chunk table gather buffer (callers on the hot
     path pass a persistent one — the workspace scratch or the simulator's
     phase buffer — so warmed-up layers allocate nothing).  Numerics are
     identical to ``apply_phase`` followed by :func:`furx_all_batch`: the
@@ -332,8 +362,6 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
     if phase_table is not None:
         factors = phase_table.factors_batch(gammas_arr, dtype=block.dtype)
         inverse = phase_table.inverse
-    else:
-        coeff = (-1j * gammas_arr).astype(block.dtype)
     # Per-row chunk width: a power of two so every chunk-local pass's group
     # extent divides it, shrunk to a caller-provided gather buffer rather
     # than allocating a bigger one (warmed-up layers stay allocation-free).
@@ -346,7 +374,7 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
     else:
         pbuf = None
     cols = min(cols, n_states)
-    if pbuf is None or pbuf.shape[0] < cols:
+    if phase_table is not None and (pbuf is None or pbuf.shape[0] < cols):
         pbuf = np.empty(cols, dtype=block.dtype)
     # At most the leading stride-1 pass runs inside the chunk loop (see the
     # docstring for why wider-stride passes stay global).
@@ -359,14 +387,13 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
         view_dst = scratch.reshape(rows, -1, dim)
     for s in range(0, n_states, cols):
         e = min(s + cols, n_states)
-        buf = pbuf[: e - s]
-        for r in range(rows):
-            if phase_table is not None:
+        if phase_table is None:
+            direct_phase_batch(block[:, s:e], gammas_arr, costs[s:e])
+        else:
+            buf = pbuf[: e - s]
+            for r in range(rows):
                 np.take(factors[r], inverse[s:e], out=buf)
-            else:
-                np.multiply(costs[s:e], coeff[r], out=buf)
-                np.exp(buf, out=buf)
-            block[r, s:e] *= buf
+                block[r, s:e] *= buf
         if fuse_first_pass:
             np.matmul(view_src[:, s // dim:e // dim], gmat,
                       out=view_dst[:, s // dim:e // dim])

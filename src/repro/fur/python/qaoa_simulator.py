@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from ..base import QAOAFastSimulatorBase, validate_angles
-from .furx import furx_all, furx_all_batch, furx_phase_all_batch
+from .furx import direct_phase_batch, furx_all, furx_all_batch, furx_phase_all_batch
 from .furxy import furxy_complete, furxy_complete_batch, furxy_ring, furxy_ring_batch
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
     "QAOAFURXYCompleteSimulator",
 ]
 
-#: Bound on the number of complex temporaries (elements) materialized per
-#: chunk by the direct-exponential batched phase fallback.
-_BATCH_PHASE_CHUNK: int = 1 << 20
-
 #: Basis states per chunk of the expectation reduction.  Fixed, never sized
 #: by the row count, so a row's float64 sum (pairwise within a chunk, the
 #: chunks in order) is the same whatever batch the row rides in.
@@ -49,7 +45,9 @@ _EXPECTATION_COLUMNS: int = 1 << 14
 
 #: Amplitudes per step of the expectation reduction (one chunk of columns
 #: when that is wider): it bounds the step's two float64 temporaries,
-#: however many rows and segments the block has.
+#: however many rows and segments the block has.  Each concurrent shard
+#: reduction holds one step (16 B per amplitude): 2^13 keeps a one-row,
+#: two-shard reduction at n=18 under a quarter of the diagonal's bytes.
 _EXPECTATION_STEP: int = 1 << 13
 
 
@@ -65,9 +63,9 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         """Phase operator: ``sv[x] *= exp(-i γ c[x])`` (Algorithm 3, line 4).
 
         The factors are evaluated in double from the float64 diagonal and
-        rounded once to the state's precision by the in-place multiply.
+        rounded once to the state's precision.
         """
-        sv *= np.exp(self._costs * (-1j * gamma))
+        direct_phase_batch(sv[None, :], np.array([gamma]), self._costs)
 
     def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
                       sv0: np.ndarray | None = None, *, n_trotters: int = 1,
@@ -123,6 +121,11 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
                                        dtype=self._precision.complex_dtype)
         return self._phase_buf
 
+    def _table_gather_buffer(self, plan: Any) -> np.ndarray | None:
+        """The gather buffer when the plan gathers from a phase table (the
+        direct phase tiles its own buffers)."""
+        return None if plan.phase_tables is None else self._gather_buffer()
+
     def _mixer_scratch(self, block: np.ndarray) -> np.ndarray:
         return np.empty_like(block)
 
@@ -134,24 +137,17 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         unique-value phase table applies, one ``exp`` over the ``(rows, U)``
         distinct values plus per-row gathers (into the per-sub-batch gather
         buffer) replaces ``rows · 2^n`` transcendentals; otherwise the
-        exponential is evaluated directly in double, chunked over basis
-        states so the ``(rows, chunk)`` temporaries stay bounded.
+        exponential is evaluated directly (:func:`direct_phase_batch`).
         """
         table = plan.phase_tables
-        rows, n = block.shape
         if table is not None:
             factors = table.factors_batch(gammas, dtype=block.dtype)
             buf = self._gather_buffer()
-            for r in range(rows):
+            for r in range(block.shape[0]):
                 np.take(factors[r], table.inverse, out=buf)
                 block[r] *= buf
             return
-        costs = self._costs
-        coeff = -1j * gammas
-        cols = max(1, _BATCH_PHASE_CHUNK // rows)
-        for s in range(0, n, cols):
-            e = min(s + cols, n)
-            block[:, s:e] *= np.exp(coeff[:, None] * costs[s:e][None, :])
+        direct_phase_batch(block, gammas, self._costs)
 
     def _block_expectations(self, block: np.ndarray, costs: np.ndarray) -> np.ndarray:
         self._phase_buf = None
@@ -228,7 +224,7 @@ class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
         furx_phase_all_batch(block, gammas, betas, self._n_qubits,
                              phase_table=plan.phase_tables,
                              costs=self._costs, scratch=scratch,
-                             phase_buf=self._gather_buffer())
+                             phase_buf=self._table_gather_buffer(plan))
 
     def _apply_mixer_expectation_block(self, block: np.ndarray,
                                        gammas: np.ndarray | None,
@@ -245,7 +241,7 @@ class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
             out = furx_phase_all_batch(block, gammas, betas, self._n_qubits,
                                        phase_table=plan.phase_tables,
                                        costs=self._costs, scratch=scratch,
-                                       phase_buf=self._gather_buffer(),
+                                       phase_buf=self._table_gather_buffer(plan),
                                        copy_back=False)
         else:
             out = furx_all_batch(block, betas, self._n_qubits, scratch=scratch,

@@ -48,11 +48,7 @@ import numpy as np
 
 from ...parallel.collectives import Message, TrafficTrace, alltoall
 from ..base import QAOAFastSimulatorBase, host_probabilities
-from ..diagonal import (
-    apply_terms_to_slice,
-    build_phase_table,
-    term_masks_and_weights,
-)
+from ..diagonal import build_phase_table
 from ..jit import kernels
 from ..python.furxy import complete_edges, ring_edges
 from ..python.qaoa_simulator import _segment_expectations
@@ -170,17 +166,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         return sharded_state_bytes(self._n_qubits,
                                    self._precision.complex_itemsize,
                                    self._n_shards)
-
-    def _precompute_diagonal(self, terms) -> np.ndarray:
-        """Shard-local diagonal precomputation, each shard's slice written
-        straight into its part of the one host vector."""
-        masks, weights, offset = term_masks_and_weights(terms, self._n_qubits)
-        full = np.empty(self._n_states, dtype=np.float64)
-        s = self.local_states
-        for r in range(self._n_shards):
-            apply_terms_to_slice(masks, weights, offset, r * s, (r + 1) * s,
-                                 out=full[r * s:(r + 1) * s])
-        return full
 
     def _post_init(self) -> None:
         #: each shard's cost slice: a view of the one float64 host vector

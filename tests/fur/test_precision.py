@@ -18,6 +18,8 @@ Covers
   phase-table index, at most 10 bytes per amplitude held after an
   evaluation, and single-precision energies that are the float64-square
   reduction of the state,
+* without a phase table, single-precision phase factors are ``exp(-iγc)``
+  evaluated in double and rounded once,
 * regressions: a caller-supplied complex64 ``sv0`` is honoured (not upcast)
   and the vectorized brute-force index helpers match the scalar definitions.
 """
@@ -44,7 +46,7 @@ from repro.problems.terms import (
     spins_from_index,
 )
 from repro.qaoa import get_qaoa_objective
-from repro.testing import per_row_expectations
+from repro.testing import per_row_expectations, random_terms
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -413,6 +415,35 @@ class TestPhaseTableAndDiagonalDtypes:
         assert sim.get_cost_diagonal().dtype == np.float64
 
 
+class TestDirectPhaseSingle:
+    """No phase table at single precision: every host phase path (the
+    reference loop, the split sweep, the fused phase + mixer pass) scales
+    the complex64 state by ``exp(-iγc)`` evaluated in double from the
+    float64 diagonal and rounded once to complex64."""
+
+    @pytest.mark.parametrize("backend", ["python", "jit-numpy"])
+    @pytest.mark.parametrize("mixer", ["x", "xyring"])
+    def test_phase_only_layer(self, backend, mixer, request):
+        if backend == "jit-numpy":
+            request.getfixturevalue("numpy_rung")
+            backend = "jit"
+        n = 10
+        sim = repro.simulator(n, terms=random_terms(np.random.default_rng(4), n, 30),
+                              backend=backend, mixer=mixer, precision="single")
+        assert sim._diagonal_phase_table() is None
+        rng = np.random.default_rng(10)
+        sv0 = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).astype(np.complex64)
+        gammas = np.array([[0.37], [-1.1]])
+        # beta = 0 makes each mixer multiply by exactly 1 and add exact zeros
+        want = [sv0 * np.exp(-1j * g * sim.get_cost_diagonal()).astype(np.complex64)
+                for g in gammas[:, 0]]
+        one = sim.get_statevector(sim.simulate_qaoa(gammas[0], [0.0], sv0=sv0))
+        assert np.array_equal(one, want[0])
+        batch = sim.simulate_qaoa_batch(gammas, np.zeros((2, 1)), sv0=sv0)
+        for got, w in zip(batch, want):
+            assert np.array_equal(sim.get_statevector(got), w)
+
+
 def _held_per_amplitude(sim) -> float:
     """Bytes per amplitude of the distinct real/integer buffers reachable
     from ``sim`` that scale with the state (at least 2^n / 256 elements):
@@ -479,6 +510,10 @@ class TestHeldDiagonal:
         full = sim.get_cost_diagonal()
         assert all(np.shares_memory(c, full) for c in sim._cost_slices)
         np.testing.assert_array_equal(np.concatenate(sim._cost_slices), full)
+        if construction == "terms":
+            # the diagonal cache: one host vector per problem, not per simulator
+            other = repro.simulator(n, terms=terms, backend="sharded", n_shards=2)
+            assert np.shares_memory(other.get_cost_diagonal(), full)
         tables = sim._engine_phase_tables()
         assert all(t.inverse.dtype == np.uint16 for t in tables)
 

@@ -99,12 +99,6 @@ class TestEnginePlanCache:
 
 
 class TestLazyDerivedCaches:
-    def test_concurrent_lazy_initialization_builds_once(self):
-        sim = repro.simulator(N, terms=TERMS, backend="python")
-        costs = run_in_threads(lambda i: sim.get_cost_diagonal())
-        first = costs[0]
-        assert all(c is first for c in costs)
-
     def test_concurrent_phase_table_resolution_is_shared(self):
         sim = repro.simulator(N, terms=TERMS, backend="python")
         tables = run_in_threads(lambda i: sim._diagonal_phase_table())
