@@ -332,31 +332,53 @@ class DiagonalPhaseTable:
     def __len__(self) -> int:
         return int(self.inverse.shape[0])
 
-    def factors(self, gamma: float,
-                dtype: np.dtype | type = np.complex128) -> np.ndarray:
-        """The length-U table ``exp(-i γ · unique_values)``.
+    def __post_init__(self) -> None:
+        """Reject a table the kernels could not read safely.
 
-        ``dtype`` selects the precision of the gathered factors (the table is
-        tiny, so the exponential is always evaluated in double and cast) —
-        single-precision simulators gather ``complex64`` factors so the
-        full-width multiply into the state stays at state precision.
+        The ``cc`` kernels and :meth:`apply` read ``inverse`` without a
+        bounds check, so every index must address ``unique_values``.
         """
-        table = np.exp(self.unique_values * (-1j * float(gamma)))
-        return table.astype(dtype, copy=False)
+        u, inv = self.unique_values, self.inverse
+        if not (isinstance(u, np.ndarray) and u.ndim == 1
+                and u.dtype == np.float64):
+            raise ValueError("phase table unique_values must be a 1-D "
+                             "float64 array")
+        if not (isinstance(inv, np.ndarray) and inv.ndim == 1
+                and inv.dtype == np.uint16):
+            raise ValueError("phase table inverse must be a 1-D uint16 array")
+        if inv.size and int(inv.max()) >= u.size:
+            raise ValueError(f"phase table index {int(inv.max())} is out of "
+                             f"range for {u.size} unique values")
 
     def factors_batch(self, gammas: np.ndarray,
                       dtype: np.dtype | type = np.complex128) -> np.ndarray:
-        """Per-schedule tables ``exp(-i γ_b · unique_values)``, shape (B, U)."""
+        """Per-schedule tables ``exp(-i γ_b · unique_values)``, shape (B, U).
+
+        ``dtype`` selects the precision of the gathered factors (the tables
+        are tiny, so the exponential is always evaluated in double and
+        cast) — single-precision simulators gather ``complex64`` factors so
+        the full-width multiply into the state stays at state precision.
+        """
         g = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
         table = np.exp(np.outer(g, self.unique_values) * (-1j))
         return table.astype(dtype, copy=False)
 
-    def phases(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Full-length phase vector ``exp(-i γ c)`` via table gather."""
-        if out is None:
-            return self.factors(gamma)[self.inverse]
-        np.take(self.factors(gamma, dtype=out.dtype), self.inverse, out=out)
-        return out
+    def apply(self, block: np.ndarray, factors: np.ndarray, start: int,
+              buf: np.ndarray) -> None:
+        """``block[r] *= factors[r][inverse[start:start + width]]``, in place.
+
+        ``block`` is a ``(rows, width)`` view of basis states ``start`` on
+        and ``factors`` the ``(rows, U)`` tables of :meth:`factors_batch`.
+        Each row's factors are gathered into ``buf`` (at least ``width``
+        long, the block's dtype) with ``mode="wrap"``: the constructor
+        checked the index range, and numpy's default bounds-checked mode
+        buffers ``out`` on every call.
+        """
+        idx = self.inverse[start:start + block.shape[1]]
+        out = buf[:idx.size]
+        for r in range(block.shape[0]):
+            np.take(factors[r], idx, out=out, mode="wrap")
+            block[r] *= out
 
 
 def build_phase_table(costs: np.ndarray) -> DiagonalPhaseTable | None:

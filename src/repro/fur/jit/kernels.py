@@ -18,10 +18,12 @@ compiled C and numpy simulators:
   compiler and driven through :mod:`ctypes` (the shared object is cached
   on disk keyed by a source hash, so the compile cost is paid once per
   machine; a sidecar file next to it names the compiler that built it);
-* ``numpy`` — multi-pass NumPy kernels (the ``python`` backend's gemm
-  fused X passes and expectation reduction, plus allocation-free blocked
-  sweeps for the phase, single-position X rotations and XY edges), so the
-  backend stays importable and correct with no compiler.
+* ``numpy`` — the NumPy block tier of :mod:`repro.fur.python.kernels`
+  (the ``python`` backend's own batched kernels: gemm-grouped X passes,
+  blocked sweeps for the phase, single-position X rotations and XY edges,
+  the row-independent expectation reduction), to which every public kernel
+  here forwards, so the backend stays importable and correct with no
+  compiler.
 
 Every rung's butterfly is position-independent: the same pair of
 amplitudes gets the same bits whichever stride (bit position) it sits at,
@@ -58,6 +60,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
+
+from ..python import kernels as _numpy_rung
+from ..python.kernels import check_block as _check_block
+from ..python.kernels import check_positions, edge_array, mixer_edges
 
 __all__ = [
     "KNOWN_PATHS",
@@ -919,16 +925,6 @@ def ensure_kernels(dtype: Any, n_qubits: int, mixer: str) -> float:
 # Shared argument staging.
 # --------------------------------------------------------------------------
 
-def _check_block(block: np.ndarray) -> tuple[int, int, int]:
-    if block.ndim != 2 or not block.flags.c_contiguous:
-        raise ValueError("block must be a C-contiguous (rows, 2^n) array")
-    rows, n_states = block.shape
-    n_qubits = int(n_states).bit_length() - 1
-    if (1 << n_qubits) != n_states:
-        raise ValueError(f"block width {n_states} is not a power of two")
-    return rows, n_states, n_qubits
-
-
 def _phase_args(block: np.ndarray, gammas: np.ndarray | None,
                 phase_table: Any, costs: np.ndarray | None):
     """Normalize the phase inputs to (mode, factors, inverse, gammas, costs).
@@ -966,34 +962,6 @@ def _suffix(block: np.ndarray) -> str:
     return "f32" if block.dtype == np.complex64 else "f64"
 
 
-def _edge_array(edges: Any, n_qubits: int) -> np.ndarray:
-    """Ordered XY edges as a C-contiguous ``(E, 2)`` int64 array, each row
-    normalized to (low, high) — value-preserving, because the subspace
-    butterfly is symmetric under swapping its two amplitudes."""
-    e = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-    if e.size and (e.min() < 0 or e.max() >= n_qubits
-                   or bool((e[:, 0] == e[:, 1]).any())):
-        raise ValueError(f"edges must pair distinct qubits in [0, {n_qubits})")
-    return np.ascontiguousarray(e)
-
-
-def mixer_edges(kind: str, n_qubits: int) -> np.ndarray:
-    """The ordered, (low, high)-normalized edge list of one XY mixer.
-
-    Matches the application order of the ``python`` backend's
-    :func:`~repro.fur.python.furxy.furxy_ring`/``furxy_complete`` exactly —
-    the XY mixer is an *ordered* product, so edge order is part of the
-    contract.
-    """
-    from ..python.furxy import complete_edges, ring_edges
-
-    if kind not in ("ring", "complete"):
-        raise ValueError(f"kind must be 'ring' or 'complete', got {kind!r}")
-    pairs = (ring_edges(n_qubits) if kind == "ring"
-             else complete_edges(n_qubits))
-    return _edge_array(pairs, n_qubits)
-
-
 # --------------------------------------------------------------------------
 # Public kernels: X mixer family.
 # --------------------------------------------------------------------------
@@ -1014,16 +982,12 @@ def rotate_x_block(block: np.ndarray, betas: np.ndarray, positions: Any, *,
     strided sweep per position otherwise; the numpy rung runs the blocked
     pair update per position.
     """
-    _, _, n_qubits = _check_block(block)
-    pos = np.ascontiguousarray(positions, dtype=np.int64)
-    if pos.ndim != 1 or (pos.size and (pos.min() < 0
-                                       or pos.max() >= n_qubits)):
-        raise ValueError(f"positions must be bit positions in [0, {n_qubits})")
     if active_path() == "numpy":
-        if gammas is not None:
-            _np_phase(block, gammas, phase_table, costs)
-        _np_rotate_x(block, betas, pos)
+        _numpy_rung.rotate_x_block(block, betas, positions, gammas=gammas,
+                                   phase_table=phase_table, costs=costs)
         return
+    _, _, n_qubits = _check_block(block)
+    pos = check_positions(positions, n_qubits)
     _compiled_rotate_x(block, betas, pos, gammas, phase_table, costs, tile_q)
 
 
@@ -1066,11 +1030,12 @@ def furx_phase_block(block: np.ndarray, gammas: np.ndarray | None,
     ping-pong through ``scratch`` (a block-shaped buffer, allocated per
     call when ``None``).
     """
-    _, _, n_qubits = _check_block(block)
     if active_path() == "numpy":
-        _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
-                       scratch)
+        _numpy_rung.furx_phase_block(block, gammas, betas,
+                                     phase_table=phase_table, costs=costs,
+                                     scratch=scratch)
         return
+    _, _, n_qubits = _check_block(block)
     _compiled_rotate_x(block, betas, np.arange(n_qubits, dtype=np.int64),
                        gammas, phase_table, costs, tile_q)
 
@@ -1108,12 +1073,12 @@ def furx_expectation_block(block: np.ndarray, gammas: np.ndarray | None,
     block; the block still holds the evolved state afterwards.  ``scratch``
     is as for :func:`furx_phase_block`.
     """
+    if active_path() == "numpy":
+        return _numpy_rung.furx_expectation_block(
+            block, gammas, betas, ecosts, phase_table=phase_table,
+            costs=costs, scratch=scratch)
     rows, n_states, n_qubits = _check_block(block)
     ecosts = np.ascontiguousarray(ecosts, dtype=np.float64)
-    if active_path() == "numpy":
-        _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
-                       scratch)
-        return _np_expectations(block, ecosts)
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
     b = np.ascontiguousarray(betas, dtype=np.float64)
@@ -1167,15 +1132,14 @@ def furxy_block(block: np.ndarray, gammas: np.ndarray | None,
     ``{|01>,|10>}`` rotation per ``(i, j)`` pair of ``edges`` in the given
     order (:func:`mixer_edges` gives the ring and complete mixers' order).
     """
-    rows, n_states, n_qubits = _check_block(block)
-    edges = _edge_array(edges, n_qubits)
-    b = np.ascontiguousarray(betas, dtype=np.float64) / n_trotters
     if active_path() == "numpy":
-        if gammas is not None:
-            _np_phase(block, gammas, phase_table, costs)
-        for _ in range(n_trotters):
-            _np_furxy(block, b, edges)
+        _numpy_rung.furxy_block(block, gammas, betas, edges=edges,
+                                n_trotters=n_trotters,
+                                phase_table=phase_table, costs=costs)
         return
+    rows, n_states, n_qubits = _check_block(block)
+    edges = edge_array(edges, n_qubits)
+    b = np.ascontiguousarray(betas, dtype=np.float64) / n_trotters
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
     cs, ss = np.cos(b), np.sin(b)
@@ -1196,10 +1160,11 @@ def phase_block(block: np.ndarray, gammas: np.ndarray, *,
                 phase_table: Any = None,
                 costs: np.ndarray | None = None) -> None:
     """Phase operator ``row_r *= exp(-i γ_r c)`` on every row, in place."""
-    rows, n_states, _ = _check_block(block)
     if active_path() == "numpy":
-        _np_phase(block, gammas, phase_table, costs)
+        _numpy_rung.phase_block(block, gammas, phase_table=phase_table,
+                                costs=costs)
         return
+    rows, n_states, _ = _check_block(block)
     mode, factors, inverse, g, pcosts = _phase_args(block, gammas,
                                                     phase_table, costs)
     lib = _load_clib()
@@ -1216,10 +1181,10 @@ def phase_block(block: np.ndarray, gammas: np.ndarray, *,
 
 def expectation_block(block: np.ndarray, ecosts: np.ndarray) -> np.ndarray:
     """Per-row ``Σ_x c[x] |ψ_x|²`` of a block (float64, one fused read)."""
+    if active_path() == "numpy":
+        return _numpy_rung.expectation_block(block, ecosts)
     rows, n_states, _ = _check_block(block)
     ecosts = np.ascontiguousarray(ecosts, dtype=np.float64)
-    if active_path() == "numpy":
-        return _np_expectations(block, ecosts)
     out = np.zeros(rows, dtype=np.float64)
     lib = _load_clib()
     fn = getattr(lib, f"jit_expec_{_suffix(block)}")
@@ -1230,166 +1195,3 @@ def expectation_block(block: np.ndarray, ecosts: np.ndarray) -> np.ndarray:
 
     _parallel_rows(rows, run_slice)
     return out
-
-
-# --------------------------------------------------------------------------
-# numpy fallback path: the python backend's gemm-grouped fused X passes
-# (which ping-pong through the caller's scratch block) and chunked
-# expectation reduction, and blocked in-place sweeps for the phase, X
-# rotations at given positions and XY edges.
-# --------------------------------------------------------------------------
-
-#: Amplitudes per chunk of the numpy rung's blocked sweeps — the length of
-#: its two per-thread scratch buffers.  A pair update streams four arrays
-#: of this length (both halves, the copy and the product temporary): 1 MiB
-#: at 2^14 complex128.  On a 2-vCPU Xeon (2 MiB L2 per core) 2^16 made
-#: 32-row X sweeps at n = 14/16 20-25% slower.
-_NP_CHUNK = 1 << 14
-
-_np_local = threading.local()
-
-
-def _np_scratch(block: np.ndarray) -> np.ndarray:
-    """This thread's ``(2, chunk)`` scratch: pair temporaries, phase factors.
-
-    ``chunk`` is ``_NP_CHUNK`` or the whole block when that is smaller.
-    Kept across calls (one per thread, re-made when it is too short or the
-    dtype changes) so warmed-up numpy-rung layers allocate no scratch.
-    """
-    size = min(_NP_CHUNK, block.size)
-    buf = getattr(_np_local, "scratch", None)
-    if buf is None or buf.shape[1] < size or buf.dtype != block.dtype:
-        buf = _np_local.scratch = np.empty((2, size), dtype=block.dtype)
-    return buf[:, :size]
-
-
-def _np_phase(block, gammas, phase_table, costs):
-    """Blocked ``row_r *= exp(-i γ_r c)``: basis chunks in the outer loop so
-    each cost/index chunk stays cache-hot across all rows."""
-    rows, n = block.shape
-    g = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (rows,))
-    buf = _np_scratch(block)[1]
-    chunk = buf.size
-    if phase_table is not None:
-        factors = phase_table.factors_batch(g, dtype=block.dtype)
-        for s in range(0, n, chunk):
-            idx = phase_table.inverse[s:s + chunk]
-            out = buf[:idx.size]
-            for r in range(rows):
-                np.take(factors[r], idx, out=out)
-                block[r, s:s + chunk] *= out
-        return
-    if costs is None:
-        raise ValueError("phase application needs a phase_table or costs")
-    for s in range(0, n, chunk):
-        c = costs[s:s + chunk]
-        out = buf[:c.size]
-        # angle and exp in float64, rounded to the block's precision once —
-        # the factors a phase table (or the cc rung) gives the same cost
-        wide = (out if out.dtype == np.complex128
-                else np.empty(c.size, dtype=np.complex128))
-        for r in range(rows):
-            np.multiply(c, -1j * g[r], out=wide, dtype=np.complex128)
-            np.exp(wide, out=out)
-            block[r, s:s + chunk] *= out
-
-
-def _np_pair(lo, hi, a, b, pair):
-    """``A ← a·A − b*·B``, ``B ← b·A + a*·B`` on two equal-shaped views.
-
-    With ``a = cos β`` and ``b = −i sin β`` every complex product has one
-    zero component, so each output is the two-rounding formula of the
-    compiled butterfly whatever numpy's multiply loop fuses, and whether
-    ``a``/``b`` are scalars or per-row arrays broadcast along the state.
-    """
-    tmp = pair[:lo.size].reshape(lo.shape)
-    np.copyto(tmp, lo)
-    lo *= a
-    lo -= np.conj(b) * hi
-    hi *= np.conj(a)
-    hi += b * tmp
-
-
-def _np_pair_update(amp_a, amp_b, a, b, pair):
-    """:func:`_np_pair` over two 3-D views, chunked to fit ``pair``.
-
-    Chunks adapt to the view shape so the Python-level iteration count
-    stays near ``size / chunk``.
-    """
-    n_top, n_mid, n_low = amp_a.shape
-    chunk = pair.size
-    if n_low >= chunk:
-        keys = [(t, m, slice(c0, c0 + chunk)) for t in range(n_top)
-                for m in range(n_mid) for c0 in range(0, n_low, chunk)]
-    elif n_mid * n_low >= chunk:
-        per = chunk // n_low
-        keys = [(t, slice(m0, m0 + per)) for t in range(n_top)
-                for m0 in range(0, n_mid, per)]
-    else:
-        per = chunk // (n_mid * n_low)
-        keys = [slice(t0, t0 + per) for t0 in range(0, n_top, per)]
-    for key in keys:
-        _np_pair(amp_a[key], amp_b[key], a, b, pair)
-
-
-def _np_rows_update(amp_a, amp_b, a, b, pair):
-    """Pair update on ``(rows, ·, ·, ·)`` views with per-row ``a``, ``b``.
-
-    When several rows' pairs fit ``pair`` they go into one vectorized
-    update, the coefficients broadcast along the state axes; otherwise each
-    row runs the chunked :func:`_np_pair_update`.
-    """
-    rows = amp_a.shape[0]
-    rows_per = pair.size // amp_a[0].size
-    if rows_per < 2:
-        for r in range(rows):
-            _np_pair_update(amp_a[r], amp_b[r], a[r], b[r], pair)
-        return
-    a, b = a[:, None, None, None], b[:, None, None, None]
-    for r0 in range(0, rows, rows_per):
-        rs = slice(r0, r0 + rows_per)
-        _np_pair(amp_a[rs], amp_b[rs], a[rs], b[rs], pair)
-
-
-def _np_rotate_x(block, betas, positions):
-    from ..python.furx import su2_x_rotation_batch
-
-    rows = block.shape[0]
-    pair = _np_scratch(block)[0]
-    a, b = su2_x_rotation_batch(betas, dtype=block.dtype)
-    for q in positions.tolist():
-        view = block.reshape(rows, -1, 1, 2, 1 << q)
-        _np_rows_update(view[:, :, :, 0], view[:, :, :, 1], a, b, pair)
-
-
-def _np_furxy(block, betas, edges):
-    from ..python.furx import su2_x_rotation_batch
-
-    rows = block.shape[0]
-    pair = _np_scratch(block)[0]
-    a, b = su2_x_rotation_batch(betas, dtype=block.dtype)
-    for i, j in edges.tolist():
-        view = block.reshape(rows, -1, 2, 1 << (j - i - 1), 2, 1 << i)
-        _np_rows_update(view[:, :, 0, :, 1], view[:, :, 1, :, 0], a, b, pair)
-
-
-def _np_furx_phase(block, gammas, betas, n_qubits, phase_table, costs,
-                   scratch):
-    from ..python.furx import furx_all_batch, furx_phase_all_batch
-
-    betas = np.asarray(betas, dtype=np.float64)
-    if scratch is None:
-        scratch = np.empty_like(block)
-    if gammas is None:
-        furx_all_batch(block, betas, n_qubits, scratch=scratch)
-    else:
-        furx_phase_all_batch(block, np.asarray(gammas, dtype=np.float64),
-                             betas, n_qubits, phase_table=phase_table,
-                             costs=costs, scratch=scratch,
-                             phase_buf=_np_scratch(block)[1])
-
-
-def _np_expectations(block, ecosts):
-    from ..python.qaoa_simulator import _block_expectations
-
-    return _block_expectations(block, ecosts)

@@ -6,7 +6,7 @@ The single-rotation kernels named exactly like their modules (``furx.furx``,
 importable; use the module-qualified names for those two.
 """
 
-from . import furx, furxy
+from . import furx, furxy, kernels
 from .furx import apply_su2, furx_all, fwht_inplace, su2_x_rotation
 from .furxy import (
     apply_xy_su2,
@@ -24,6 +24,7 @@ from .qaoa_simulator import (
 __all__ = [
     "furx",
     "furxy",
+    "kernels",
     "apply_su2",
     "furx_all",
     "fwht_inplace",

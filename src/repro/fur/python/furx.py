@@ -8,24 +8,22 @@ qubit in sequence (Algorithm 2).  For the transverse-field mixer
 over all qubits has the same cost as one fast Walsh–Hadamard transform, which
 is the minimum possible for an operator coupling all 2^n amplitudes.
 
-The NumPy implementation reshapes the state vector so the target qubit becomes
-an explicit axis and updates the two half-slices with vectorized arithmetic.
-The update uses a single temporary of half the state-vector size (the paper's
-CUDA kernel updates amplitude pairs truly in place; in NumPy a half-slice
-temporary is the idiomatic equivalent — the numpy rung of
-:mod:`repro.fur.jit.kernels` has the cache-blocked variant that bounds the
-temporary size).
+The single-vector kernels (:func:`apply_su2`, :func:`furx_all`) are the
+reference loop of the ``python`` backend: they reshape the state vector so the
+target qubit becomes an explicit axis and update the two half-slices with
+vectorized arithmetic, through one temporary of half the state-vector size
+(the paper's CUDA kernel updates amplitude pairs truly in place).  The block
+kernels below serve :mod:`repro.fur.python.kernels`, the NumPy block tier: the
+X mixer as gemm-grouped passes over a ``(B, 2^n)`` block, fused with the phase
+on its first pass, and the chunked direct phase.
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
 __all__ = [
     "apply_su2",
-    "apply_su2_batch",
     "direct_phase_batch",
     "furx",
     "furx_all",
@@ -125,50 +123,6 @@ def su2_x_rotation_batch(betas: np.ndarray,
             (-1j * np.sin(b_arr)).astype(dtype))
 
 
-def _batch_coefficient(coeff: complex | np.ndarray, rows: int,
-                       dtype: np.dtype) -> np.ndarray:
-    """Normalize an SU(2) coefficient to a scalar or (rows, 1, 1) broadcaster.
-
-    The coefficient is cast to the block's complex dtype so the pair update
-    runs entirely at state precision.
-    """
-    arr = np.asarray(coeff, dtype=dtype)
-    if arr.ndim == 0:
-        return arr[()]
-    if arr.shape != (rows,):
-        raise ValueError(f"coefficient batch has shape {arr.shape}, expected ({rows},)")
-    return arr.reshape(rows, 1, 1)
-
-
-def apply_su2_batch(block: np.ndarray, a: complex | np.ndarray,
-                    b: complex | np.ndarray, qubit: int) -> np.ndarray:
-    """Batched Algorithm 1: apply ``[[a, −b*], [b, a*]]`` to one qubit of every row.
-
-    ``block`` is a C-contiguous ``(B, 2^n)`` array (one state per row); the
-    reshape to ``(B, high, 2, stride)`` exposes all ``B`` amplitude-pair slabs
-    to a single vectorized update.  ``a`` and ``b`` may be scalars (same
-    rotation on every row) or length-``B`` arrays (one rotation per schedule,
-    broadcast along the state axes).
-    """
-    if block.ndim != 2:
-        raise ValueError(f"batched kernel expects a (B, 2^n) block, got shape {block.shape}")
-    rows, n_states = block.shape
-    stride = 1 << qubit
-    if qubit < 0 or stride * 2 > n_states:
-        raise ValueError(f"qubit {qubit} out of range for state vectors of length {n_states}")
-    view = block.reshape(rows, -1, 2, stride)
-    lo = view[:, :, 0, :]
-    hi = view[:, :, 1, :]
-    a_c = _batch_coefficient(a, rows, block.dtype)
-    b_c = _batch_coefficient(b, rows, block.dtype)
-    tmp = lo.copy()
-    lo *= a_c
-    lo -= np.conjugate(b_c) * hi
-    hi *= np.conjugate(a_c)
-    hi += b_c * tmp
-    return block
-
-
 def _su2_batch_matrices(betas: np.ndarray,
                         dtype: np.dtype | type = np.complex128) -> np.ndarray:
     """Stacked single-qubit mixers ``exp(-i β_b X)``, shape (B, 2, 2)."""
@@ -195,36 +149,31 @@ def _group_kron(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def furx_all_batch(block: np.ndarray, betas: np.ndarray, n_qubits: int, *,
-                   group_size: int = BATCH_GROUP_QUBITS,
-                   scratch: np.ndarray | None = None,
-                   copy_back: bool = True) -> np.ndarray:
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Batched Algorithm 2: ``exp(-i β_b Σ_i X_i)`` on every row of a block.
 
     Instead of 2×2 pair updates (one memory sweep per qubit), qubits are fused
-    into groups of ``group_size``: each pass contracts a ``(2^k, 2^k)``
-    per-row group unitary against the block via one stacked ``matmul``, which
-    cuts the number of full-block memory sweeps by ``group_size`` and turns
-    the mixer into gemm work.  Passes ping-pong between ``block`` and
-    ``scratch``; the final result is always written back into ``block``
-    (modified in place and returned), unless ``copy_back=False`` — then the
-    buffer holding the result is returned without the write-back (read-only
-    consumers like the fused expectation reduction skip a full block sweep).
+    into groups of ``BATCH_GROUP_QUBITS``: each pass contracts a
+    ``(2^k, 2^k)`` per-row group unitary against the block via one stacked
+    ``matmul``, which cuts the number of full-block memory sweeps by the
+    group size and turns the mixer into gemm work.  Passes ping-pong
+    between ``block`` and ``scratch``; the result is written back into
+    ``block`` (modified in place and returned).
 
     ``scratch`` must be a buffer with ``block``'s shape and dtype (allocated
     here when omitted; callers evolving many layers should preallocate one).
     """
-    rows, _ = _validate_group_kernel_block(block, n_qubits, group_size)
+    rows, _ = _validate_group_kernel_block(block, n_qubits)
     betas_arr = np.broadcast_to(np.asarray(betas, dtype=np.float64), (rows,))
     # Group unitaries at the block's dtype: the stacked matmuls then dispatch
     # to the matching-precision gemm instead of a widened fallback.
     u = _su2_batch_matrices(betas_arr, dtype=block.dtype)
     scratch = _check_scratch(block, scratch)
-    return _group_pass_loop(block, scratch, u, n_qubits, 0, group_size,
-                            copy_back=copy_back)
+    return _group_pass_loop(block, scratch, u, n_qubits, 0)
 
 
-def _validate_group_kernel_block(block: np.ndarray, n_qubits: int,
-                                 group_size: int) -> tuple[int, int]:
+def _validate_group_kernel_block(block: np.ndarray,
+                                 n_qubits: int) -> tuple[int, int]:
     """Shared argument validation of the gemm-grouped batch kernels."""
     if block.ndim != 2:
         raise ValueError(f"batched kernel expects a (B, 2^n) block, got shape {block.shape}")
@@ -233,8 +182,6 @@ def _validate_group_kernel_block(block: np.ndarray, n_qubits: int,
         raise ValueError(
             f"state vectors of length {n_states} do not match n={n_qubits}"
         )
-    if group_size < 1:
-        raise ValueError("group_size must be at least 1")
     return rows, n_states
 
 
@@ -247,24 +194,20 @@ def _check_scratch(block: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
 
 
 def _group_pass_loop(block: np.ndarray, scratch: np.ndarray, u: np.ndarray,
-                     n_qubits: int, q_start: int, group_size: int,
-                     start_in_scratch: bool = False,
-                     copy_back: bool = True) -> np.ndarray:
+                     n_qubits: int, q_start: int,
+                     start_in_scratch: bool = False) -> np.ndarray:
     """The gemm-grouped pass loop over qubits ``q_start … n−1``.
 
     Passes ping-pong between ``block`` and ``scratch``; the final result is
-    written back into ``block`` — unless ``copy_back=False``, in which case
-    the buffer actually holding the result (``block`` or ``scratch``) is
-    returned as-is, saving a full block write+read when the caller only
-    *reads* the result (the fused mixer→expectation reduction).
-    ``start_in_scratch`` indicates the current state lives in ``scratch``
-    (used by the fused phase kernel, whose phase multiply lands there).
+    written back into ``block``.  ``start_in_scratch`` indicates the current
+    state lives in ``scratch`` (used by the fused phase kernel, whose first
+    pass lands there).
     """
     rows, n_states = block.shape
     src, dst = (scratch, block) if start_in_scratch else (block, scratch)
     q = q_start
     while q < n_qubits:
-        k = min(group_size, n_qubits - q)
+        k = min(BATCH_GROUP_QUBITS, n_qubits - q)
         group_u = _group_kron(u, k)
         dim = 1 << k
         stride = 1 << q
@@ -279,10 +222,9 @@ def _group_pass_loop(block: np.ndarray, scratch: np.ndarray, u: np.ndarray,
                       out=dst.reshape(rows, groups, dim, stride))
         src, dst = dst, src
         q += k
-    if src is not block and copy_back:
+    if src is not block:
         np.copyto(block, src)
-        return block
-    return src
+    return block
 
 
 #: Elements of the direct phase's reused buffers: one complex128 angle tile
@@ -324,18 +266,15 @@ _FUSED_PHASE_CHUNK: int = 1 << 18
 def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarray,
                          n_qubits: int, *,
                          phase_table=None, costs: np.ndarray | None = None,
-                         group_size: int = BATCH_GROUP_QUBITS,
                          scratch: np.ndarray | None = None,
-                         phase_buf: np.ndarray | None = None,
-                         chunk: int = _FUSED_PHASE_CHUNK,
-                         copy_back: bool = True) -> np.ndarray:
+                         phase_buf: np.ndarray | None = None) -> np.ndarray:
     """Fused layer kernel: per-row ``exp(-i β_b Σ X_i) · exp(-i γ_b C)``.
 
     The separate batched phase sweep re-streams the whole ``(B, 2^n)`` block
     through memory before the mixer touches it; here the phase rides the
     mixer's chunk traversal instead.  The state axis is walked in cache-
     sized column chunks: each chunk is phased in place (factors gathered
-    from the unique-value table when one applies, direct ``exp`` over
+    through the unique-value table when one applies, direct ``exp`` over
     ``costs`` otherwise) and the mixer's leading stride-1 group gemm runs on
     it immediately, reading the freshly phased chunk cache-hot through a
     contiguous view — phase + first pass stream the block exactly once.
@@ -344,15 +283,14 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
     path and cost more than the cache locality buys (measured).  The
     remaining passes run the standard ping-pong loop, with the chunk-local
     pass alternating buffers exactly like the global loop would — parity
-    works out with no extra copy-back.  ``phase_buf``
-    optionally supplies the per-chunk table gather buffer (callers on the hot
-    path pass a persistent one — the workspace scratch or the simulator's
-    phase buffer — so warmed-up layers allocate nothing).  Numerics are
-    identical to ``apply_phase`` followed by :func:`furx_all_batch`: the
-    batched group gemms are per-group independent, so chunking the group
-    axis does not change a single floating-point operation.
+    works out with no extra copy-back.  ``phase_buf`` optionally supplies
+    the per-chunk table gather buffer (and bounds the chunk width), so
+    warmed-up layers allocate nothing.  Numerics are identical to the phase
+    followed by :func:`furx_all_batch`: the batched group gemms are
+    per-group independent, so chunking the group axis does not change a
+    single floating-point operation.
     """
-    rows, n_states = _validate_group_kernel_block(block, n_qubits, group_size)
+    rows, n_states = _validate_group_kernel_block(block, n_qubits)
     if phase_table is None and costs is None:
         raise ValueError("provide a phase_table or a costs diagonal")
     gammas_arr = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (rows,))
@@ -361,24 +299,19 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
     scratch = _check_scratch(block, scratch)
     if phase_table is not None:
         factors = phase_table.factors_batch(gammas_arr, dtype=block.dtype)
-        inverse = phase_table.inverse
     # Per-row chunk width: a power of two so every chunk-local pass's group
     # extent divides it, shrunk to a caller-provided gather buffer rather
     # than allocating a bigger one (warmed-up layers stay allocation-free).
-    cols = max(1, chunk // max(rows, 1))
+    cols = max(1, _FUSED_PHASE_CHUNK // max(rows, 1))
     cols = 1 << (cols.bit_length() - 1)
-    if (phase_buf is not None and phase_buf.ndim == 1 and phase_buf.shape[0] >= 1
-            and phase_buf.dtype == block.dtype):
+    if phase_buf is not None:
         cols = min(cols, 1 << (int(phase_buf.shape[0]).bit_length() - 1))
-        pbuf = phase_buf
-    else:
-        pbuf = None
     cols = min(cols, n_states)
-    if phase_table is not None and (pbuf is None or pbuf.shape[0] < cols):
-        pbuf = np.empty(cols, dtype=block.dtype)
+    if phase_table is not None and phase_buf is None:
+        phase_buf = np.empty(cols, dtype=block.dtype)
     # At most the leading stride-1 pass runs inside the chunk loop (see the
     # docstring for why wider-stride passes stay global).
-    k = min(group_size, n_qubits)
+    k = min(BATCH_GROUP_QUBITS, n_qubits)
     dim = 1 << k
     fuse_first_pass = dim <= cols
     if fuse_first_pass:
@@ -390,19 +323,15 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
         if phase_table is None:
             direct_phase_batch(block[:, s:e], gammas_arr, costs[s:e])
         else:
-            buf = pbuf[: e - s]
-            for r in range(rows):
-                np.take(factors[r], inverse[s:e], out=buf)
-                block[r, s:e] *= buf
+            phase_table.apply(block[:, s:e], factors, s, phase_buf)
         if fuse_first_pass:
             np.matmul(view_src[:, s // dim:e // dim], gmat,
                       out=view_dst[:, s // dim:e // dim])
     # Continue the ping-pong from wherever the fused pass left the state
     # (scratch when the first pass ran inside the chunk loop).
     return _group_pass_loop(block, scratch, u, n_qubits,
-                            k if fuse_first_pass else 0, group_size,
-                            start_in_scratch=fuse_first_pass,
-                            copy_back=copy_back)
+                            k if fuse_first_pass else 0,
+                            start_in_scratch=fuse_first_pass)
 
 
 def fwht_inplace(vector: np.ndarray) -> np.ndarray:

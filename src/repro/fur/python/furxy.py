@@ -21,12 +21,9 @@ import numpy as np
 
 __all__ = [
     "apply_xy_su2",
-    "apply_xy_su2_batch",
     "furxy",
     "furxy_ring",
-    "furxy_ring_batch",
     "furxy_complete",
-    "furxy_complete_batch",
     "ring_edges",
     "complete_edges",
 ]
@@ -91,87 +88,6 @@ def furxy(statevector: np.ndarray, beta: float, qubit_i: int, qubit_j: int) -> n
     a = complex(np.cos(beta))
     b = -1j * complex(np.sin(beta))
     return apply_xy_su2(statevector, a, b, qubit_i, qubit_j)
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels — one NumPy op covers a whole (B, 2^n) block of states.
-# ---------------------------------------------------------------------------
-
-def _batch_xy_coefficient(coeff: complex | np.ndarray, rows: int,
-                          dtype: np.dtype) -> np.ndarray:
-    """Normalize a coefficient to a scalar or (rows, 1, 1, 1) broadcaster.
-
-    Cast to the block's complex dtype so the update runs at state precision.
-    """
-    arr = np.asarray(coeff, dtype=dtype)
-    if arr.ndim == 0:
-        return arr[()]
-    if arr.shape != (rows,):
-        raise ValueError(f"coefficient batch has shape {arr.shape}, expected ({rows},)")
-    return arr.reshape(rows, 1, 1, 1)
-
-
-def apply_xy_su2_batch(block: np.ndarray, a: complex | np.ndarray,
-                       b: complex | np.ndarray,
-                       qubit_i: int, qubit_j: int) -> np.ndarray:
-    """Batched ``{|01>, |10>}``-subspace rotation on every row of a block.
-
-    The ``(B, 2^n)`` block is reshaped to
-    ``(B, top, 2, mid, 2, low)`` so one vectorized update covers all rows;
-    ``a`` and ``b`` may be scalars or length-``B`` arrays (one rotation per
-    schedule, broadcast along the state axes).
-    """
-    if block.ndim != 2:
-        raise ValueError(f"batched kernel expects a (B, 2^n) block, got shape {block.shape}")
-    if qubit_i == qubit_j:
-        raise ValueError("XY rotation requires two distinct qubits")
-    rows, n_states = block.shape
-    lo_q, hi_q = (qubit_i, qubit_j) if qubit_i < qubit_j else (qubit_j, qubit_i)
-    if (1 << (hi_q + 1)) > n_states:
-        raise ValueError(f"qubit {hi_q} out of range for state vectors of length {n_states}")
-    view = block.reshape(rows, -1, 2, 1 << (hi_q - lo_q - 1), 2, 1 << lo_q)
-    if qubit_i > qubit_j:  # qubit_i is hi_q
-        amp_10 = view[:, :, 1, :, 0, :]
-        amp_01 = view[:, :, 0, :, 1, :]
-    else:  # qubit_j is hi_q
-        amp_10 = view[:, :, 0, :, 1, :]
-        amp_01 = view[:, :, 1, :, 0, :]
-    a_c = _batch_xy_coefficient(a, rows, block.dtype)
-    b_c = _batch_xy_coefficient(b, rows, block.dtype)
-    tmp = amp_10.copy()
-    amp_10 *= a_c
-    amp_10 -= np.conjugate(b_c) * amp_01
-    amp_01 *= np.conjugate(a_c)
-    amp_01 += b_c * tmp
-    return block
-
-
-def furxy_ring_batch(block: np.ndarray, betas: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Batched ring XY mixer: ``exp(-i β_b M_ring)`` on every row, in place."""
-    rows, a, b = _validate_furxy_batch(block, betas, n_qubits)
-    for i, j in ring_edges(n_qubits):
-        apply_xy_su2_batch(block, a, b, i, j)
-    return block
-
-
-def furxy_complete_batch(block: np.ndarray, betas: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Batched complete-graph XY mixer on every row, in place."""
-    rows, a, b = _validate_furxy_batch(block, betas, n_qubits)
-    for i, j in complete_edges(n_qubits):
-        apply_xy_su2_batch(block, a, b, i, j)
-    return block
-
-
-def _validate_furxy_batch(block: np.ndarray, betas: np.ndarray,
-                          n_qubits: int) -> tuple[int, np.ndarray, np.ndarray]:
-    if block.ndim != 2 or block.shape[1] != (1 << n_qubits):
-        raise ValueError(
-            f"batched kernel expects a (B, {1 << n_qubits}) block, got shape {block.shape}"
-        )
-    rows = block.shape[0]
-    betas_arr = np.broadcast_to(np.asarray(betas, dtype=np.float64), (rows,))
-    return rows, np.cos(betas_arr).astype(np.complex128), \
-        (-1j * np.sin(betas_arr)).astype(np.complex128)
 
 
 def furxy_ring(statevector: np.ndarray, beta: float, n_qubits: int) -> np.ndarray:

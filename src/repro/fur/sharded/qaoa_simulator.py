@@ -51,7 +51,7 @@ from ..base import QAOAFastSimulatorBase, host_probabilities
 from ..diagonal import build_phase_table
 from ..jit import kernels
 from ..python.furxy import complete_edges, ring_edges
-from ..python.qaoa_simulator import _segment_expectations
+from ..python.kernels import segment_expectations
 from .layout import ShardLayout, resolve_n_shards, sharded_state_bytes
 
 __all__ = [
@@ -367,9 +367,9 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
         def work(s: int, r: slice) -> None:
             partials[r, s * per_shard:(s + 1) * per_shard] = (
-                _segment_expectations(block[s][r],
-                                      costs[s * slab_w:(s + 1) * slab_w],
-                                      seg_w))
+                segment_expectations(block[s][r],
+                                     costs[s * slab_w:(s + 1) * slab_w],
+                                     seg_w))
 
         self._map_shards(block, work)
         return partials.sum(axis=1)

@@ -110,12 +110,19 @@ def device_probabilities(sv: DeviceArray, preserve_state: bool = True) -> Device
 
 def device_apply_phase_batch(svb: DeviceArray, costs: DeviceArray, gammas: np.ndarray,
                              phase_table=None) -> DeviceArray:
-    """Batched phase kernel: one diagonal read shared by every block row."""
+    """Batched phase kernel: one diagonal read shared by every block row
+    (the table's ``uint16`` index when ``phase_table`` is given)."""
     _check_device_pair(svb, costs)
     kernels.phase_block(svb.data, gammas, phase_table=phase_table,
                         costs=costs.data)
-    svb.device.charge_kernel(2 * svb.nbytes + costs.nbytes)
+    svb.device.charge_kernel(2 * svb.nbytes + _diag_bytes(costs, phase_table))
     return svb
+
+
+def _diag_bytes(costs: DeviceArray, phase_table) -> int:
+    """Bytes a phase reads of the diagonal: the phase table's index when it
+    gathers through one, else the float64 cost vector."""
+    return costs.nbytes if phase_table is None else phase_table.inverse.nbytes
 
 
 def device_furx_all_batch(svb: DeviceArray, betas: np.ndarray,
@@ -141,16 +148,18 @@ def device_furx_phase_all_batch(svb: DeviceArray, costs: DeviceArray,
 
     The phase multiply rides the first mixer sweep (the FusePhaseIntoMixer
     plan rewrite), so the modeled traffic is ``n`` read-modify-writes of the
-    block plus one diagonal read — one full block RMW and one kernel launch
-    fewer than the split phase + mixer kernels.  ``scratch`` is the jit
+    block plus one diagonal read (as :func:`device_apply_phase_batch`) —
+    one full block RMW and one kernel launch fewer than the split phase +
+    mixer kernels.  ``scratch`` is the jit
     numpy rung's ping-pong block (unused on the compiled rungs).
     """
     _check_device_pair(svb, costs)
     kernels.furx_phase_block(svb.data, gammas, betas,
                              phase_table=phase_table, costs=costs.data,
                              scratch=scratch)
-    svb.device.charge_kernel(2 * svb.nbytes * n_qubits + costs.nbytes,
-                             launches=n_qubits)
+    svb.device.charge_kernel(
+        2 * svb.nbytes * n_qubits + _diag_bytes(costs, phase_table),
+        launches=n_qubits)
     return svb
 
 

@@ -29,7 +29,7 @@ from ..base import (
 )
 from ..diagonal import term_masks_and_weights
 from ..jit import kernels
-from ..jit.qaoa_simulator import JITMixerScratch
+from ..jit.qaoa_simulator import MixerScratch
 from .device import A100_80GB, DeviceArray, DeviceSpec, SimulatedDevice
 from .kernels import (
     device_apply_phase,
@@ -200,7 +200,7 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         return device_overlap(result, idx)
 
 
-class QAOAFURXSimulatorGPU(JITMixerScratch, _QAOAFURGPUSimulatorBase):
+class QAOAFURXSimulatorGPU(MixerScratch, _QAOAFURGPUSimulatorBase):
     """QAOA with the transverse-field mixer on the simulated GPU.
 
     The host scratch of the jit mixer kernels is not on the modeled device:
@@ -208,6 +208,8 @@ class QAOAFURXSimulatorGPU(JITMixerScratch, _QAOAFURGPUSimulatorBase):
     """
 
     mixer_name = "x"
+    #: the jit kernels under the device kernels (read by MixerScratch)
+    _kernels = kernels
     supports_fused_phase_mixer = True
 
     def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:

@@ -22,15 +22,9 @@ from repro.fur import batch_block_rows, build_phase_table
 from repro.fur.diagonal import PHASE_TABLE_MAX_FRACTION, PHASE_TABLE_MAX_VALUES
 from repro.fur.base import QAOAFastSimulatorBase
 from repro.fur.diagonal import precompute_cost_diagonal
-from repro.fur.python.furx import apply_su2, apply_su2_batch, furx_all, furx_all_batch
-from repro.fur.python.furxy import (
-    apply_xy_su2,
-    apply_xy_su2_batch,
-    furxy_complete,
-    furxy_complete_batch,
-    furxy_ring,
-    furxy_ring_batch,
-)
+from repro.fur.python import kernels as np_kernels
+from repro.fur.python.furx import apply_su2, furx_all, furx_all_batch
+from repro.fur.python.furxy import apply_xy_su2, furxy_complete, furxy_ring
 from repro.problems import labs, maxcut
 from repro.testing import per_row_expectations, random_terms
 
@@ -221,7 +215,7 @@ class TestSubBatchSplitting:
 
 
 class TestBatchedKernels:
-    def test_apply_su2_batch_matches_per_row(self):
+    def test_rotate_x_block_matches_per_row(self):
         rng = np.random.default_rng(0)
         block = _random_block(rng, 4, 1 << 5)
         betas = rng.uniform(-1, 1, 4)
@@ -229,15 +223,10 @@ class TestBatchedKernels:
         b = (-1j * np.sin(betas)).astype(complex)
         expected = block.copy()
         for r in range(4):
-            apply_su2(expected[r], complex(a[r]), complex(b[r]), qubit=2)
-        apply_su2_batch(block, a, b, qubit=2)
+            for q in (2, 0):
+                apply_su2(expected[r], complex(a[r]), complex(b[r]), qubit=q)
+        np_kernels.rotate_x_block(block, betas, [2, 0])
         np.testing.assert_allclose(block, expected, atol=1e-14)
-        # scalar coefficients broadcast to every row
-        block2 = expected.copy()
-        apply_su2_batch(block2, complex(a[0]), complex(b[0]), qubit=0)
-        for r in range(4):
-            apply_su2(expected[r], complex(a[0]), complex(b[0]), qubit=0)
-        np.testing.assert_allclose(block2, expected, atol=1e-14)
 
     def test_furx_all_batch_matches_per_row(self):
         rng = np.random.default_rng(1)
@@ -249,7 +238,7 @@ class TestBatchedKernels:
             furx_all_batch(block, betas, n)
             np.testing.assert_allclose(block, expected, atol=1e-13)
 
-    def test_xy_batch_kernels_match_per_row(self):
+    def test_furxy_block_matches_per_row(self):
         rng = np.random.default_rng(2)
         n = 5
         block = _random_block(rng, 4, 1 << n)
@@ -259,13 +248,14 @@ class TestBatchedKernels:
         expected = block.copy()
         for r in range(4):
             apply_xy_su2(expected[r], complex(a[r]), complex(b[r]), 3, 1)
-        apply_xy_su2_batch(block, a, b, 3, 1)
+        np_kernels.furxy_block(block, None, betas, edges=[(3, 1)])
         np.testing.assert_allclose(block, expected, atol=1e-14)
-        for batch_fn, row_fn in ((furxy_ring_batch, furxy_ring),
-                                 (furxy_complete_batch, furxy_complete)):
+        for kind, row_fn in (("ring", furxy_ring),
+                             ("complete", furxy_complete)):
             blk = _random_block(rng, 4, 1 << n)
             exp = np.stack([row_fn(blk[r].copy(), betas[r], n) for r in range(4)])
-            batch_fn(blk, betas, n)
+            np_kernels.furxy_block(blk, None, betas,
+                                   edges=np_kernels.mixer_edges(kind, n))
             np.testing.assert_allclose(blk, exp, atol=1e-13)
 
     def test_blocked_batch_kernels_match_per_row(self, numpy_rung,
@@ -274,7 +264,7 @@ class TestBatchedKernels:
         n = 6
         n_states = 1 << n
         # a tiny chunk forces chunking in every numpy-rung sweep
-        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", 16)
+        monkeypatch.setattr(np_kernels, "_NP_CHUNK", 16)
         block = _random_block(rng, 3, n_states)
         betas = rng.uniform(-1, 1, 3)
 
@@ -308,7 +298,7 @@ class TestBatchedKernels:
         costs = rng.integers(0, 5, n_states).astype(np.float64)
         table = build_phase_table(costs)
         assert table is not None and table.n_unique <= 5
-        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", 16)
+        monkeypatch.setattr(np_kernels, "_NP_CHUNK", 16)
         block = _random_block(rng, 3, n_states)
         gammas = rng.uniform(-1, 1, 3)
         expected = block * np.exp(np.multiply.outer(-1j * gammas, costs))
@@ -324,10 +314,16 @@ class TestDiagonalPhaseTable:
         assert table.n_unique == 3
         assert len(table) == costs.size
         gamma = 0.37
-        np.testing.assert_allclose(table.phases(gamma),
-                                   np.exp(-1j * gamma * costs), atol=1e-15)
-        out = np.empty(costs.size, dtype=np.complex128)
-        assert table.phases(gamma, out=out) is out
+        phases = np.ones((1, costs.size), dtype=np.complex128)
+        table.apply(phases, table.factors_batch([gamma]), 0,
+                    np.empty(costs.size, dtype=np.complex128))
+        np.testing.assert_allclose(phases[0], np.exp(-1j * gamma * costs),
+                                   atol=1e-15)
+        # a column slice from ``start`` on gathers that slice's factors
+        tail = np.ones((1, 100), dtype=np.complex128)
+        table.apply(tail, table.factors_batch([gamma]), costs.size - 100,
+                    np.empty(128, dtype=np.complex128))
+        np.testing.assert_array_equal(tail[0], phases[0, -100:])
         factors = table.factors_batch([0.1, 0.2])
         assert factors.shape == (2, 3)
         np.testing.assert_allclose(factors[1], np.exp(-1j * 0.2 * table.unique_values))
@@ -431,6 +427,25 @@ class TestDiagonalPhaseTable:
         with pytest.raises(ValueError, match="1-D"):
             build_phase_table(np.ones((2, 2)))
 
+    def test_malformed_tables_rejected(self):
+        """The compiled kernels read the index unchecked (and the gather
+        skips numpy's bounds check), so the constructor checks it."""
+        from repro.fur.diagonal import DiagonalPhaseTable
+
+        values = np.array([0.0, 1.0])
+        index = np.array([1, 0, 1], dtype=np.uint16)
+        with pytest.raises(ValueError, match="out of range"):
+            DiagonalPhaseTable(values, np.array([0, 40000], dtype=np.uint16))
+        with pytest.raises(ValueError, match="out of range"):
+            DiagonalPhaseTable(np.empty(0), index)
+        for bad in (index.astype(np.intp), index[None]):
+            with pytest.raises(ValueError, match="1-D uint16"):
+                DiagonalPhaseTable(values, bad)
+        for bad in (values.astype(np.float32), values[None]):
+            with pytest.raises(ValueError, match="1-D float64"):
+                DiagonalPhaseTable(bad, index)
+        assert DiagonalPhaseTable(values, index).n_unique == 2
+
 
 class TestHotPathRegressions:
     @pytest.mark.parametrize("backend", ["python", "c"])
@@ -441,7 +456,6 @@ class TestHotPathRegressions:
         vector or uint16 index: no per-layer (or per-simulator) copy."""
         from repro.fur.jit import kernels
         from repro.fur.python import furx
-        from repro.fur.python import qaoa_simulator as python_sim
 
         costs = repro.simulator(N, terms=labs.get_terms(N),
                                 backend="python").get_cost_diagonal()
@@ -463,8 +477,7 @@ class TestHotPathRegressions:
             return original_fused(block, gammas, betas, n_qubits, **kwargs)
 
         monkeypatch.setattr(kernels, "_phase_args", spy_args)
-        monkeypatch.setattr(furx, "furx_phase_all_batch", spy_fused)
-        monkeypatch.setattr(python_sim, "furx_phase_all_batch", spy_fused)
+        monkeypatch.setattr(np_kernels, "furx_phase_all_batch", spy_fused)
         rng = np.random.default_rng(0)
         p = 50
         sim.get_expectation_batch(rng.uniform(0, 1, (2, p)),

@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.fur import available_backends
-from repro.fur.engine import ExpectationOp, MixerOp, PhaseOp
+from repro.fur.engine import ExpectationOp, FusedPhaseMixerOp, MixerOp, PhaseOp
 from repro.fur.registry import registry
 from repro.problems import labs
 from repro.testing import per_row_expectations
@@ -100,7 +100,7 @@ class TestPlanCacheSemantics:
         p1 = sim.engine.plan(2, n_trotters=1)
         p2 = sim.engine.plan(2, n_trotters=3)
         assert p1 is not p2
-        assert p2.ops[1] == MixerOp(0, 3)
+        assert p2.ops[0] == FusedPhaseMixerOp(0, 3)
 
     def test_memory_budget_change_recompiles(self):
         sim = repro.simulator(N, terms=labs.get_terms(N), backend="python")

@@ -57,14 +57,14 @@ import repro
 import repro.fur as fur
 from repro.fur.diagonal import build_phase_table
 from repro.fur.jit import kernels
+from repro.fur.python import kernels as np_kernels
 from repro.fur.python.furx import furx_all_batch, furx_phase_all_batch
 from repro.fur.python.furxy import (
     complete_edges,
-    furxy_complete_batch,
-    furxy_ring_batch,
+    furxy_complete,
+    furxy_ring,
     ring_edges,
 )
-from repro.fur.python.qaoa_simulator import _block_expectations
 from repro.problems import labs
 
 PRECISIONS = ("double", "single")
@@ -161,7 +161,7 @@ class TestFurxKernels:
         # plain per-row sum of c|psi|^2 over that state
         np.testing.assert_allclose(block, expected_block, atol=atol)
         np.testing.assert_allclose(
-            out, _block_expectations(expected_block, costs),
+            out, (np.abs(expected_block.astype(np.complex128)) ** 2) @ costs,
             atol=10 * atol)
         assert out.dtype == np.float64
 
@@ -441,10 +441,10 @@ class TestFurxyKernels:
         factors = table.factors_batch(gammas, dtype=dtype)
         for r in range(self.ROWS):
             expected[r] *= factors[r][table.inverse]
-        apply = furxy_ring_batch if kind == "ring" else furxy_complete_batch
-        sub = np.asarray(betas) / n_trotters
-        for _ in range(n_trotters):
-            apply(expected, sub, self.N)
+        apply = furxy_ring if kind == "ring" else furxy_complete
+        for row, beta in zip(expected, betas):
+            for _ in range(n_trotters):
+                apply(row, beta / n_trotters, self.N)
         np.testing.assert_allclose(block, expected, atol=atol)
 
     def test_edge_order_matches_python_kernels(self):
@@ -980,13 +980,13 @@ class TestMixerScratchBudget:
                 return handed[-1]
 
             monkeypatch.setattr(sim, "_mixer_scratch", make_scratch)
-            real = kernels._np_furx_phase
+            real = np_kernels.furx_phase_block
 
-            def spy(*args):
-                used.append(args[-1])
-                return real(*args)
+            def spy(*args, **kwargs):
+                used.append(kwargs["scratch"])
+                return real(*args, **kwargs)
 
-            monkeypatch.setattr(kernels, "_np_furx_phase", spy)
+            monkeypatch.setattr(np_kernels, "furx_phase_block", spy)
             gb = rng.uniform(-1.0, 1.0, (4, 3))
             bb = rng.uniform(-1.0, 1.0, (4, 3))
             sim.get_expectation_batch(gb, bb, memory_budget=4 * (16 << self.N))

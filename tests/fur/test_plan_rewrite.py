@@ -169,7 +169,7 @@ class TestPassSemantics:
         assert fme[0].ops_before == 4 and fme[0].ops_after == 3
 
     def test_xy_mixers_keep_split_ops(self):
-        sim = repro.simulator(6, terms=labs.get_terms(6), backend="python",
+        sim = repro.simulator(6, terms=labs.get_terms(6), backend="gpu",
                               mixer="xyring")
         plan = sim.engine.plan(2)
         # no fused XY kernels: every pass runs and rewrites nothing
@@ -271,8 +271,8 @@ _PINNED_SHAPES = {
 #: backend x mixer -> op-list shape of its default-optimized plans.
 _PINNED_PLANS = {
     ("python", "x"): "fused-tail",
-    ("python", "xyring"): "split",
-    ("python", "xycomplete"): "split",
+    ("python", "xyring"): "fused",
+    ("python", "xycomplete"): "fused",
     ("jit", "x"): "fused-tail",
     ("jit", "xyring"): "fused",
     ("jit", "xycomplete"): "fused",

@@ -385,15 +385,17 @@ class TestPhaseTableAndDiagonalDtypes:
     def test_phase_table_factor_dtype(self):
         table = build_phase_table(np.tile([0.0, 1.0, 2.0, 1.0], 8))
         assert table is not None
-        assert table.factors(0.3).dtype == np.complex128
-        assert table.factors(0.3, dtype=np.complex64).dtype == np.complex64
+        assert table.factors_batch([0.3]).dtype == np.complex128
         batch = table.factors_batch(np.array([0.1, 0.2]), dtype=np.complex64)
         assert batch.dtype == np.complex64
         np.testing.assert_allclose(
             batch, table.factors_batch(np.array([0.1, 0.2])), rtol=1e-6)
-        out = np.empty(len(table), dtype=np.complex64)
-        assert table.phases(0.3, out=out) is out
-        np.testing.assert_allclose(out, table.phases(0.3), rtol=1e-6)
+        single = np.ones((2, len(table)), dtype=np.complex64)
+        double = np.ones((2, len(table)), dtype=np.complex128)
+        table.apply(single, batch, 0, np.empty(len(table), np.complex64))
+        table.apply(double, table.factors_batch(np.array([0.1, 0.2])), 0,
+                    np.empty(len(table), np.complex128))
+        np.testing.assert_allclose(single, double, rtol=1e-6)
 
     def test_one_held_diagonal_at_both_precisions(self):
         """Single precision holds the double-precision diagonal: the same

@@ -155,3 +155,31 @@ class TestDeviceTimeModel:
             sim.simulate_qaoa([0.1], [0.2])
             bytes_processed[n] = sim.device.stats.bytes_processed
         assert bytes_processed[10] > 3 * bytes_processed[8]
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_table_phase_charges_the_index(self, precision):
+        """A table-mode phase reads the 2-byte index, not the float64 vector."""
+        from repro.fur.simgpu.kernels import (
+            device_apply_phase_batch,
+            device_furx_phase_all_batch,
+        )
+
+        n, rows = 8, 3
+        sim = QAOAFURXSimulatorGPU(n, terms=labs.get_terms(n),
+                                   precision=precision)
+        table = sim._diagonal_phase_table()
+        assert table is not None
+        gammas, betas = np.full(rows, 0.3), np.full(rows, 0.2)
+        block = sim._stage_block(None, rows)
+        stats = sim.device.stats
+        sim.reset_device_clock()
+        device_apply_phase_batch(block, sim._costs_device, gammas,
+                                 phase_table=table)
+        assert stats.bytes_processed == 2 * block.nbytes + 2 * (1 << n)
+        sim.reset_device_clock()
+        device_furx_phase_all_batch(block, sim._costs_device, gammas, betas,
+                                    n, phase_table=table)
+        assert stats.bytes_processed == 2 * block.nbytes * n + 2 * (1 << n)
+        sim.reset_device_clock()
+        device_apply_phase_batch(block, sim._costs_device, gammas)
+        assert stats.bytes_processed == 2 * block.nbytes + 8 * (1 << n)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from functools import partial
 
 from repro.fur import get_simulator_class
+from repro.fur.python import kernels as np_kernels
 from repro.problems import labs, maxcut
 
 from repro.testing import random_terms
@@ -185,6 +186,32 @@ class TestSimulateKwargs:
         assert errors[2] < 5e-3
 
 
+class TestPythonNeedsNoCompiler:
+    @pytest.mark.parametrize("mixer", ["x", "xyring", "xycomplete"])
+    def test_never_builds_or_loads_the_c_library(self, mixer, monkeypatch):
+        """The python backend runs the NumPy tier directly: with the jit
+        library loader (and the rung resolution) broken, every entry point
+        still works."""
+        from repro.fur.jit import kernels
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the python backend reached the jit rung")
+
+        monkeypatch.setattr(kernels, "_load_clib", broken)
+        monkeypatch.setattr(kernels, "active_path", broken)
+        monkeypatch.setattr(kernels, "_active_path", None)
+        n = 6
+        sim = get_simulator_class("python", mixer)(n, terms=labs.get_terms(n))
+        rng = np.random.default_rng(0)
+        g, b = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
+        states = sim.simulate_qaoa_batch(g, b)
+        energies = sim.get_expectation_batch(g, b)
+        for row in range(3):
+            result = sim.simulate_qaoa(g[row], b[row])
+            np.testing.assert_allclose(states[row], result, atol=1e-12)
+            assert abs(energies[row] - sim.get_expectation(result)) < 1e-10
+
+
 class TestBlockedKernels:
     """The jit numpy rung's blocked sweeps agree with the plain kernels for
     any chunk size (the chunk constant is patched down to force chunking)."""
@@ -194,7 +221,7 @@ class TestBlockedKernels:
                                         chunk):
         import repro.fur.python.furx as furx
 
-        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", chunk)
+        monkeypatch.setattr(np_kernels, "_NP_CHUNK", chunk)
         n = 6
         sv = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         a, b = furx.su2_x_rotation(0.3)
@@ -209,7 +236,7 @@ class TestBlockedKernels:
                                      chunk):
         import repro.fur.python.furxy as furxy
 
-        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", chunk)
+        monkeypatch.setattr(np_kernels, "_NP_CHUNK", chunk)
         n = 6
         sv = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         for (i, j) in [(0, 1), (2, 5), (5, 2), (4, 0)]:
@@ -224,7 +251,7 @@ class TestBlockedKernels:
                                           chunk):
         # several rows share one vectorized update when their pairs fit the
         # chunk; the per-row coefficients broadcast without changing a bit
-        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", chunk)
+        monkeypatch.setattr(np_kernels, "_NP_CHUNK", chunk)
         n, rows = 6, 5
         block = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(
             size=(rows, 1 << n))
@@ -243,7 +270,7 @@ class TestBlockedKernels:
     def test_small_chunks_full_sharded_run(self, small_labs_terms,
                                            qaoa_angles, numpy_rung,
                                            monkeypatch):
-        monkeypatch.setattr(numpy_rung, "_NP_CHUNK", 16)
+        monkeypatch.setattr(np_kernels, "_NP_CHUNK", 16)
         gammas, betas = qaoa_angles
         ref_sim = get_simulator_class("python")(6, terms=small_labs_terms)
         ref = np.asarray(ref_sim.get_statevector(ref_sim.simulate_qaoa(gammas, betas)))
