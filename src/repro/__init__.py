@@ -13,12 +13,12 @@ The package mirrors the structure of the paper's QOKit framework:
 * :mod:`repro.parallel` — the virtual-cluster substrate (collectives,
   topology and performance model);
 * :mod:`repro.cutting` — circuit cutting: splits the cost graph into two
-  fragments across ``k`` cut qubits, evaluates each fragment with one
-  evolution on an ordinary full-tier backend (all ``4^k`` variant tables
-  come from that state) and recombines with a tensor contraction, so ``p = 1`` problems beyond the
-  monolithic state budget still evaluate exactly
-  (``repro.cut_qaoa_expectation(...)``; see the README's Circuit cutting
-  section);
+  fragments across ``k`` cut qubits, each holding one cost diagonal, and
+  evaluates them as two row-pool tasks with one full-tier evolution each
+  (all ``4^k`` variant tables come from that state), then recombines with
+  a tensor contraction, so ``p = 1`` problems beyond the monolithic state
+  budget still evaluate exactly (``repro.cut_qaoa_expectation(...)``; see
+  the README's Circuit cutting section);
 * :mod:`repro.serve` — an async serving layer over the execution engine:
   concurrent expectation requests are routed by problem fingerprint,
   micro-batched into fused engine calls and exact duplicates coalesced

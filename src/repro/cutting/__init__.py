@@ -1,10 +1,11 @@
 """Circuit cutting: beyond-memory QAOA via fragment decomposition.
 
 Splits the QAOA cost graph into two fragments across ``k`` cut qubits,
-evaluates each fragment with one ordinary full-tier evolution (fragment
-2's ``4^k`` preparation variants are per-slot ``2×2`` maps of its single
-``|+⟩`` state), and stitches the fragment expectation tables back together
-with a tensor-network contraction in :mod:`repro.tensornet`.  Exact for single-layer
+evaluates each fragment (its one cost diagonal and crossing masks held,
+the two fragments run as two row-pool tasks) with one full-tier evolution
+(fragment 2's ``4^k`` preparation variants are per-slot ``2×2`` maps of
+its ``|+⟩`` state), and stitches the fragment tables back together with a
+tensor-network contraction in :mod:`repro.tensornet`.  Exact for p = 1
 transverse-field QAOA; see :mod:`repro.cutting.cutter` for why deeper
 schedules and XY mixers raise :class:`CutUnsupportedError`.
 

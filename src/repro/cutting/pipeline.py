@@ -5,30 +5,31 @@ into an end-to-end evaluator:
 
 1. :func:`~repro.cutting.cutter.choose_cut` splits the cost graph into two
    fragments across ``k`` cut qubits;
-2. the measured terms fold into a few observable rows per fragment, built
-   once: the identity, a precomputed cost diagonal of the terms that live
-   on that fragment alone, and one parity row per distinct crossing mask;
+2. the measured terms fold into one cost diagonal per fragment, built
+   once, of the terms that live on that fragment alone, plus the distinct
+   masks of the terms that cross the cut;
 3. each fragment runs **one** ``p = 1`` evolution (fragment 2 from
-   ``|+⟩``), and one gemm of its observable rows against the conjugate
-   products of the state's cut slices gives the weighted reduced matrices
-   on the cut qubits.  All ``4^k`` table columns follow from those small
-   matrices: conjugated-Pauli settings for fragment 1, per-slot
-   preparation maps for fragment 2
+   ``|+⟩``); chunk by chunk, a gemm of its weight rows (identity, diagonal,
+   one parity per mask) against the state's cut-slice conjugate products
+   gives the weighted reduced matrices on the cut qubits.  All ``4^k``
+   table columns follow from those small matrices: conjugated-Pauli
+   settings for fragment 1, per-slot preparation maps for fragment 2
    (:mod:`repro.cutting.variants`);
 4. :func:`~repro.cutting.recombine.recombine_term` contracts the tables
    through :mod:`repro.tensornet`: once for each fragment's diagonal and
    once per crossing term.
 
-The two fragments dispatch concurrently on a small worker pool.  Each
-fragment's simulator is built through the :func:`repro.simulator` facade,
-so every *full-tier* backend works unchanged; expectation-only families
-(tensornet) are rejected up front with
+The two fragments run as two tasks on the row pool
+(:func:`repro.fur.jit.kernels.run_tasks`).  Each fragment's simulator is
+built through the :func:`repro.simulator` facade, so every *full-tier*
+backend works unchanged; expectation-only families (tensornet) are
+rejected up front with
 :class:`~repro.fur.capabilities.UnsupportedCapabilityError`.
 
 Because only fragment-sized state vectors are ever materialized, problems
 whose monolithic ``2^n`` state the admission guard rejects still evaluate
 — that is the point: the largest allocation is ``max(2^{n_1}, 2^{n_2})``
-amplitudes (plus a few observable rows of that length), not ``2^n``.
+amplitudes (plus one diagonal of that length), not ``2^n``.
 
 The decomposition is exact for single-layer (``p = 1``) transverse-field
 QAOA; anything else raises the typed
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,7 +48,9 @@ import numpy as np
 from ..fur.base import validate_angles
 from ..fur.capabilities import require_capability
 from ..fur.diagonal import precompute_cost_diagonal
+from ..fur.jit.kernels import run_tasks
 from ..fur.registry import simulator as _construct_simulator
+from ..qaoa.objective import EvaluationBookkeepingMixin
 from ..qaoa.parameters import split_parameters
 from .cutter import CutSpec, CutUnsupportedError, assign_terms, choose_cut
 from .recombine import recombine_term
@@ -106,34 +108,40 @@ class CuttingStats:
 _CHUNK = 1 << 14
 
 
-def _observable_rows(terms: Sequence[tuple[float, int]],
-                     crossing_masks: Sequence[int],
-                     n_qubits: int) -> np.ndarray:
-    """One fragment's observables: the identity, the cost diagonal of its
-    own ``(weight, mask)`` terms and one ``(-1)^popcount(x & mask)`` parity
-    row per crossing mask."""
-    rows = np.zeros((2 + len(crossing_masks), 1 << n_qubits))
-    rows[0] = 1.0
+def _fragment_diagonal(terms: Sequence[tuple[float, int]],
+                       n_qubits: int) -> np.ndarray:
+    """The cost diagonal of one fragment's own ``(weight, mask)`` terms."""
+    diag = np.zeros(1 << n_qubits)
     if terms:
         precompute_cost_diagonal(
             [(w, [q for q in range(n_qubits) if m >> q & 1]) for w, m in terms],
-            n_qubits, out=rows[1])
-    idx = np.arange(1 << n_qubits, dtype=np.uint64)
-    for row, mask in zip(rows[2:], crossing_masks):
-        row[:] = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(mask)) & 1)
-    return rows
+            n_qubits, out=diag)
+    return diag
 
 
-def _reduced_matrices(rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
-    """``ρ[v][b, b'] = Σ_r rows[v, r] conj(slices[b, r]) slices[b', r]``.
+def _parities(masks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(-1)^popcount(x & mask)``, one row per mask."""
+    return 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & x) & 1)
+
+
+def _reduced_matrices(diag: np.ndarray, masks: Sequence[int],
+                      slices: np.ndarray) -> np.ndarray:
+    """``ρ[v, y][b, b'] = Σ_j w_v(yL + j) conj(slices[b, j]) slices[b', j]``.
 
     ``slices`` is the state as ``(2^k, L)``: one row per value of the cut
-    bits.  The ``4^k`` real conjugate products (the upper triangle's real
+    bits.  The weights ``w_v`` over ``x < Y L`` (``Y = diag.size // L``)
+    are the identity, ``diag`` and one ``(-1)^popcount(x & mask)`` per
+    mask.  The ``4^k`` real conjugate products (the upper triangle's real
     parts, then its off-diagonal imaginary parts) are formed in double
     precision one cache-sized chunk of ``L`` at a time and fed to a gemm
-    against the ``(V, L)`` observable rows.
+    against one buffer of the chunk's ``(V Y, chunk)`` weight rows.  A
+    chunk starts at a multiple of its width, so the parity rows hold the
+    chunk-local parity and their products take the offset's sign.
     """
     d, length = slices.shape
+    copies = diag.size // length
+    diag = diag.reshape(copies, length)
+    masks = np.array(masks, dtype=np.uint64)
     lo, hi = np.triu_indices(d)
     off = lo != hi
     # conj(z_b) z_c = (re_b re_c + im_b im_c) + i (re_b im_c - im_b re_c)
@@ -142,7 +150,13 @@ def _reduced_matrices(rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
     chunk = min(_CHUNK, length)
     parts = np.empty((d * d, chunk))
     tmp = np.empty(chunk)
-    gram = np.zeros((rows.shape[0], d * d))
+    # rows: the identity, the diagonal, the parities; each in Y copies
+    weights = np.empty(((2 + masks.size) * copies, chunk))
+    weights[:copies] = 1.0
+    weights[2 * copies:] = np.repeat(
+        _parities(masks, np.arange(chunk, dtype=np.uint64)), copies, axis=0)
+    offsets = np.arange(copies, dtype=np.uint64) * np.uint64(length)
+    gram = np.zeros((weights.shape[0], d * d))
     for start in range(0, length, chunk):
         window = slice(start, start + chunk)
         z = slices[:, window].astype(np.complex128)
@@ -154,13 +168,17 @@ def _reduced_matrices(rows: np.ndarray, slices: np.ndarray) -> np.ndarray:
             else:
                 np.multiply(re[b], re[c], out=part)
                 part += np.multiply(im[b], im[c], out=tmp)
-        gram += rows[:, window] @ parts.T
+        weights[copies:2 * copies] = diag[:, window]
+        block = weights @ parts.T
+        block[2 * copies:] *= _parities(
+            masks, offsets + np.uint64(start)).reshape(-1, 1)
+        gram += block
     upper = gram[:, :lo.size].astype(np.complex128)
     upper[:, off] += 1j * gram[:, lo.size:]
-    rho = np.empty((rows.shape[0], d, d), dtype=np.complex128)
+    rho = np.empty((gram.shape[0], d, d), dtype=np.complex128)
     rho[:, hi, lo] = upper.conj()
     rho[:, lo, hi] = upper
-    return rho
+    return rho.reshape(-1, copies, d, d)
 
 
 class CutQAOAPipeline:
@@ -168,8 +186,8 @@ class CutQAOAPipeline:
 
     Construction picks (or validates) the cut, splits the cost polynomial,
     builds both fragment simulators and folds the measured terms into each
-    fragment's observable rows; :meth:`expectation` then serves any number
-    of ``p = 1`` schedules against the cached fragments.
+    fragment's diagonal and crossing masks; :meth:`expectation` then serves
+    any number of ``p = 1`` schedules against the cached fragments.
     """
 
     def __init__(self, n_qubits: int,
@@ -181,7 +199,6 @@ class CutQAOAPipeline:
                  mixer: str = "x",
                  precision: str | None = None,
                  optimize: str | None = None,
-                 n_workers: int = 2,
                  **simulator_kwargs: Any) -> None:
         if mixer != "x":
             raise CutUnsupportedError(
@@ -194,7 +211,6 @@ class CutQAOAPipeline:
                                         cut_qubits=cut_qubits,
                                         max_cuts=max_cuts)
         self.assignment = assign_terms(terms, self.spec)
-        self.n_workers = max(1, int(n_workers))
         self.stats = CuttingStats(cut_qubits=self.spec.n_cuts)
 
         k = self.spec.n_cuts
@@ -227,19 +243,18 @@ class CutQAOAPipeline:
 
         # A-only terms fold into fragment A's diagonal, B-only terms (slot
         # bits included) into fragment B's; each crossing term keeps one
-        # parity row per side.
+        # parity mask per side.
         measured = self.assignment.measured
         crossing = [(w, m1, m2) for w, m1, m2 in measured if m1 and m2]
         self._cross_weights = [w for w, _m1, _m2 in crossing]
-        self._cross_a, masks_a = self._unique(
+        self._cross_a, self._masks_a = self._unique(
             [squeeze(m1) for _w, m1, _m2 in crossing])
-        self._cross_b, masks_b = self._unique(
+        self._cross_b, self._masks_b = self._unique(
             [m2 for _w, _m1, m2 in crossing])
-        self._rows_a = _observable_rows(
-            [(w, squeeze(m1)) for w, m1, m2 in measured if not m2],
-            masks_a, n1 - k)
-        self._rows_b = _observable_rows(
-            [(w, m2) for w, m1, m2 in measured if not m1], masks_b, n2)
+        self._diag_a = _fragment_diagonal(
+            [(w, squeeze(m1)) for w, m1, m2 in measured if not m2], n1 - k)
+        self._diag_b = _fragment_diagonal(
+            [(w, m2) for w, m1, m2 in measured if not m1], n2)
 
     @staticmethod
     def _unique(masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -255,24 +270,25 @@ class CutQAOAPipeline:
 
     # -- fragment evaluation -------------------------------------------------
     def _fragment_tables(self, sim: Any, cut_axes: Sequence[int],
-                         rows: np.ndarray, maps: np.ndarray, gamma: float,
+                         diag: np.ndarray, masks: Sequence[int],
+                         maps: np.ndarray, gamma: float,
                          beta: float) -> np.ndarray:
-        """One fragment's ``(V, 4^k)`` table from its single evolution.
+        """One fragment's ``(2 + len(masks), 4^k)`` table from one evolution.
 
-        ``rows`` are the fragment's ``V`` observables, over the bits off the
-        cut (fragment A) or over its whole register (fragment B); ``maps``
-        is the per-cut map of :func:`~repro.cutting.variants.variant_tables`.
+        ``diag`` and the parity ``masks`` span the bits off the cut
+        (fragment A) or its whole register (fragment B); ``maps`` is the
+        per-cut map of :func:`~repro.cutting.variants.variant_tables`.
         """
         d = 1 << self.spec.n_cuts
         res = sim.simulate_qaoa([gamma], [beta])
         psi = np.asarray(sim.get_statevector(res)).reshape((2,) * sim.n_qubits)
         slices = np.moveaxis(psi, cut_axes, range(len(cut_axes))).reshape(d, -1)
-        rho = _reduced_matrices(rows.reshape(-1, slices.shape[1]), slices)
-        return variant_tables(rho.reshape(rows.shape[0], -1, d, d), maps)
+        return variant_tables(_reduced_matrices(diag, masks, slices), maps)
 
     def _fragment_one(self, gamma: float, beta: float) -> np.ndarray:
         """Fragment A: ``M[u, m] = ⟨ψ₁| e_u ⊗ σ̃_m |ψ₁⟩``."""
-        return self._fragment_tables(self.sim1, self._cut_axes, self._rows_a,
+        return self._fragment_tables(self.sim1, self._cut_axes, self._diag_a,
+                                     self._masks_a,
                                      conjugated_paulis(beta)[:, None],
                                      gamma, beta)
 
@@ -282,7 +298,7 @@ class CutQAOAPipeline:
         (:func:`~repro.cutting.variants.preparation_maps`)."""
         o = preparation_maps(beta)
         return self._fragment_tables(self.sim2, range(self.spec.n_cuts),
-                                     self._rows_b,
+                                     self._diag_b, self._masks_b,
                                      np.einsum("syb,syc->sybc", o.conj(), o),
                                      gamma, beta)
 
@@ -300,14 +316,10 @@ class CutQAOAPipeline:
         k = self.spec.n_cuts
 
         t0 = time.perf_counter()
-        if self.n_workers > 1:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                f1 = pool.submit(self._fragment_one, gamma, beta)
-                f2 = pool.submit(self._fragment_two, gamma, beta)
-                m_table, r_table = f1.result(), f2.result()
-        else:
-            m_table = self._fragment_one(gamma, beta)
-            r_table = self._fragment_two(gamma, beta)
+        tables: dict[str, np.ndarray] = {}
+        run_tasks([lambda: tables.update(m=self._fragment_one(gamma, beta)),
+                   lambda: tables.update(r=self._fragment_two(gamma, beta))])
+        m_table, r_table = tables["m"], tables["r"]
         t1 = time.perf_counter()
 
         # rows: 0 = identity, 1 = the fragment's folded diagonal, 2.. = the
@@ -343,14 +355,14 @@ def cut_qaoa_expectation(n_qubits: int,
     ``backend``, ``precision``, backend constructor kwargs, ...).
     For repeated evaluations — e.g. inside an optimizer loop — construct
     the pipeline once (or use :class:`CutQAOAObjective`) so the fragment
-    simulators and observable rows are reused.
+    simulators and fragment diagonals are reused.
     """
     pipeline = CutQAOAPipeline(n_qubits, terms, **pipeline_kwargs)
     return pipeline.expectation(gammas, betas)
 
 
 @dataclass
-class CutQAOAObjective:
+class CutQAOAObjective(EvaluationBookkeepingMixin):
     """Callable cut-QAOA objective with the standard evaluation bookkeeping.
 
     The optimizer-facing twin of :class:`repro.qaoa.QAOAObjective`: calling
@@ -383,19 +395,3 @@ class CutQAOAObjective:
         value = self.pipeline.expectation(gammas, betas)
         self._record_evaluation(np.asarray(theta, dtype=np.float64), value)
         return value
-
-    # mirror EvaluationBookkeepingMixin (kept local: the mixin lives in
-    # repro.qaoa and importing it here would cycle through the facade)
-    def _record_evaluation(self, theta: np.ndarray, value: float) -> None:
-        self.n_evaluations += 1
-        self.history.append(float(value))
-        if value < self.best_value:
-            self.best_value = float(value)
-            self.best_parameters = np.array(theta, dtype=np.float64)
-
-    def reset_statistics(self) -> None:
-        """Clear the evaluation counters and history."""
-        self.n_evaluations = 0
-        self.best_value = np.inf
-        self.best_parameters = None
-        self.history.clear()

@@ -1,13 +1,18 @@
-"""Pipeline-level tests: telemetry, objective bookkeeping, admission."""
+"""Pipeline-level tests: telemetry, fragment memory, the chunked reduction,
+objective bookkeeping, admission and the one row pool."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 import repro.fur.base as fur_base
-from repro.cutting import CutQAOAObjective, CutQAOAPipeline
+from repro.cutting import CutQAOAObjective, CutQAOAPipeline, pipeline
+from repro.fur import UnsupportedBackendKwargError
 
 RING = [(0.7, (i, (i + 1) % 8)) for i in range(8)]
+RING12 = [(0.3 + 0.05 * i, (i, (i + 1) % 12)) for i in range(12)]
 
 
 class TestCuttingStats:
@@ -48,11 +53,10 @@ class TestCuttingStats:
 
 
 class TestFragmentMemory:
-    def test_bridged_rings_keep_a_few_observable_rows(self):
-        """Identity, the folded diagonal and one parity row per distinct
-        crossing mask: 4 rows on fragment A (crossing edges (0, 1) and
-        (7, 0) around cut qubit 0), 3 on fragment B (the bridge's slot
-        bit); no (4^k, 2^{n_2}) prep block is kept."""
+    def test_bridged_rings_hold_one_diagonal_per_fragment(self):
+        """Each fragment holds its cost diagonal and crossing masks only:
+        at most 8 observable bytes per fragment amplitude, and no
+        (4^k, 2^{n_2}) prep block."""
         n = 16
         terms = [(0.5, (i, (i + 1) % 8)) for i in range(8)]
         terms += [(0.5, (8 + i, 8 + (i + 1) % 8)) for i in range(8)]
@@ -60,12 +64,47 @@ class TestFragmentMemory:
         pipe = CutQAOAPipeline(n, terms, backend="python",
                                partition=range(8))
         k = pipe.spec.n_cuts
-        n2 = pipe.sim2.n_qubits
-        assert (k, n2) == (1, 9)
-        assert pipe._rows_a.shape == (4, 2 ** (8 - k))
-        assert pipe._rows_b.shape == (3, 2 ** n2)
+        n1, n2 = pipe.sim1.n_qubits, pipe.sim2.n_qubits
+        assert (k, n1, n2) == (1, 8, 9)
         arrays = [v for v in vars(pipe).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= 8 * (2 ** n1 + 2 ** n2)
         assert all(a.size < 4 ** k * 2 ** n2 for a in arrays)
+
+
+class TestReducedMatrices:
+    @pytest.mark.parametrize("k, copies", [(1, 1), (1, 2), (2, 4)])
+    def test_chunked_parities_match_dense_rows(self, k, copies, seeded_rng):
+        """A fragment twice ``_CHUNK`` wide, masks with bits above the
+        chunk width and (``copies > 1``) in the cut-bit copies: the gram
+        entries are bitwise those of the dense weight rows."""
+        d, length = 1 << k, 2 * pipeline._CHUNK
+        size = copies * length
+        slices = (seeded_rng.standard_normal((d, length))
+                  + 1j * seeded_rng.standard_normal((d, length)))
+        diag = seeded_rng.standard_normal(size)
+        masks = [0b101, length >> 1 | 3, size - 1, size >> 1 | 1 << 13]
+        x = np.arange(size)
+        rows = np.array([np.ones(size), diag]
+                        + [1.0 - 2.0 * (np.bitwise_count(x & m) & 1)
+                           for m in masks]).reshape(-1, length)
+        lo, hi = np.triu_indices(d)
+        off = lo != hi
+        re, im = slices.real, slices.imag
+        parts = np.concatenate(
+            [re[lo] * re[hi] + im[lo] * im[hi],
+             re[lo[off]] * im[hi[off]] - im[lo[off]] * re[hi[off]]])
+        gram = np.zeros((rows.shape[0], d * d))
+        for start in range(0, length, pipeline._CHUNK):
+            window = slice(start, start + pipeline._CHUNK)
+            gram += rows[:, window] @ np.ascontiguousarray(parts[:, window]).T
+        upper = gram[:, :lo.size] + 0j
+        upper[:, off] += 1j * gram[:, lo.size:]
+        want = np.empty((rows.shape[0], d, d), dtype=np.complex128)
+        want[:, hi, lo] = upper.conj()
+        want[:, lo, hi] = upper
+        got = pipeline._reduced_matrices(diag, masks, slices)
+        assert got.shape == (2 + len(masks), copies, d, d)
+        assert np.array_equal(got.reshape(want.shape), want)
 
 
 class TestCutQAOAObjective:
@@ -116,8 +155,52 @@ class TestBeyondMemoryAdmission:
                                          partition=range(5))
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_serial_worker_pool_matches_concurrent(self):
-        pipe_par = CutQAOAPipeline(8, RING, backend="python")
-        pipe_ser = CutQAOAPipeline(8, RING, backend="python", n_workers=1)
-        assert pipe_ser.expectation([0.1], [0.2]) == pytest.approx(
-            pipe_par.expectation([0.1], [0.2]), abs=1e-14)
+
+
+class TestOnePool:
+    """The two fragments are two tasks on the jit tier's row pool."""
+
+    def test_bitwise_equal_under_one_and_two_threads(self, monkeypatch):
+        values = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+            pipe = CutQAOAPipeline(12, RING12, partition=range(6))
+            values.append([pipe.expectation([g], [b])
+                           for g, b in [(0.1, 0.2), (-0.7, 0.45)]])
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fragment_failure_reraises_after_both_finish(self, threads,
+                                                         monkeypatch):
+        monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+        pipe = CutQAOAPipeline(8, RING, backend="python")
+        pipe.expectation([0.1], [0.2])
+        finished = []
+        fragment_one = pipe._fragment_one
+
+        def one(gamma, beta):
+            finished.append(fragment_one(gamma, beta))
+
+        def two(gamma, beta):
+            raise RuntimeError("fragment two failed")
+
+        monkeypatch.setattr(pipe, "_fragment_one", one)
+        monkeypatch.setattr(pipe, "_fragment_two", two)
+        with pytest.raises(RuntimeError, match="fragment two failed"):
+            pipe.expectation([0.3], [0.4])
+        assert len(finished) == 1
+        assert pipe.stats.evaluations == 1
+
+    def test_n_workers_is_not_a_pipeline_option(self):
+        # the retired knob reaches the facade, which owns no worker pools
+        with pytest.raises(UnsupportedBackendKwargError, match="'n_workers'"):
+            CutQAOAPipeline(8, RING, n_workers=2)
+
+    def test_thread_pools_are_built_in_two_places_only(self):
+        """The row pool (jit kernels) and the serving layer's executor are
+        the package's only thread pools."""
+        src = Path(repro.__file__).parent
+        owners = {path.relative_to(src).as_posix()
+                  for path in src.rglob("*.py")
+                  if "ThreadPoolExecutor(" in path.read_text()}
+        assert owners == {"fur/jit/kernels.py", "serve/service.py"}
