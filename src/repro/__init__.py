@@ -9,12 +9,14 @@ The package mirrors the structure of the paper's QOKit framework:
 * :mod:`repro.qaoa` — objective factories, parameter initialization and
   optimization drivers;
 * :mod:`repro.gates` — a gate-based state-vector simulator (baseline);
-* :mod:`repro.tensornet` — a tensor-network contraction simulator (baseline);
+* :mod:`repro.tensornet` — a tensor-network contraction simulator (the
+  Fig. 3 baseline, and the cut recombination's contraction); it is not a
+  registry backend;
 * :mod:`repro.parallel` — the virtual-cluster substrate (collectives,
   topology and performance model);
 * :mod:`repro.cutting` — circuit cutting: splits the cost graph into two
   fragments across ``k`` cut qubits, each holding one cost diagonal, and
-  evaluates them as two row-pool tasks with one full-tier evolution each
+  evaluates them as two row-pool tasks with one state-vector evolution each
   (all ``4^k`` variant tables come from that state), then recombines with
   a tensor contraction, so ``p = 1`` problems beyond the monolithic state
   budget still evaluate exactly (``repro.cut_qaoa_expectation(...)``; see
@@ -47,12 +49,11 @@ single :func:`repro.simulator` facade::
     # batched evaluation shares the precomputed diagonal across schedules:
     energies = sim.get_expectation_batch(gammas_batch, betas_batch)
 
-Backends self-register with capability metadata (supported mixers, device
-class, distributed-ness, capability tier, ``auto`` priority) via
-:func:`repro.fur.register_backend`; see :mod:`repro.fur.registry`.  The
-baselines are registered too: ``backend="gates"`` resolves the gate-based
-state-vector simulator and ``backend="tensornet"`` the (expectation-only)
-tensor-network contraction simulator.
+Backends self-register with their metadata (supported mixers and
+precisions, device class, distributed-ness, ``auto`` priority) via
+:func:`repro.fur.register_backend`; see :mod:`repro.fur.registry`.  Every
+registered backend is a full state-vector simulator; the gate-based
+baseline is registered too, as ``backend="gates"``.
 """
 
 from . import cutting, fur, problems, serve

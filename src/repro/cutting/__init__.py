@@ -2,7 +2,7 @@
 
 Splits the QAOA cost graph into two fragments across ``k`` cut qubits,
 evaluates each fragment (its one cost diagonal and crossing masks held,
-the two fragments run as two row-pool tasks) with one full-tier evolution
+the two fragments run as two row-pool tasks) with one state-vector evolution
 (fragment 2's ``4^k`` preparation variants are per-slot ``2×2`` maps of
 its ``|+⟩`` state), and stitches the fragment tables back together with a
 tensor-network contraction in :mod:`repro.tensornet`.  Exact for p = 1

@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..fur.capabilities import UnsupportedCapabilityError
 from ..problems.terms import validate_terms
 
 __all__ = [
@@ -45,7 +44,7 @@ class InvalidCutError(ValueError):
     """A requested cut does not cover the cost polynomial's crossing terms."""
 
 
-class CutUnsupportedError(UnsupportedCapabilityError):
+class CutUnsupportedError(RuntimeError):
     """The requested QAOA configuration has no exact cut decomposition.
 
     Raised for ``p >= 2`` schedules and for entangling (XY) mixers, both of

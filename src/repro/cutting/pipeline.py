@@ -21,10 +21,8 @@ into an end-to-end evaluator:
 
 The two fragments run as two tasks on the row pool
 (:func:`repro.fur.jit.kernels.run_tasks`).  Each fragment's simulator is
-built through the :func:`repro.simulator` facade, so every *full-tier*
-backend works unchanged; expectation-only families (tensornet) are
-rejected up front with
-:class:`~repro.fur.capabilities.UnsupportedCapabilityError`.
+built through the :func:`repro.simulator` facade, so every registry
+backend works unchanged.
 
 Because only fragment-sized state vectors are ever materialized, problems
 whose monolithic ``2^n`` state the admission guard rejects still evaluate
@@ -46,7 +44,6 @@ from typing import Any
 import numpy as np
 
 from ..fur.base import validate_angles
-from ..fur.capabilities import require_capability
 from ..fur.diagonal import precompute_cost_diagonal
 from ..fur.jit.kernels import run_tasks
 from ..fur.registry import simulator as _construct_simulator
@@ -226,8 +223,6 @@ class CutQAOAPipeline:
         self.sim2 = _construct_simulator(
             n2, terms=list(self.assignment.f2_terms) or [(0.0, (0,))],
             **build)
-        for sim in (self.sim1, self.sim2):
-            require_capability(sim, "statevector")
 
         # Each fragment reads its state as (cut bits, the other bits): the
         # cut axes of the (2,)*n state tensor move to the front, highest cut

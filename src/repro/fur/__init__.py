@@ -7,16 +7,13 @@ This package is the reproduction of the paper's core contribution (QOKit's
   API shared by all backends (including batched evaluation,
   ``simulate_qaoa_batch``);
 * the backend simulator families (``python``, ``jit`` — alias ``c`` —,
-  ``sharded``, ``gpu``, ``gpumpi``, ``cusvmpi``, ``gates``, ``tensornet``),
-  one class per mixer type per backend;
+  ``sharded``, ``gpu``, ``gpumpi``, ``cusvmpi``, ``gates``), one class per
+  mixer type per backend, every one a full state-vector simulator;
 * the backend registry (:mod:`repro.fur.registry`): every family registers
-  itself with capability metadata (supported mixers, device class,
-  distributed-ness, capability tier, ``auto`` priority), and
-  :func:`repro.simulator` / :func:`get_backend` /
-  :func:`get_simulator_class` resolve names, aliases and capabilities
-  through it — including the tier (``full`` vs ``expectation-only``), so an
-  amplitude-less family like tensornet is constructible by name but never
-  chosen for a statevector-shaped request;
+  itself with its metadata (supported mixers and precisions, device class,
+  distributed-ness, ``auto`` priority), and :func:`repro.simulator` /
+  :func:`get_backend` / :func:`get_simulator_class` resolve names, aliases,
+  mixers and precisions through it;
 * the process-wide diagonal cache (:mod:`repro.fur.cache`): repeated
   construction for the same problem reuses the precomputed cost vector.
 """
@@ -49,14 +46,6 @@ from .diagonal import (
     precompute_cost_diagonal,
     precompute_cost_diagonal_from_function,
     precompute_cost_diagonal_slice,
-)
-from .capabilities import (
-    CAPABILITY_OPERATIONS,
-    CAPABILITY_TIERS,
-    UnsupportedCapabilityError,
-    require_capability,
-    resolve_capability_tier,
-    tier_supports,
 )
 from .registry import (
     ENTRY_POINT_GROUP,
@@ -152,14 +141,7 @@ __all__ = [
     "PASSES",
     "run_passes",
     "PlanCostModel",
-    "CAPABILITY_TIERS",
-    "CAPABILITY_OPERATIONS",
     "UnsupportedBackendKwargError",
-    "UnsupportedCapabilityError",
-    "require_capability",
-    "resolve_capability_tier",
-    "tier_supports",
-    "SIMULATORS",
 ]
 
 
@@ -314,38 +296,6 @@ def _load_gates_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
         "xyring": QAOAGateBasedXYRingSimulator,
         "xycomplete": QAOAGateBasedXYCompleteSimulator,
     }
-
-
-@register_backend("tensornet", aliases=("tn",), mixers=("x",),
-                  device="cpu", distributed=False,
-                  precisions=("double",),
-                  capabilities="expectation-only",
-                  priority=1,
-                  constructor_kwargs=("precision", "optimize", "width_heuristic"),
-                  description="tensor-network contraction baseline "
-                              "(expectation-only; cuTensorNet/QTensor analogue)")
-def _load_tensornet_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
-    from ..tensornet.backend import QAOATensorNetworkSimulator
-
-    return {"x": QAOATensorNetworkSimulator}
-
-
-# ---------------------------------------------------------------------------
-# Backwards-compatible views of the registry.
-# ---------------------------------------------------------------------------
-
-def __getattr__(name: str):
-    # Legacy registry views, computed on access so backends registered (or
-    # unregistered) after import time stay visible.  New code should use
-    # :data:`registry` instead.
-    if name == "SIMULATORS":
-        # backend name -> loader returning mixer -> class (the v1.0 shape)
-        return {n: registry.spec(n).load for n in registry.names()}
-    if name == "_ALIASES":
-        # alias -> canonical name; ``auto`` is handled by the registry's
-        # priority-based resolution rather than a hard-wired alias.
-        return registry.aliases()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Third-party backends advertised through the ``repro.fur.backends``

@@ -238,10 +238,6 @@ class QAOAFastSimulatorBase(abc.ABC):
     #: whether :meth:`_apply_mixer_block_coalesced` is implemented — gates
     #: the CoalesceExchanges rewrite (the sharded family's slab exchanges)
     supports_coalesced_exchange: bool = False
-    #: capability tier (see :mod:`repro.fur.capabilities`): what request
-    #: kinds this simulator family can serve (``"full"``,
-    #: ``"expectation-only"`` or ``"amplitude-only"``)
-    capability_tier: str = "full"
     #: whether :meth:`_apply_mixer_expectation_block` is implemented — gates
     #: the FuseMixerIntoExpectation rewrite (final mixer's copy-back skipped,
     #: expectation reduced straight out of the ping-pong buffer)

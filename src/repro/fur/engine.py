@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 import numpy as np
 
 from .base import validate_angle_batches
-from .capabilities import UnsupportedCapabilityError, require_capability
 from .rewrite import (
     ExpectationOp,
     FusedMixerExpectationOp,
@@ -67,7 +66,6 @@ __all__ = [
     "FusedPhaseMixerOp",
     "FusedMixerExpectationOp",
     "ExpectationOp",
-    "UnsupportedCapabilityError",
     "ExecutionPlan",
     "EngineStats",
     "KernelProvider",
@@ -482,14 +480,7 @@ class ExecutionEngine:
                        sv0: np.ndarray | None = None, *,
                        memory_budget: float | None = None,
                        optimize: str | None = None, **kwargs: Any) -> list[Any]:
-        """Evolve a batch of schedules; one backend result object per schedule.
-
-        Requires a ``statevector``-capable backend: an ``expectation-only``
-        family (e.g. tensornet) raises
-        :class:`~repro.fur.capabilities.UnsupportedCapabilityError` up front
-        instead of failing deep inside the block walk.
-        """
-        require_capability(self._sim, "statevector")
+        """Evolve a batch of schedules; one backend result object per schedule."""
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         n_trotters = self._batch_kwargs(kwargs)
         plan = self.plan(g.shape[1], n_trotters=n_trotters,
@@ -513,7 +504,6 @@ class ExecutionEngine:
         after their reduction, so peak memory follows the budget, not the
         batch size.
         """
-        require_capability(self._sim, "expectation")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         resolved_costs = self._sim._resolve_costs(costs)
         n_trotters = self._batch_kwargs(kwargs)

@@ -1,4 +1,4 @@
-"""Precision as a first-class simulation capability (double / single).
+"""Precision as a first-class simulation setting (double / single).
 
 The paper's central performance argument is that statevector QAOA simulation
 is *memory-bandwidth bound*: the phase and mixer kernels stream the full

@@ -3,13 +3,12 @@
 The paper's portability claim (Listings 1–3: identical user code across CPU,
 GPU and distributed backends) is carried by a single extension point:
 
-* :class:`BackendSpec` — capability metadata for one backend family: the
-  mixers it implements, its device class, whether it is distributed, its
-  capability tier (``full`` vs ``expectation-only`` vs ``amplitude-only`` —
-  see :mod:`repro.fur.capabilities`), and a priority used to resolve
-  ``backend="auto"``;
-* :class:`BackendRegistry` — name/alias resolution, capability filtering and
-  lazy loading over a set of specs;
+* :class:`BackendSpec` — metadata for one backend family: the mixers and
+  precisions it implements, its device class, whether it is distributed, and
+  a priority used to resolve ``backend="auto"``.  Every family is a full
+  state-vector simulator;
+* :class:`BackendRegistry` — name/alias resolution, mixer/precision
+  filtering and lazy loading over a set of specs;
 * :func:`register_backend` — decorator through which backends self-register a
   lazy loader (the optional GPU/MPI families are only imported when first
   requested, so a missing optional dependency never breaks ``import repro``);
@@ -51,11 +50,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .capabilities import (
-    UnsupportedCapabilityError,
-    resolve_capability_tier,
-    tier_supports,
-)
 from .precision import KNOWN_PRECISIONS, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,10 +75,16 @@ ENTRY_POINT_GROUP = "repro.fur.backends"
 #: Mixer families defined by the paper (transverse-field X, ring XY, complete XY).
 KNOWN_MIXERS = ("x", "xyring", "xycomplete")
 
-#: Backend names that no longer exist, mapped to the backend that replaced
-#: them.  An unknown-backend error names the replacement instead of guessing
-#: a look-alike; these are not aliases and construct nothing.
-RETIRED_BACKENDS = {"numba": "jit"}
+#: Backend names that no longer exist, mapped to what replaced them, as the
+#: error quotes it.  An unknown-backend error names the replacement instead of
+#: guessing a look-alike; these are not aliases and construct nothing.  The
+#: tensor-network contractor holds no resident state, so it is a standalone
+#: simulator (the Fig. 3 baseline, the cut recombination), not a backend.
+RETIRED_BACKENDS = {
+    "numba": "'jit'",
+    "tensornet": "repro.tensornet.TensorNetworkSimulator",
+    "tn": "repro.tensornet.TensorNetworkSimulator",
+}
 
 #: Loader signature: zero-argument callable returning mixer -> simulator class.
 BackendLoader = Callable[[], dict[str, type]]
@@ -126,7 +126,7 @@ def _unexpected_constructor_kwargs(cls: type, kwargs: dict) -> list[str]:
 
 @dataclass
 class BackendSpec:
-    """Capability metadata plus a lazy loader for one backend family.
+    """Metadata plus a lazy loader for one backend family.
 
     Parameters
     ----------
@@ -150,11 +150,6 @@ class BackendSpec:
         Simulation precisions the family implements (``"double"`` and/or
         ``"single"`` — see :mod:`repro.fur.precision`).  Defaults to
         double-only; backends must opt in to the complex64 path.
-    capabilities:
-        Capability tier (see :mod:`repro.fur.capabilities`): ``"full"``
-        (statevector + expectation + amplitude), ``"expectation-only"``
-        or ``"amplitude-only"``.  Resolution validates requests against it
-        and ``auto`` only ever picks full-tier backends.
     priority:
         Resolution order for ``backend="auto"`` — highest available priority
         wins.
@@ -180,7 +175,6 @@ class BackendSpec:
     device: str = "cpu"
     distributed: bool = False
     precisions: tuple[str, ...] = ("double",)
-    capabilities: str = "full"
     priority: int = 0
     description: str = ""
     describe_extra: Callable[[], str] | None = None
@@ -195,11 +189,6 @@ class BackendSpec:
     def supports_precision(self, precision: str) -> bool:
         """Whether this family implements the given simulation precision."""
         return resolve_precision(precision).name in self.precisions
-
-    def supports_capability(self, operation: str) -> bool:
-        """Whether the family's tier serves one operation
-        (``"statevector"``, ``"expectation"`` or ``"amplitude"``)."""
-        return tier_supports(self.capabilities, operation)
 
     @property
     def available(self) -> bool:
@@ -243,7 +232,7 @@ class BackendSpec:
 
 
 class BackendRegistry:
-    """Name/alias resolution and capability filtering over backend specs."""
+    """Name/alias resolution and mixer/precision filtering over backend specs."""
 
     def __init__(self) -> None:
         self._specs: dict[str, BackendSpec] = {}
@@ -281,7 +270,6 @@ class BackendRegistry:
                          mixers: Iterable[str] = ("x",), device: str = "cpu",
                          distributed: bool = False,
                          precisions: Iterable[str] = ("double",),
-                         capabilities: str = "full",
                          priority: int = 0,
                          description: str = "",
                          describe_extra: Callable[[], str] | None = None,
@@ -303,7 +291,6 @@ class BackendRegistry:
                     device=device,
                     distributed=distributed,
                     precisions=tuple(resolve_precision(p).name for p in precisions),
-                    capabilities=resolve_capability_tier(capabilities),
                     priority=priority,
                     description=description or (loader.__doc__ or "").strip().split("\n")[0],
                     describe_extra=describe_extra,
@@ -331,11 +318,11 @@ class BackendRegistry:
         return iter(self.names())
 
     def describe(self) -> str:
-        """Human-readable table of registered backends and capabilities."""
+        """Human-readable table of registered backends and their metadata."""
         lines = []
         for name in self.names():
             spec = self._specs[name]
-            tags = [spec.device, spec.capabilities]
+            tags = [spec.device]
             if spec.distributed:
                 tags.append("distributed")
             alias_note = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
@@ -390,7 +377,7 @@ class BackendRegistry:
         successor = RETIRED_BACKENDS.get(name)
         if successor is not None:
             return ValueError(f"simulator backend {name!r} was retired; "
-                              f"use {successor!r}")
+                              f"use {successor}")
         canonical = sorted(self._specs)
         aliases = sorted(self._aliases)
         message = (
@@ -413,19 +400,14 @@ class BackendRegistry:
             raise self._unknown_backend_error(name) from None
 
     def resolve(self, name: str = "auto", *, mixer: str | None = None,
-                precision: str | None = None,
-                capability: str | None = None) -> BackendSpec:
+                precision: str | None = None) -> BackendSpec:
         """Resolve a backend request to a concrete, importable spec.
 
         With ``name="auto"``, the highest-priority non-distributed backend
         that imports successfully (and implements ``mixer`` and
         ``precision``, if given) is chosen — so a broken optional dependency
         silently falls back to the next-fastest family instead of failing
-        construction.  ``capability`` names the operation the caller needs
-        (``"statevector"``, ``"expectation"`` or ``"amplitude"``): ``auto``
-        filters candidates by it (and restricts to the ``full`` tier when it
-        is omitted), while an explicitly named backend that cannot serve it
-        raises :class:`~repro.fur.capabilities.UnsupportedCapabilityError`.
+        construction.
         """
         if precision is not None:
             precision = resolve_precision(precision).name
@@ -441,8 +423,6 @@ class BackendRegistry:
             candidates = [
                 s for s in map(self._specs.__getitem__, self.names())
                 if not s.distributed
-                and (s.supports_capability(capability) if capability is not None
-                     else s.capabilities == "full")
                 and (mixer is None or s.supports_mixer(mixer))
                 and (precision is None or s.supports_precision(precision))
             ]
@@ -463,14 +443,6 @@ class BackendRegistry:
                 else f"no simulator backend is available{detail}"
             )
         spec = self.spec(name)
-        if capability is not None and not spec.supports_capability(capability):
-            supporting = sorted(s.name for s in self._specs.values()
-                                if s.supports_capability(capability))
-            raise UnsupportedCapabilityError(
-                f"backend {spec.name!r} is {spec.capabilities!r} and cannot "
-                f"serve {capability!r} requests (backends implementing "
-                f"{capability!r}: {', '.join(supporting) or 'none'})"
-            )
         if mixer is not None and not spec.supports_mixer(mixer):
             supporting = [s.name for s in self._specs.values() if s.supports_mixer(mixer)]
             raise ValueError(
@@ -564,16 +536,14 @@ def load_entry_point_backends(target: BackendRegistry | None = None, *,
 
 
 def get_backend(name: str = "auto", *, mixer: str | None = None,
-                precision: str | None = None,
-                capability: str | None = None) -> BackendSpec:
+                precision: str | None = None) -> BackendSpec:
     """Resolve a backend name/alias to its :class:`BackendSpec`.
 
     This is the introspection companion of :func:`simulator`: it exposes the
-    capability metadata (supported mixers, precisions, capability tier,
-    device class, distributed-ness) without constructing anything.
+    backend metadata (supported mixers, precisions, device class,
+    distributed-ness) without constructing anything.
     """
-    return registry.resolve(name, mixer=mixer, precision=precision,
-                            capability=capability)
+    return registry.resolve(name, mixer=mixer, precision=precision)
 
 
 def get_simulator_class(name: str = "auto", mixer: str = "x",
@@ -584,16 +554,13 @@ def get_simulator_class(name: str = "auto", mixer: str = "x",
 
 def available_backends(*, mixer: str | None = None,
                        precision: str | None = None,
-                       capability: str | None = None,
                        importable_only: bool = False) -> list[str]:
-    """Names of registered backends, optionally filtered by capability.
+    """Names of registered backends, optionally filtered by mixer/precision.
 
     ``mixer`` restricts to families implementing that mixer; ``precision``
-    to families implementing that simulation precision; ``capability`` to
-    families whose tier serves that operation (``"statevector"``,
-    ``"expectation"`` or ``"amplitude"``); ``importable_only`` additionally
-    imports each candidate and drops the ones whose optional dependencies
-    are missing.
+    to families implementing that simulation precision; ``importable_only``
+    additionally imports each candidate and drops the ones whose optional
+    dependencies are missing.
     """
     if precision is not None:
         precision = resolve_precision(precision).name
@@ -603,8 +570,6 @@ def available_backends(*, mixer: str | None = None,
         if mixer is not None and not spec.supports_mixer(mixer):
             continue
         if precision is not None and not spec.supports_precision(precision):
-            continue
-        if capability is not None and not spec.supports_capability(capability):
             continue
         if importable_only and not spec.available:
             continue

@@ -21,14 +21,14 @@ three of them, once per compiled plan, in this fixed order:
    ``_apply_mixer_expectation_block`` kernel skips the last copy-back of the
    mixer's ping-pong buffer and reduces ``Σ c|ψ|²`` straight out of it.
 
-Every pass is *capability-gated* on the concrete simulator: a backend that
-does not implement the fused kernel (``supports_fused_phase_mixer``), the
-coalesced exchange (``supports_coalesced_exchange``) or the
-mixer/expectation fusion (``supports_fused_mixer_expectation``) keeps the
-split ops and stays numerically pinned by the same parity harness as
-everyone else.  Whether the pipeline runs at all is the
-``optimize="default"|"none"`` knob carried by simulators, plans and the
-plan-cache key.
+Every pass is gated on the concrete simulator's ``supports_*`` flags: a
+backend that does not implement the fused kernel
+(``supports_fused_phase_mixer``), the coalesced exchange
+(``supports_coalesced_exchange``) or the mixer/expectation fusion
+(``supports_fused_mixer_expectation``) keeps the split ops and stays
+numerically pinned by the same parity harness as everyone else.  Whether
+the pipeline runs at all is the ``optimize="default"|"none"`` knob carried
+by simulators, plans and the plan-cache key.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ import sys
 import types
 from typing import Any
 
-from ..fur.capabilities import UnsupportedCapabilityError
 from .admission import (
     AdmissionController,
     AdmissionError,
@@ -67,7 +66,6 @@ __all__ = [
     "AdmissionController",
     "ServeError",
     "AdmissionError",
-    "UnsupportedCapabilityError",
     "ServiceOverloadedError",
     "ServiceClosedError",
     "EventLoopThread",

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..fur.base import QAOAFastSimulatorBase, validate_angles
 from ..fur.cache import problem_fingerprint
-from ..fur.capabilities import UnsupportedCapabilityError
 from ..fur.precision import resolve_precision
 from ..fur.registry import registry, simulator as construct_simulator
 from ..fur.rewrite import resolve_optimize
@@ -258,8 +257,10 @@ class QAOAService:
                ) -> tuple[RouteKey, np.ndarray, np.ndarray]:
         """Validate a submission and compute its routing key (synchronous).
 
-        Raises :class:`~repro.serve.admission.AdmissionError` for requests
-        that can never be served, before any queueing happens.
+        Raises before any queueing happens for requests that can never be
+        served: :class:`~repro.serve.admission.AdmissionError` from the
+        state-size guard, ``ValueError`` for malformed angles or a backend,
+        mixer or precision the registry refuses.
         """
         g, b = validate_angles(gammas, betas)
         mixer = mixer or self._default_mixer
@@ -268,17 +269,12 @@ class QAOAService:
         optimize_name = (self._default_optimize if optimize is None
                          else resolve_optimize(optimize))
         # Resolve "auto" (and aliases) to the canonical registry name so
-        # equivalent spellings share routing keys — and hence batches.  The
-        # service only ever issues expectation requests, so an
-        # ``expectation-only`` backend (tensornet) is routable; a backend
-        # that cannot serve expectations is rejected here with a typed
-        # UnsupportedCapabilityError instead of an AttributeError deep in
-        # the batch walk.  Resolution happens *before* the byte-guard check:
-        # the admission accounting is per-shard on sharded routes, so the
-        # guard needs to know which backend will actually hold the state.
+        # equivalent spellings share routing keys — and hence batches.
+        # Resolution happens *before* the byte-guard check: the admission
+        # accounting is per-shard on sharded routes, so the guard needs to
+        # know which backend will actually hold the state.
         spec = registry.resolve(backend or self._default_backend, mixer=mixer,
-                                precision=precision_name,
-                                capability="expectation")
+                                precision=precision_name)
         self._admission.check(n_qubits, precision_name,
                               n_shards=self._route_shards(spec.name, n_qubits))
         normalized = validate_terms(terms, n_qubits)
@@ -325,7 +321,8 @@ class QAOAService:
         precision, optimize, p)`` and rides that key's next micro-batch;
         an exact duplicate of an already-queued request shares its
         evaluation.  Raises
-        :class:`~repro.serve.admission.AdmissionError` (unservable),
+        :class:`~repro.serve.admission.AdmissionError` or ``ValueError``
+        (unservable; see :meth:`_route`, counted in ``stats.rejected``),
         :class:`~repro.serve.admission.ServiceOverloadedError` (shed at the
         queue bound) or
         :class:`~repro.serve.admission.ServiceClosedError`.
@@ -336,7 +333,7 @@ class QAOAService:
         try:
             key, g, b = self._route(n_qubits, terms, gammas, betas,
                                     backend, mixer, precision, optimize)
-        except (AdmissionError, UnsupportedCapabilityError):
+        except Exception:
             self._stats.record_rejected()
             raise
         if self._pending >= self._admission.max_pending:

@@ -104,7 +104,9 @@ class ServiceStats:
 
     ``shed`` and ``rejected`` count submissions that never became requests:
     shed ones hit the queue bound under the ``"shed"`` overload policy,
-    rejected ones can never be served (state-size admission guard).
+    rejected ones can never be served: the state-size admission guard, or
+    anything else routing refuses (malformed angles, an unknown or retired
+    backend, a mixer or precision the backend lacks).
     """
 
     def __init__(self) -> None:
@@ -117,7 +119,7 @@ class ServiceStats:
         self.failed = 0
         #: submissions dropped by the ``"shed"`` overload policy
         self.shed = 0
-        #: submissions rejected by admission control (unservable)
+        #: submissions refused at routing (unservable)
         self.rejected = 0
         #: requests that shared another request's evaluation (exact duplicate)
         self.coalesced_hits = 0

@@ -7,14 +7,11 @@ from .contraction import (
     elimination_order,
     greedy_contraction_order,
 )
-from .backend import QAOATensorNetworkSimulator, TensorNetQAOAResult
 from .network import TensorNetwork, circuit_to_network
 from .simulator import AmplitudeResult, TensorNetworkSimulator
 from .tensor import Tensor, contract_pair
 
 __all__ = [
-    "QAOATensorNetworkSimulator",
-    "TensorNetQAOAResult",
     "Tensor",
     "contract_pair",
     "TensorNetwork",

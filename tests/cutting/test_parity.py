@@ -1,7 +1,7 @@
 """Cut-vs-uncut parity: the pipeline must reproduce the monolithic value.
 
 Random seeded problems are evaluated both ways on every importable
-full-tier backend, at both precisions, with tolerances matching the
+non-distributed backend, at both precisions, with tolerances matching the
 repo-wide parity discipline (1e-12 double, 1e-5 single).
 """
 
@@ -12,12 +12,10 @@ import repro
 from repro.cutting import (CutQAOAPipeline, CutUnsupportedError,
                            cut_qaoa_expectation)
 from repro.fur import available_backends
-from repro.fur.capabilities import UnsupportedCapabilityError
 from repro.testing import random_terms
 
-FULL_TIER = [b for b in available_backends(mixer="x", capability="statevector",
-                                           importable_only=True)
-             if b not in ("gpumpi", "cusvmpi")]  # distributed: exercised in
+BACKENDS = [b for b in available_backends(mixer="x", importable_only=True)
+            if b not in ("gpumpi", "cusvmpi")]  # distributed: exercised in
 # the cross-backend suites; the fragment pipeline adds nothing new there.
 
 TOLERANCES = {"double": 1e-12, "single": 1e-5}
@@ -29,7 +27,7 @@ def _uncut(n, terms, gammas, betas, precision):
     return sim.get_expectation(sim.simulate_qaoa(gammas, betas))
 
 
-@pytest.mark.parametrize("backend", FULL_TIER)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_cut_matches_uncut_random_problems(backend, precision, seeded_rng):
     tol = TOLERANCES[precision]
@@ -45,7 +43,7 @@ def test_cut_matches_uncut_random_problems(backend, precision, seeded_rng):
             f"trial {trial}: backend={backend} precision={precision} n={n}")
 
 
-@pytest.mark.parametrize("backend", FULL_TIER)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_cut_matches_uncut_structured_problems(backend, qaoa_angles):
     """Ring, bridge-block and star cost graphs, explicit and chosen cuts."""
     gammas, betas = [qaoa_angles[0][0]], [qaoa_angles[1][0]]
@@ -84,7 +82,7 @@ def _multi_cut_problem(rng, cuts):
     return terms
 
 
-@pytest.mark.parametrize("backend", FULL_TIER)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("cuts", [(1, 3), (1, 3, 5)])
 def test_multi_cut_matches_uncut(backend, precision, cuts, seeded_rng):
@@ -115,13 +113,12 @@ def test_xy_mixer_raises_typed_error():
                              backend="python")
 
 
-def test_expectation_only_backend_rejected_up_front():
+def test_retired_backend_rejected_up_front():
     terms = [(1.0, (0, 5))]
-    with pytest.raises(UnsupportedCapabilityError, match="tensornet"):
+    with pytest.raises(ValueError, match=r"repro\.tensornet\.TensorNetworkSimulator"):
         cut_qaoa_expectation(8, terms, [0.1], [0.3], backend="tensornet")
 
 
-def test_typed_errors_are_capability_errors():
-    """CutUnsupportedError follows the UnsupportedCapabilityError discipline."""
-    assert issubclass(CutUnsupportedError, UnsupportedCapabilityError)
+def test_cut_unsupported_is_a_runtime_error():
+    """``except RuntimeError`` callers keep catching the typed cut error."""
     assert issubclass(CutUnsupportedError, RuntimeError)

@@ -10,7 +10,7 @@ Covers
 * the distributed fused path (``gpumpi``/``cusvmpi`` kernel providers
   over per-rank slice blocks),
 * engine statistics and keyword validation,
-* the shared-``sv0`` contract on every full-tier backend: one ``(2^n,)``
+* the shared-``sv0`` contract on every backend: one ``(2^n,)``
   initial state drives every row, and a 2-D or wrong-length ``sv0`` is
   rejected before any row runs,
 * the read-only guarantees of ``get_cost_diagonal()`` and the plan/phase
@@ -23,7 +23,6 @@ import pytest
 import repro
 from repro.fur import available_backends
 from repro.fur.engine import ExpectationOp, FusedPhaseMixerOp, MixerOp, PhaseOp
-from repro.fur.registry import registry
 from repro.problems import labs
 from repro.testing import per_row_expectations
 
@@ -271,10 +270,9 @@ class TestEngineStatsAndKwargs:
 class TestSharedInitialState:
     """``sv0`` is ``None`` or one ``(2^n,)`` state shared by every row."""
 
-    FULL_TIER = [name for name in available_backends(importable_only=True)
-                 if registry.spec(name).capabilities == "full"]
+    BACKENDS = available_backends(importable_only=True)
 
-    @pytest.mark.parametrize("backend", FULL_TIER)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("call", ["simulate_batch", "expectation_batch"])
     def test_2d_sv0_block_is_rejected(self, backend, call, rng):
         n = 4
@@ -287,7 +285,7 @@ class TestSharedInitialState:
             getattr(sim.engine, call)(gb, bb, sv0=block)
         assert sim.engine.stats.rows_executed == rows
 
-    @pytest.mark.parametrize("backend", FULL_TIER)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_shared_sv0_matches_individual_evolution(self, backend, rng):
         n = 5
         sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
@@ -308,7 +306,7 @@ class TestSharedInitialState:
                 np.asarray(sim.get_statevector(result)),
                 np.asarray(sim.get_statevector(single)), atol=1e-12)
 
-    @pytest.mark.parametrize("backend", FULL_TIER)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_wrong_length_sv0_is_rejected(self, backend, rng):
         n = 4
         sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)

@@ -23,7 +23,7 @@ Covers
   re-raised, pool workers run nested kernels inline, a caller runs the
   tasks no pool thread has started, every task runs exactly once) and the
   one-row split, bitwise invariant under the pool size,
-* registry integration: capability tiers and the ``describe()`` extra
+* registry integration: the ``describe()`` extra
   line reporting the active path,
 * bitwise pins of the shared arithmetic: the X rotation is the
   two-rounding formula on every rung and bit position (the full mixer on

@@ -10,9 +10,9 @@ Covers
   (1e-5 single / 1e-12 double) for every importable backend,
 * unit semantics of the three passes (FusePhaseIntoMixer,
   CoalesceExchanges, FuseMixerIntoExpectation) and their fixed order,
-  including capability gating,
+  including their gating on the provider's ``supports_*`` flags,
 * the compiled op list of every importable backend x mixer, pinned,
-* exactness of every full-tier backend's kernels at angle 0,
+* exactness of every backend's kernels at angle 0,
 * the ``optimize`` knob: constructor default, per-call override, facade
   validation and plan-cache key membership,
 * the coalesced gpumpi exchange: bitwise consistency with the per-row path
@@ -57,16 +57,9 @@ N_TRIALS = 3
 
 def _random_config(rng, spec):
     """One random problem/schedule configuration for a backend spec."""
-    if spec.capabilities != "full":
-        # expectation-only backends (tensornet) contract all 2^n output
-        # amplitudes per schedule row — keep the randomized cell small.
-        n = int(rng.integers(4, 6))
-        p = int(rng.integers(1, 3))
-        batch = int(rng.integers(1, 3))
-    else:
-        n = int(rng.integers(5, 9))
-        p = int(rng.integers(1, 5))
-        batch = int(rng.integers(1, 6))
+    n = int(rng.integers(5, 9))
+    p = int(rng.integers(1, 5))
+    batch = int(rng.integers(1, 6))
     mixer = str(rng.choice(spec.mixers))
     terms = random_terms(rng, n, n_terms=int(rng.integers(3, 9)))
     gammas = rng.uniform(-2.0, 2.0, (p,))[None, :] * rng.uniform(0.5, 1.0, (batch, 1))
@@ -117,8 +110,6 @@ class TestRandomizedParityHarness:
     def test_simulate_batch_states_match_unoptimized(self, backend, seeded_rng):
         """The evolved states (not just expectations) survive the rewrites."""
         spec = get_backend(backend)
-        if not spec.supports_capability("statevector"):
-            pytest.skip(f"{backend} is {spec.capabilities}: no statevectors")
         kwargs = {"n_ranks": 2} if spec.distributed else {}
         terms = labs.get_terms(6)
         gb = seeded_rng.uniform(-1.0, 1.0, (3, 2))
@@ -146,10 +137,6 @@ def _backend_kwargs(spec):
     if spec.name == "sharded":
         return {"n_shards": 2}
     return {}
-
-
-#: Every importable backend whose tier serves statevectors and expectations.
-FULL_TIER = [b for b in BACKENDS if get_backend(b).capabilities == "full"]
 
 
 class TestPassSemantics:
@@ -219,7 +206,7 @@ class TestPassSemantics:
         # gated on the provider capability
         assert fme.run(ops, _Flags()) == (ops, 0)
 
-    @pytest.mark.parametrize("backend", FULL_TIER)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("precision", PRECISIONS)
     def test_all_zero_schedule_reduces_to_initial_state(self, backend,
                                                         precision):
@@ -287,7 +274,6 @@ _PINNED_PLANS = {
     ("gates", "x"): "split",
     ("gates", "xyring"): "split",
     ("gates", "xycomplete"): "split",
-    ("tensornet", "x"): "split",
 }
 
 

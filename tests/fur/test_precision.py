@@ -2,7 +2,7 @@
 
 Covers
 
-* precision resolution (names, aliases, dtypes) and the registry capability
+* precision resolution (names, aliases, dtypes) and the registry precision
   metadata / facade validation,
 * the single-precision state dtype across every backend and mixer, one
   schedule at a time and in fused batches, including fused == per-row-loop

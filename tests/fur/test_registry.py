@@ -37,8 +37,7 @@ CPU_CLASSES = {
 class TestRegistryResolution:
     def test_canonical_names(self):
         assert set(fur.available_backends()) == {
-            "python", "jit", "sharded", "gpu", "gpumpi", "cusvmpi",
-            "gates", "tensornet",
+            "python", "jit", "sharded", "gpu", "gpumpi", "cusvmpi", "gates",
         }
 
     def test_alias_resolution(self):
@@ -53,7 +52,7 @@ class TestRegistryResolution:
         assert fur.get_backend("auto").name == "jit"
         assert fur.get_simulator_class("auto") is QAOAFURXSimulatorJIT
 
-    def test_capability_metadata(self):
+    def test_backend_metadata(self):
         spec = fur.get_backend("gpumpi")
         assert spec.mixers == ("x",)
         assert spec.distributed
@@ -74,7 +73,7 @@ class TestRegistryResolution:
         assert "use 'jit'" in str(info.value)
         assert "numpy" not in str(info.value)
 
-    def test_capability_filtering_names_alternatives(self):
+    def test_mixer_filtering_names_alternatives(self):
         with pytest.raises(ValueError, match="backends implementing 'xyring'"):
             fur.get_simulator_class("gpumpi", "xyring")
 
@@ -92,57 +91,30 @@ class TestRegistryResolution:
         for name in fur.available_backends():
             assert name in text
 
-    def test_describe_mentions_capability_tiers(self):
-        text = registry.describe()
-        assert "expectation-only" in text
-        assert "full" in text
+    def test_describe_tags_device_and_distribution(self):
+        lines = registry.describe().splitlines()
+        assert any(line.strip().startswith("jit  [cpu]") for line in lines)
+        assert any(line.strip().startswith("gpumpi  [gpu/distributed]")
+                   for line in lines)
 
 
-class TestCapabilityTiers:
+class TestStateVectorBackends:
+    @pytest.mark.parametrize("backend", sorted(registry.names()))
+    def test_every_backend_hands_back_a_state(self, backend):
+        # n=6 leaves local qubits for the distributed families' default ranks
+        sim = repro.simulator(6, terms=TERMS, backend=backend)
+        result = sim.simulate_qaoa([0.1], [0.2])
+        state = sim.get_statevector(result)
+        assert state.shape == (64,)
+        np.testing.assert_allclose(np.vdot(state, state).real, 1.0, rtol=1e-12)
+        energy = sim.get_expectation(result)
+        np.testing.assert_allclose(
+            energy, np.dot(sim.get_cost_diagonal(), np.abs(state) ** 2),
+            rtol=1e-12, atol=1e-12)
+
     def test_baseline_backends_resolve_by_name_and_alias(self):
         assert fur.get_backend("gates").name == "gates"
         assert fur.get_backend("statevector").name == "gates"
-        assert fur.get_backend("tensornet").name == "tensornet"
-        assert fur.get_backend("tn").name == "tensornet"
-
-    def test_tier_metadata(self):
-        assert fur.get_backend("tensornet").capabilities == "expectation-only"
-        assert fur.get_backend("gates").capabilities == "full"
-        assert fur.get_backend("c").capabilities == "full"
-
-    def test_auto_never_picks_a_non_full_tier(self):
-        # tensornet is registered and importable but expectation-only, so a
-        # capability-less auto request must not resolve to it.
-        assert fur.get_backend("auto").capabilities == "full"
-        assert fur.get_backend("auto", capability="expectation").name == "jit"
-
-    def test_available_backends_capability_filter(self):
-        sv = fur.available_backends(capability="statevector")
-        exp = fur.available_backends(capability="expectation")
-        assert "tensornet" not in sv
-        assert "tensornet" in exp
-        assert {"jit", "python", "gates"} <= set(sv)
-
-    def test_explicit_name_with_unsupported_capability_raises(self):
-        from repro.fur import UnsupportedCapabilityError
-
-        with pytest.raises(UnsupportedCapabilityError, match="expectation-only"):
-            fur.get_backend("tensornet", capability="statevector")
-        # supported operation passes through
-        assert fur.get_backend("tensornet", capability="expectation").name == "tensornet"
-
-    def test_tensornet_constructs_and_serves_expectations(self):
-        from repro.fur import UnsupportedCapabilityError
-
-        sim = repro.simulator(3, terms=TERMS, backend="tensornet")
-        assert sim.backend_name == "tensornet"
-        assert sim.capability_tier == "expectation-only"
-        result = sim.simulate_qaoa([0.1], [0.2])
-        energy = sim.get_expectation(result)
-        costs = sim.get_cost_diagonal()
-        assert costs.min() - 1e-9 <= energy <= costs.max() + 1e-9
-        with pytest.raises(UnsupportedCapabilityError, match="statevector"):
-            sim.get_statevector(result)
 
     def test_gates_backend_constructs_through_facade(self):
         sim = repro.simulator(3, terms=TERMS, backend="gates", mixer="xyring")
@@ -152,34 +124,14 @@ class TestCapabilityTiers:
         probs = sim.get_probabilities(result)
         np.testing.assert_allclose(probs.sum(), 1.0, rtol=1e-12)
 
-    def test_capability_helpers(self):
-        from repro.fur import (
-            UnsupportedCapabilityError,
-            require_capability,
-            resolve_capability_tier,
-            tier_supports,
-        )
-
-        assert resolve_capability_tier("full") == "full"
-        with pytest.raises(ValueError, match="unknown capability tier"):
-            resolve_capability_tier("partial")
-        assert tier_supports("expectation-only", "expectation")
-        assert not tier_supports("expectation-only", "amplitude")
-        with pytest.raises(ValueError, match="unknown operation"):
-            tier_supports("full", "teleportation")
-        # tier names, objects with a tier attribute, and objects without one
-        require_capability("full", "statevector")
-        with pytest.raises(UnsupportedCapabilityError, match="amplitude-only"):
-            require_capability("amplitude-only", "expectation", backend="toy")
-
-        class Tiered:
-            capability_tier = "expectation-only"
-            backend_name = "tiered"
-
-        require_capability(Tiered(), "expectation")
-        with pytest.raises(UnsupportedCapabilityError, match="'tiered'"):
-            require_capability(Tiered(), "statevector")
-        require_capability(object(), "amplitude")  # no attribute -> full
+    @pytest.mark.parametrize("name", ["tensornet", "tn"])
+    def test_tensornet_is_retired(self, name):
+        successor = r"retired; use repro\.tensornet\.TensorNetworkSimulator"
+        with pytest.raises(ValueError, match=successor):
+            repro.simulator(3, terms=TERMS, backend=name)
+        with pytest.raises(ValueError, match=successor):
+            fur.get_backend(name)
+        assert name not in fur.available_backends()
 
 
 class TestAutoFallback:
@@ -218,13 +170,16 @@ class TestAutoFallback:
         finally:
             registry.unregister("tmpbk")
 
-    def test_legacy_views_track_registrations(self):
-        registry.register(BackendSpec(name="tmpbk2", loader=dict, priority=-50))
+    def test_names_track_registrations(self):
+        registry.register(BackendSpec(name="tmpbk2", aliases=("tmpalias2",),
+                                      loader=dict, priority=-50))
         try:
-            assert "tmpbk2" in fur.SIMULATORS
+            assert "tmpbk2" in registry.names()
+            assert registry.aliases()["tmpalias2"] == "tmpbk2"
         finally:
             registry.unregister("tmpbk2")
-        assert "tmpbk2" not in fur.SIMULATORS
+        assert "tmpbk2" not in registry.names()
+        assert "tmpalias2" not in registry.aliases()
 
     def test_register_backend_decorator_roundtrip(self):
         @fur.register_backend("toy", aliases=("plaything",), mixers=("x",),
@@ -307,10 +262,16 @@ class TestSimulatorFacade:
         assert costs.min() - 1e-9 <= energy <= costs.max() + 1e-9
 
 
-class TestLegacyViews:
-    def test_legacy_simulators_view_matches_registry(self):
-        assert set(fur.SIMULATORS) == set(fur.available_backends())
-        assert fur.SIMULATORS["jit"]()["x"] is QAOAFURXSimulatorJIT
+class TestRegistryViews:
+    def test_names_and_loaders_match_available_backends(self):
+        assert set(registry.names()) == set(fur.available_backends())
+        assert registry.spec("jit").load()["x"] is QAOAFURXSimulatorJIT
+        assert registry.aliases()["c"] == "jit"
+
+    def test_legacy_module_views_are_gone(self):
+        for view in ["SIMULATORS", "_ALIASES"]:
+            with pytest.raises(AttributeError):
+                getattr(fur, view)
 
 
 class TestDiagonalCache:

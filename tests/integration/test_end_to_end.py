@@ -154,6 +154,23 @@ class TestTensorNetworkCrossCheck:
         amp = tns.qaoa_amplitude(terms, gammas, betas, n, bits)
         assert abs(amp) ** 2 == pytest.approx(float(np.abs(sv[x]) ** 2), abs=1e-10)
 
+    def test_tensornet_energy_matches_fur_expectation(self):
+        """Σ_x |⟨x|γβ⟩|²·c_x contracted amplitude by amplitude equals the
+        state-vector objective (LABS n=5, p=2)."""
+        n = 5
+        terms = labs.get_terms(n)
+        gammas, betas = [0.31, -0.52], [0.77, 0.19]
+        sim = fur.get_simulator_class("jit")(n, terms=terms)
+        expected = sim.get_expectation(sim.simulate_qaoa(gammas, betas))
+        costs = precompute_cost_diagonal(terms, n)
+        tns = TensorNetworkSimulator()
+        energy = sum(
+            abs(tns.qaoa_amplitude(terms, gammas, betas, n,
+                                   [(x >> q) & 1 for q in range(n)])) ** 2
+            * costs[x]
+            for x in range(1 << n))
+        assert energy == pytest.approx(expected, abs=1e-10)
+
 
 class TestSolutionQualityAgainstClassical:
     def test_qaoa_samples_contain_optimal_labs_sequence(self):

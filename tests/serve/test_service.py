@@ -69,33 +69,23 @@ class TestSubmission:
                                       rel=1e-5)
 
 
-class TestCapabilityRouting:
-    def test_expectation_only_backend_is_routable(self):
-        # the service only issues expectation traffic, so tensornet
-        # (expectation-only tier) is a legal route
-        n, terms = 4, ring_terms(4)
+class TestRejectedSubmissions:
+    """Every submission routing refuses is counted once in ``rejected``."""
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"backend": "nope"}, "unknown simulator backend 'nope'"),
+        ({"backend": "tensornet"}, r"repro\.tensornet\.TensorNetworkSimulator"),
+        ({"backend": "gpumpi", "mixer": "xyring"}, "does not implement"),
+        ({"gammas": [0.1, 0.2], "betas": [0.3]}, None),
+    ], ids=["unknown", "retired", "missing-mixer", "mismatched-angles"])
+    def test_refused_submission_is_counted_once(self, kwargs, match):
+        request = {"gammas": GAMMAS, "betas": BETAS, **kwargs}
         with repro.serve(backend="python") as svc:
-            value = svc.submit_sync(n, terms, [0.1], [0.2], backend="tensornet")
-            assert svc.live_simulators()  # a tensornet sim was constructed
-        assert value == pytest.approx(
-            reference_value(n, terms, [0.1], [0.2]), rel=1e-9)
-
-    def test_backend_without_expectation_sheds_typed_error(self):
-        from repro.fur import UnsupportedCapabilityError
-        from repro.fur.registry import BackendSpec, registry
-
-        registry.register(BackendSpec(name="amponly", loader=dict,
-                                      mixers=("x",),
-                                      capabilities="amplitude-only",
-                                      priority=-99))
-        try:
-            with repro.serve(backend="python") as svc:
-                with pytest.raises(UnsupportedCapabilityError,
-                                   match="amplitude-only"):
-                    svc.submit_sync(N, TERMS, GAMMAS, BETAS, backend="amponly")
-                assert svc.stats.rejected == 1
-        finally:
-            registry.unregister("amponly")
+            with pytest.raises(ValueError, match=match):
+                svc.submit_sync(N, TERMS, **request)
+            assert svc.stats.rejected == 1
+            assert svc.stats.requests == 0
+            assert not svc.live_simulators()
 
 
 class TestRouting:

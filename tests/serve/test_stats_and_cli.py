@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.fur.registry import registry
 from repro.serve import LatencyRecorder, ServiceStats
 from repro.serve.__main__ import main
 
@@ -95,9 +96,9 @@ class TestCli:
         assert "python" in out
         assert "window_ms" in out
         assert "coalesced_hits" in out
-        # capability tiers are part of the operational surface
-        assert "tensornet" in out
-        assert "expectation-only" in out
+        # every registered backend is part of the operational surface
+        for name in registry.names():
+            assert name in out
 
     def test_json_mode_emits_parseable_snapshot(self, capsys):
         assert main(["--json"]) == 0
